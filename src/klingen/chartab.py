@@ -31,6 +31,12 @@ Per-element character values are pinned only where the class data forces
 them; everything else is kept as validated *aggregate* rules (whole-pattern
 totals), never invented per element.  A Dixon-Schneider solver provides a
 fully independent oracle at q = 2.
+
+Classification computes on element encodings through ``ffield.tables``:
+one elimination (``_rref``), one h - lam*I helper, the characteristic
+polynomial from principal minors and roots by deflation.  ``char_poly``,
+``rational_roots``, ``mat_rank``, ``mat_kernel`` and ``bilinear`` are their
+public forms on FqElem values.
 """
 
 from __future__ import annotations
@@ -40,9 +46,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from . import ffield, groupfq
+from . import ffield
 from .errors import NonIntegralResult, NotScopedClass, ValueNotPinned
-from .ffield import FieldSpec, FqElem, field_for_q, is_square
+from .ffield import FieldSpec, FqElem, field_for_q
 from .groupfq import GSpElem, Mat4, Subgroup
 
 # ---------------------------------------------------------------------------
@@ -111,184 +117,178 @@ def family_from_name(name: str, q: Optional[int] = None) -> SigmaFamily:
 
 
 # ---------------------------------------------------------------------------
-# linear algebra over F_q (encodings + lookup tables)
+# linear algebra over F_q on element encodings (ffield.tables)
 # ---------------------------------------------------------------------------
 
-def _vec_fq(spec: FieldSpec, v) -> tuple:
-    return tuple(x if isinstance(x, FqElem) else spec.scalar(x) for x in v)
+def _rref(rows, t) -> tuple:
+    """Reduced row echelon form of encoded rows: (rows, pivot columns)."""
+    add, mul, neg, inv = t.add, t.mul, t.neg, t.inv
+    a = [list(r) for r in rows]
+    pivots = []
+    for col in range(len(a[0]) if a else 0):
+        row = len(pivots)
+        piv = next((r for r in range(row, len(a)) if a[r][col]), None)
+        if piv is None:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        s = mul[inv[a[row][col]]]
+        prow = a[row] = [s[x] for x in a[row]]
+        for r in range(len(a)):
+            f = a[r][col]
+            if r != row and f:
+                nf = mul[neg[f]]
+                a[r] = [add[x][nf[y]] for x, y in zip(a[r], prow)]
+        pivots.append(col)
+        if len(pivots) == len(a):
+            break
+    return a, pivots
 
 
-def mat_vec(m: Mat4, v: tuple) -> tuple:
-    """Matrix times column vector; both sides FqElem 4-tuples."""
-    out = []
-    for r in range(4):
-        s = m.entry(r, 0) * v[0]
-        for c in range(1, 4):
-            s = s + m.entry(r, c) * v[c]
-        out.append(s)
-    return tuple(out)
+def _kernel(rows, t) -> list:
+    """Basis of the null space of encoded rows, read off the RREF."""
+    a, pivots = _rref(rows, t)
+    n = len(rows[0])
+    basis = []
+    for fc in range(n):
+        if fc in pivots:
+            continue
+        v = [0] * n
+        v[fc] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = t.neg[a[r][fc]]
+        basis.append(v)
+    return basis
+
+
+def _rows(e) -> list:
+    return [e[0:4], e[4:8], e[8:12], e[12:16]]
+
+
+def _minus_scalar(e, lam: int, t) -> list:
+    """Entries of h - lam*I, row-major, for h given by its entries e."""
+    out = list(e)
+    add, nl = t.add, t.neg[lam]
+    for i in (0, 5, 10, 15):
+        out[i] = add[out[i]][nl]
+    return out
+
+
+def _scale(e, s: int, t) -> list:
+    row = t.mul[s]
+    return [row[x] for x in e]
+
+
+def _mat_vec(e, v, t) -> list:
+    add, mul = t.add, t.mul
+    return [
+        add[add[mul[e[r]][v[0]]][mul[e[r + 1]][v[1]]]][
+            add[mul[e[r + 2]][v[2]]][mul[e[r + 3]][v[3]]]
+        ]
+        for r in (0, 4, 8, 12)
+    ]
+
+
+def _bilinear(u, v, t) -> int:
+    add, mul = t.add, t.mul
+    plus = add[mul[u[0]][v[3]]][mul[u[1]][v[2]]]
+    minus = add[mul[u[2]][v[1]]][mul[u[3]][v[0]]]
+    return add[plus][t.neg[minus]]
+
+
+def _char_poly(e, t) -> list:
+    """(c0, ..., c4) of det(tI - h) = t^4 - E1 t^3 + E2 t^2 - E3 t + E4,
+    E_k the sum of the principal k x k minors of h."""
+    add, mul, neg = t.add, t.mul, t.neg
+
+    def minor2(r1, r2, c1, c2):
+        return add[mul[e[4 * r1 + c1]][e[4 * r2 + c2]]][
+            neg[mul[e[4 * r1 + c2]][e[4 * r2 + c1]]]
+        ]
+
+    e1 = add[add[e[0]][e[5]]][add[e[10]][e[15]]]
+    e2 = 0
+    for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
+        e2 = add[e2][minor2(i, j, i, j)]
+    e3 = 0
+    for i, j, k in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
+        # expansion of the principal 3 x 3 minor along row i
+        d = mul[e[5 * i]][minor2(j, k, j, k)]
+        d = add[d][neg[mul[e[4 * i + j]][minor2(j, k, i, k)]]]
+        d = add[d][mul[e[4 * i + k]][minor2(j, k, i, j)]]
+        e3 = add[e3][d]
+    # Laplace expansion of det h along rows 1 and 2
+    e4 = 0
+    for c1, c2, d1, d2, sign in (
+        (0, 1, 2, 3, 1), (0, 2, 1, 3, -1), (0, 3, 1, 2, 1),
+        (1, 2, 0, 3, 1), (1, 3, 0, 2, -1), (2, 3, 0, 1, 1),
+    ):
+        term = mul[minor2(0, 1, c1, c2)][minor2(2, 3, d1, d2)]
+        e4 = add[e4][term if sign > 0 else neg[term]]
+    return [e4, neg[e3], e2, neg[e1], 1]
+
+
+def _deflate(coeffs, root: int, t) -> tuple:
+    """Synthetic division by (t - root): (quotient, remainder)."""
+    add, mul = t.add, t.mul
+    acc = 0
+    cur = []
+    for c in reversed(coeffs):
+        acc = add[mul[acc][root]][c]
+        cur.append(acc)
+    return cur[-2::-1], cur[-1]
+
+
+def _roots(coeffs, t) -> tuple:
+    """Roots in F_q with multiplicity, in encoding order, by repeated
+    deflation; also the quotient left once every root is divided out."""
+    roots = {}
+    work = list(coeffs)
+    for x in range(t.q):
+        while len(work) > 1:
+            quo, rem = _deflate(work, x, t)
+            if rem:
+                break
+            work = quo
+            roots[x] = roots.get(x, 0) + 1
+    return roots, work
+
+
+# public forms of the above on FqElem values
+
+
+def _encode(xs) -> list:
+    return [x.encoding() for x in xs]
 
 
 def bilinear(u: tuple, v: tuple) -> FqElem:
     """The symplectic form B(u,v) = u1 v4 + u2 v3 - u3 v2 - u4 v1."""
-    return u[0] * v[3] + u[1] * v[2] - u[2] * v[1] - u[3] * v[0]
+    spec = u[0].spec
+    return spec.from_encoding(_bilinear(_encode(u), _encode(v), ffield.tables(spec)))
 
 
 def mat_rank(m: Mat4) -> int:
-    a = [[m.entry(r, c) for c in range(4)] for r in range(4)]
-    rank = 0
-    row = 0
-    for col in range(4):
-        piv = None
-        for r in range(row, 4):
-            if not a[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = a[row][col].inverse()
-        a[row] = [x * inv for x in a[row]]
-        for r in range(4):
-            if r != row and not a[r][col].is_zero():
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-        row += 1
-        rank += 1
-    return rank
+    return len(_rref(_rows(m.e), ffield.tables(m.spec))[1])
 
 
 def mat_kernel(m: Mat4) -> list:
     """Basis of ker(m) as FqElem 4-tuples."""
-    spec = m.spec
-    a = [[m.entry(r, c) for c in range(4)] for r in range(4)]
-    pivots = []
-    row = 0
-    for col in range(4):
-        piv = None
-        for r in range(row, 4):
-            if not a[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = a[row][col].inverse()
-        a[row] = [x * inv for x in a[row]]
-        for r in range(4):
-            if r != row and not a[r][col].is_zero():
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-        pivots.append(col)
-        row += 1
-    free = [c for c in range(4) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [spec.zero] * 4
-        v[fc] = spec.one
-        for r, pc in enumerate(pivots):
-            v[pc] = -a[r][fc]
-        basis.append(tuple(v))
-    return basis
-
-
-# dense polynomial helpers over F_q, coefficient lists (constant first)
-
-def _padd(a, b, spec):
-    n = max(len(a), len(b))
-    z = spec.zero
-    return [
-        (a[i] if i < len(a) else z) + (b[i] if i < len(b) else z) for i in range(n)
-    ]
-
-
-def _pmul(a, b, spec):
-    if not a or not b:
-        return []
-    z = spec.zero
-    out = [z] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai.is_zero():
-            for j, bj in enumerate(b):
-                out[i + j] = out[i + j] + ai * bj
-    return out
-
-
-def _pscale(a, s):
-    return [x * s for x in a]
-
-
-def _ptrim(a):
-    n = len(a)
-    while n > 0 and a[n - 1].is_zero():
-        n -= 1
-    return a[:n]
+    elems = ffield.enumerate_field(m.spec)
+    basis = _kernel(_rows(m.e), ffield.tables(m.spec))
+    return [tuple(elems[x] for x in v) for v in basis]
 
 
 def char_poly(m: Mat4) -> tuple:
     """Coefficients (c0, ..., c4) of det(t*I - m), monic, over F_q."""
-    spec = m.spec
-    z, o = spec.zero, spec.one
-    # entry (r,c) of tI - m as a linear polynomial in t
-    entries = [
-        [
-            ([-m.entry(r, c), o] if r == c else [-m.entry(r, c)])
-            for c in range(4)
-        ]
-        for r in range(4)
-    ]
-
-    def det(rows, cols):
-        if len(rows) == 1:
-            return entries[rows[0]][cols[0]]
-        total = []
-        sign = 1
-        for k, r in enumerate(rows):
-            lead = entries[r][cols[0]]
-            if _ptrim(lead):
-                sub = det(rows[:k] + rows[k + 1 :], cols[1:])
-                term = _pmul(lead, sub, spec)
-                if sign < 0:
-                    term = _pscale(term, -o)
-                total = _padd(total, term, spec)
-            sign = -sign
-        return total
-
-    cp = det([0, 1, 2, 3], [0, 1, 2, 3])
-    cp = cp + [z] * (5 - len(cp))
-    return tuple(cp[:5])
-
-
-def _poly_eval(coeffs, x: FqElem) -> FqElem:
-    acc = x.spec.zero
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _poly_deflate(coeffs, root: FqElem):
-    """Synthetic division by (t - root): returns (quotient, remainder)."""
-    cur = []
-    acc = root.spec.zero
-    for c in reversed(coeffs):
-        acc = acc * root + c
-        cur.append(acc)
-    return list(reversed(cur[:-1])), cur[-1]
+    elems = ffield.enumerate_field(m.spec)
+    return tuple(elems[x] for x in _char_poly(m.e, ffield.tables(m.spec)))
 
 
 def rational_roots(coeffs) -> Counter:
     """Roots in F_q with multiplicity (by repeated deflation)."""
-    spec = coeffs[0].spec if coeffs else None
-    roots = Counter()
-    work = list(coeffs)
-    for x in ffield.enumerate_field(spec):
-        while len(work) > 1:
-            if not _poly_eval(work, x).is_zero():
-                break
-            work, rem = _poly_deflate(work, x)
-            assert rem.is_zero()
-            roots[x] += 1
-    return roots
+    spec = coeffs[0].spec
+    elems = ffield.enumerate_field(spec)
+    roots, _ = _roots(_encode(coeffs), ffield.tables(spec))
+    return Counter({elems[x]: n for x, n in roots.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -312,171 +312,104 @@ _EVEN_RANK_LABELS = {0: "A1", 1: "A2", 3: "A41"}
 _ODD_RANK_LABELS = {0: "A0", 1: "A1", 3: "A3"}
 
 
-def _mat_minus_scalar(h: Mat4, lam: FqElem) -> Mat4:
-    spec = h.spec
-    return Mat4(
-        spec,
-        tuple(
-            (h.entry(r, c) - (lam if r == c else spec.zero)).encoding()
-            for r in range(4)
-            for c in range(4)
-        ),
-    )
-
-
-def _rank2_form(h: Mat4):
+def _rank2_form(n, t) -> tuple:
     """The binary quadratic form Q(v) = B(Nv, v) on a complement of ker N,
-    N = h - 1: returns (alpha, beta, gamma) with Q = alpha s^2 + beta st +
-    gamma t^2."""
-    spec = h.spec
-    n = _mat_minus_scalar(h, spec.one)
-    ker = mat_kernel(n)
+    N given by its entries: returns (alpha, beta, gamma) with Q = alpha s^2 +
+    beta st + gamma t^2."""
     # complement basis: standard vectors independent modulo ker N
+    cur = _kernel(_rows(n), t)
     basis = []
-    cur = list(ker)
     for i in range(4):
-        v = tuple(spec.one if j == i else spec.zero for j in range(4))
-        stacked = cur + [v]
-        rows = [list(x) for x in stacked]
-        if _rank_of_rows(rows) > len(cur):
+        v = [1 if j == i else 0 for j in range(4)]
+        if len(_rref(cur + [v], t)[1]) > len(cur):
             basis.append(v)
-            cur = stacked
-        if len(basis) == 2:
-            break
+            cur = cur + [v]
+            if len(basis) == 2:
+                break
     w1, w2 = basis
-    nw1, nw2 = mat_vec(n, w1), mat_vec(n, w2)
-    alpha = bilinear(nw1, w1)
-    gamma = bilinear(nw2, w2)
-    beta = bilinear(nw1, w2) + bilinear(nw2, w1)
+    nw1, nw2 = _mat_vec(n, w1, t), _mat_vec(n, w2, t)
+    alpha = _bilinear(nw1, w1, t)
+    gamma = _bilinear(nw2, w2, t)
+    beta = t.add[_bilinear(nw1, w2, t)][_bilinear(nw2, w1, t)]
     return alpha, beta, gamma
 
 
-def _rank_of_rows(rows) -> int:
-    if not rows:
-        return 0
-    work = [list(r) for r in rows]
-    rank = 0
-    row = 0
-    ncols = len(work[0])
-    for col in range(ncols):
-        piv = None
-        for r in range(row, len(work)):
-            if not work[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
-            continue
-        work[row], work[piv] = work[piv], work[row]
-        inv = work[row][col].inverse()
-        work[row] = [x * inv for x in work[row]]
-        for r in range(len(work)):
-            if r != row and not work[r][col].is_zero():
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[row])]
-        row += 1
-        rank += 1
-        if row == len(work):
-            break
-    return rank
+def _gen_eigenspace(h, lam: int, t, power: int = 2) -> list:
+    """Basis of ker((h - lam)^power), h given by its entries."""
+    shifted = _minus_scalar(h, lam, t)
+    if power == 2:
+        cols = [_mat_vec(shifted, shifted[c::4], t) for c in range(4)]
+        shifted = [cols[c][r] for r in range(4) for c in range(4)]
+    return _kernel(_rows(shifted), t)
 
 
-def _gen_eigenspace(h: Mat4, lam: FqElem, power: int = 2) -> list:
-    """Basis of ker((h - lam)^power)."""
-    spec = h.spec
-    shifted = Mat4(
-        spec,
-        tuple(
-            (h.entry(r, c) - (lam if r == c else spec.zero)).encoding()
-            for r in range(4)
-            for c in range(4)
-        ),
-    )
-    m = shifted
-    for _ in range(power - 1):
-        m = m * shifted
-    return mat_kernel(m)
-
-
-def _unipotent_label(h: Mat4, even: bool) -> ClassLabel:
+def _unipotent_label(h, even: bool, t) -> ClassLabel:
     """Label of a unipotent h (all eigenvalues 1) by rank and form data."""
-    spec = h.spec
-    ident = Mat4.identity(spec)
-    n = Mat4(
-        spec,
-        tuple((h.entry(r, c) - ident.entry(r, c)).encoding() for r in range(4) for c in range(4)),
-    )
-    r = mat_rank(n)
+    n = _minus_scalar(h, 1, t)
+    r = len(_rref(_rows(n), t)[1])
     if r != 2:
         table = _EVEN_RANK_LABELS if even else _ODD_RANK_LABELS
         return ClassLabel(table[r])
-    alpha, beta, gamma = _rank2_form(h)
+    alpha, beta, gamma = _rank2_form(n, t)
     if even:
-        if alpha.is_zero() and beta.is_zero() and gamma.is_zero():
+        if alpha == 0 and beta == 0 and gamma == 0:
             return ClassLabel("A31")
         return ClassLabel("A32")
-    disc = beta * beta - 4 * alpha * gamma
-    return ClassLabel("A21" if is_square(disc) else "A22")
+    add, mul = t.add, t.mul
+    two = add[1][1]
+    four_ac = mul[add[two][two]][mul[alpha][gamma]]
+    disc = add[mul[beta][beta]][t.neg[four_ac]]
+    return ClassLabel("A21" if t.square[disc] else "A22")
 
 
 def classify(g: GSpElem) -> ClassLabel:
     """Conjugacy-class label of g (scheme in the module docstring)."""
     spec = g.spec
+    t = ffield.tables(spec)
     even = spec.p == 2
-    cp = char_poly(g.mat)
-    roots = rational_roots(cp)
+    e = g.mat.e
+    roots, rest = _roots(_char_poly(e, t), t)
     total_mult = sum(roots.values())
 
     if total_mult == 0:
         return ClassLabel("NotScoped")
 
     # single eigenvalue of multiplicity 4: scalar times unipotent
-    if len(roots) == 1 and total_mult == 4:
+    if total_mult == 4 and len(roots) == 1:
         lam = next(iter(roots))
-        h = g.mat.scale(lam.inverse())
-        return _unipotent_label(h, even)
+        return _unipotent_label(_scale(e, t.inv[lam], t), even, t)
 
     # {l, l, -l, -l} with similitude l^2 (odd q only)
-    if (
-        not even
-        and len(roots) == 2
-        and sorted(roots.values()) == [2, 2]
-    ):
-        l1, l2 = roots
-        if l1 == -l2:
-            lam = l1 if l1.encoding() <= l2.encoding() else l2
-            if g.mu == lam * lam:
-                return _b_family_label(g, lam)
+    if not even and len(roots) == 2 and sorted(roots.values()) == [2, 2]:
+        l1, l2 = roots  # encoding order, so l1 < l2
+        if l1 == t.neg[l2]:
+            if g.mu.encoding() == t.mul[l1][l1]:
+                return _b_family_label(e, l1, t)
             return ClassLabel("Mixed")
 
-    # {l, l} plus an irreducible quadratic of norm l^2
+    # {l, l} plus an irreducible quadratic t^2 + b t + c of norm c = l^2
     if total_mult == 2 and len(roots) == 1:
         lam = next(iter(roots))
-        if roots[lam] == 2:
-            quo = list(cp)
-            for _ in range(2):
-                quo, rem = _poly_deflate(quo, lam)
-                assert rem.is_zero()
-            # quo = t^2 + b t + c, irreducible over F_q
-            c0, b1 = quo[0], quo[1]
-            if c0 == lam * lam:
-                token = (b1 / lam).encoding()
-                fixed_dim = len(_gen_eigenspace(g.mat, lam, power=1))
-                if even:
-                    kind = "C3" if fixed_dim == 2 else "D3"
-                else:
-                    kind = "G0" if fixed_dim == 2 else "G1"
-                return ClassLabel(kind, token)
-            return ClassLabel("Mixed")
+        c0, b1 = rest[0], rest[1]
+        if c0 == t.mul[lam][lam]:
+            token = t.mul[b1][t.inv[lam]]
+            fixed_dim = len(_gen_eigenspace(e, lam, t, power=1))
+            if even:
+                kind = "C3" if fixed_dim == 2 else "D3"
+            else:
+                kind = "G0" if fixed_dim == 2 else "G1"
+            return ClassLabel(kind, token)
+        return ClassLabel("Mixed")
 
     # any other pattern with at least one rational eigenvalue
     return ClassLabel("Mixed")
 
 
-def _b_family_label(g: GSpElem, lam: FqElem) -> ClassLabel:
-    spec = g.spec
-    h = g.mat.scale(lam.inverse())
-    plus_fixed = len(_gen_eigenspace(h, spec.one, power=1))
-    minus_fixed = len(_gen_eigenspace(h, -spec.one, power=1))
+def _b_family_label(e, lam: int, t) -> ClassLabel:
+    h = _scale(e, t.inv[lam], t)
+    minus_one = t.neg[1]
+    plus_fixed = len(_gen_eigenspace(h, 1, t, power=1))
+    minus_fixed = len(_gen_eigenspace(h, minus_one, t, power=1))
     if plus_fixed == 2 and minus_fixed == 2:
         return ClassLabel("B0")
     if plus_fixed == 2:
@@ -485,30 +418,22 @@ def _b_family_label(g: GSpElem, lam: FqElem) -> ClassLabel:
         return ClassLabel("B1")
     # both blocks nontrivial: square class of the product of the rank-1
     # form coefficients on the two generalized eigenspaces
-    cplus = _block_form_coeff(h, spec.one)
-    cminus = _block_form_coeff(h, -spec.one)
-    return ClassLabel("B31" if is_square(cplus * cminus) else "B32")
+    cplus = _block_form_coeff(h, 1, t)
+    cminus = _block_form_coeff(h, minus_one, t)
+    return ClassLabel("B31" if t.square[t.mul[cplus][cminus]] else "B32")
 
 
-def _block_form_coeff(h: Mat4, lam: FqElem) -> FqElem:
+def _block_form_coeff(h, lam: int, t) -> int:
     """Nonzero value of Q(v) = B((h-lam)v, v) on ker((h-lam)^2)."""
-    spec = h.spec
-    space = _gen_eigenspace(h, lam, power=2)
-    shifted = Mat4(
-        spec,
-        tuple(
-            (h.entry(r, c) - (lam if r == c else spec.zero)).encoding()
-            for r in range(4)
-            for c in range(4)
-        ),
-    )
+    s0, s1 = _gen_eigenspace(h, lam, t, power=2)
+    shifted = _minus_scalar(h, lam, t)
+    add, mul = t.add, t.mul
     # Q is a rank-1 form c*L^2 on the block; evaluate until nonzero
-    vals = []
-    for a in ffield.enumerate_field(spec):
-        for b in ffield.enumerate_field(spec):
-            v = tuple(a * x + b * y for x, y in zip(space[0], space[1]))
-            q = bilinear(mat_vec(shifted, v), v)
-            if not q.is_zero():
+    for a in range(t.q):
+        for b in range(t.q):
+            v = [add[mul[a][x]][mul[b][y]] for x, y in zip(s0, s1)]
+            q = _bilinear(_mat_vec(shifted, v, t), v, t)
+            if q:
                 return q
     raise NotScopedClass("vanishing block form on a B31/B32 candidate")
 
@@ -566,13 +491,8 @@ def char_value(family: SigmaFamily, label: ClassLabel, q: int) -> int:
 
 def _elliptic_tokens(spec: FieldSpec) -> list:
     """Tokens of all norm-1 elliptic pairs: c with t^2 + c t + 1 irreducible."""
-    out = []
-    for c in ffield.enumerate_field(spec):
-        coeffs = [spec.one, c, spec.one]
-        has_root = any(_poly_eval(coeffs, x).is_zero() for x in ffield.enumerate_field(spec))
-        if not has_root:
-            out.append(c.encoding())
-    return out
+    t = ffield.tables(spec)
+    return [c for c in range(spec.q) if _roots([1, c, 1], t)[0] == {}]
 
 
 def _aggregate_total(leftover: Counter, family_kind: str, q: int) -> int:

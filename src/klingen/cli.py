@@ -8,8 +8,12 @@ Four subcommands over the library:
   table      a dimension grid over lists of q and n
 
 Exit codes: 0 success, 1 usage error, 2 mathematical disagreement or
-failed verification, 3 resource bound exceeded.  Identical flags (and
-seed) produce byte-identical output.
+failed verification, 3 resource bound exceeded.  Every KlingenError ends in
+one of them (``_ERROR_EXITS``), never in a traceback: bad or unsupported
+input (a q that is not a prime power, an unknown name, a value the class
+data does not pin) is a usage error; a disagreement, failed verification or
+non-integral result is 2; a size, budget or precision bound is 3.
+Identical flags (and seed) produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -41,13 +45,29 @@ from .dims import (
     dim_klingen,
 )
 from .errors import (
+    ClosureTooLarge,
     DisagreementError,
+    DivisionByZero,
     DixonBoundExceeded,
+    FieldTooLarge,
+    GroupTooLarge,
     KlingenError,
     MismatchReport,
+    MixedFields,
     NonConvergence,
+    NonIntegralResult,
+    NotPolynomial,
+    NotPrime,
+    NotScopedClass,
+    NotSimilitude,
+    PrecisionExhausted,
+    PrecisionInsufficient,
+    PrecisionTooLow,
     ResourceBound,
+    UnknownName,
+    ValueNotPinned,
 )
+from .ffield import prime_power
 from .groupfq import named_subgroup
 from .padic import estimate_Rg
 from .verify_lemmas import verify_char_lemmas
@@ -64,6 +84,37 @@ SCHEMA = "1"
 
 class UsageError(Exception):
     """Bad flags or bad flag values; reported on stderr, exit code 1."""
+
+
+# (exit code, stderr prefix) -> the errors.py classes that end in it
+_ERROR_EXITS = {
+    (EXIT_USAGE, "usage error"): (
+        KlingenError, NotPrime, MixedFields, DivisionByZero, NotSimilitude,
+        UnknownName, ValueNotPinned, NotScopedClass,
+    ),
+    (EXIT_DISAGREE, "disagreement"): (
+        DisagreementError, NonIntegralResult, NotPolynomial,
+    ),
+    (EXIT_DISAGREE, "verification mismatch"): (MismatchReport,),
+    (EXIT_RESOURCE, "resource bound"): (
+        ResourceBound, NonConvergence, DixonBoundExceeded, ClosureTooLarge,
+        GroupTooLarge, FieldTooLarge, PrecisionTooLow, PrecisionExhausted,
+        PrecisionInsufficient,
+    ),
+}
+_EXIT_OF = {cls: how for how, classes in _ERROR_EXITS.items() for cls in classes}
+
+
+def _exit_for(exc: KlingenError) -> Tuple[int, str]:
+    """Exit code and stderr prefix of the nearest listed class of exc."""
+    return next(_EXIT_OF[c] for c in type(exc).__mro__ if c in _EXIT_OF)
+
+
+def _prime_powers(qs: Sequence[int]) -> Sequence[int]:
+    """qs unchanged; NotPrime (exit 1) unless every q is a prime power."""
+    for q in qs:
+        prime_power(q)
+    return qs
 
 
 @dataclass(frozen=True)
@@ -250,6 +301,7 @@ def _render(cfg: Config, payload: Dict, headers: Sequence[str],
 # ---------------------------------------------------------------------------
 
 def cmd_dim(args: argparse.Namespace, cfg: Config, out) -> int:
+    _prime_powers([args.q])
     try:
         family = family_from_name(args.sigma, args.q)
         req = DimRequest(q=args.q, n=args.n, sigma=family, origin=args.origin)
@@ -291,8 +343,7 @@ def cmd_dim(args: argparse.Namespace, cfg: Config, out) -> int:
 def cmd_enumerate(args: argparse.Namespace, cfg: Config, out) -> int:
     if args.n < 0:
         raise UsageError(f"--n must be >= 0, got {args.n}")
-    if args.q < 2:
-        raise UsageError(f"--q must be a prime power >= 2, got {args.q}")
+    _prime_powers([args.q])
     type_i = family_from_name("typeI")
     type_ii = family_from_name("typeII")
     rows_out: List[Dict] = []
@@ -447,14 +498,15 @@ def cmd_verify(args: argparse.Namespace, cfg: Config, out) -> int:
     chosen = (args.suite,) if args.suite != "all" else (
         "chartab", "counts", "rg", "theorem"
     )
+    given = _prime_powers(parse_int_list(args.q, "--q")) if args.q else None
     suites: List[Dict] = []
     for name in sorted(chosen):
         if name == "counts":
-            qs = parse_int_list(args.q, "--q") if args.q else [2, 3]
+            qs = given or [2, 3]
             n_max = args.n_max if args.n_max is not None else 14
             checks, failures = _suite_counts(qs, n_max)
         elif name == "rg":
-            qs = parse_int_list(args.q, "--q") if args.q else [2]
+            qs = given or [2]
             n_max = args.n_max if args.n_max is not None else 5
             checks, failures = _suite_rg(
                 qs, n_max, args.budget, cfg.seed,
@@ -463,7 +515,7 @@ def cmd_verify(args: argparse.Namespace, cfg: Config, out) -> int:
         elif name == "chartab":
             checks, failures = _suite_chartab(cfg.group_bound)
         else:
-            qs = parse_int_list(args.q, "--q") if args.q else [2, 3, 4, 5, 7]
+            qs = given or [2, 3, 4, 5, 7]
             n_max = args.n_max if args.n_max is not None else 40
             checks, failures = _suite_theorem(qs, n_max)
         suites.append({
@@ -500,7 +552,7 @@ def cmd_verify(args: argparse.Namespace, cfg: Config, out) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_table(args: argparse.Namespace, cfg: Config, out) -> int:
-    q_list = parse_int_list(args.q, "--q")
+    q_list = _prime_powers(parse_int_list(args.q, "--q"))
     n_list = parse_int_list(args.n, "--n")
     try:
         families = {q: family_from_name(args.sigma, q) for q in q_list}
@@ -552,15 +604,10 @@ def main(argv: Optional[Sequence[str]] = None, out=None, err=None) -> int:
     except UsageError as exc:
         err.write(f"usage error: {exc}\n")
         return EXIT_USAGE
-    except DisagreementError as exc:
-        err.write(f"disagreement: {exc}\n")
-        return EXIT_DISAGREE
-    except MismatchReport as exc:
-        err.write(f"verification mismatch: {exc}\n")
-        return EXIT_DISAGREE
-    except (ResourceBound, NonConvergence, DixonBoundExceeded) as exc:
-        err.write(f"resource bound: {exc}\n")
-        return EXIT_RESOURCE
+    except KlingenError as exc:
+        code, prefix = _exit_for(exc)
+        err.write(f"{prefix}: {exc}\n")
+        return code
     except ValueError as exc:
         err.write(f"usage error: {exc}\n")
         return EXIT_USAGE

@@ -24,7 +24,7 @@ That reading is what makes the n=1 evaluation collapse to 0 identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 

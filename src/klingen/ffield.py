@@ -6,6 +6,14 @@ polynomial whose non-leading coefficient vector (c_{f-1}, ..., c_1, c_0) has
 the least base-p integer encoding sum(c_i * p^i).  For f = 1 the modulus is
 the polynomial x and plays no role.
 
+Each element has an integer encoding sum(c_i * p^i) in 0..q-1 (0 -> 0,
+1 -> 1).  ``tables(spec)`` holds addition, multiplication, negation,
+inversion and a square flag on those encodings; it is built once per field
+from the polynomial arithmetic and is the one arithmetic engine that the
+matrix, closure and classification layers compute with.  ``FqElem`` is the
+type at the API boundary: public functions take and return it, and its
+operators stay polynomial arithmetic.
+
 Everything here is exact; there is no floating point anywhere.
 """
 
@@ -13,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import DivisionByZero, FieldTooLarge, MixedFields, NotPrime
 
@@ -299,14 +308,10 @@ def field_make(p: int, f: int = 1, bound: int = FIELD_BOUND) -> FieldSpec:
     raise RuntimeError("unreachable: an irreducible of every degree exists")
 
 
-def field_for_q(q: int) -> FieldSpec:
-    """F_q for a prime power q (factored automatically)."""
-    p = None
-    for cand in range(2, q + 1):
-        if q % cand == 0:
-            p = cand
-            break
-    if p is None or not _is_prime(p):
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, f) with q = p^f, p prime; NotPrime if q is not a prime power."""
+    p = next((cand for cand in range(2, q + 1) if q % cand == 0), None)
+    if p is None:
         raise NotPrime(f"{q} is not a prime power")
     f = 0
     m = q
@@ -315,7 +320,12 @@ def field_for_q(q: int) -> FieldSpec:
         f += 1
     if m != 1:
         raise NotPrime(f"{q} is not a prime power")
-    return field_make(p, f)
+    return p, f
+
+
+def field_for_q(q: int) -> FieldSpec:
+    """F_q for a prime power q (factored automatically)."""
+    return field_make(*prime_power(q))
 
 
 def fq_arith(a: FqElem, b: FqElem, op: str) -> FqElem:
@@ -349,9 +359,33 @@ def enumerate_field(spec: FieldSpec) -> list[FqElem]:
     return list(_element_table(spec))
 
 
+class Tables(NamedTuple):
+    """F_q arithmetic on element encodings: ``add[a][b]``, ``mul[a][b]``,
+    ``neg[a]``, ``inv[a]`` (``inv[0]`` is 0) and ``square[a]``."""
+
+    add: tuple
+    mul: tuple
+    neg: tuple
+    inv: tuple
+    square: tuple
+
+    @property
+    def q(self) -> int:
+        return len(self.neg)
+
+
 @lru_cache(maxsize=None)
-def _squares(spec: FieldSpec) -> frozenset:
-    return frozenset(x * x for x in enumerate_field(spec))
+def tables(spec: FieldSpec) -> Tables:
+    """The encoding tables of F_q, built from the polynomial arithmetic."""
+    elems = _element_table(spec)
+    q = spec.q
+    add = tuple(tuple((a + b).encoding() for b in elems) for a in elems)
+    mul = tuple(tuple((a * b).encoding() for b in elems) for a in elems)
+    neg = tuple((-a).encoding() for a in elems)
+    inv = tuple(0 if k == 0 else elems[k].inverse().encoding() for k in range(q))
+    squares = {mul[k][k] for k in range(q)}
+    square = tuple(k in squares for k in range(q))
+    return Tables(add, mul, neg, inv, square)
 
 
 def is_square(a: FqElem) -> bool:
@@ -359,7 +393,7 @@ def is_square(a: FqElem) -> bool:
 
     In characteristic 2 squaring is a bijection, so everything is a square.
     """
-    return a in _squares(a.spec)
+    return tables(a.spec).square[a.encoding()]
 
 
 def units(spec: FieldSpec) -> list[FqElem]:

@@ -11,10 +11,19 @@ so B(u, v) = u1 v4 + u2 v3 - u3 v2 - u4 v1, and g in GSp(4) means
 t(g) J g = mu(g) J with mu(g) a unit (the similitude factor); det g = mu^2.
 
 Matrices store their 16 entries as integer field-element encodings and do
-arithmetic through per-field lookup tables, which keeps large closures cheap
-and exact.  A numpy fast path accelerates closure over prime fields; the
-generic table path is the source of truth and the two are cross-checked in
-tests.
+arithmetic through the per-field lookup tables of ``ffield.tables``, which
+keeps large closures cheap and exact.
+
+What is validated: ``gsp_elem`` checks t(m) J m = mu J and det m = mu^2 in
+full.  ``named_subgroup`` runs it on every element of its hand-written
+parameterizations, and ``subgroup_closure`` runs it once on each generator.
+Closure products are trusted, since a product of similitudes is a
+similitude: each gets its mu from the (1,4) entry of t(g) J g,
+
+    mu = g11 g44 + g21 g34 - g31 g24 - g41 g14,
+
+without the full check.  A numpy fast path runs closure over prime fields;
+the generic table path handles every field, and tests cross-check the two.
 """
 
 from __future__ import annotations
@@ -34,26 +43,8 @@ from .ffield import FieldSpec, FqElem, field_for_q
 
 
 # ---------------------------------------------------------------------------
-# encoding-level arithmetic tables
+# entries as element encodings
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _tables(spec: FieldSpec):
-    """(add, mul, neg, inv) lookup tables on element encodings."""
-    elems = ffield.enumerate_field(spec)
-    q = spec.q
-    add = tuple(
-        tuple((elems[i] + elems[j]).encoding() for j in range(q)) for i in range(q)
-    )
-    mul = tuple(
-        tuple((elems[i] * elems[j]).encoding() for j in range(q)) for i in range(q)
-    )
-    neg = tuple((-elems[i]).encoding() for i in range(q))
-    inv = tuple(
-        0 if i == 0 else elems[i].inverse().encoding() for i in range(q)
-    )
-    return add, mul, neg, inv
-
 
 def _enc(spec: FieldSpec, x) -> int:
     """Encoding of an entry given as int (scalar) or FqElem."""
@@ -105,18 +96,13 @@ class Mat4:
     def entry(self, r: int, c: int) -> FqElem:
         return self.spec.from_encoding(self.e[4 * r + c])
 
-    def rows_fq(self) -> list:
-        return [[self.entry(r, c) for c in range(4)] for r in range(4)]
-
-    def is_identity(self) -> bool:
-        return self == Mat4.identity(self.spec)
-
     # -- arithmetic ------------------------------------------------------------
 
     def __mul__(self, other: "Mat4") -> "Mat4":
         if self.spec != other.spec:
             raise ValueError("mixed fields")
-        add, mul, _, _ = _tables(self.spec)
+        t = ffield.tables(self.spec)
+        add, mul = t.add, t.mul
         a, b = self.e, other.e
         out = []
         for r in range(0, 16, 4):
@@ -137,12 +123,12 @@ class Mat4:
         )
 
     def scale(self, x) -> "Mat4":
-        _, mul, _, _ = _tables(self.spec)
+        mul = ffield.tables(self.spec).mul
         k = _enc(self.spec, x)
         return Mat4(self.spec, tuple(mul[k][v] for v in self.e))
 
     def det(self) -> FqElem:
-        add, mul, neg, inv = _tables(self.spec)
+        add, mul, neg, inv, _ = ffield.tables(self.spec)
         a = [list(self.e[r : r + 4]) for r in range(0, 16, 4)]
         d = self.spec.one.encoding()
         for col in range(4):
@@ -167,7 +153,7 @@ class Mat4:
         return self.spec.from_encoding(d)
 
     def inverse(self) -> "Mat4":
-        add, mul, neg, inv = _tables(self.spec)
+        add, mul, neg, inv, _ = ffield.tables(self.spec)
         a = [list(self.e[r : r + 4]) for r in range(0, 16, 4)]
         one = self.spec.one.encoding()
         b = [[one if i == j else 0 for j in range(4)] for i in range(4)]
@@ -342,22 +328,34 @@ CLOSURE_BOUND = 10**6
 def subgroup_closure(gens, bound: int = CLOSURE_BOUND, name=None) -> Subgroup:
     """Closure of GSpElem generators under multiplication (BFS from identity).
 
-    Raises ClosureTooLarge when more than ``bound`` elements appear.  Over
-    prime fields a numpy fast path is used; the generic table path handles
-    extensions and is the reference implementation.
+    Each generator is validated once with ``gsp_elem`` (NotSimilitude if its
+    matrix is not a similitude or its mu is not the matrix's).  Products are
+    trusted: every element gets its mu from the (1,4) entry of t(g) J g and
+    is not checked again.  Raises ClosureTooLarge when more than ``bound``
+    elements appear.  Prime fields take a numpy fast path; extension fields
+    the generic table path.
     """
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
+    for g in gens:
+        if gsp_elem(g.mat).mu != g.mu:
+            raise NotSimilitude(f"similitude factor {g.mu} does not match {g.mat}")
     spec = gens[0].spec
-    if spec.f == 1:
-        elems = _closure_numpy([g.mat for g in gens], spec, bound)
-    else:
-        elems = _closure_generic([g.mat for g in gens], spec, bound)
-    return make_subgroup((gsp_elem(m) for m in elems), generators=gens, name=name)
+    closure = _closure_numpy if spec.f == 1 else _closure_generic
+    elems = closure([g.mat for g in gens], spec, bound)
+    return make_subgroup(elems, generators=gens, name=name)
+
+
+def _mu_entry(e, add, mul, neg) -> int:
+    """Encoding of the (1,4) entry of t(g) J g for row-major entries e."""
+    plus = add[mul[e[0]][e[15]]][mul[e[4]][e[11]]]
+    minus = add[mul[e[8]][e[7]]][mul[e[12]][e[3]]]
+    return add[plus][neg[minus]]
 
 
 def _closure_generic(gen_mats, spec, bound) -> list:
+    """The closure as GSpElems, over any field."""
     ident = Mat4.identity(spec)
     known = {ident}
     frontier = [ident]
@@ -372,38 +370,46 @@ def _closure_generic(gen_mats, spec, bound) -> list:
                     if len(known) > bound:
                         raise ClosureTooLarge(f"closure exceeded {bound}")
         frontier = new
-    return list(known)
+    add, mul, neg, _, _ = ffield.tables(spec)
+    elems = ffield.enumerate_field(spec)
+    return [GSpElem(m, elems[_mu_entry(m.e, add, mul, neg)]) for m in known]
 
 
 def _closure_numpy(gen_mats, spec, bound) -> list:
+    """The closure as GSpElems over a prime field: one numpy batch per BFS
+    layer, and mu for all elements at once."""
     import numpy as np
 
     p = spec.p
-    gens = np.array(
-        [np.array(m.e, dtype=np.int64).reshape(4, 4) for m in gen_mats]
-    )
-    ident = np.eye(4, dtype=np.int64)
-    known = {ident.tobytes()}
-    collected = [ident]
-    frontier = ident[None, :, :]
-    while frontier.shape[0]:
-        prods = np.einsum("nij,gjk->ngik", frontier, gens) % p
-        prods = prods.reshape(-1, 4, 4)
+    gens = np.array([m.e for m in gen_mats], dtype=np.int64).reshape(1, -1, 4, 4)
+
+    def row_keys(rows):
+        # entries are below p <= FIELD_BOUND, so a row packs into 16 uint16s
+        return rows.astype(np.uint16).view(np.dtype((np.void, 32))).ravel()
+
+    layer = np.eye(4, dtype=np.int64).reshape(1, 16)
+    known = set(row_keys(layer).tolist())
+    layers = []
+    while len(layer):
+        layers.append(layer)
+        prods = ((layer.reshape(-1, 1, 4, 4) @ gens) % p).reshape(-1, 16)
         fresh = []
-        for m in prods:
-            key = m.tobytes()
+        for i, key in enumerate(row_keys(prods).tolist()):
             if key not in known:
                 known.add(key)
-                fresh.append(m)
-                if len(known) > bound:
-                    raise ClosureTooLarge(f"closure exceeded {bound}")
-        collected.extend(fresh)
-        frontier = (
-            np.stack(fresh) if fresh else np.empty((0, 4, 4), dtype=np.int64)
-        )
+                fresh.append(i)
+        if len(known) > bound:
+            raise ClosureTooLarge(f"closure exceeded {bound}")
+        layer = prods[fresh]
+    mats = np.concatenate(layers)
+    mus = (
+        mats[:, 0] * mats[:, 15] + mats[:, 4] * mats[:, 11]
+        - mats[:, 8] * mats[:, 7] - mats[:, 12] * mats[:, 3]
+    ) % p
+    elems = ffield.enumerate_field(spec)
     return [
-        Mat4(spec, tuple(int(x) for x in m.reshape(16)))
-        for m in collected
+        GSpElem(Mat4(spec, tuple(e)), elems[mu])
+        for e, mu in zip(mats.tolist(), mus.tolist())
     ]
 
 

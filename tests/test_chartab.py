@@ -208,7 +208,7 @@ class TestPinnedValues:
 class TestDimensionRoutes:
     """classify-and-average agrees with the closed per-subgroup values."""
 
-    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("q", [2, 3, 4])
     def test_all_named_subgroups(self, q):
         for name in gq.NAMED_SUBGROUP_NAMES:
             if name == "Z_ray":
@@ -221,7 +221,7 @@ class TestDimensionRoutes:
                 )
 
     def test_spot_checks_q5(self):
-        for name in ("U_S", "R_last", "M1", "B"):
+        for name in ("U_S", "U_K", "R_last", "M1", "B", "Row4"):
             sub = gq.named_subgroup(name, 5)
             for fam in (TYPE_I, TYPE_II):
                 assert dim_fixed(sub, fam) == dim_fixed_family(name, fam, 5)

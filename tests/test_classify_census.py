@@ -1,0 +1,67 @@
+"""classify against a frozen label census, and its conjugation invariance.
+
+``data/classify_census.json`` holds, for each q and group, the Counter of
+``repr(classify(g))`` over every element: all named subgroups at q = 2, 3, 4,
+seven named subgroups at q = 5, and GSp(4, 2) (key "GSp4").  It was captured
+from the polynomial-arithmetic classify that preceded the encoding-table
+port, so any label or elliptic token that moves shows up here.
+"""
+
+from __future__ import annotations
+
+import json
+from collections import Counter
+from functools import lru_cache
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from klingen import groupfq as gq
+from klingen.chartab import classify
+from klingen.ffield import field_for_q
+
+CENSUS = json.loads((Path(__file__).parent / "data" / "classify_census.json").read_text())
+
+
+def _group(q: int, name: str):
+    return gq.enumerate_gsp4(q) if name == "GSp4" else gq.named_subgroup(name, q)
+
+
+@pytest.mark.parametrize("q", sorted(CENSUS, key=int))
+def test_label_census(q):
+    for name, want in CENSUS[q].items():
+        got = Counter(repr(classify(g)) for g in _group(int(q), name).elements)
+        assert dict(got) == want, (q, name)
+
+
+def test_census_covers_every_named_subgroup():
+    for q in ("2", "3", "4"):
+        assert set(CENSUS[q]) >= set(gq.NAMED_SUBGROUP_NAMES)
+    assert "GSp4" in CENSUS["2"]
+
+
+# elements with many different labels, conjugated by random words in the
+# generators of the whole group
+_POOLS = {4: ("M", "R_klingen", "D", "Row8"), 5: ("M1", "R_last", "B", "U_K")}
+
+
+@lru_cache(maxsize=None)
+def _pool(q: int) -> tuple:
+    elems = [g for name in _POOLS[q] for g in gq.named_subgroup(name, q).elements]
+    return tuple(elems), tuple(gq.gsp4_generators(field_for_q(q)))
+
+
+@pytest.mark.parametrize("q", sorted(_POOLS))
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_conjugation_invariance(q, data):
+    pool, gens = _pool(q)
+    g = pool[data.draw(st.integers(0, len(pool) - 1), label="g")]
+    word = data.draw(st.lists(st.integers(0, len(gens) - 1), min_size=1, max_size=8),
+                     label="word")
+    h = gens[word[0]]
+    for i in word[1:]:
+        h = h * gens[i]
+    assert classify(h * g * h.inverse()) == classify(g)

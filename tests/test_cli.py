@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from klingen import cli, dims
+from klingen import cli, dims, errors
 
 
 def run_cli(*argv):
@@ -225,3 +225,53 @@ class TestHarness:
         )
         assert proc.returncode == 0
         assert "total 1" in proc.stdout
+
+
+class TestRefusals:
+    """Input the program cannot answer is refused with a documented exit
+    code, and every error class ends in an exit code, never a traceback."""
+
+    def test_dim_q_not_prime_power(self):
+        code, out, err = run_cli("dim", "--q", "6", "--n", "4", "--sigma", "typeI")
+        assert code == 1
+        assert out == ""
+        assert "6 is not a prime power" in err
+
+    def test_table_q_not_prime_power(self):
+        code, out, err = run_cli("table", "--q", "2,6", "--n", "2..4",
+                                 "--sigma", "typeI")
+        assert code == 1
+        assert out == ""
+        assert "6 is not a prime power" in err
+
+    def test_closure_bound_is_resource_exit(self):
+        code, out, err = run_cli("verify", "rg", "--n-max", "3",
+                                 "--closure-bound", "5")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("resource bound: ")
+
+    @staticmethod
+    def _instance(cls):
+        if cls is errors.DisagreementError:
+            return cls(2, 4, "typeI", 1, 2)
+        if cls is errors.MismatchReport:
+            return cls([("check", 1, 2)])
+        return cls("injected")
+
+    def test_every_error_class_has_an_exit_code(self, monkeypatch):
+        classes = [obj for obj in vars(errors).values()
+                   if isinstance(obj, type) and issubclass(obj, errors.KlingenError)]
+        assert len(classes) > 20
+        for cls in classes:
+            # listed by name, so a new class needs a decision
+            assert cls in cli._EXIT_OF, cls.__name__
+
+            def raiser(args, cfg, out, cls=cls):
+                raise self._instance(cls)
+            monkeypatch.setitem(cli._COMMANDS, "dim", raiser)
+            code, out, err = run_cli("dim", "--q", "2", "--n", "2", "--sigma", "typeI")
+            assert code == cli._EXIT_OF[cls][0], cls.__name__
+            assert code in (1, 2, 3)
+            assert err.startswith(cli._EXIT_OF[cls][1] + ": ")
+            assert "Traceback" not in err and err.count("\n") == 1

@@ -145,3 +145,29 @@ class TestFieldAxioms:
             for a in all_elems:
                 brute = any(y * y == a for y in all_elems)
                 assert ff.is_square(a) == brute
+
+
+class TestTables:
+    def test_tables_match_element_arithmetic(self):
+        """The encoding tables agree with FqElem arithmetic on every pair."""
+        for q in SMALL_QS:
+            spec = ff.field_for_q(q)
+            t = ff.tables(spec)
+            elems = ff.enumerate_field(spec)
+            assert t.q == q
+            for a in elems:
+                i = a.encoding()
+                assert t.neg[i] == (-a).encoding()
+                assert t.inv[i] == (a.inverse().encoding() if i else 0)
+                assert t.square[i] == any(y * y == a for y in elems)
+                for b in elems:
+                    j = b.encoding()
+                    assert t.add[i][j] == (a + b).encoding()
+                    assert t.mul[i][j] == (a * b).encoding()
+
+    def test_prime_power(self):
+        assert ff.prime_power(9) == (3, 2)
+        assert ff.prime_power(1024) == (2, 10)
+        for q in (0, 1, 6, 12, 100):
+            with pytest.raises(NotPrime):
+                ff.prime_power(q)

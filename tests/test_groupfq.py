@@ -153,6 +153,59 @@ class TestClosure:
             assert gq.subgroup_closure(sg.elements).same_elements(sg)
 
 
+class TestTrustedClosure:
+    """Closure validates its generators and trusts their products; the mu
+    it attaches from the (1,4) entry of t(g) J g must be the true one."""
+
+    @staticmethod
+    def _assert_similitudes(elems):
+        for g in elems:
+            assert gq.similitude(g.mat) == g.mu
+            assert g.mat.det() == g.mu * g.mu
+
+    def test_gsp4_3_sampled(self):
+        group = gq.enumerate_gsp4(3)
+        self._assert_similitudes(random.Random(5).sample(group.elements, 400))
+
+    @pytest.mark.parametrize("q", [4, 9])
+    @pytest.mark.parametrize("root", [2, 3])
+    def test_generic_path(self, q, root):
+        """A torus element with the +/- root groups of a1+a2 (entries 31
+        and 24 both nonzero) or of 2a1+a2 (entries 41 and 14)."""
+        spec = field_for_q(q)
+        alpha = spec.from_encoding(spec.p)  # the root of the modulus
+        gens = [gq.gsp_elem(gq.Mat4.diag(spec, alpha, alpha, 1, 1)),
+                gq.gsp_elem(gq.pos_root_elem(spec, root, alpha)),
+                gq.gsp_elem(gq.neg_root_elem(spec, root, spec.one))]
+        sub = gq.subgroup_closure(gens)
+        assert sub.order == (2880 if q == 9 else 180)
+        self._assert_similitudes(sub.elements)
+
+    def test_estimate_rg_result(self):
+        from klingen import cosets, padic
+
+        for q in (3, 4):
+            for rep in itertools.islice(cosets.enumerate_small_reps(4), 4):
+                est = padic.estimate_Rg(rep, 4, q, budget=200, seed=1)
+                self._assert_similitudes(est.elements)
+
+    def test_hand_built_generator_rejected(self):
+        for q in (3, 4):
+            spec = field_for_q(q)
+            bad = gq.Mat4.from_rows(
+                spec, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+            )
+            good = gq.gsp_elem(gq.Mat4.identity(spec))
+            with pytest.raises(NotSimilitude):
+                gq.subgroup_closure([good, gq.GSpElem(bad, spec.one)])
+
+    def test_wrong_mu_rejected(self):
+        spec = field_for_q(5)
+        m = gq.Mat4.diag(spec, 2, 2, 1, 1)  # mu = 2
+        with pytest.raises(NotSimilitude):
+            gq.subgroup_closure([gq.GSpElem(m, spec(3))])
+
+
 class TestFullGroup:
     def test_gsp4_2(self):
         g = gq.enumerate_gsp4(2)

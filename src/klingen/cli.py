@@ -12,7 +12,10 @@ failed verification, 3 resource bound exceeded.  Every KlingenError ends in
 one of them (``_ERROR_EXITS``), never in a traceback: bad or unsupported
 input (a q that is not a prime power, an unknown name, a value the class
 data does not pin) is a usage error; a disagreement, failed verification or
-non-integral result is 2; a size, budget or precision bound is 3.
+non-integral result is 2; a size, budget or precision bound is 3.  Two
+refusals are made before any work: ``verify counts`` at a q that is not
+prime (exit 1; its skew-coset oracle is still wrong there), and dim,
+enumerate or table at a level too large to print (exit 3, ``DIGITS_BOUND``).
 Identical flags (and seed) produce byte-identical output.
 """
 
@@ -21,6 +24,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -117,20 +121,31 @@ def _prime_powers(qs: Sequence[int]) -> Sequence[int]:
     return qs
 
 
+# Dimensions and coset counts grow like q^floor((n - 2)/4), and Python
+# prints an int of at most 4300 decimal digits.  dim, enumerate and table
+# refuse (exit 3) a level where that power has more digits than this.
+DIGITS_BOUND = 4000
+
+
+def _printable(qs: Sequence[int], ns: Sequence[int]) -> None:
+    """ResourceBound unless every (q, n) stays within DIGITS_BOUND."""
+    for q in qs:
+        for n in ns:
+            if (n - 2) // 4 * math.log10(q) > DIGITS_BOUND:
+                raise ResourceBound(
+                    f"q={q} n={n}: q^floor((n-2)/4) has more than "
+                    f"{DIGITS_BOUND} decimal digits, too many to print"
+                )
+
+
 @dataclass(frozen=True)
 class Config:
     """Run-wide knobs shared by every subcommand."""
 
     seed: int = 0
-    precision_slack: int = 2
-    closure_bound: int = 10**6
-    group_bound: int = 10**5
     output: str = "plain"
 
     def __post_init__(self):
-        for name in ("precision_slack", "closure_bound", "group_bound"):
-            if getattr(self, name) <= 0:
-                raise UsageError(f"--{name.replace('_', '-')} must be positive")
         if self.output not in FORMATS:
             raise UsageError(f"--output must be one of {', '.join(FORMATS)}")
 
@@ -178,17 +193,21 @@ def parse_int_list(text: str, what: str) -> List[int]:
     return out
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output", "-o", default="plain", choices=FORMATS,
                      help="output format (default plain)")
     sub.add_argument("--seed", type=int, default=None,
                      help="RNG seed (default: KLINGEN_SEED or 0)")
-    sub.add_argument("--precision-slack", type=int, default=2,
-                     help="guard digits beyond the minimum precision")
-    sub.add_argument("--closure-bound", type=int, default=10**6,
-                     help="cap on generated subgroup size")
-    sub.add_argument("--group-bound", type=int, default=10**5,
-                     help="cap on whole-group enumeration size")
 
 
 def build_parser() -> _Parser:
@@ -222,6 +241,12 @@ def build_parser() -> _Parser:
     v.add_argument("--n-max", type=int, default=None)
     v.add_argument("--budget", type=int, default=500,
                    help="sample budget for the rg suite")
+    v.add_argument("--precision-slack", type=_positive_int, default=2,
+                   help="guard digits beyond the minimum precision (rg suite)")
+    v.add_argument("--closure-bound", type=_positive_int, default=10**6,
+                   help="cap on generated subgroup size (rg suite)")
+    v.add_argument("--group-bound", type=_positive_int, default=10**5,
+                   help="cap on whole-group enumeration size (chartab suite)")
     _add_common(v)
 
     t = sub.add_parser("table", help="dimension grid over q and n lists")
@@ -234,13 +259,7 @@ def build_parser() -> _Parser:
 
 def _config_from(args: argparse.Namespace) -> Config:
     seed = args.seed if args.seed is not None else _default_seed()
-    return Config(
-        seed=seed,
-        precision_slack=args.precision_slack,
-        closure_bound=args.closure_bound,
-        group_bound=args.group_bound,
-        output=args.output,
-    )
+    return Config(seed=seed, output=args.output)
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +321,7 @@ def _render(cfg: Config, payload: Dict, headers: Sequence[str],
 
 def cmd_dim(args: argparse.Namespace, cfg: Config, out) -> int:
     _prime_powers([args.q])
+    _printable([args.q], [args.n])
     try:
         family = family_from_name(args.sigma, args.q)
         req = DimRequest(q=args.q, n=args.n, sigma=family, origin=args.origin)
@@ -344,6 +364,7 @@ def cmd_enumerate(args: argparse.Namespace, cfg: Config, out) -> int:
     if args.n < 0:
         raise UsageError(f"--n must be >= 0, got {args.n}")
     _prime_powers([args.q])
+    _printable([args.q], [args.n])
     type_i = family_from_name("typeI")
     type_ii = family_from_name("typeII")
     rows_out: List[Dict] = []
@@ -499,6 +520,14 @@ def cmd_verify(args: argparse.Namespace, cfg: Config, out) -> int:
         "chartab", "counts", "rg", "theorem"
     )
     given = _prime_powers(parse_int_list(args.q, "--q")) if args.q else None
+    if "counts" in chosen:
+        for q in given or ():
+            if prime_power(q)[1] > 1:
+                raise UsageError(
+                    f"verify counts takes prime q only: at q={q} the skew "
+                    f"oracle skew_brute_count counts over Z/q^k instead of "
+                    f"o/p^k (an open defect), so its disagreements are false"
+                )
     suites: List[Dict] = []
     for name in sorted(chosen):
         if name == "counts":
@@ -510,10 +539,10 @@ def cmd_verify(args: argparse.Namespace, cfg: Config, out) -> int:
             n_max = args.n_max if args.n_max is not None else 5
             checks, failures = _suite_rg(
                 qs, n_max, args.budget, cfg.seed,
-                cfg.precision_slack, cfg.closure_bound,
+                args.precision_slack, args.closure_bound,
             )
         elif name == "chartab":
-            checks, failures = _suite_chartab(cfg.group_bound)
+            checks, failures = _suite_chartab(args.group_bound)
         else:
             qs = given or [2, 3, 4, 5, 7]
             n_max = args.n_max if args.n_max is not None else 40
@@ -554,6 +583,7 @@ def cmd_verify(args: argparse.Namespace, cfg: Config, out) -> int:
 def cmd_table(args: argparse.Namespace, cfg: Config, out) -> int:
     q_list = _prime_powers(parse_int_list(args.q, "--q"))
     n_list = parse_int_list(args.n, "--n")
+    _printable(q_list, n_list)
     try:
         families = {q: family_from_name(args.sigma, q) for q in q_list}
         grid = []

@@ -34,6 +34,17 @@ KlingenSampler / estimate_Rg
     the sampled reductions.  Convergence heuristic: three consecutive
     batches that add no new subgroup elements.
 
+The sampler's inner loop runs on plain Python ints, not on one RingO call
+per scalar.  Residue 4x4 matrices (_ResMat) multiply as integer matrices:
+at f = 1 each entry is a sum of four products reduced once mod p^d; at
+f > 1 the f coefficient planes are multiplied pairwise, summed unreduced,
+then reduced once by the modulus lift and once mod p^d.  At f = 1 the
+sampler also draws inline, making exactly the random.Random calls of
+RingO.random / random_unit / random_layered in the same order, so every
+seed yields the samples the RingO path yields; at f > 1 it draws through
+RingO.  _reduce_fast writes F_q encodings straight into a Mat4.  Tests hold
+all three to the scalar RingO arithmetic.
+
 The minimum working precision for conjugating Kl(n) elements by a
 representative is  n + spread + 2,  where spread is the largest difference
 of the torus exponents (2i+j, i+j, i, 0) — the deepest division the
@@ -406,36 +417,68 @@ def trunc_arith(a: TruncAdic, b: Optional[TruncAdic], op: str) -> TruncAdic:
 # residue matrices (the arithmetic workhorse) and PadicMat
 # ---------------------------------------------------------------------------
 
-class _ResMat:
-    """4x4 matrix of plain residues mod p^d — everything exactly integral."""
+def _int_product(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """Row-major 4x4 product of integer matrices, unreduced."""
+    rows = (a[0:4], a[4:8], a[8:12], a[12:16])
+    cols = (b[0::4], b[1::4], b[2::4], b[3::4])
+    return [
+        a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3
+        for a0, a1, a2, a3 in rows
+        for b0, b1, b2, b3 in cols
+    ]
 
-    __slots__ = ("ring", "d", "e")
+
+class _ResMat:
+    """4x4 matrix of plain residues mod p^d — everything exactly integral.
+
+    Products run on plain ints.  At f = 1 each entry is one integer sum of
+    four products, reduced once mod p^d.  At f > 1 both matrices are split
+    into their f coefficient planes, the f^2 plane products are summed
+    unreduced into 2f - 1 planes, and these are reduced once by the modulus
+    lift and once mod p^d.  Either way the result equals the entrywise
+    RingO.mul / RingO.add composition.
+    """
+
+    __slots__ = ("ring", "d", "mod", "e")
 
     def __init__(self, ring: RingO, d: int, entries: Sequence[Residue]):
         self.ring = ring
         self.d = d
+        self.mod = ring.p**d
         self.e = list(entries)
 
     @classmethod
     def from_rows(cls, ring: RingO, d: int, rows) -> "_ResMat":
-        flat = []
-        for row in rows:
-            for x in row:
-                flat.append(ring.from_int(x, d) if isinstance(x, int) else x)
-        return cls(ring, d, flat)
+        """Entries given as ints (any lift) or, at f > 1, residue tuples."""
+        mod = ring.p**d
+        if ring.f == 1:
+            return cls(ring, d, [x % mod for row in rows for x in row])
+        pad = (0,) * (ring.f - 1)
+        return cls(ring, d, [
+            (x % mod,) + pad if isinstance(x, int) else x
+            for row in rows for x in row
+        ])
 
     def mul(self, other: "_ResMat") -> "_ResMat":
-        ring, d = self.ring, self.d
-        a, b = self.e, other.e
-        out = []
-        for r in range(0, 16, 4):
-            for c in range(4):
-                acc = ring.mul(a[r], b[c], d)
-                acc = ring.add(acc, ring.mul(a[r + 1], b[c + 4], d), d)
-                acc = ring.add(acc, ring.mul(a[r + 2], b[c + 8], d), d)
-                acc = ring.add(acc, ring.mul(a[r + 3], b[c + 12], d), d)
-                out.append(acc)
-        return _ResMat(ring, d, out)
+        ring, mod = self.ring, self.mod
+        if ring.f == 1:
+            return _ResMat(ring, self.d, [x % mod for x in _int_product(self.e, other.e)])
+        f, lift = ring.f, ring.spec.modulus  # lift = (c_0, ..., c_{f-1}, 1)
+        pa = [[x[i] for x in self.e] for i in range(f)]
+        pb = [[y[i] for y in other.e] for i in range(f)]
+        acc = [[0] * 16 for _ in range(2 * f - 1)]
+        for i in range(f):
+            for j in range(f):
+                acc[i + j] = list(map(int.__add__, acc[i + j], _int_product(pa[i], pb[j])))
+        # x^top = -x^(top - f) (c_0 + c_1 x + ... + c_{f-1} x^(f-1))
+        for top in range(2 * f - 2, f - 1, -1):
+            for k in range(f):
+                if lift[k]:
+                    acc[top - f + k] = [
+                        u - lift[k] * w for u, w in zip(acc[top - f + k], acc[top])
+                    ]
+        planes = [[u % mod for u in plane] for plane in acc[:f]]
+        return _ResMat(ring, self.d, list(zip(*planes)))
 
 
 @dataclass(frozen=True)
@@ -711,6 +754,12 @@ class KlingenSampler:
     parameter is then drawn with RingO.random_layered instead of uniformly,
     so deep-valuation coincidences are seen within a realistic number of
     samples.  Either way every sample is a genuine Kl(n) element.
+
+    At f = 1 the draws, the levi determinant, its quotient by t and the
+    product of the three factors are done inline on ints.  The draws make
+    the same ``random.Random`` calls in the same order as RingO.random,
+    random_unit and random_layered, so a seed gives the samples the RingO
+    path gives.
     """
 
     def __init__(
@@ -733,6 +782,14 @@ class KlingenSampler:
             else tuple(sorted({max(0, v - n) for v in self.depths}))
         )
         self._rng = random.Random(seed)
+        p = self._p = self.ring.p
+        self._mod = p**prec
+        # the layers random_layered can use, as (p^v, p^(prec - v)) pairs
+        self._layers, self._layers_low = (
+            None if layers is None
+            else tuple((p**v, p**(prec - v)) for v in layers if 0 <= v < prec)
+            for layers in (self.depths, self._depths_low)
+        )
 
     def _draw(self, low: bool = False) -> Residue:
         layers = self._depths_low if low else self.depths
@@ -740,7 +797,53 @@ class KlingenSampler:
             return self.ring.random(self._rng, self.prec)
         return self.ring.random_layered(self._rng, self.prec, layers)
 
+    def _draw_int(self, layers) -> int:
+        """RingO.random (layers None) or random_layered at f = 1."""
+        rng = self._rng
+        if layers is not None:
+            roll = rng.random()
+            if roll >= 0.75:
+                return 0
+            if roll >= 0.5 and layers:
+                step, span = layers[rng.randrange(len(layers))]
+                r = rng.randrange(span)
+                return step * (r - r % self._p + rng.randrange(1, self._p))
+        return rng.randrange(self._mod)
+
     def _sample_residues(self) -> _ResMat:
+        if self.ring.f > 1:
+            return self._sample_via_ring()
+        rng, mod, p = self._rng, self._mod, self._p
+        draw, low, layers = self._draw_int, self._layers_low, self._layers
+        shift = p**self.n
+        a, b, c = shift * draw(low), shift * draw(low), shift * draw(low)
+        r = rng.randrange(mod)
+        t = r - r % p + rng.randrange(1, p)
+        while True:
+            a00, a01, a10, a11 = draw(layers), draw(layers), draw(layers), draw(layers)
+            det = (a00 * a11 - a01 * a10) % mod
+            if det % p:
+                break
+        dd = det * pow(t, -1, mod)
+        xu, yu, zu = draw(layers), draw(layers), draw(layers)
+        # lower * levi, row by row, then times upper: lower is S(a, b, c),
+        # levi diag(t, A, dd) and upper has rows (1, xu, yu, zu), (0, 1, 0, yu),
+        # (0, 0, 1, -xu), (0, 0, 0, 1)
+        lower_levi = (
+            (t, 0, 0, 0),
+            (a * t, a00, a01, 0),
+            (b * t, a10, a11, 0),
+            (c * t, b * a00 - a * a10, b * a01 - a * a11, dd),
+        )
+        return _ResMat(self.ring, self.prec, [
+            x % mod
+            for r0, r1, r2, r3 in lower_levi
+            for x in (r0, r0 * xu + r1, r0 * yu + r2, r0 * zu + r1 * yu - r2 * xu + r3)
+        ])
+
+    def _sample_via_ring(self) -> _ResMat:
+        """_sample_residues through RingO's scalar methods: the path at
+        f > 1, and at f = 1 the reference the int path is tested against."""
         ring, d, n, rng = self.ring, self.prec, self.n, self._rng
         shift = ring.from_int(ring.p**n, d)
         a, b, c = (ring.mul(shift, self._draw(low=True), d) for _ in range(3))
@@ -785,31 +888,32 @@ def _reduce_fast(
     Equivalent to conjugate_reduce on the wrapped matrices (asserted by
     tests); the diagonal conjugation is a per-entry shift by p^(e_r - e_c),
     so integrality is a divisibility check on exactly tracked residues.
+    Entries go straight to F_q encodings (base-p digits of the coefficients).
+    A residue that vanishes mod p^d reduces to 0, which is sound because
+    d >= -delta + 1 by the precision rule.
     """
-    b = s_res.mul(h).mul(sinv_res)
-    rows: List[List[FqElem]] = []
+    b = s_res.mul(h).mul(sinv_res).e
+    p, f = ring.p, ring.f
+    out = []
     for r in range(4):
-        row = []
         for c in range(4):
             delta = exps[r] - exps[c]
-            x = b.e[4 * r + c]
             if delta >= 1:
-                row.append(ring.spec.zero)
+                out.append(0)
                 continue
-            if delta == 0:
-                row.append(ring.reduce_mod_p(x))
+            x, step = b[4 * r + c], p**-delta
+            if f == 1:
+                if x % step:
+                    return None
+                out.append(x // step % p)
                 continue
-            v = ring.val(x, d)
-            if v is None:
-                # x vanishes mod p^d and d >= -delta + 1 by the precision rule
-                row.append(ring.spec.zero)
-                continue
-            if v < -delta:
+            if any(y % step for y in x):
                 return None
-            shifted = ring.shift_down(x, -delta)
-            row.append(ring.reduce_mod_p(shifted))
-        rows.append(row)
-    return Mat4.from_rows(ring.spec, rows)
+            enc = 0
+            for y in reversed(x):
+                enc = enc * p + y // step % p
+            out.append(enc)
+    return Mat4(ring.spec, tuple(out))
 
 
 def estimate_Rg(

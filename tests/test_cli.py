@@ -275,3 +275,63 @@ class TestRefusals:
             assert code in (1, 2, 3)
             assert err.startswith(cli._EXIT_OF[cls][1] + ": ")
             assert "Traceback" not in err and err.count("\n") == 1
+
+
+class TestBoundsAndFlags:
+    """Levels too large to print are refused up front, verify counts refuses
+    the q its skew oracle miscounts, and the resource flags live on verify."""
+
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    def test_dim_huge_n_is_resource_bound(self, fmt):
+        code, out, err = run_cli("dim", "--q", "2", "--n", "100000",
+                                 "--sigma", "typeI", "-o", fmt)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("resource bound: q=2 n=100000: ")
+        assert str(cli.DIGITS_BOUND) in err
+
+    @pytest.mark.parametrize("argv", [
+        ("enumerate", "--q", "2", "--n", "100000"),
+        ("table", "--q", "2,3", "--n", "2,100000", "--sigma", "typeI"),
+    ])
+    def test_enumerate_and_table_huge_n(self, argv):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("resource bound: ")
+
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    def test_largest_printable_level(self, fmt):
+        # q^floor((n-2)/4) = 2^13287 has 4000 digits, the most allowed
+        code, out, _ = run_cli("dim", "--q", "2", "--n", "53153",
+                               "--sigma", "typeI", "-o", fmt)
+        assert code == 0
+        total = json.loads(out)["total"] if fmt == "json" else int(
+            next(x for x in out.splitlines() if x.startswith("total "))[6:])
+        assert total.bit_length() > 13287
+        assert run_cli("dim", "--q", "2", "--n", "53154", "--sigma", "typeI",
+                       "-o", fmt)[0] == 3
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "counts", "--q", "4", "--n-max", "8"),
+        ("verify", "counts", "--q", "2,9"),
+        ("verify", "all", "--q", "8", "--n-max", "3"),
+    ])
+    def test_counts_refuses_prime_powers(self, argv):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (1, "")
+        assert "skew_brute_count" in err and "open defect" in err
+
+    def test_rg_still_takes_prime_powers(self):
+        assert run_cli("verify", "rg", "--q", "4", "--n-max", "2")[0] == 0
+
+    def test_resource_flags_only_on_verify(self):
+        for flag in ("--precision-slack", "--closure-bound", "--group-bound"):
+            code, out, err = run_cli("dim", "--q", "2", "--n", "3",
+                                     "--sigma", "typeI", flag, "5")
+            assert (code, out) == (1, "")
+            assert "unrecognized arguments" in err
+            assert run_cli("enumerate", "--q", "2", "--n", "3", flag, "5")[0] == 1
+            assert run_cli("table", "--q", "2", "--n", "3", "--sigma", "typeI",
+                           flag, "5")[0] == 1
+        code, _, err = run_cli("verify", "rg", "--n-max", "3", "--closure-bound", "0")
+        assert code == 1 and "must be a positive integer" in err

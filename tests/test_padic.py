@@ -420,7 +420,7 @@ class TestConjugateReduce:
                     assert fast is not None and ref.mat == fast
 
 
-def _svals_as_ints(rep):
+def _svals_as_ints(rep, p=2):
     from klingen.padic import _svals
 
     out = []
@@ -429,7 +429,7 @@ def _svals_as_ints(rep):
             out.append(0)
         else:
             v, u = pair
-            out.append(u * 2**v)
+            out.append(u * p**v)
     return out
 
 
@@ -547,3 +547,88 @@ class TestEstimateRg:
         pred = named_subgroup("Row4", 3)
         assert est.is_subset_of(pred)
         assert est.order == pred.order
+
+
+# ---------------------------------------------------------------------------
+# plain-int residue arithmetic against RingO's scalar methods
+# ---------------------------------------------------------------------------
+
+def _ring_product(ring, a, b):
+    """Entrywise RingO.mul / RingO.add composition of a 4x4 product."""
+    d = a.d
+    out = []
+    for r in range(0, 16, 4):
+        for c in range(4):
+            acc = ring.mul(a.e[r], b.e[c], d)
+            for k in range(1, 4):
+                acc = ring.add(acc, ring.mul(a.e[r + k], b.e[c + 4 * k], d), d)
+            out.append(acc)
+    return out
+
+
+class TestIntResidues:
+    @settings(max_examples=120, deadline=None)
+    @given(q=st.sampled_from([2, 3, 5, 4, 8, 9]), d=st.integers(1, 10),
+           seed=st.integers(0, 2**32 - 1))
+    def test_resmat_mul_matches_ring(self, q, d, seed):
+        ring = ring_for_q(q)
+        rng = random.Random(seed)
+        # mix in zeros, units and pure powers of p so cancellations occur
+        pool = [ring.from_int(0, d), ring.from_int(ring.p**(d - 1), d)]
+        def entry():
+            return pool[rng.randrange(2)] if rng.random() < 0.2 else ring.random(rng, d)
+        a = _ResMat(ring, d, [entry() for _ in range(16)])
+        b = _ResMat(ring, d, [entry() for _ in range(16)])
+        assert a.mul(b).e == _ring_product(ring, a, b)
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    @pytest.mark.parametrize("depths", [None, (1, 3, 5), (0, 2), (40,)])
+    def test_int_sampler_is_stream_identical(self, q, depths):
+        # the f = 1 int path against the RingO path on the same seed
+        fast = KlingenSampler(q, 3, 9, seed=q + 7, depths=depths)
+        ring_path = KlingenSampler(q, 3, 9, seed=q + 7, depths=depths)
+        for _ in range(60):
+            assert fast._sample_residues().e == ring_path._sample_via_ring().e
+        assert fast._rng.random() == ring_path._rng.random()
+
+    @pytest.mark.parametrize("q,rep,n", [
+        (3, Diagonal(1, 1), 4), (3, X(2, 1, 1), 5),
+        (4, Diagonal(-2, 5), 3), (4, Z(1, 2, 3), 4), (9, Diagonal(1, 1), 3),
+        (8, X(1, 1, 1), 3),
+    ])
+    def test_reduce_fast_matches_ring_reduction(self, q, rep, n):
+        ring = ring_for_q(q)
+        spec = ring.spec
+        exps = _torus_exponents(rep)
+        m = n + (max(exps) - min(exps)) + 2
+        x, y, z = _svals_as_ints(rep, ring.p)
+        s_res = _ResMat.from_rows(ring, m, [[1, 0, 0, 0], [x, 1, 0, 0],
+                                            [y, 0, 1, 0], [z, y, -x, 1]])
+        sinv_res = _ResMat.from_rows(ring, m, [[1, 0, 0, 0], [-x, 1, 0, 0],
+                                               [-y, 0, 1, 0], [-z, -y, x, 1]])
+        depths = sorted({a - b for a in exps for b in exps if a > b})
+        sampler = KlingenSampler(q, n, m, seed=5, depths=depths)
+        integral = 0
+        for _ in range(200):
+            h = sampler._sample_residues()
+            b = s_res.mul(h).mul(sinv_res).e
+            want = []
+            for r in range(4):
+                for c in range(4):
+                    delta, v = exps[r] - exps[c], ring.val(b[4 * r + c], m)
+                    if delta >= 1 or v is None:
+                        want.append(spec.zero)
+                    elif v < -delta:
+                        want = None
+                        break
+                    else:
+                        want.append(ring.reduce_mod_p(ring.shift_down(b[4 * r + c], -delta)))
+                if want is None:
+                    break
+            got = _reduce_fast(ring, exps, s_res, sinv_res, h, m)
+            if want is None:
+                assert got is None
+            else:
+                integral += 1
+                assert got == Mat4.from_rows(spec, [want[i:i + 4] for i in range(0, 16, 4)])
+        assert integral >= 10

@@ -16,7 +16,9 @@ non-integral result is 2; a size, budget or precision bound is 3.  Two
 refusals are made before any work: ``verify counts`` at a q that is not
 prime (exit 1; its skew-coset oracle is still wrong there), and dim,
 enumerate or table at a level too large to print (exit 3, ``DIGITS_BOUND``).
-Identical flags (and seed) produce byte-identical output.
+Identical flags (and seed) produce byte-identical output.  Only the rg
+suite of verify samples, so only verify takes --seed and reads the
+KLINGEN_SEED environment variable.
 """
 
 from __future__ import annotations
@@ -142,7 +144,6 @@ def _printable(qs: Sequence[int], ns: Sequence[int]) -> None:
 class Config:
     """Run-wide knobs shared by every subcommand."""
 
-    seed: int = 0
     output: str = "plain"
 
     def __post_init__(self):
@@ -159,7 +160,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _default_seed() -> int:
+def _seed(args: argparse.Namespace) -> int:
+    """verify's RNG seed: --seed, else KLINGEN_SEED, else 0."""
+    if args.seed is not None:
+        return args.seed
     raw = os.environ.get("KLINGEN_SEED", "0")
     try:
         return int(raw)
@@ -206,8 +210,6 @@ def _positive_int(text: str) -> int:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output", "-o", default="plain", choices=FORMATS,
                      help="output format (default plain)")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="RNG seed (default: KLINGEN_SEED or 0)")
 
 
 def build_parser() -> _Parser:
@@ -247,6 +249,8 @@ def build_parser() -> _Parser:
                    help="cap on generated subgroup size (rg suite)")
     v.add_argument("--group-bound", type=_positive_int, default=10**5,
                    help="cap on whole-group enumeration size (chartab suite)")
+    v.add_argument("--seed", type=int, default=None,
+                   help="RNG seed of the rg suite (default: KLINGEN_SEED or 0)")
     _add_common(v)
 
     t = sub.add_parser("table", help="dimension grid over q and n lists")
@@ -258,8 +262,7 @@ def build_parser() -> _Parser:
 
 
 def _config_from(args: argparse.Namespace) -> Config:
-    seed = args.seed if args.seed is not None else _default_seed()
-    return Config(seed=seed, output=args.output)
+    return Config(output=args.output)
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +519,7 @@ def _suite_theorem(qs: List[int], n_max: int) -> Tuple[int, List[Dict]]:
 
 
 def cmd_verify(args: argparse.Namespace, cfg: Config, out) -> int:
+    seed = _seed(args)
     chosen = (args.suite,) if args.suite != "all" else (
         "chartab", "counts", "rg", "theorem"
     )
@@ -538,7 +542,7 @@ def cmd_verify(args: argparse.Namespace, cfg: Config, out) -> int:
             qs = given or [2]
             n_max = args.n_max if args.n_max is not None else 5
             checks, failures = _suite_rg(
-                qs, n_max, args.budget, cfg.seed,
+                qs, n_max, args.budget, seed,
                 args.precision_slack, args.closure_bound,
             )
         elif name == "chartab":

@@ -12,18 +12,28 @@ t(g) J g = mu(g) J with mu(g) a unit (the similitude factor); det g = mu^2.
 
 Matrices store their 16 entries as integer field-element encodings and do
 arithmetic through the per-field lookup tables of ``ffield.tables``, which
-keeps large closures cheap and exact.
+keeps large closures cheap and exact.  Element construction, validation and
+the group law run on those encodings too: the named-subgroup
+parameterizations are built entry by entry with the add, mul, neg and inv
+tables, ``GSpElem`` products take mu from the mul table, and the inverse is
+the closed form mu^{-1} times the signed anti-transpose of g.  ``FqElem``
+appears only at the API boundary (``GSpElem.mu``, ``Mat4.entry``,
+``Mat4.det``, ``similitude``).
 
-What is validated: ``gsp_elem`` checks t(m) J m = mu J and det m = mu^2 in
-full.  ``named_subgroup`` runs it on every element of its hand-written
-parameterizations, and ``subgroup_closure`` runs it once on each generator.
-Closure products are trusted, since a product of similitudes is a
-similitude: each gets its mu from the (1,4) entry of t(g) J g,
+What is validated: ``gsp_elem`` checks all 16 entries of t(m) J m = mu J
+and det m = mu^2 in full; it is the one validator.  ``named_subgroup`` runs
+it on every element of its hand-written parameterizations, and
+``subgroup_closure`` runs it once on each generator.  Closure products are
+trusted, since a product of similitudes is a similitude: each gets its mu
+from the (1,4) entry of t(g) J g,
 
     mu = g11 g44 + g21 g34 - g31 g24 - g41 g14,
 
 without the full check.  A numpy fast path runs closure over prime fields;
 the generic table path handles every field, and tests cross-check the two.
+The numpy path holds its products as int16 while a product entry, a sum of
+four products of entries below p, stays below 2^15 (4 (p - 1)^2 < 2^15,
+that is p <= 89), and as int32 above that (p <= ``ffield.FIELD_BOUND``).
 """
 
 from __future__ import annotations
@@ -122,35 +132,8 @@ class Mat4:
             tuple(e[4 * c + r] for r in range(4) for c in range(4)),
         )
 
-    def scale(self, x) -> "Mat4":
-        mul = ffield.tables(self.spec).mul
-        k = _enc(self.spec, x)
-        return Mat4(self.spec, tuple(mul[k][v] for v in self.e))
-
     def det(self) -> FqElem:
-        add, mul, neg, inv, _ = ffield.tables(self.spec)
-        a = [list(self.e[r : r + 4]) for r in range(0, 16, 4)]
-        d = self.spec.one.encoding()
-        for col in range(4):
-            piv = None
-            for r in range(col, 4):
-                if a[r][col] != 0:
-                    piv = r
-                    break
-            if piv is None:
-                return self.spec.zero
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                d = neg[d]
-            d = mul[d][a[col][col]]
-            s = inv[a[col][col]]
-            for r in range(col + 1, 4):
-                f = mul[a[r][col]][s]
-                if f:
-                    nf = neg[f]
-                    for j in range(col, 4):
-                        a[r][j] = add[a[r][j]][mul[nf][a[col][j]]]
-        return self.spec.from_encoding(d)
+        return self.spec.from_encoding(_det_enc(self))
 
     def inverse(self) -> "Mat4":
         add, mul, neg, inv, _ = ffield.tables(self.spec)
@@ -185,6 +168,33 @@ class Mat4:
         return f"Mat4({self.spec}; " + " | ".join(rows) + ")"
 
 
+def _det_enc(m: Mat4) -> int:
+    """Encoding of det m, by elimination on encodings."""
+    add, mul, neg, inv, _ = ffield.tables(m.spec)
+    a = [list(m.e[r : r + 4]) for r in range(0, 16, 4)]
+    d = 1
+    for col in range(4):
+        piv = None
+        for r in range(col, 4):
+            if a[r][col] != 0:
+                piv = r
+                break
+        if piv is None:
+            return 0
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            d = neg[d]
+        d = mul[d][a[col][col]]
+        s = inv[a[col][col]]
+        for r in range(col + 1, 4):
+            f = mul[a[r][col]][s]
+            if f:
+                nf = neg[f]
+                for j in range(col, 4):
+                    a[r][j] = add[a[r][j]][mul[nf][a[col][j]]]
+    return d
+
+
 # ---------------------------------------------------------------------------
 # the similitude group
 # ---------------------------------------------------------------------------
@@ -197,16 +207,39 @@ def j_matrix(spec: FieldSpec) -> Mat4:
     )
 
 
+def _similitude_enc(m: Mat4) -> int:
+    """Encoding of mu with t(m) J m = mu J, or 0 if m is not a similitude.
+
+    J m is m's rows (4, 3, -2, -1), so entry (i, j) of t(m) J m is
+    m1i m4j + m2i m3j - m3i m2j - m4i m1j; all 16 are compared with mu J.
+    """
+    add, mul, neg, _, _ = ffield.tables(m.spec)
+    e = m.e
+    r0, r1, r2, r3 = e[0:4], e[4:8], e[8:12], e[12:16]
+    a = tuple(
+        add[add[mul[r0[i]][r3[j]]][mul[r1[i]][r2[j]]]][
+            neg[add[mul[r2[i]][r1[j]]][mul[r3[i]][r0[j]]]]
+        ]
+        for i in range(4)
+        for j in range(4)
+    )
+    mu = a[3]  # position (1,4) of J carries coefficient +1
+    nm = neg[mu]
+    if mu == 0 or a != (0, 0, 0, mu, 0, 0, mu, 0, 0, nm, 0, 0, nm, 0, 0, 0):
+        return 0
+    return mu
+
+
 def similitude(m: Mat4) -> Optional[FqElem]:
     """mu with t(m) J m = mu J, or None if m is not a similitude."""
-    spec = m.spec
-    a = m.transpose() * j_matrix(spec) * m
-    mu = a.e[3]  # position (1,4) of J carries coefficient +1
-    if mu == 0:
-        return None
-    if a != j_matrix(spec).scale(spec.from_encoding(mu)):
-        return None
-    return spec.from_encoding(mu)
+    mu = _similitude_enc(m)
+    return m.spec.from_encoding(mu) if mu else None
+
+
+# g^{-1}[i][j] = mu^{-1} g[3-j][3-i], negated where exactly one of i, j is
+# 2 or 3: from t(g) J g = mu J, g^{-1} = -mu^{-1} J t(g) J.
+_INV_SOURCE = tuple(4 * (3 - j) + (3 - i) for i in range(4) for j in range(4))
+_INV_NEGATED = tuple((i >= 2) != (j >= 2) for i in range(4) for j in range(4))
 
 
 @dataclass(frozen=True, slots=True)
@@ -221,14 +254,22 @@ class GSpElem:
         return self.mat.spec
 
     def __mul__(self, other: "GSpElem") -> "GSpElem":
-        return GSpElem(self.mat * other.mat, self.mu * other.mu)
+        mat = self.mat * other.mat
+        mul = ffield.tables(mat.spec).mul
+        mu = mul[self.mu.encoding()][other.mu.encoding()]
+        return GSpElem(mat, mat.spec.from_encoding(mu))
 
     def inverse(self) -> "GSpElem":
-        # from t(g) J g = mu J:  g^{-1} = mu^{-1} J^{-1} t(g) J, J^{-1} = -J
         spec = self.spec
-        j = j_matrix(spec)
-        inv_mat = (j * self.mat.transpose() * j).scale(-self.mu.inverse())
-        return GSpElem(inv_mat, self.mu.inverse())
+        _, mul, neg, inv, _ = ffield.tables(spec)
+        mu_inv = inv[self.mu.encoding()]
+        scaled = mul[mu_inv]
+        e = self.mat.e
+        inv_e = tuple(
+            neg[scaled[e[src]]] if negated else scaled[e[src]]
+            for src, negated in zip(_INV_SOURCE, _INV_NEGATED)
+        )
+        return GSpElem(Mat4(spec, inv_e), spec.from_encoding(mu_inv))
 
     def conjugate(self, h: "GSpElem") -> "GSpElem":
         """h g h^{-1}."""
@@ -243,12 +284,12 @@ class GSpElem:
 
 def gsp_elem(m: Mat4) -> GSpElem:
     """Validate m in GSp(4) and attach its similitude factor."""
-    mu = similitude(m)
-    if mu is None:
+    mu = _similitude_enc(m)
+    if not mu:
         raise NotSimilitude(f"not a similitude matrix: {m}")
-    if m.det() != mu * mu:
+    if _det_enc(m) != ffield.tables(m.spec).mul[mu][mu]:
         raise NotSimilitude("determinant != similitude^2")
-    return GSpElem(m, mu)
+    return GSpElem(m, m.spec.from_encoding(mu))
 
 
 def group_mul(a: GSpElem, b: GSpElem) -> GSpElem:
@@ -381,13 +422,15 @@ def _closure_numpy(gen_mats, spec, bound) -> list:
     import numpy as np
 
     p = spec.p
-    gens = np.array([m.e for m in gen_mats], dtype=np.int64).reshape(1, -1, 4, 4)
+    # a product entry is a sum of four products of entries below p
+    dtype = np.int16 if 4 * (p - 1) ** 2 < 2**15 else np.int32
+    gens = np.array([m.e for m in gen_mats], dtype=dtype).reshape(1, -1, 4, 4)
 
     def row_keys(rows):
         # entries are below p <= FIELD_BOUND, so a row packs into 16 uint16s
         return rows.astype(np.uint16).view(np.dtype((np.void, 32))).ravel()
 
-    layer = np.eye(4, dtype=np.int64).reshape(1, 16)
+    layer = np.eye(4, dtype=dtype).reshape(1, 16)
     known = set(row_keys(layer).tolist())
     layers = []
     while len(layer):
@@ -401,7 +444,9 @@ def _closure_numpy(gen_mats, spec, bound) -> list:
         if len(known) > bound:
             raise ClosureTooLarge(f"closure exceeded {bound}")
         layer = prods[fresh]
+    del known, prods, layer
     mats = np.concatenate(layers)
+    del layers
     mus = (
         mats[:, 0] * mats[:, 15] + mats[:, 4] * mats[:, 11]
         - mats[:, 8] * mats[:, 7] - mats[:, 12] * mats[:, 3]
@@ -659,162 +704,157 @@ def enumerate_gsp4(q: int, stream: bool = False):
 # ---------------------------------------------------------------------------
 
 def _gl2_iter(spec: FieldSpec):
-    elems = ffield.enumerate_field(spec)
-    for a in elems:
-        for b in elems:
-            for c in elems:
-                for d in elems:
-                    if not (a * d - b * c).is_zero():
-                        yield a, b, c, d
+    """(a, b, c, d, ad - bc) over encodings, for every invertible [[a, b], [c, d]]."""
+    add, mul, neg, _, _ = ffield.tables(spec)
+    E = range(spec.q)
+    for a in E:
+        for b in E:
+            for c in E:
+                nbc = neg[mul[b][c]]
+                for d in E:
+                    det = add[mul[a][d]][nbc]
+                    if det:
+                        yield a, b, c, d, det
 
 
 def _sl2_iter(spec: FieldSpec):
-    for a, b, c, d in _gl2_iter(spec):
-        if (a * d - b * c).is_one():
+    for a, b, c, d, det in _gl2_iter(spec):
+        if det == 1:
             yield a, b, c, d
 
 
 def _named_elements(name: str, spec: FieldSpec):
-    """Yield the matrices for each supported subgroup name."""
-    E = ffield.enumerate_field(spec)
-    U = ffield.units(spec)
-    mk = lambda rows: Mat4.from_rows(spec, rows)
+    """Yield the matrices for each supported subgroup name, built on
+    element encodings (1 is encoding 1, 0 is 0)."""
+    add, mul, neg, inv, _ = ffield.tables(spec)
+    E = range(spec.q)
+    U = range(1, spec.q)
+    mk = lambda *e: Mat4(spec, e)
 
     if name == "U_S":
         for x in E:
             for y in E:
                 for z in E:
-                    yield mk([[1, 0, 0, 0], [0, 1, 0, 0], [x, y, 1, 0], [z, x, 0, 1]])
+                    yield mk(1, 0, 0, 0, 0, 1, 0, 0, x, y, 1, 0, z, x, 0, 1)
     elif name == "U_K":
         for x in E:
             for y in E:
                 for z in E:
-                    yield mk([[1, 0, 0, 0], [x, 1, 0, 0], [y, 0, 1, 0], [z, y, -x, 1]])
+                    yield mk(1, 0, 0, 0, x, 1, 0, 0, y, 0, 1, 0, z, y, neg[x], 1)
     elif name == "M":
         for z in U:
-            for a, b, c, d in _gl2_iter(spec):
-                det = a * d - b * c
+            mz = mul[z]
+            for a, b, c, d, det in _gl2_iter(spec):
                 yield mk(
-                    [[z, 0, 0, 0], [0, z * a, z * b, 0], [0, z * c, z * d, 0], [0, 0, 0, z * det]]
+                    z, 0, 0, 0, 0, mz[a], mz[b], 0, 0, mz[c], mz[d], 0, 0, 0, 0, mz[det]
                 )
     elif name == "M1":
         for a, b, c, d in _sl2_iter(spec):
-            yield mk([[1, 0, 0, 0], [0, a, b, 0], [0, c, d, 0], [0, 0, 0, 1]])
+            yield mk(1, 0, 0, 0, 0, a, b, 0, 0, c, d, 0, 0, 0, 0, 1)
     elif name == "R_klingen":
+        sl2 = list(_sl2_iter(spec))
         for x in E:
-            for a, b, c, d in _sl2_iter(spec):
-                yield mk([[1, 0, 0, 0], [0, a, b, 0], [0, c, d, 0], [x, 0, 0, 1]])
+            for a, b, c, d in sl2:
+                yield mk(1, 0, 0, 0, 0, a, b, 0, 0, c, d, 0, x, 0, 0, 1)
     elif name == "S":
         for a in U:
             for b in U:
+                b_a = mul[b][inv[a]]
                 for x in E:
+                    bx_a = mul[b_a][x]
                     for z in E:
-                        yield mk(
-                            [[a, 0, 0, 0], [0, b, 0, 0], [x, 0, a, 0], [z, b * x / a, 0, b]]
-                        )
+                        yield mk(a, 0, 0, 0, 0, b, 0, 0, x, 0, a, 0, z, bx_a, 0, b)
     elif name == "A":
         for a in U:
             for d in U:
+                ad, a_d, n_d = mul[a][d], mul[a][inv[d]], neg[inv[d]]
                 for x in E:
+                    nx_d = mul[n_d][x]
                     for z in E:
-                        yield mk(
-                            [[a, 0, 0, 0], [x, a * d, 0, 0], [0, 0, a / d, 0], [z, 0, -x / d, a]]
-                        )
+                        yield mk(a, 0, 0, 0, x, ad, 0, 0, 0, 0, a_d, 0, z, 0, nx_d, a)
     elif name == "B":
         for a in U:
             for b in U:
                 for c in U:
+                    c_b, c_a = mul[c][inv[b]], mul[c][inv[a]]
                     for x in E:
-                        yield mk(
-                            [[a, 0, 0, 0], [0, b, 0, 0], [0, x, c / b, 0], [0, 0, 0, c / a]]
-                        )
+                        yield mk(a, 0, 0, 0, 0, b, 0, 0, 0, x, c_b, 0, 0, 0, 0, c_a)
     elif name == "C":
         for a in U:
             for b in U:
                 for c in U:
+                    c_b, c_a = mul[c][inv[b]], mul[c][inv[a]]
                     for x in E:
                         for y in E:
-                            yield mk(
-                                [[a, 0, 0, 0], [0, b, 0, 0], [0, x, c / b, 0], [y, 0, 0, c / a]]
-                            )
+                            yield mk(a, 0, 0, 0, 0, b, 0, 0, 0, x, c_b, 0, y, 0, 0, c_a)
     elif name == "D":
         for a in U:
             for b in U:
                 for c in U:
+                    c_b, c_a = mul[c][inv[b]], mul[c][inv[a]]
+                    nc_b = neg[c_b]
                     for x in E:
                         for y in E:
                             yield mk(
-                                [
-                                    [a, a * y, 0, 0],
-                                    [0, b, 0, 0],
-                                    [0, x, c / b, -c * y / b],
-                                    [0, 0, 0, c / a],
-                                ]
+                                a, mul[a][y], 0, 0,
+                                0, b, 0, 0,
+                                0, x, c_b, mul[nc_b][y],
+                                0, 0, 0, c_a,
                             )
     elif name == "R_last":
         for x in E:
+            nxx, nx = neg[mul[x][x]], neg[x]
             for y in E:
                 for z in E:
-                    yield mk(
-                        [[1, 0, 0, 0], [x, 1, 0, 0], [y, x, 1, 0], [z, y - x * x, -x, 1]]
-                    )
+                    yield mk(1, 0, 0, 0, x, 1, 0, 0, y, x, 1, 0, z, add[y][nxx], nx, 1)
     elif name == "Row1":
         for a in U:
             for b in U:
                 for d in U:
-                    c = a * d / b
+                    d_b = mul[d][inv[b]]
+                    c, nd_b = mul[a][d_b], neg[d_b]
                     for u in E:
                         for w in E:
                             yield mk(
-                                [
-                                    [a, u, 0, 0],
-                                    [0, b, 0, 0],
-                                    [0, w, c, -u * d / b],
-                                    [0, 0, 0, d],
-                                ]
+                                a, u, 0, 0,
+                                0, b, 0, 0,
+                                0, w, c, mul[nd_b][u],
+                                0, 0, 0, d,
                             )
     elif name == "Row5":
         for a in U:
             for d in U:
+                ad, a_d = mul[a][d], mul[a][inv[d]]
                 for y in E:
                     for z in E:
-                        yield mk(
-                            [[a, 0, 0, 0], [0, a * d, 0, 0], [0, y, a / d, 0], [z, 0, 0, a]]
-                        )
+                        yield mk(a, 0, 0, 0, 0, ad, 0, 0, 0, y, a_d, 0, z, 0, 0, a)
     elif name == "Row6":
         for a in U:
             for d in U:
+                nd_a = neg[mul[d][inv[a]]]
                 for x in E:
                     for y in E:
-                        yield mk(
-                            [[a, 0, 0, 0], [x, a, 0, 0], [0, 0, d, 0], [y, 0, -x * d / a, d]]
-                        )
+                        yield mk(a, 0, 0, 0, x, a, 0, 0, 0, 0, d, 0, y, 0, mul[nd_a][x], d)
     elif name == "Row7":
         for a in U:
             for d in U:
+                d_a = mul[d][inv[a]]
                 for x in E:
                     for y in E:
-                        yield mk(
-                            [[a, 0, 0, 0], [0, d, 0, 0], [x, y, a, 0], [0, x * d / a, 0, d]]
-                        )
+                        yield mk(a, 0, 0, 0, 0, d, 0, 0, x, y, a, 0, 0, mul[d_a][x], 0, d)
     elif name == "Row8":
         for a in U:
+            inv_a = inv[a]
             for v in E:
+                nvv_a, nv = neg[mul[mul[v][v]][inv_a]], neg[v]
                 for b in E:
                     for c in E:
-                        yield mk(
-                            [
-                                [a, 0, 0, 0],
-                                [v, a, 0, 0],
-                                [b, v, a, 0],
-                                [c, b - v * v / a, -v, a],
-                            ]
-                        )
+                        yield mk(a, 0, 0, 0, v, a, 0, 0, b, v, a, 0, c, add[b][nvv_a], nv, a)
     elif name == "Z_ray":
         # the long-root center: every support coset group contains a
         # conjugate of this line
         for z in E:
-            yield mk([[1, 0, 0, z], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+            yield mk(1, 0, 0, z, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1)
     else:
         raise UnknownName(name)
 

@@ -279,7 +279,7 @@ class TestRefusals:
 
 class TestBoundsAndFlags:
     """Levels too large to print are refused up front, verify counts refuses
-    the q its skew oracle miscounts, and the resource flags live on verify."""
+    the q its skew oracle miscounts, and the resource flags and --seed live on verify."""
 
     @pytest.mark.parametrize("fmt", ["plain", "json"])
     def test_dim_huge_n_is_resource_bound(self, fmt):
@@ -335,3 +335,18 @@ class TestBoundsAndFlags:
                            flag, "5")[0] == 1
         code, _, err = run_cli("verify", "rg", "--n-max", "3", "--closure-bound", "0")
         assert code == 1 and "must be a positive integer" in err
+
+    def test_seed_only_on_verify(self):
+        for argv in (("dim", "--q", "2", "--n", "4", "--sigma", "typeI"),
+                     ("enumerate", "--q", "2", "--n", "4"),
+                     ("table", "--q", "2", "--n", "4", "--sigma", "typeI")):
+            code, out, err = run_cli(*argv, "--seed", "7")
+            assert (code, out) == (1, "")
+            assert "unrecognized arguments" in err
+
+    def test_env_seed_ignored_outside_verify(self, monkeypatch):
+        argv = ("dim", "--q", "2", "--n", "4", "--sigma", "typeI")
+        plain = run_cli(*argv)
+        monkeypatch.setenv("KLINGEN_SEED", "notanint")
+        assert run_cli(*argv) == plain
+        assert plain[0] == 0

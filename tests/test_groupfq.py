@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from klingen import ffield, groupfq as gq
 from klingen.errors import GroupTooLarge, NotSimilitude, UnknownName
@@ -63,6 +66,128 @@ class TestSimilitude:
                 assert gq.group_inv(gq.group_mul(g, h)).mat == (
                     h.inverse() * g.inverse()
                 ).mat
+
+
+# -- a plain FqElem reference for the similitude test and the group law ------
+
+def _ref_rows(m):
+    return [[m.entry(r, c) for c in range(4)] for r in range(4)]
+
+
+def _ref_product(a, b):
+    zero = a[0][0].spec.zero
+    return [[sum((a[r][k] * b[k][c] for k in range(4)), zero) for c in range(4)]
+            for r in range(4)]
+
+
+def _ref_transpose(a):
+    return [[a[c][r] for c in range(4)] for r in range(4)]
+
+
+def _ref_j(spec):
+    one, zero = spec.one, spec.zero
+    return [[zero, zero, zero, one], [zero, zero, one, zero],
+            [zero, -one, zero, zero], [-one, zero, zero, zero]]
+
+
+def _ref_similitude(a):
+    """mu with t(a) J a = mu J over FqElem rows, or None."""
+    spec = a[0][0].spec
+    j = _ref_j(spec)
+    form = _ref_product(_ref_product(_ref_transpose(a), j), a)
+    mu = form[0][3]
+    if mu.is_zero():
+        return None
+    if any(form[r][c] != mu * j[r][c] for r in range(4) for c in range(4)):
+        return None
+    return mu
+
+
+def _ref_det(a):
+    """Leibniz expansion over the 24 permutations."""
+    total = a[0][0].spec.zero
+    for perm in itertools.permutations(range(4)):
+        inversions = sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4))
+        term = a[0][0].spec.one
+        for r in range(4):
+            term = term * a[r][perm[r]]
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def _ref_inverse(a):
+    """Gauss-Jordan on [a | I] over FqElem."""
+    spec = a[0][0].spec
+    aug = [list(a[r]) + [spec.one if r == c else spec.zero for c in range(4)]
+           for r in range(4)]
+    for col in range(4):
+        piv = next(r for r in range(col, 4) if not aug[r][col].is_zero())
+        aug[col], aug[piv] = aug[piv], aug[col]
+        s = aug[col][col].inverse()
+        aug[col] = [x * s for x in aug[col]]
+        for r in range(4):
+            if r != col and not aug[r][col].is_zero():
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[4:] for row in aug]
+
+
+@lru_cache(maxsize=None)
+def _gen_rows(q):
+    return tuple(_ref_rows(g.mat) for g in gq.gsp4_generators(field_for_q(q)))
+
+
+def _draw_word(data, q, label):
+    gens = _gen_rows(q)
+    word = data.draw(st.lists(st.integers(0, len(gens) - 1), min_size=1, max_size=6),
+                     label=label)
+    rows = [list(row) for row in gens[word[0]]]
+    for i in word[1:]:
+        rows = _ref_product(rows, gens[i])
+    return rows
+
+
+class TestEncodingValidator:
+    """similitude, gsp_elem and the group law on encodings against the FqElem
+    reference above, on random words in the generators of GSp(4, q) and on
+    copies with one entry changed."""
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_validator(self, q, data):
+        spec = field_for_q(q)
+        rows = _draw_word(data, q, "word")
+        if data.draw(st.booleans(), label="change an entry"):
+            r = data.draw(st.integers(0, 3), label="row")
+            c = data.draw(st.integers(0, 3), label="column")
+            rows[r][c] = spec.from_encoding(data.draw(st.integers(0, q - 1), label="value"))
+        m = gq.Mat4.from_rows(spec, rows)
+        mu = _ref_similitude(rows)
+        det = _ref_det(rows)
+        assert gq.similitude(m) == mu
+        assert m.det() == det
+        if mu is None or det != mu * mu:
+            with pytest.raises(NotSimilitude):
+                gq.gsp_elem(m)
+        else:
+            g = gq.gsp_elem(m)
+            assert (g.mat, g.mu) == (m, mu)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_group_law(self, q, data):
+        spec = field_for_q(q)
+        a_rows, b_rows = _draw_word(data, q, "a"), _draw_word(data, q, "b")
+        a = gq.gsp_elem(gq.Mat4.from_rows(spec, a_rows))
+        b = gq.gsp_elem(gq.Mat4.from_rows(spec, b_rows))
+        ab = a * b
+        assert ab.mat == gq.Mat4.from_rows(spec, _ref_product(a_rows, b_rows))
+        assert ab.mu == _ref_similitude(a_rows) * _ref_similitude(b_rows)
+        a_inv = a.inverse()
+        assert a_inv.mat == gq.Mat4.from_rows(spec, _ref_inverse(a_rows))
+        assert a_inv.mu == _ref_similitude(a_rows).inverse()
 
 
 class TestNamedSubgroups:
@@ -151,6 +276,32 @@ class TestClosure:
         for name in ("S", "A", "B", "R_last", "M1", "Row8"):
             sg = gq.named_subgroup(name, 3)
             assert gq.subgroup_closure(sg.elements).same_elements(sg)
+
+
+    @pytest.mark.parametrize("p", [89, 97, 509])
+    def test_dtype_boundary(self, p):
+        """Both paths agree on either side of the int16 product bound
+        4 (p - 1)^2 < 2^15 (p = 89 is the last prime under it).  Each set is
+        closed alone: a root element of order p, a torus element of order
+        p - 1, and a +-1 similitude whose square has entry (4,4) summing
+        four products (p - 1)^2, the largest a product entry can reach."""
+        spec = field_for_q(p)
+        c = gq._primitive_unit(spec)
+        minus = spec.from_encoding(p - 1)
+        dense = gq.Mat4.from_rows(spec, [[1, 1, -1, -1], [1, -1, 1, -1],
+                                         [-1, 1, 1, -1], [-1, -1, -1, -1]])
+        assert [dense.entry(3, c_) for c_ in range(4)] == [minus] * 4
+        assert [dense.entry(r, 3) for r in range(4)] == [minus] * 4
+        for gen, order in ((gq.pos_root_elem(spec, 3, spec.one), p),
+                           (gq.Mat4.diag(spec, c, c, 1, 1), p - 1),
+                           (dense, None)):
+            mats = [gq.gsp_elem(gen).mat]
+            fast = gq._closure_numpy(mats, spec, 10**6)
+            slow = gq._closure_generic(mats, spec, 10**6)
+            assert {(g.mat, g.mu) for g in fast} == {(g.mat, g.mu) for g in slow}
+            assert len(fast) == len(slow)
+            if order:
+                assert len(fast) == order
 
 
 class TestTrustedClosure:

@@ -17,8 +17,8 @@ refusals are made before any work: ``verify counts`` at a q that is not
 prime (exit 1; its skew-coset oracle is still wrong there), and dim,
 enumerate or table at a level too large to print (exit 3, ``DIGITS_BOUND``).
 Identical flags (and seed) produce byte-identical output.  Only the rg
-suite of verify samples, so only verify takes --seed and reads the
-KLINGEN_SEED environment variable.
+suite of verify samples, so only verify takes --seed, and the KLINGEN_SEED
+environment variable is read only when the rg suite runs.
 """
 
 from __future__ import annotations
@@ -519,10 +519,10 @@ def _suite_theorem(qs: List[int], n_max: int) -> Tuple[int, List[Dict]]:
 
 
 def cmd_verify(args: argparse.Namespace, cfg: Config, out) -> int:
-    seed = _seed(args)
     chosen = (args.suite,) if args.suite != "all" else (
         "chartab", "counts", "rg", "theorem"
     )
+    seed = _seed(args) if "rg" in chosen else None
     given = _prime_powers(parse_int_list(args.q, "--q")) if args.q else None
     if "counts" in chosen:
         for q in given or ():

@@ -34,6 +34,8 @@ the generic table path handles every field, and tests cross-check the two.
 The numpy path holds its products as int16 while a product entry, a sum of
 four products of entries below p, stays below 2^15 (4 (p - 1)^2 < 2^15,
 that is p <= 89), and as int32 above that (p <= ``ffield.FIELD_BOUND``).
+int16 is not for overflow's sake alone: it keeps the peak memory of the
+GSp(4, 3) closure about a fifth lower than int32 does.
 """
 
 from __future__ import annotations

@@ -350,3 +350,14 @@ class TestBoundsAndFlags:
         monkeypatch.setenv("KLINGEN_SEED", "notanint")
         assert run_cli(*argv) == plain
         assert plain[0] == 0
+
+    def test_env_seed_read_only_by_rg_suite(self, monkeypatch):
+        argv = ("verify", "theorem", "--q", "2", "--n-max", "3", "-o", "json")
+        plain = run_cli(*argv)
+        monkeypatch.setenv("KLINGEN_SEED", "notanint")
+        assert run_cli(*argv) == plain
+        assert plain[0] == 0
+        # a run that includes the rg suite refuses the seed before any suite
+        code, out, err = run_cli("verify", "all")
+        assert (code, out) == (1, "")
+        assert "KLINGEN_SEED" in err

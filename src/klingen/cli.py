@@ -66,8 +66,6 @@ from .errors import (
     NotPrime,
     NotScopedClass,
     NotSimilitude,
-    PrecisionExhausted,
-    PrecisionInsufficient,
     PrecisionTooLow,
     ResourceBound,
     UnknownName,
@@ -104,8 +102,7 @@ _ERROR_EXITS = {
     (EXIT_DISAGREE, "verification mismatch"): (MismatchReport,),
     (EXIT_RESOURCE, "resource bound"): (
         ResourceBound, NonConvergence, DixonBoundExceeded, ClosureTooLarge,
-        GroupTooLarge, FieldTooLarge, PrecisionTooLow, PrecisionExhausted,
-        PrecisionInsufficient,
+        GroupTooLarge, FieldTooLarge, PrecisionTooLow,
     ),
 }
 _EXIT_OF = {cls: how for how, classes in _ERROR_EXITS.items() for cls in classes}

@@ -37,6 +37,7 @@ from .chartab import (
 )
 from .cosets import enumerate_supp
 from .errors import DisagreementError, NonIntegralResult, NotPolynomial
+from .ffield import prime_power
 
 ORIGIN_K = "K"
 ORIGIN_PARAMODULAR = "paramodular"
@@ -76,6 +77,7 @@ class DimRequest:
     def __post_init__(self) -> None:
         if not isinstance(self.q, int) or self.q < 2:
             raise ValueError(f"q must be an integer >= 2, got {self.q!r}")
+        prime_power(self.q)  # NotPrime unless q is a prime power
         if not isinstance(self.n, int) or self.n < 0:
             raise ValueError(f"level n must be an integer >= 0, got {self.n!r}")
         if self.origin not in _ORIGINS:
@@ -100,11 +102,6 @@ class DimReport:
     agree: bool
 
 
-def _floor_div(a: int, b: int) -> int:
-    # Python's // is already the mathematical floor for integers.
-    return a // b
-
-
 def _as_int(x: Fraction, what: str) -> int:
     if x.denominator != 1:
         raise NonIntegralResult(f"{what} evaluated to non-integer {x}")
@@ -114,7 +111,7 @@ def _as_int(x: Fraction, what: str) -> int:
 def _formula_value(q: int, n: int, kind: str) -> int:
     """Closed-form dimension for a generic family at level n >= 1."""
     c = Fraction(_C_POLYS[n % 4](q))
-    m = _floor_div(n - 2, 4)
+    m = (n - 2) // 4
     qm = Fraction(q) ** m
     value = (
         (((q - 1) * c + 72) * qm - 72) / Fraction((q - 1) ** 2)
@@ -122,7 +119,7 @@ def _formula_value(q: int, n: int, kind: str) -> int:
         - n * (n + 3)
     )
     if kind == FAMILY_TYPE_II:
-        value += 2 * _floor_div(n - 1, 2)
+        value += 2 * ((n - 1) // 2)
     total = _as_int(value, f"closed formula at q={q}, n={n}, {kind}")
     if total < 0:
         raise NonIntegralResult(
@@ -193,7 +190,7 @@ def corollary_value(q: int, n: int) -> int:
     if n < 1:
         raise ValueError(f"corollary is stated for n >= 1, got {n}")
     const = _COROLLARY_CONSTANTS[q][n % 4]
-    qm = Fraction(q) ** _floor_div(n - 2, 4)
+    qm = Fraction(q) ** ((n - 2) // 4)
     if q == 2:
         value = -(n + 9) * (n + 12) + qm * const
     else:

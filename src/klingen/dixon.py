@@ -307,65 +307,61 @@ def _poly_roots_mod(coeffs: List[int], m: int) -> List[int]:
     return roots
 
 
-def _kernel_mod(a: List[List[int]], m: int) -> List[List[int]]:
-    """Basis of the kernel of a (rows x cols) mod m."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    work = [row[:] for row in a]
+# ---------------------------------------------------------------------------
+# Gauss-Jordan elimination over a field given by its operations
+# ---------------------------------------------------------------------------
+
+def _row_reduce(rows: list, inv, red):
+    """Reduced row echelon form over a field given by two operations:
+    ``inv`` inverts a nonzero element and ``red`` returns an element's normal
+    form, which is 0 exactly for zero.  Mod a prime ell these are
+    pow(x, ell - 2, ell) and x % ell; over Q, with Fraction entries, 1 / x
+    and the identity.  Returns (rows, pivots): the nonzero reduced rows and
+    their pivot columns, in column order."""
+    work = [[red(x) for x in row] for row in rows]
     pivots = []
-    r = 0
-    for c in range(cols):
-        piv = None
-        for rr in range(r, rows):
-            if work[rr][c] % m:
-                piv = rr
-                break
+    for c in range(len(work[0]) if work else 0):
+        r = len(pivots)
+        piv = next((rr for rr in range(r, len(work)) if work[rr][c]), None)
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
-        inv = pow(work[r][c], m - 2, m)
-        work[r] = [(x * inv) % m for x in work[r]]
-        for rr in range(rows):
-            if rr != r and work[rr][c] % m:
-                f = work[rr][c]
-                work[rr] = [(x - f * y) % m for x, y in zip(work[rr], work[r])]
+        s = inv(work[r][c])
+        work[r] = [red(x * s) for x in work[r]]
+        for rr in range(len(work)):
+            f = work[rr][c]
+            if rr != r and f:
+                work[rr] = [red(x - f * y) for x, y in zip(work[rr], work[r])]
         pivots.append(c)
-        r += 1
-    free = [c for c in range(cols) if c not in pivots]
+    return work[:len(pivots)], pivots
+
+
+def _kernel(rows: list, inv, red) -> list:
+    """Basis of {v : rows v = 0}, one vector per non-pivot column."""
+    reduced, pivots = _row_reduce(rows, inv, red)
+    cols = len(rows[0])
     basis = []
-    for fc in free:
+    for fc in range(cols):
+        if fc in pivots:
+            continue
         v = [0] * cols
         v[fc] = 1
-        for rr, pc in enumerate(pivots):
-            v[pc] = (-work[rr][fc]) % m
+        for row, pc in zip(reduced, pivots):
+            v[pc] = red(-row[fc])
         basis.append(v)
     return basis
 
 
-def _rref_rows(vectors: List[List[int]], m: int):
-    """Row-reduce; returns (rows, pivot_columns)."""
-    work = [v[:] for v in vectors]
-    cols = len(work[0])
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = None
-        for rr in range(r, len(work)):
-            if work[rr][c] % m:
-                piv = rr
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = pow(work[r][c], m - 2, m)
-        work[r] = [(x * inv) % m for x in work[r]]
-        for rr in range(len(work)):
-            if rr != r and work[rr][c] % m:
-                f = work[rr][c]
-                work[rr] = [(x - f * y) % m for x, y in zip(work[rr], work[r])]
-        pivots.append(c)
-        r += 1
-    return work[:r], pivots
+def _solve_unique(rows: list, inv, red) -> list:
+    """The solution of the system given by augmented rows [A | b], which
+    must exist and be unique (every column of A gets a pivot)."""
+    reduced, pivots = _row_reduce(rows, inv, red)
+    ncols = len(rows[0]) - 1
+    if [c for c in pivots if c < ncols] != list(range(ncols)):
+        raise ArithmeticError("underdetermined linear system")
+    if len(pivots) > ncols:
+        raise ArithmeticError("inconsistent linear system")
+    return [row[-1] for row in reduced]
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +475,7 @@ def dixon_table(
                 mi[j][k] += 1
 
     # simultaneous eigenvector descent mod ell
+    field = (lambda x: pow(x, ell - 2, ell), lambda x: x % ell)
     full = [[1 if a == b else 0 for b in range(r)] for a in range(r)]
     spaces = [(full, list(range(r)))]  # (rref rows, pivot columns)
     for i in range(r):
@@ -503,7 +500,7 @@ def dixon_table(
                     for a in range(d)
                 ]
                 eigen_vecs = []
-                for combo in _kernel_mod(shifted, ell):
+                for combo in _kernel(shifted, *field):
                     vec = [0] * r
                     for a, ca in enumerate(combo):
                         if ca:
@@ -513,7 +510,7 @@ def dixon_table(
                 if eigen_vecs:
                     refined.append(eigen_vecs)
         spaces = [
-            _rref_rows(vecs, ell) if isinstance(vecs, list) else vecs
+            _row_reduce(vecs, *field) if isinstance(vecs, list) else vecs
             for vecs in refined
         ]
 

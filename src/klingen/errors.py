@@ -77,21 +77,10 @@ class MismatchReport(KlingenError):
         super().__init__(f"{len(self.failures)} check(s) failed: {lines}")
 
 
-# ------------------------------------------------------------ truncated p-adics
+# ------------------------------------------------------------------ p-adic
 
 class PrecisionTooLow(KlingenError):
     """A construction was attempted below the minimum safe precision."""
-
-
-class PrecisionExhausted(KlingenError):
-    """An arithmetic result is indistinguishable from zero at the
-    remaining precision (e.g. inverting a residue that vanishes to the
-    tracked depth)."""
-
-
-class PrecisionInsufficient(KlingenError):
-    """A yes/no question (integrality, reduction) cannot be decided at the
-    tracked precision.  Never guessed."""
 
 
 class NonConvergence(KlingenError):

@@ -19,6 +19,7 @@ Everything here is exact; there is no floating point anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -310,9 +311,10 @@ def field_make(p: int, f: int = 1, bound: int = FIELD_BOUND) -> FieldSpec:
 
 def prime_power(q: int) -> tuple[int, int]:
     """(p, f) with q = p^f, p prime; NotPrime if q is not a prime power."""
-    p = next((cand for cand in range(2, q + 1) if q % cand == 0), None)
-    if p is None:
+    if q < 2:
         raise NotPrime(f"{q} is not a prime power")
+    # the least factor of q is at most isqrt(q) unless q is prime
+    p = next((cand for cand in range(2, math.isqrt(q) + 1) if q % cand == 0), q)
     f = 0
     m = q
     while m % p == 0:
@@ -326,19 +328,6 @@ def prime_power(q: int) -> tuple[int, int]:
 def field_for_q(q: int) -> FieldSpec:
     """F_q for a prime power q (factored automatically)."""
     return field_make(*prime_power(q))
-
-
-def fq_arith(a: FqElem, b: FqElem, op: str) -> FqElem:
-    """Named dispatcher: op in {'add', 'sub', 'mul', 'div'}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
 
 
 @lru_cache(maxsize=None)

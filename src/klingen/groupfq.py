@@ -40,9 +40,10 @@ GSp(4, 3) closure about a fifth lower than int32 does.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from . import ffield
 from .errors import (
@@ -127,43 +128,8 @@ class Mat4:
                 out.append(s)
         return Mat4(self.spec, tuple(out))
 
-    def transpose(self) -> "Mat4":
-        e = self.e
-        return Mat4(
-            self.spec,
-            tuple(e[4 * c + r] for r in range(4) for c in range(4)),
-        )
-
     def det(self) -> FqElem:
         return self.spec.from_encoding(_det_enc(self))
-
-    def inverse(self) -> "Mat4":
-        add, mul, neg, inv, _ = ffield.tables(self.spec)
-        a = [list(self.e[r : r + 4]) for r in range(0, 16, 4)]
-        one = self.spec.one.encoding()
-        b = [[one if i == j else 0 for j in range(4)] for i in range(4)]
-        for col in range(4):
-            piv = None
-            for r in range(col, 4):
-                if a[r][col] != 0:
-                    piv = r
-                    break
-            if piv is None:
-                raise ZeroDivisionError("singular matrix")
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                b[col], b[piv] = b[piv], b[col]
-            s = inv[a[col][col]]
-            for j in range(4):
-                a[col][j] = mul[s][a[col][j]]
-                b[col][j] = mul[s][b[col][j]]
-            for r in range(4):
-                if r != col and a[r][col]:
-                    f = neg[a[r][col]]
-                    for j in range(4):
-                        a[r][j] = add[a[r][j]][mul[f][a[col][j]]]
-                        b[r][j] = add[b[r][j]][mul[f][b[col][j]]]
-        return Mat4(self.spec, tuple(b[r][c] for r in range(4) for c in range(4)))
 
     def __repr__(self):
         rows = [" ".join(str(self.e[4 * r + c]) for c in range(4)) for r in range(4)]
@@ -292,14 +258,6 @@ def gsp_elem(m: Mat4) -> GSpElem:
     if _det_enc(m) != ffield.tables(m.spec).mul[mu][mu]:
         raise NotSimilitude("determinant != similitude^2")
     return GSpElem(m, m.spec.from_encoding(mu))
-
-
-def group_mul(a: GSpElem, b: GSpElem) -> GSpElem:
-    return a * b
-
-
-def group_inv(a: GSpElem) -> GSpElem:
-    return a.inverse()
 
 
 def gsp4_order(q: int) -> int:
@@ -514,7 +472,7 @@ def conjugacy_classes(group: Subgroup, bound: int = CONJUGACY_BOUND) -> list:
 
 
 # ---------------------------------------------------------------------------
-# root subgroups, Weyl group, Bruhat enumeration
+# root subgroups and the full group
 # ---------------------------------------------------------------------------
 
 def _root_mat(spec: FieldSpec, positions, t: FqElem) -> Mat4:
@@ -555,97 +513,6 @@ def neg_root_elem(spec: FieldSpec, idx: int, t: FqElem) -> Mat4:
 
 
 @lru_cache(maxsize=None)
-def weyl_reps(spec: FieldSpec) -> tuple:
-    """The eight Weyl-element representatives as matrices (fixed word order)."""
-    s1 = Mat4.from_rows(
-        spec, [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
-    )
-    s2 = Mat4.from_rows(
-        spec, [[1, 0, 0, 0], [0, 0, 1, 0], [0, -1, 0, 0], [0, 0, 0, 1]]
-    )
-    ident = Mat4.identity(spec)
-    words = [(), (0,), (1,), (0, 1), (1, 0), (0, 1, 0), (1, 0, 1), (0, 1, 0, 1)]
-    gens = (s1, s2)
-    out = []
-    for word in words:
-        m = ident
-        for k in word:
-            m = m * gens[k]
-        out.append(m)
-    return tuple(out)
-
-
-def _is_lower_unipotent_conj(m: Mat4) -> bool:
-    """Whether m is unipotent lower triangular (used for U_w membership)."""
-    one = m.spec.one.encoding()
-    for r in range(4):
-        if m.e[4 * r + r] != one:
-            return False
-        for c in range(r + 1, 4):
-            if m.e[4 * r + c] != 0:
-                return False
-    return True
-
-
-@lru_cache(maxsize=None)
-def _uw_root_indices(spec: FieldSpec) -> tuple:
-    """For each Weyl rep w: indices of positive roots a with w(a) < 0."""
-    out = []
-    one = spec.one
-    for w in weyl_reps(spec):
-        w_inv = w.inverse()
-        idxs = []
-        for i in range(4):
-            conj = w * pos_root_elem(spec, i, one) * w_inv
-            if _is_lower_unipotent_conj(conj):
-                idxs.append(i)
-        out.append(tuple(idxs))
-    return tuple(out)
-
-
-def _unipotent_products(spec: FieldSpec, root_idxs) -> Iterator[Mat4]:
-    """All products prod_i X_{root_idxs[i]}(t_i), coefficients in lex order."""
-    elems = ffield.enumerate_field(spec)
-    ident = Mat4.identity(spec)
-
-    def rec(i: int, acc: Mat4):
-        if i == len(root_idxs):
-            yield acc
-            return
-        for t in elems:
-            yield from rec(i + 1, acc * pos_root_elem(spec, root_idxs[i], t))
-
-    yield from rec(0, ident)
-
-
-def sp4_stream(spec: FieldSpec) -> Iterator[Mat4]:
-    """Every element of Sp(4, F_q) exactly once, via the Bruhat decomposition
-    G = union over w of U T w U_w (each factorization unique)."""
-    units = ffield.units(spec)
-    wreps = weyl_reps(spec)
-    uw_idx = _uw_root_indices(spec)
-    all_roots = (0, 1, 2, 3)
-    for wi, w in enumerate(wreps):
-        for a in units:
-            for b in units:
-                t = Mat4.diag(spec, a, b, b.inverse(), a.inverse())
-                tw = t * w
-                for u in _unipotent_products(spec, all_roots):
-                    base = u * tw
-                    for u2 in _unipotent_products(spec, uw_idx[wi]):
-                        yield base * u2
-
-
-def gsp4_stream(spec: FieldSpec) -> Iterator[GSpElem]:
-    """Every element of GSp(4, F_q) exactly once: similitude cosets of Sp."""
-    for mu in ffield.units(spec):
-        d = Mat4.diag(spec, mu, mu, 1, 1)
-        for s in sp4_stream(spec):
-            m = d * s
-            yield GSpElem(m, mu)
-
-
-@lru_cache(maxsize=None)
 def _primitive_unit(spec: FieldSpec) -> FqElem:
     q = spec.q
     for x in ffield.units(spec):
@@ -675,24 +542,12 @@ def gsp4_generators(spec: FieldSpec) -> list:
     return [gsp_elem(m) for m in mats]
 
 
-def enumerate_gsp4(q: int, stream: bool = False):
-    """The full group GSp(4, F_q).
-
-    Materialized as a Subgroup for q <= 3; for q in {4, 5} only the
-    streaming form is available (pass stream=True to get an iterator that
-    yields every element exactly once without materializing).  Larger q is
-    refused.
-    """
+def enumerate_gsp4(q: int) -> Subgroup:
+    """The full group GSp(4, F_q) as a Subgroup, by closure of its
+    generators; q > 3 is refused with GroupTooLarge."""
     spec = field_for_q(q)
-    if stream:
-        if q > 5:
-            raise GroupTooLarge(f"|GSp(4,{q})| = {gsp4_order(q)}: beyond streaming scope")
-        return gsp4_stream(spec)
     if q > 3:
-        raise GroupTooLarge(
-            f"|GSp(4,{q})| = {gsp4_order(q)} cannot be materialized; "
-            "use stream=True for q in {4, 5}"
-        )
+        raise GroupTooLarge(f"|GSp(4,{q})| = {gsp4_order(q)} cannot be materialized")
     group = subgroup_closure(gsp4_generators(spec), name=f"GSp(4,{q})")
     if group.order != gsp4_order(q):
         raise RuntimeError(
@@ -912,8 +767,11 @@ def named_subgroup_order(name: str, q: int) -> int:
 
 
 def upper_unipotent(spec: FieldSpec) -> Subgroup:
-    """The full upper unipotent subgroup U (order q^4)."""
-    elems = [gsp_elem(m) for m in _unipotent_products(spec, (0, 1, 2, 3))]
+    """The full upper unipotent subgroup U (order q^4): the products of one
+    element from each positive root group."""
+    field_elems = ffield.enumerate_field(spec)
+    roots = [[pos_root_elem(spec, i, t) for t in field_elems] for i in range(4)]
+    elems = [gsp_elem(a * b * c * d) for a, b, c, d in itertools.product(*roots)]
     if len(set(elems)) != spec.q**4:
         raise RuntimeError("unipotent parameterization not injective")
     return make_subgroup(elems, name="U")

@@ -1,4 +1,4 @@
-"""Truncated p-adic arithmetic and the randomized R_g oracle.
+"""Residues of the p-adic integers and the randomized R_g oracle.
 
 The base ring is the unramified extension o of Z_p with residue field F_q
 (q = p^f); the uniformizer is p itself.  Elements of o/p^d are "residues":
@@ -6,51 +6,43 @@ a plain int mod p^d when f = 1, a length-f tuple of ints mod p^d (the
 coefficient vector on the power basis of a fixed monic lift of the residue
 field's modulus) when f > 1.  On top of the residues sit:
 
-TruncAdic
-    a field element tracked as (valuation, unit residue, digit count),
-    or an exact-zero flag meaning only "valuation >= prec".  Addition
-    records cancellation-induced precision loss; nothing is ever rounded
-    optimistically.
+RingO / _ResMat
+    scalar residue arithmetic mod p^d, and 4x4 residue matrices that
+    multiply as integer matrices: at f = 1 each entry is a sum of four
+    products reduced once mod p^d; at f > 1 the f coefficient planes are
+    multiplied pairwise, summed unreduced, then reduced once by the
+    modulus lift and once mod p^d.
 
-PadicMat
-    a 4x4 matrix of TruncAdic sharing one ring, with matrix product and
-    adjugate inverse.
-
-build_rep / build_rep_inverse
-    the support coset representatives t_{i,j} S(x, y, z) (and their exact
-    inverses), where t_{i,j} = diag(p^{2i+j}, p^{i+j}, p^i, 1) and
-    S(x, y, z) is the lower unipotent with rows (1), (x,1), (y,0,1),
-    (z,y,-x,1).
-
-conjugate_reduce
-    g, h -> reduction of g h g^{-1} mod p when it is provably integral,
-    None when provably not, PrecisionInsufficient otherwise.  Three-valued
-    on purpose: the oracle never guesses.
-
-KlingenSampler / estimate_Rg
+KlingenSampler
     seeded sampling of the level-n Klingen subgroup via its exact
-    factorization  lower(p^n) * levi * upper(o),  and regrowth of
-    R_g = image of g Kl(n) g^{-1} \\cap K in GSp(4, F_q) as the closure of
-    the sampled reductions.  Convergence heuristic: three consecutive
-    batches that add no new subgroup elements.
+    factorization  lower(p^n) * levi * upper(o).  At f = 1 it draws
+    inline, making exactly the random.Random calls of RingO.random /
+    random_unit / random_layered in the same order, so every seed yields
+    the samples the RingO path yields; at f > 1 it draws through RingO.
 
-The sampler's inner loop runs on plain Python ints, not on one RingO call
-per scalar.  Residue 4x4 matrices (_ResMat) multiply as integer matrices:
-at f = 1 each entry is a sum of four products reduced once mod p^d; at
-f > 1 the f coefficient planes are multiplied pairwise, summed unreduced,
-then reduced once by the modulus lift and once mod p^d.  At f = 1 the
-sampler also draws inline, making exactly the random.Random calls of
-RingO.random / random_unit / random_layered in the same order, so every
-seed yields the samples the RingO path yields; at f > 1 it draws through
-RingO.  _reduce_fast writes F_q encodings straight into a Mat4.  Tests hold
-all three to the scalar RingO arithmetic.
+_reduce_fast
+    for a support representative g = t_{i,j} S(x, y, z), with
+    t_{i,j} = diag(p^{2i+j}, p^{i+j}, p^i, 1) and S(x, y, z) the lower
+    unipotent with rows (1), (x,1), (y,0,1), (z,y,-x,1): the reduction
+    mod p of g h g^{-1} written straight into a Mat4 of F_q encodings, or
+    None when g h g^{-1} is not integral.  The conjugation by t is a
+    per-entry shift by p^(e_r - e_c), so integrality is a divisibility
+    check on S h S^{-1} mod p^d.  Tests hold it to an exact Fraction
+    conjugation of integer lifts of h.
 
-The minimum working precision for conjugating Kl(n) elements by a
-representative is  n + spread + 2,  where spread is the largest difference
-of the torus exponents (2i+j, i+j, i, 0) — the deepest division the
-conjugation performs (2i+j when i >= 1, but j for the i <= 0
-representatives).  The level needs n digits and two digits of slack absorb
-cancellation.  estimate_Rg uses exactly that.
+estimate_Rg
+    regrowth of R_g = image of g Kl(n) g^{-1} \\cap K in GSp(4, F_q) as the
+    closure of the sampled reductions.  Convergence heuristic: three
+    consecutive batches that add no new subgroup elements.
+
+The working precision for conjugating Kl(n) elements by a representative
+is at least  d = n + spread + 2  (estimate_Rg adds ``slack`` >= 2 guard
+digits to n + spread), where spread is the largest difference of the
+torus exponents (2i+j, i+j, i, 0) — the deepest division the conjugation
+performs (2i+j when i >= 1, but j for the i <= 0 representatives).  At
+that precision the verdict and the reduction do not depend on which lift
+of h mod p^d is conjugated: changing the lift moves every entry of
+g h g^{-1} by a multiple of p^(d - spread).
 """
 
 from __future__ import annotations
@@ -60,14 +52,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .cosets import CosetRep, Diagonal, Skew, X, Y, Z
-from .errors import (
-    NonConvergence,
-    PrecisionExhausted,
-    PrecisionInsufficient,
-    PrecisionTooLow,
-)
+from .errors import NonConvergence, PrecisionTooLow
 from .ffield import FieldSpec, FqElem, field_for_q
-from .groupfq import GSpElem, Mat4, Subgroup, gsp_elem, subgroup_closure
+from .groupfq import Mat4, Subgroup, gsp_elem, subgroup_closure
 
 Residue = Union[int, Tuple[int, ...]]
 
@@ -203,31 +190,6 @@ class RingO:
             x = self.mul(x, two_minus, digits)
         return x
 
-    # -- valuation structure ----------------------------------------------
-
-    def val(self, a: Residue, d: int) -> Optional[int]:
-        """p-adic valuation of a residue mod p^d; None when a == 0 mod p^d."""
-        coeffs = (a,) if self.f == 1 else a
-        best: Optional[int] = None
-        for c in coeffs:
-            c %= self.p**d
-            if c == 0:
-                continue
-            v = 0
-            while c % self.p == 0:
-                c //= self.p
-                v += 1
-            if best is None or v < best:
-                best = v
-        return best
-
-    def shift_down(self, a: Residue, v: int) -> Residue:
-        """Divide an exactly divisible residue by p^v."""
-        step = self.p**v
-        if self.f == 1:
-            return a // step
-        return tuple(x // step for x in a)
-
     def normalize(self, a: Residue, d: int) -> Residue:
         mod = self.p**d
         if self.f == 1:
@@ -245,176 +207,7 @@ def ring_for_q(q: int) -> RingO:
 
 
 # ---------------------------------------------------------------------------
-# TruncAdic: valuation + unit residue + tracked precision
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TruncAdic:
-    """One truncated element of the p-adic field.
-
-    Nonzero: ``val`` is the exact valuation, ``unit`` a unit residue known
-    mod p^prec (prec >= 1 significant digits); the element is known mod
-    p^(val+prec).  Exact-zero flag: ``val`` is None and ``prec`` is the
-    absolute bound — all that is known is val >= prec.
-    """
-
-    ring: RingO
-    val: Optional[int]
-    unit: Optional[Residue]
-    prec: int
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero(ring: RingO, prec: int) -> "TruncAdic":
-        return TruncAdic(ring, None, None, prec)
-
-    @staticmethod
-    def exact(ring: RingO, val: int, unit: int = 1, prec: int = 1) -> "TruncAdic":
-        """unit * p^val with the unit given as an integer lift."""
-        if prec < 1:
-            raise PrecisionTooLow(f"need at least one digit, got prec={prec}")
-        if unit % ring.p == 0:
-            raise ValueError(f"{unit} is not a unit lift at p={ring.p}")
-        return TruncAdic(ring, val, ring.from_int(unit, prec), prec)
-
-    @staticmethod
-    def from_residue(ring: RingO, res: Residue, d: int, shift: int = 0) -> "TruncAdic":
-        """The element p^shift * res for a residue known mod p^d."""
-        res = ring.normalize(res, d)
-        v = ring.val(res, d)
-        if v is None:
-            return TruncAdic.zero(ring, d + shift)
-        unit = ring.normalize(ring.shift_down(res, v), d - v)
-        return TruncAdic(ring, v + shift, unit, d - v)
-
-    # -- structure ----------------------------------------------------------
-
-    @property
-    def is_zero_flag(self) -> bool:
-        return self.val is None
-
-    @property
-    def abs_prec(self) -> int:
-        """The element is known modulo p^abs_prec."""
-        return self.prec if self.val is None else self.val + self.prec
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def _check(self, other: "TruncAdic") -> None:
-        if self.ring != other.ring:
-            raise ValueError("mixed rings")
-
-    def __add__(self, other: "TruncAdic") -> "TruncAdic":
-        self._check(other)
-        ring = self.ring
-        cap = min(self.abs_prec, other.abs_prec)
-        if self.val is None and other.val is None:
-            return TruncAdic.zero(ring, cap)
-        if self.val is None or other.val is None:
-            nz = other if self.val is None else self
-            if nz.val >= cap:
-                return TruncAdic.zero(ring, cap)
-            digits = cap - nz.val
-            return TruncAdic(ring, nz.val, ring.normalize(nz.unit, digits), digits)
-        lo, hi = (self, other) if self.val <= other.val else (other, self)
-        if lo.val >= cap:
-            return TruncAdic.zero(ring, cap)
-        digits = cap - lo.val
-        a = ring.normalize(lo.unit, digits)
-        delta = hi.val - lo.val
-        if delta >= digits:
-            s = a
-        else:
-            shifted = ring.mul(
-                ring.from_int(ring.p**delta, digits),
-                ring.normalize(hi.unit, digits),
-                digits,
-            )
-            s = ring.add(a, shifted, digits)
-        v = ring.val(s, digits)
-        if v is None:
-            return TruncAdic.zero(ring, cap)
-        unit = ring.normalize(ring.shift_down(s, v), digits - v)
-        return TruncAdic(ring, lo.val + v, unit, digits - v)
-
-    def __neg__(self) -> "TruncAdic":
-        if self.val is None:
-            return self
-        return TruncAdic(self.ring, self.val, self.ring.neg(self.unit, self.prec), self.prec)
-
-    def __sub__(self, other: "TruncAdic") -> "TruncAdic":
-        return self + (-other)
-
-    def __mul__(self, other: "TruncAdic") -> "TruncAdic":
-        self._check(other)
-        ring = self.ring
-        if self.val is None and other.val is None:
-            return TruncAdic.zero(ring, self.prec + other.prec)
-        if self.val is None or other.val is None:
-            z, nz = (self, other) if self.val is None else (other, self)
-            return TruncAdic.zero(ring, z.prec + nz.val)
-        digits = min(self.prec, other.prec)
-        unit = ring.mul(
-            ring.normalize(self.unit, digits),
-            ring.normalize(other.unit, digits),
-            digits,
-        )
-        return TruncAdic(ring, self.val + other.val, unit, digits)
-
-    def inverse(self) -> "TruncAdic":
-        if self.val is None:
-            raise PrecisionExhausted(
-                f"cannot invert a residue indistinguishable from 0 (val >= {self.prec})"
-            )
-        return TruncAdic(
-            self.ring, -self.val, self.ring.inv(self.unit, self.prec), self.prec
-        )
-
-    # -- decisions -------------------------------------------------------------
-
-    def is_integral(self) -> Optional[bool]:
-        """True / False when provable at this precision, None otherwise."""
-        if self.val is not None:
-            return self.val >= 0
-        if self.prec >= 0:
-            return True
-        return None
-
-    def residue_mod_p(self) -> FqElem:
-        """Reduction mod p of a provably integral element."""
-        spec = self.ring.spec
-        if self.val is None:
-            if self.prec >= 1:
-                return spec.zero
-            raise PrecisionInsufficient(
-                f"residue mod p unknown: only val >= {self.prec} is known"
-            )
-        if self.val < 0:
-            raise ValueError("residue of a non-integral element")
-        if self.val >= 1:
-            return spec.zero
-        return self.ring.reduce_mod_p(self.unit)
-
-    def __repr__(self) -> str:
-        if self.val is None:
-            return f"O(p^{self.prec})"
-        return f"p^{self.val}*{self.unit} + O(p^{self.abs_prec})"
-
-
-def trunc_arith(a: TruncAdic, b: Optional[TruncAdic], op: str) -> TruncAdic:
-    """Dispatcher surface over the TruncAdic operators."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "inv":
-        return a.inverse()
-    raise ValueError(f"op must be add, mul or inv, got {op!r}")
-
-
-# ---------------------------------------------------------------------------
-# residue matrices (the arithmetic workhorse) and PadicMat
+# residue matrices (the arithmetic workhorse)
 # ---------------------------------------------------------------------------
 
 def _int_product(a: Sequence[int], b: Sequence[int]) -> List[int]:
@@ -481,109 +274,35 @@ class _ResMat:
         return _ResMat(ring, self.d, list(zip(*planes)))
 
 
-@dataclass(frozen=True)
-class PadicMat:
-    """A 4x4 matrix of TruncAdic entries over one ring.
-
-    ``prec_floor`` is the declared base precision the matrix was built at;
-    individual entries may carry more absolute precision (exact powers) or
-    less (after cancellation).
-    """
-
-    ring: RingO
-    entries: Tuple[TruncAdic, ...]
-    prec_floor: int
-
-    def entry(self, r: int, c: int) -> TruncAdic:
-        return self.entries[4 * r + c]
-
-    @classmethod
-    def from_rows(cls, ring: RingO, rows, prec_floor: int) -> "PadicMat":
-        flat = tuple(x for row in rows for x in row)
-        if len(flat) != 16:
-            raise ValueError("need 4x4 entries")
-        return cls(ring, flat, prec_floor)
-
-    @classmethod
-    def identity(cls, ring: RingO, prec: int) -> "PadicMat":
-        one = TruncAdic.exact(ring, 0, 1, prec)
-        zero = TruncAdic.zero(ring, prec)
-        rows = [[one if r == c else zero for c in range(4)] for r in range(4)]
-        return cls.from_rows(ring, rows, prec)
-
-    @classmethod
-    def from_residues(cls, res: _ResMat) -> "PadicMat":
-        entries = tuple(
-            TruncAdic.from_residue(res.ring, x, res.d) for x in res.e
-        )
-        return cls(res.ring, entries, res.d)
-
-    def __mul__(self, other: "PadicMat") -> "PadicMat":
-        if self.ring != other.ring:
-            raise ValueError("mixed rings")
-        a, b = self.entries, other.entries
-        out = []
-        for r in range(0, 16, 4):
-            for c in range(4):
-                acc = a[r] * b[c]
-                acc = acc + a[r + 1] * b[c + 4]
-                acc = acc + a[r + 2] * b[c + 8]
-                acc = acc + a[r + 3] * b[c + 12]
-                out.append(acc)
-        return PadicMat(self.ring, tuple(out), min(self.prec_floor, other.prec_floor))
-
-
-def _det3(m: PadicMat, rows: Sequence[int], cols: Sequence[int]) -> TruncAdic:
-    (r0, r1, r2), (c0, c1, c2) = rows, cols
-    e = m.entry
-    return (
-        e(r0, c0) * (e(r1, c1) * e(r2, c2) - e(r1, c2) * e(r2, c1))
-        - e(r0, c1) * (e(r1, c0) * e(r2, c2) - e(r1, c2) * e(r2, c0))
-        + e(r0, c2) * (e(r1, c0) * e(r2, c1) - e(r1, c1) * e(r2, c0))
-    )
-
-
-def padic_inverse(m: PadicMat) -> PadicMat:
-    """Adjugate inverse; raises PrecisionExhausted when det ~ 0."""
-    idx = (0, 1, 2, 3)
-    cof = [[None] * 4 for _ in range(4)]
-    for r in range(4):
-        rows = [i for i in idx if i != r]
-        for c in range(4):
-            cols = [i for i in idx if i != c]
-            minor = _det3(m, rows, cols)
-            cof[r][c] = -minor if (r + c) % 2 else minor
-    det = TruncAdic.zero(m.ring, 10**9)
-    for c in range(4):
-        det = det + m.entry(0, c) * cof[0][c]
-    det_inv = det.inverse()
-    rows = [[cof[c][r] * det_inv for c in range(4)] for r in range(4)]
-    return PadicMat.from_rows(m.ring, rows, m.prec_floor)
-
-
 # ---------------------------------------------------------------------------
 # coset representatives
 # ---------------------------------------------------------------------------
 
-def _svals(rep: CosetRep) -> Tuple[int, int, Optional[Tuple[int, int]],
-                                   Optional[Tuple[int, int]], Optional[Tuple[int, int]]]:
-    """(i, j, x, y, z) with each of x, y, z as (valuation, unit lift) or None."""
-    if isinstance(rep, Diagonal):
-        return rep.i, rep.j, None, None, None
+def _s_pair(ring: RingO, rep: CosetRep, d: int) -> Tuple[_ResMat, _ResMat]:
+    """S(x, y, z) of a representative and its inverse S(-x, -y, -z), as
+    residue matrices mod p^d (both are exactly integral)."""
+    p = ring.p
+    x = y = z = 0
     if isinstance(rep, X):
-        return rep.i, rep.j, (rep.k, 1), None, None
-    if isinstance(rep, Y):
-        return rep.i, rep.j, None, (rep.k, 1), None
-    if isinstance(rep, Z):
-        return rep.i, rep.j, None, None, (rep.k, 1)
-    if isinstance(rep, Skew):
-        return rep.i, rep.j, (rep.k_x, 1), (rep.k_y, 1), (rep.k_z, rep.u)
-    raise TypeError(f"not a coset representative: {rep!r}")
+        x = p**rep.k
+    elif isinstance(rep, Y):
+        y = p**rep.k
+    elif isinstance(rep, Z):
+        z = p**rep.k
+    elif isinstance(rep, Skew):
+        if rep.p != p:
+            raise ValueError(f"representative lives at p={rep.p}, q has p={p}")
+        x, y, z = p**rep.k_x, p**rep.k_y, rep.u * p**rep.k_z
+    elif not isinstance(rep, Diagonal):
+        raise TypeError(f"not a coset representative: {rep!r}")
+    return tuple(
+        _ResMat.from_rows(ring, d, [[1, 0, 0, 0], [a, 1, 0, 0], [b, 0, 1, 0], [c, b, -a, 1]])
+        for a, b, c in ((x, y, z), (-x, -y, -z))
+    )
 
 
 def _torus_exponents(rep: CosetRep) -> Tuple[int, int, int, int]:
-    i, j, *_ = _svals(rep)
-    return (2 * i + j, i + j, i, 0)
+    return (2 * rep.i + rep.j, rep.i + rep.j, rep.i, 0)
 
 
 def _exponent_spread(rep: CosetRep) -> int:
@@ -594,147 +313,6 @@ def _exponent_spread(rep: CosetRep) -> int:
     """
     exps = _torus_exponents(rep)
     return max(exps) - min(exps)
-
-
-def _min_prec(rep: CosetRep) -> int:
-    return max(1, _exponent_spread(rep) + 2)
-
-
-def _entry(ring: RingO, spec_pair: Optional[Tuple[int, int]], prec: int,
-           negate: bool = False) -> TruncAdic:
-    if spec_pair is None:
-        return TruncAdic.zero(ring, prec)
-    v, u = spec_pair
-    t = TruncAdic.exact(ring, v, u, prec)
-    return -t if negate else t
-
-
-def build_rep(rep: CosetRep, prec: int, q: int = 2) -> PadicMat:
-    """The matrix t_{i,j} S(x, y, z) of a support representative.
-
-    ``prec`` must be at least spread + 2 (spread = largest torus-exponent
-    difference); callers that go on to conjugate Kl(n) elements need
-    prec >= n + spread + 2.
-    """
-    ring = ring_for_q(q)
-    if isinstance(rep, Skew) and rep.p != ring.p:
-        raise ValueError(f"representative lives at p={rep.p}, ring has p={ring.p}")
-    if prec < _min_prec(rep):
-        raise PrecisionTooLow(
-            f"prec={prec} below the minimum {_min_prec(rep)} for {rep!r}"
-        )
-    i, j, x, y, z = _svals(rep)
-    zero = TruncAdic.zero(ring, prec)
-    one = TruncAdic.exact(ring, 0, 1, prec)
-    t = PadicMat.from_rows(
-        ring,
-        [
-            [TruncAdic.exact(ring, 2 * i + j, 1, prec), zero, zero, zero],
-            [zero, TruncAdic.exact(ring, i + j, 1, prec), zero, zero],
-            [zero, zero, TruncAdic.exact(ring, i, 1, prec), zero],
-            [zero, zero, zero, one],
-        ],
-        prec,
-    )
-    ex, ey, ez = (_entry(ring, s, prec) for s in (x, y, z))
-    s_mat = PadicMat.from_rows(
-        ring,
-        [
-            [one, zero, zero, zero],
-            [ex, one, zero, zero],
-            [ey, zero, one, zero],
-            [ez, ey, -ex, one],
-        ],
-        prec,
-    )
-    return t * s_mat
-
-
-def build_rep_inverse(rep: CosetRep, prec: int, q: int = 2) -> PadicMat:
-    """Exact inverse S(-x,-y,-z) t_{i,j}^{-1} of build_rep(rep, prec, q)."""
-    ring = ring_for_q(q)
-    if prec < _min_prec(rep):
-        raise PrecisionTooLow(
-            f"prec={prec} below the minimum {_min_prec(rep)} for {rep!r}"
-        )
-    i, j, x, y, z = _svals(rep)
-    zero = TruncAdic.zero(ring, prec)
-    one = TruncAdic.exact(ring, 0, 1, prec)
-    ex, ey, ez = (_entry(ring, s, prec, negate=True) for s in (x, y, z))
-    s_inv = PadicMat.from_rows(
-        ring,
-        [
-            [one, zero, zero, zero],
-            [ex, one, zero, zero],
-            [ey, zero, one, zero],
-            [ez, ey, -ex, one],
-        ],
-        prec,
-    )
-    t_inv = PadicMat.from_rows(
-        ring,
-        [
-            [TruncAdic.exact(ring, -(2 * i + j), 1, prec), zero, zero, zero],
-            [zero, TruncAdic.exact(ring, -(i + j), 1, prec), zero, zero],
-            [zero, zero, TruncAdic.exact(ring, -i, 1, prec), zero],
-            [zero, zero, zero, one],
-        ],
-        prec,
-    )
-    return s_inv * t_inv
-
-
-# ---------------------------------------------------------------------------
-# conjugate and reduce
-# ---------------------------------------------------------------------------
-
-_LEVEL_POSITIONS = ((1, 0), (2, 0), (3, 0), (3, 1), (3, 2))
-
-
-def _check_klingen(h: PadicMat, n: int) -> None:
-    for r in range(4):
-        for c in range(4):
-            x = h.entry(r, c)
-            need = n if (r, c) in _LEVEL_POSITIONS else 0
-            if x.val is not None:
-                if x.val < need:
-                    raise ValueError(
-                        f"entry ({r+1},{c+1}) has valuation {x.val} < {need}: "
-                        f"h is not in Kl(n={n})"
-                    )
-            elif x.prec < need:
-                raise PrecisionInsufficient(
-                    f"entry ({r+1},{c+1}) known only to val >= {x.prec} < {need}"
-                )
-
-
-def conjugate_reduce(
-    g: PadicMat, h: PadicMat, n: int, g_inv: Optional[PadicMat] = None
-) -> Optional[GSpElem]:
-    """Reduction mod p of g h g^{-1}, three-valued.
-
-    Returns the reduced GSpElem when every entry is provably integral,
-    None when some entry is provably non-integral, and raises
-    PrecisionInsufficient when the tracked precision cannot decide.
-    """
-    _check_klingen(h, n)
-    if g_inv is None:
-        g_inv = padic_inverse(g)
-    conj = (g * h) * g_inv
-    undecided = []
-    for idx, x in enumerate(conj.entries):
-        flag = x.is_integral()
-        if flag is False:
-            return None
-        if flag is None:
-            undecided.append(divmod(idx, 4))
-    if undecided:
-        raise PrecisionInsufficient(
-            f"integrality undecidable at entries {undecided}"
-        )
-    spec = g.ring.spec
-    rows = [[conj.entry(r, c).residue_mod_p() for c in range(4)] for r in range(4)]
-    return gsp_elem(Mat4.from_rows(spec, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -871,9 +449,6 @@ class KlingenSampler:
         )
         return lower.mul(levi).mul(upper)
 
-    def sample(self) -> PadicMat:
-        return PadicMat.from_residues(self._sample_residues())
-
 
 # ---------------------------------------------------------------------------
 # the R_g oracle
@@ -883,14 +458,12 @@ def _reduce_fast(
     ring: RingO, exps: Tuple[int, int, int, int],
     s_res: _ResMat, sinv_res: _ResMat, h: _ResMat, d: int,
 ) -> Optional[Mat4]:
-    """Residue-level g h g^{-1} reduction for g = t * S (t diagonal).
+    """Reduction mod p of g h g^{-1} for g = t * S (t diagonal), or None
+    when it is not integral.
 
-    Equivalent to conjugate_reduce on the wrapped matrices (asserted by
-    tests); the diagonal conjugation is a per-entry shift by p^(e_r - e_c),
-    so integrality is a divisibility check on exactly tracked residues.
-    Entries go straight to F_q encodings (base-p digits of the coefficients).
-    A residue that vanishes mod p^d reduces to 0, which is sound because
-    d >= -delta + 1 by the precision rule.
+    Entries go straight to F_q encodings (base-p digits of the
+    coefficients).  A residue that vanishes mod p^d reduces to 0, which is
+    sound because d >= -delta + 1 by the precision rule.
     """
     b = s_res.mul(h).mul(sinv_res).e
     p, f = ring.p, ring.f
@@ -933,32 +506,21 @@ def estimate_Rg(
     the depths at which the conjugate's entries must vanish or contribute,
     and uniform draws hit them too rarely to converge within any sane
     budget.  ``slack`` is the number of extra guard digits beyond
-    n + spread; ``closure_bound`` caps the generated subgroup size.
+    n + spread; ``closure_bound`` caps the generated subgroup size.  A
+    Skew representative whose p is not the characteristic of q raises
+    ValueError.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if slack < 2:
         raise PrecisionTooLow(f"need at least 2 guard digits, got slack={slack}")
-    m = n + _exponent_spread(rep) + slack
     ring = ring_for_q(q)
+    m = n + _exponent_spread(rep) + slack
+    s_res, sinv_res = _s_pair(ring, rep, m)
     spec = ring.spec
     exps = _torus_exponents(rep)
     depths = sorted(
         {ea - eb for ea in exps for eb in exps if ea > eb}
-    )
-    # residue-level S and S^{-1} (exactly integral, so full-depth residues)
-    xs, ys, zs = _svals(rep)[2:]
-    def lift(pair):
-        if pair is None:
-            return 0
-        v, u = pair
-        return u * ring.p**v
-    xv, yv, zv = (lift(s) for s in (xs, ys, zs))
-    s_res = _ResMat.from_rows(
-        ring, m, [[1, 0, 0, 0], [xv, 1, 0, 0], [yv, 0, 1, 0], [zv, yv, -xv, 1]]
-    )
-    sinv_res = _ResMat.from_rows(
-        ring, m, [[1, 0, 0, 0], [-xv, 1, 0, 0], [-yv, 0, 1, 0], [-zv, -yv, xv, 1]]
     )
     sampler = KlingenSampler(q, n, m, seed, depths=depths)
     ident = gsp_elem(Mat4.identity(spec))

@@ -47,7 +47,7 @@ from .chartab import (
     dim_fixed_family,
     _pinned_value,
 )
-from .dixon import CharacterTable, Cyclotomic, dixon_table
+from .dixon import CharacterTable, Cyclotomic, _solve_unique, dixon_table
 from .errors import DixonBoundExceeded, MismatchReport
 from .ffield import field_for_q
 from .groupfq import (
@@ -117,32 +117,6 @@ def _whittaker_pairing(table: CharacterTable, i: int, unipotent) -> object:
     return total.as_fraction() / unipotent.order
 
 
-def _solve_exact(rows: List[List[Fraction]]) -> List[Fraction]:
-    """Solve a small consistent linear system given as [A | b] rows; the
-    solution must be unique (every column gets a pivot)."""
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0]) - 1
-    pivots = []
-    at = 0
-    for col in range(ncols):
-        src = next((r for r in range(at, len(rows)) if rows[r][col] != 0), None)
-        if src is None:
-            raise ArithmeticError("underdetermined elliptic-value system")
-        rows[at], rows[src] = rows[src], rows[at]
-        inv = Fraction(1) / rows[at][col]
-        rows[at] = [x * inv for x in rows[at]]
-        for r in range(len(rows)):
-            if r != at and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[at])]
-        pivots.append(col)
-        at += 1
-    for r in range(at, len(rows)):
-        if rows[r][-1] != 0:
-            raise ArithmeticError("inconsistent elliptic-value system")
-    return [rows[i][-1] for i in range(ncols)]
-
-
 def _virtual_type_ii(table: CharacterTable, labels, q: int):
     """Build the formal-degree (q^2+1)(q-1)^2 class function carrying the
     second cuspidal family when no irreducible of that degree is cuspidal.
@@ -181,7 +155,7 @@ def _virtual_type_ii(table: CharacterTable, labels, q: int):
         if any(counts.get(k, 0) for k in free):
             raise ArithmeticError(f"free class meets lemma subgroup {name}")
         eqs.append(row + [rhs])
-    for k, v in zip(elliptic, _solve_exact(eqs)):
+    for k, v in zip(elliptic, _solve_unique(eqs, lambda x: 1 / x, lambda x: x)):
         values[k] = v
 
     # free values: minimal-norm integral completion

@@ -168,7 +168,7 @@ def test_criterion_7_structural_properties():
             assert dim_klingen(
                 DimRequest(q, n, TYPE_II, origin=ORIGIN_PARAMODULAR)
             ).total == 0
-    for q in range(2, 10):
+    for q in (2, 3, 4, 5, 7, 8, 9):
         for n in range(0, 61):
             a = dim_klingen(DimRequest(q, n, TYPE_I), mode="both").total
             b = dim_klingen(DimRequest(q, n, TYPE_II), mode="both").total

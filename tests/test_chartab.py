@@ -22,7 +22,7 @@ from klingen.chartab import (
     family_from_name,
     rational_roots,
 )
-from klingen.dixon import dixon_table
+from klingen.dixon import _kernel, _solve_unique, dixon_table
 from klingen.errors import (
     DixonBoundExceeded,
     NotScopedClass,
@@ -293,6 +293,24 @@ class TestDixonOracle:
     def test_bound_guard(self):
         with pytest.raises(DixonBoundExceeded):
             dixon_table(gq.enumerate_gsp4(3))
+
+    def test_one_elimination_mod_ell_and_over_q(self):
+        # the pivot loop behind the eigenvector descent and the elliptic
+        # solve, over F_7 and over Q
+        from fractions import Fraction
+
+        mod7 = (lambda x: pow(x, 5, 7), lambda x: x % 7)
+        rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
+        for v in _kernel(rows, *mod7):
+            assert all(sum(a * b for a, b in zip(row, v)) % 7 == 0 for row in rows)
+        assert len(_kernel(rows, *mod7)) == 1
+        exact = (lambda x: 1 / x, lambda x: x)
+        system = [[Fraction(2), Fraction(1), Fraction(5)], [Fraction(1), Fraction(-1), Fraction(1)]]
+        assert _solve_unique(system, *exact) == [2, 1]
+        with pytest.raises(ArithmeticError, match="underdetermined"):
+            _solve_unique([[Fraction(1), Fraction(1), Fraction(2)]], *exact)
+        with pytest.raises(ArithmeticError, match="inconsistent"):
+            _solve_unique(system + [[Fraction(1), Fraction(0), Fraction(0)]], *exact)
 
 
 class TestVerifySuite:

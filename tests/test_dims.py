@@ -15,7 +15,7 @@ from klingen.dims import (
     degree_in_q,
     dim_klingen,
 )
-from klingen.errors import DisagreementError, NotPolynomial
+from klingen.errors import DisagreementError, NotPolynomial, NotPrime
 
 TYPE_I = family_from_name("typeI")
 TYPE_II = family_from_name("typeII")
@@ -150,6 +150,11 @@ class TestValidation:
             DimRequest(2, -1, TYPE_I)
         with pytest.raises(ValueError):
             DimRequest(2, 4, TYPE_I, "iwahori")
+
+    def test_q_not_a_prime_power(self):
+        for q in (6, 10, 12):
+            with pytest.raises(NotPrime):
+                DimRequest(q, 4, TYPE_I)
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):

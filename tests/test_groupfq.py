@@ -22,12 +22,6 @@ class TestSimilitude:
             j = gq.j_matrix(field_for_q(q))
             assert gq.similitude(j) == field_for_q(q).one
 
-    def test_weyl_reps_are_symplectic(self):
-        for q in (2, 3, 5):
-            spec = field_for_q(q)
-            for w in gq.weyl_reps(spec):
-                assert gq.similitude(w) == spec.one
-
     def test_root_elements_are_symplectic(self):
         for q in (2, 3, 4, 5):
             spec = field_for_q(q)
@@ -63,9 +57,7 @@ class TestSimilitude:
                 assert (g * g.inverse()).mat == ident
                 assert g.mat.det() == g.mu * g.mu
                 assert (g * h).mu == g.mu * h.mu
-                assert gq.group_inv(gq.group_mul(g, h)).mat == (
-                    h.inverse() * g.inverse()
-                ).mat
+                assert (g * h).inverse().mat == (h.inverse() * g.inverse()).mat
 
 
 # -- a plain FqElem reference for the similitude test and the group law ------
@@ -367,28 +359,9 @@ class TestFullGroup:
         assert g.order == 103680 == gq.gsp4_order(3)
 
     def test_materialize_refused_above_3(self):
-        with pytest.raises(GroupTooLarge):
-            gq.enumerate_gsp4(4)
-        with pytest.raises(GroupTooLarge):
-            gq.enumerate_gsp4(7, stream=True)
-
-    def test_stream_q2_exact(self):
-        """Bruhat streaming yields every element of GSp(4,2) exactly once."""
-        seen = [g.key() for g in gq.enumerate_gsp4(2, stream=True)]
-        assert len(seen) == 720
-        closure = gq.enumerate_gsp4(2)
-        assert set(seen) == set(g.key() for g in closure.elements)
-
-    def test_stream_q3_count(self):
-        assert sum(1 for _ in gq.enumerate_gsp4(3, stream=True)) == gq.gsp4_order(3)
-
-    def test_stream_q4_prefix(self):
-        """q=4 streaming: available, valid, and duplicate-free on a prefix."""
-        seen = set()
-        for g in itertools.islice(gq.enumerate_gsp4(4, stream=True), 2000):
-            assert gq.similitude(g.mat) == g.mu
-            seen.add(g.key())
-        assert len(seen) == 2000
+        for q in (4, 5):
+            with pytest.raises(GroupTooLarge, match="cannot be materialized$"):
+                gq.enumerate_gsp4(q)
 
 
 class TestConjugacyClasses:

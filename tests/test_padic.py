@@ -1,436 +1,254 @@
-"""Truncated p-adic arithmetic, representative matrices, conjugate-and-reduce,
-and the sampled R_g oracle."""
+"""Residue arithmetic, the Kl(n) sampler, conjugate-and-reduce against an
+exact rational conjugation, and the sampled R_g oracle."""
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from klingen.cosets import Diagonal, Skew, X, Y, Z
-from klingen.errors import (
-    NonConvergence,
-    PrecisionExhausted,
-    PrecisionInsufficient,
-    PrecisionTooLow,
-)
-from klingen.ffield import field_for_q
-from klingen.groupfq import Mat4, gsp_elem, named_subgroup
+from klingen.errors import NonConvergence, PrecisionTooLow
+from klingen.groupfq import Mat4, named_subgroup
 from klingen.padic import (
     KlingenSampler,
-    PadicMat,
-    TruncAdic,
     _reduce_fast,
     _ResMat,
+    _s_pair,
     _torus_exponents,
-    build_rep,
-    build_rep_inverse,
-    conjugate_reduce,
     estimate_Rg,
-    padic_inverse,
     ring_for_q,
-    trunc_arith,
 )
 
 Z2 = ring_for_q(2)
 Z3 = ring_for_q(3)
-W4 = ring_for_q(4)  # ramification-free quadratic extension residues
 
 
-def s_mat(ring, ex, ey, ez, prec):
-    """The lower unipotent S(x, y, z) with TruncAdic entries."""
-    one = TruncAdic.exact(ring, 0, 1, prec)
-    zero = TruncAdic.zero(ring, prec)
-    return PadicMat.from_rows(
-        ring,
-        [
-            [one, zero, zero, zero],
-            [ex, one, zero, zero],
-            [ey, zero, one, zero],
-            [ez, ey, -ex, one],
-        ],
-        prec,
-    )
+def _s_rows(x, y, z):
+    """Rows of the lower unipotent S(x, y, z)."""
+    return [[1, 0, 0, 0], [x, 1, 0, 0], [y, 0, 1, 0], [z, y, -x, 1]]
 
 
-def t_mat(ring, i, j, prec):
-    """The torus representative diag(p^{2i+j}, p^{i+j}, p^i, 1)."""
-    one = TruncAdic.exact(ring, 0, 1, prec)
-    zero = TruncAdic.zero(ring, prec)
-    return PadicMat.from_rows(
-        ring,
-        [
-            [TruncAdic.exact(ring, 2 * i + j, 1, prec), zero, zero, zero],
-            [zero, TruncAdic.exact(ring, i + j, 1, prec), zero, zero],
-            [zero, zero, TruncAdic.exact(ring, i, 1, prec), zero],
-            [zero, zero, zero, one],
-        ],
-        prec,
-    )
+def _conjugation(rep, n, q):
+    """(ring, exps, S, S^{-1}, m) for rep at level n, set up the way
+    estimate_Rg sets them up; m is the working precision n + spread + 2."""
+    ring = ring_for_q(q)
+    exps = _torus_exponents(rep)
+    m = n + max(exps) - min(exps) + 2
+    s_res, sinv_res = _s_pair(ring, rep, m)
+    return ring, exps, s_res, sinv_res, m
 
 
-def entries_agree(a: TruncAdic, b: TruncAdic) -> bool:
-    """Equality of two truncated elements up to the shared precision."""
-    cap = min(a.abs_prec, b.abs_prec)
-    diff = a - b
-    return diff.val is None or diff.val >= cap
+def _reducer(rep, n, q):
+    """m and h -> _reduce_fast(h) for rep at level n."""
+    ring, exps, s_res, sinv_res, m = _conjugation(rep, n, q)
+    return m, lambda h: _reduce_fast(ring, exps, s_res, sinv_res, h, m)
 
 
-def mats_agree(m1: PadicMat, m2: PadicMat) -> bool:
-    return all(
-        entries_agree(m1.entry(r, c), m2.entry(r, c))
-        for r in range(4)
-        for c in range(4)
-    )
+# -- an exact rational conjugation: the oracle _reduce_fast is held to --------
+
+def _fmul(a, b):
+    return [[sum(a[r][k] * b[k][c] for k in range(4)) for c in range(4)]
+            for r in range(4)]
 
 
-class TestTruncAdic:
-    def test_mul_adds_valuations(self):
-        a = TruncAdic.exact(Z2, 2, 3, prec=6)
-        b = TruncAdic.exact(Z2, -3, 5, prec=6)
-        c = trunc_arith(a, b, "mul")
-        assert c.val == -1
-        assert c.unit == 15
-
-    def test_add_cancels_to_zero_flag(self):
-        x = TruncAdic.exact(Z2, 1, 7, prec=5)
-        s = trunc_arith(x, -x, "add")
-        assert s.is_zero_flag
-        assert s.prec == x.abs_prec  # all we know: val >= 6
-
-    def test_add_loses_one_digit_on_cancellation(self):
-        # (1 + p) + (-1) at prec 4: leading digits cancel, one digit lost
-        one_plus = TruncAdic.from_residue(Z2, (1 + 2) % 16, 4)
-        minus_one = TruncAdic.from_residue(Z2, 15, 4)  # -1 mod 2^4
-        s = one_plus + minus_one
-        assert s.val == 1
-        assert s.prec == 3
-
-    def test_inverse(self):
-        a = TruncAdic.exact(Z2, 0, 13, prec=6)
-        inv = trunc_arith(a, None, "inv")
-        assert (a * inv).residue_mod_p() == Z2.spec.one
-        assert Z2.mul(a.unit, inv.unit, 6) == 1  # 13 * inv == 1 mod 64
-
-    def test_inverse_of_zero_flag_exhausts_precision(self):
-        with pytest.raises(PrecisionExhausted):
-            TruncAdic.zero(Z2, 8).inverse()
-
-    def test_bad_op_name(self):
-        a = TruncAdic.exact(Z2, 0, 1, prec=2)
-        with pytest.raises(ValueError):
-            trunc_arith(a, a, "sub")
-
-    def test_extension_field_unit_inverse(self):
-        # F_4 residues: a generator times its inverse is 1
-        a = TruncAdic.from_residue(W4, (2, 1), 5)
-        assert (a * a.inverse()).residue_mod_p() == W4.spec.one
-
-    def test_integrality_three_valued(self):
-        assert TruncAdic.exact(Z2, 0, 1, prec=3).is_integral() is True
-        assert TruncAdic.exact(Z2, -2, 1, prec=3).is_integral() is False
-        assert TruncAdic.zero(Z2, 4).is_integral() is True
-        assert TruncAdic(Z2, None, None, -1).is_integral() is None
-
-    def test_residue_mod_p_guards(self):
-        assert TruncAdic.exact(Z2, 1, 1, prec=3).residue_mod_p() == Z2.spec.zero
-        with pytest.raises(ValueError):
-            TruncAdic.exact(Z2, -1, 1, prec=3).residue_mod_p()
-        with pytest.raises(PrecisionInsufficient):
-            TruncAdic(Z2, None, None, 0).residue_mod_p()
-
-    @given(
-        a=st.integers(min_value=-200, max_value=200),
-        b=st.integers(min_value=-200, max_value=200),
-        p=st.sampled_from([2, 3, 5]),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_matches_integer_arithmetic(self, a, b, p):
-        # integer sums/products reduce to the same residues mod p^d
-        ring = ring_for_q(p)
-        d = 6
-        ta = TruncAdic.from_residue(ring, a % p**d, d)
-        tb = TruncAdic.from_residue(ring, b % p**d, d)
-        for op, ref in (("add", a + b), ("mul", a * b)):
-            out = trunc_arith(ta, tb, op)
-            cap = out.abs_prec
-            if out.val is None:
-                assert ref % p**cap == 0
-            else:
-                lift = p**out.val * out.unit
-                assert (ref - lift) % p**cap == 0
-
-    @given(
-        x=st.integers(min_value=1, max_value=10**6),
-        p=st.sampled_from([2, 3, 5]),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_unit_inverse_roundtrip(self, x, p):
-        d = 7
-        u = x if x % p else x + 1
-        t = TruncAdic.from_residue(ring_for_q(p), u % p**d, d)
-        prod = t * t.inverse()
-        assert prod.val == 0
-        assert ring_for_q(p).normalize(prod.unit, prod.prec) == 1
+def _rep_factors(rep, p):
+    """t(i, j) and S(x, y, z) of a representative as Fraction matrices, read
+    off its fields: x, y, z are p^k on the perturbed position (Skew: p^k_x,
+    p^k_y, u p^k_z)."""
+    x = y = z = 0
+    if isinstance(rep, X):
+        x = p**rep.k
+    elif isinstance(rep, Y):
+        y = p**rep.k
+    elif isinstance(rep, Z):
+        z = p**rep.k
+    elif isinstance(rep, Skew):
+        x, y, z = p**rep.k_x, p**rep.k_y, rep.u * p**rep.k_z
+    exps = (2 * rep.i + rep.j, rep.i + rep.j, rep.i, 0)
+    t = [[Fraction(p) ** exps[r] if r == c else Fraction(0) for c in range(4)]
+         for r in range(4)]
+    t_inv = [[1 / t[r][c] if r == c else Fraction(0) for c in range(4)]
+             for r in range(4)]
+    s, s_inv = _s_rows(x, y, z), _s_rows(-x, -y, -z)
+    assert _fmul(s, s_inv) == [[int(r == c) for c in range(4)] for r in range(4)]
+    return t, s, s_inv, t_inv
 
 
-class TestBuildRep:
-    def test_diagonal_rep_is_torus_matrix(self):
-        g = build_rep(Diagonal(1, 0), 8)
-        want = [2, 1, 1, 0]
-        for r in range(4):
-            for c in range(4):
-                x = g.entry(r, c)
-                if r == c:
-                    assert x.val == want[r] and Z2.normalize(x.unit, 1) == 1
-                else:
-                    assert x.is_zero_flag
-
-    def test_x_rep_lower_entry(self):
-        # t(2,1) S(p,0,0): the (2,1) entry is p^{i+j} * p^k = p^4
-        g = build_rep(X(2, 1, 1), 10)
-        assert g.entry(1, 0).val == 4
-        assert g.entry(2, 0).is_zero_flag
-        e41, e42, e43 = g.entry(3, 0), g.entry(3, 1), g.entry(3, 2)
-        assert e41.is_zero_flag and e42.is_zero_flag
-        assert e43.val == 1  # -x = -p^1
-
-    def test_skew_rep_entries(self):
-        rep = Skew(1, 2, 3, 4, 1, 2)
-        g = build_rep(rep, 14)
-        # rows scale the S-entries by p^{i+j}, p^i, 1
-        assert g.entry(1, 0).val == (rep.i + rep.j) + rep.k_x
-        assert g.entry(2, 0).val == rep.i + rep.k_y
-        assert g.entry(3, 0).val == rep.k_z
-        assert g.entry(3, 1).val == rep.k_y  # y in the bottom row
-        assert g.entry(3, 2).val == rep.k_x  # -x
-
-    def test_precision_floor_enforced(self):
-        with pytest.raises(PrecisionTooLow):
-            build_rep(Diagonal(1, 0), 2)
-        with pytest.raises(PrecisionTooLow):
-            build_rep_inverse(Diagonal(1, 0), 2)
-
-    def test_wrong_residue_characteristic_rejected(self):
-        with pytest.raises(ValueError):
-            build_rep(Skew(1, 2, 3, 4, 1, 3), 14, q=2)
-
-    def test_inverse_really_inverts(self):
-        for rep in (Diagonal(-2, 5), X(2, 1, 1), Y(1, 3, 3), Z(2, 1, 4)):
-            g = build_rep(rep, 16)
-            gi = build_rep_inverse(rep, 16)
-            assert mats_agree(g * gi, PadicMat.identity(Z2, 16))
-            assert mats_agree(gi * g, PadicMat.identity(Z2, 16))
-
-    def test_adjugate_inverse_agrees(self):
-        for rep in (Diagonal(0, 1), X(2, 1, 1), Skew(1, 2, 3, 4, 1, 2)):
-            g = build_rep(rep, 16)
-            assert mats_agree(padic_inverse(g), build_rep_inverse(rep, 16))
-
-    def test_coset_constraint_identity(self):
-        # t(i,j) S(x,y,z) = S(p^{-i} x, 0, 0) * t(i,j) * S(0, y, z + x y)
-        for ring in (Z2, Z3):
-            prec = 14
-            i, j = 2, 1
-            x = TruncAdic.exact(ring, 1, 1, prec)
-            y = TruncAdic.exact(ring, 2, 1, prec)
-            z = TruncAdic.exact(ring, 0, 1, prec)
-            zero = TruncAdic.zero(ring, prec)
-            t = t_mat(ring, i, j, prec)
-            lhs = t * s_mat(ring, x, y, z, prec)
-            shift = TruncAdic.exact(ring, -i, 1, prec)
-            rhs = (
-                s_mat(ring, shift * x, zero, zero, prec)
-                * t
-                * s_mat(ring, zero, y, z + x * y, prec)
-            )
-            assert mats_agree(lhs, rhs)
-
-
-def _val_int(x: int, p: int) -> int:
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
+def _exact_reduction(factors, p, spec, h):
+    """t S H S^{-1} t^{-1} for the integer lift H of h, reduced mod p; None
+    when some entry is not p-integral.  Any lift gives the same answer at
+    the working precision n + spread + 2."""
+    t, s, s_inv, t_inv = factors
+    lift = [h.e[r:r + 4] for r in range(0, 16, 4)]
+    conj = _fmul(_fmul(t, _fmul(_fmul(s, lift), s_inv)), t_inv)
+    if any(x.denominator % p == 0 for row in conj for x in row):
+        return None
+    return Mat4.from_rows(spec, [[int(x) % p for x in row] for row in conj])
 
 
 class TestConjugateReduce:
     def test_torus_conjugation_formula(self):
         # g = t(i,j), h = S(p^n c1, p^n c2, p^n c3): the conjugate is
-        # S(p^{n-i} c1, p^{n-i-j} c2, p^{n-2i-j} c3) — checked entrywise,
-        # including the dependent (4,2) and (4,3) positions.
-        ring, n, i, j, prec = Z3, 4, 1, 2, 16
+        # S(p^{n-i} c1, p^{n-i-j} c2, p^{n-2i-j} c3).  Each S-entry reduces
+        # to its c at the level where its valuation reaches 0 (the dependent
+        # (4,2) and (4,3) positions included), and one level lower the
+        # conjugate is no longer integral.
+        rep, i, j = Diagonal(1, 2), 1, 2
         c1, c2, c3 = 1, 2, 1
-        h = s_mat(
-            ring,
-            TruncAdic.exact(ring, n, c1, prec),
-            TruncAdic.exact(ring, n, c2, prec),
-            TruncAdic.exact(ring, n, c3, prec),
-            prec,
-        )
-        g = build_rep(Diagonal(i, j), prec, q=3)
-        gi = build_rep_inverse(Diagonal(i, j), prec, q=3)
-        conj = (g * h) * gi
-        want = s_mat(
-            ring,
-            TruncAdic.exact(ring, n - i, c1, prec),
-            TruncAdic.exact(ring, n - i - j, c2, prec),
-            TruncAdic.exact(ring, n - 2 * i - j, c3, prec),
-            prec,
-        )
-        assert mats_agree(conj, want)
+        for n, cs in ((i, (c1, 0, 0)), (i + j, (0, c2, 0)), (2 * i + j, (0, 0, c3))):
+            for level, want in ((n, Mat4.from_rows(Z3.spec, _s_rows(*cs))), (n - 1, None)):
+                m, reduce = _reducer(rep, level, 3)
+                h = _ResMat.from_rows(Z3, m, _s_rows(*(3**level * c for c in cs)))
+                assert reduce(h) == want
 
     def test_conjugation_formula_with_x_part(self):
-        # g = t(i,j) S(p^k, 0, 0): the (4,1) entry of the conjugate becomes
-        # p^{n-2i-j} (c3 - 2 c2 p^k), odd residue characteristic
-        ring, n, i, j, k, prec = Z3, 5, 1, 1, 1, 16
-        c1, c2, c3 = 1, 1, 1
-        rep = X(i, j, k)
-        g = build_rep(rep, prec, q=3)
-        gi = build_rep_inverse(rep, prec, q=3)
-        h = s_mat(
-            ring,
-            TruncAdic.exact(ring, n, c1, prec),
-            TruncAdic.exact(ring, n, c2, prec),
-            TruncAdic.exact(ring, n, c3, prec),
-            prec,
-        )
-        conj = (g * h) * gi
-        e41 = conj.entry(3, 0)
-        coeff = c3 - 2 * c2 * 3**k
-        assert e41.val == n - 2 * i - j + _val_int(coeff, 3)
-        rem = conj.entry(3, 0).prec
-        assert (e41.unit - coeff // 3 ** _val_int(coeff, 3)) % 3 ** min(rem, 3) == 0
+        # g = t(i,j) S(p^k, 0, 0): the (4,1) entry of the conjugate is
+        # p^{n-2i-j} (c3 - 2 c2 p^k), odd residue characteristic.  At
+        # n = 2i + j - 1 with c3 = p it reduces to -1, where the torus part
+        # alone would give +1.
+        i, j, k, n = 1, 1, 1, 2
+        c1, c2, c3 = 1, 1, 3
+        m, reduce = _reducer(X(i, j, k), n, 3)
+        got = reduce(_ResMat.from_rows(Z3, m, _s_rows(3**n * c1, 3**n * c2, 3**n * c3)))
+        assert got is not None
+        assert got.entry(3, 0) == Z3.spec.scalar((c3 - 2 * c2 * 3**k) // 3)
 
     def test_identity_conjugation_reduces_h(self):
-        sampler = KlingenSampler(2, 2, 8, seed=5)
-        ident = PadicMat.identity(Z2, 8)
+        # t(0,0) = S(0,0,0) = 1: the reduction is h mod p
+        m, reduce = _reducer(Diagonal(0, 0), 2, 2)
+        sampler = KlingenSampler(2, 2, m, seed=5)
         for _ in range(10):
-            h = PadicMat.from_residues(sampler._sample_residues())
-            got = conjugate_reduce(ident, h, 2)
-            assert got is not None
-            want = [[h.entry(r, c).residue_mod_p() for c in range(4)] for r in range(4)]
-            assert got.mat == Mat4.from_rows(Z2.spec, want)
+            h = sampler._sample_residues()
+            assert reduce(h) == Mat4(Z2.spec, tuple(x % 2 for x in h.e))
 
     def test_deep_rep_rejects_shallow_h(self):
         # g = t(1,1), n = 2: h = S(p^2, p^2, p^2) has conjugate (4,1) entry
-        # of valuation n - 2i - j = -1, provably non-integral
-        prec = 8
-        g = build_rep(Diagonal(1, 1), prec)
-        gi = build_rep_inverse(Diagonal(1, 1), prec)
-        h = s_mat(
-            Z2,
-            TruncAdic.exact(Z2, 2, 1, prec),
-            TruncAdic.exact(Z2, 2, 1, prec),
-            TruncAdic.exact(Z2, 2, 1, prec),
-            prec,
-        )
-        assert conjugate_reduce(g, h, 2, gi) is None
+        # of valuation n - 2i - j = -1, not integral
+        m, reduce = _reducer(Diagonal(1, 1), 2, 2)
+        assert reduce(_ResMat.from_rows(Z2, m, _s_rows(4, 4, 4))) is None
 
     def test_half_of_samples_absent_at_t11(self):
         # same g: over many sampled h both outcomes occur
-        prec = 2 + 3 + 2
-        g = build_rep(Diagonal(1, 1), prec)
-        gi = build_rep_inverse(Diagonal(1, 1), prec)
-        sampler = KlingenSampler(2, 2, prec, seed=3)
+        m, reduce = _reducer(Diagonal(1, 1), 2, 2)
+        sampler = KlingenSampler(2, 2, m, seed=3)
         seen = {True: 0, False: 0}
         for _ in range(200):
-            h = PadicMat.from_residues(sampler._sample_residues())
-            seen[conjugate_reduce(g, h, 2, gi) is not None] += 1
+            seen[reduce(sampler._sample_residues()) is not None] += 1
         assert seen[True] > 0 and seen[False] > 0
-
-    def test_rejects_h_outside_level(self):
-        g = build_rep(Diagonal(0, 1), 8)
-        h = s_mat(
-            Z2,
-            TruncAdic.exact(Z2, 1, 1, 8),  # val 1 < n = 2
-            TruncAdic.zero(Z2, 8),
-            TruncAdic.zero(Z2, 8),
-            8,
-        )
-        with pytest.raises(ValueError):
-            conjugate_reduce(g, h, 2)
 
     def test_multiplicative_where_defined(self):
         # conj(g, h1 h2) == conj(g, h1) * conj(g, h2) whenever all defined
-        rep, n = Diagonal(0, 1), 2
-        m = n + 2 + 2
-        g = build_rep(rep, m)
-        gi = build_rep_inverse(rep, m)
+        n = 2
+        m, reduce = _reducer(Diagonal(0, 1), n, 2)
         sampler = KlingenSampler(2, n, m, seed=9)
         checked = 0
         for _ in range(250):
             h1 = sampler._sample_residues()
             h2 = sampler._sample_residues()
-            r1 = conjugate_reduce(g, PadicMat.from_residues(h1), n, gi)
-            r2 = conjugate_reduce(g, PadicMat.from_residues(h2), n, gi)
-            r12 = conjugate_reduce(g, PadicMat.from_residues(h1.mul(h2)), n, gi)
+            r1, r2, r12 = reduce(h1), reduce(h2), reduce(h1.mul(h2))
             if r1 is None or r2 is None or r12 is None:
                 continue
             checked += 1
-            assert r12.mat == r1.mat * r2.mat
+            assert r12 == r1 * r2
         assert checked > 5
 
     def test_fast_reduction_matches_reference(self):
-        # the residue-level reduction and the TruncAdic path agree sample
-        # by sample, including the absent verdicts
-        for rep, n in (
-            (Diagonal(-2, 5), 4),
-            (Diagonal(1, 1), 4),
-            (X(2, 1, 1), 5),
-            (Y(1, 3, 3), 6),
-            (Z(2, 1, 4), 6),
-        ):
-            exps = _torus_exponents(rep)
-            m = n + (max(exps) - min(exps)) + 2
-            g = build_rep(rep, m)
-            gi = build_rep_inverse(rep, m)
-            svals = _svals_as_ints(rep)
-            s_res = _ResMat.from_rows(
-                Z2,
-                m,
-                [
-                    [1, 0, 0, 0],
-                    [svals[0], 1, 0, 0],
-                    [svals[1], 0, 1, 0],
-                    [svals[2], svals[1], -svals[0], 1],
-                ],
-            )
-            sinv_res = _ResMat.from_rows(
-                Z2,
-                m,
-                [
-                    [1, 0, 0, 0],
-                    [-svals[0], 1, 0, 0],
-                    [-svals[1], 0, 1, 0],
-                    [-svals[2], -svals[1], svals[0], 1],
-                ],
-            )
-            sampler = KlingenSampler(2, n, m, seed=17)
-            for _ in range(40):
-                h = sampler._sample_residues()
-                fast = _reduce_fast(Z2, exps, s_res, sinv_res, h, m)
-                ref = conjugate_reduce(g, PadicMat.from_residues(h), n, gi)
-                if ref is None:
-                    assert fast is None
-                else:
-                    assert fast is not None and ref.mat == fast
+        # the residue-level reduction and the exact rational conjugation
+        # agree sample by sample, including the absent verdicts; uniform
+        # and layered draws both
+        cases = {
+            2: ((Diagonal(-2, 5), 4), (Diagonal(1, 1), 4), (X(2, 1, 1), 5),
+                (Y(1, 3, 3), 6), (Z(2, 1, 4), 6), (Diagonal(-3, 8), 6),
+                (Skew(4, 3, 5, 7, 1, 2), 9)),
+            3: ((Diagonal(-2, 5), 4), (Diagonal(1, 1), 4), (X(2, 1, 1), 5),
+                (Y(1, 3, 3), 6), (Z(2, 1, 4), 6), (Diagonal(-3, 8), 6),
+                (Skew(1, 2, 3, 4, 1, 3), 4)),
+        }
+        for q, reps in cases.items():
+            integral = absent = 0
+            for rep, n in reps:
+                ring, exps, s_res, sinv_res, m = _conjugation(rep, n, q)
+                factors = _rep_factors(rep, q)
+                depths = sorted({a - b for a in exps for b in exps if a > b})
+                for sampler in (KlingenSampler(q, n, m, seed=17),
+                                KlingenSampler(q, n, m, seed=17, depths=depths)):
+                    for _ in range(40):
+                        h = sampler._sample_residues()
+                        want = _exact_reduction(factors, q, ring.spec, h)
+                        assert _reduce_fast(ring, exps, s_res, sinv_res, h, m) == want
+                        integral += want is not None
+                        absent += want is None
+            assert integral >= 50 and absent >= 50, (q, integral, absent)
 
 
-def _svals_as_ints(rep, p=2):
-    from klingen.padic import _svals
+def _val(x, p, d):
+    """Valuation of a residue mod p^d (int or coefficient tuple); None for 0."""
+    vals = []
+    for c in (x,) if isinstance(x, int) else x:
+        c %= p**d
+        if c:
+            v = 0
+            while c % p == 0:
+                c //= p
+                v += 1
+            vals.append(v)
+    return min(vals, default=None)
 
-    out = []
-    for pair in _svals(rep)[2:]:
-        if pair is None:
-            out.append(0)
-        else:
-            v, u = pair
-            out.append(u * p**v)
-    return out
+
+class TestBuildRep:
+    """The representative's factors as estimate_Rg builds them: the torus
+    exponents of t(i, j) and S(x, y, z), S^{-1} as residue matrices."""
+
+    def test_diagonal_rep_is_torus_matrix(self):
+        # t(1,0) = diag(p^2, p, p, 1) with no unipotent part
+        assert _torus_exponents(Diagonal(1, 0)) == (2, 1, 1, 0)
+        for s in _s_pair(Z2, Diagonal(1, 0), 8):
+            assert s.e == [int(r == c) for r in range(4) for c in range(4)]
+
+    def test_x_rep_lower_entry(self):
+        # t(2,1) S(p,0,0): the (2,1) entry is p^{i+j} * p^k = p^4, the (4,3)
+        # entry is -x = -p and the other lower entries vanish
+        rep, m = X(2, 1, 1), 10
+        exps = _torus_exponents(rep)
+        s, _ = _s_pair(Z2, rep, m)
+        assert exps[1] + _val(s.e[4], 2, m) == 4
+        assert s.e[8] == s.e[12] == s.e[13] == 0
+        assert s.e[14] == -2 % 2**m
+
+    def test_skew_rep_entries(self):
+        # rows scale the S-entries by p^{i+j}, p^i, 1
+        rep, m = Skew(1, 2, 3, 4, 1, 2), 14
+        exps = _torus_exponents(rep)
+        s, _ = _s_pair(Z2, rep, m)
+        assert exps[1] + _val(s.e[4], 2, m) == (rep.i + rep.j) + rep.k_x
+        assert exps[2] + _val(s.e[8], 2, m) == rep.i + rep.k_y
+        assert exps[3] + _val(s.e[12], 2, m) == rep.k_z
+        assert _val(s.e[13], 2, m) == rep.k_y  # y in the bottom row
+        assert _val(s.e[14], 2, m) == rep.k_x  # -x
+
+    def test_precision_floor_enforced(self):
+        # fewer than two guard digits beyond n + spread are refused
+        with pytest.raises(PrecisionTooLow):
+            estimate_Rg(Diagonal(1, 0), 2, 2, slack=1)
+
+    def test_wrong_residue_characteristic_rejected(self):
+        # a p = 3 representative cannot be conjugated over o with p = 2
+        for q in (2, 4):
+            with pytest.raises(ValueError):
+                estimate_Rg(Skew(1, 2, 3, 4, 1, 3), 9, q)
+
+    def test_inverse_really_inverts(self):
+        for q, reps in ((2, (Diagonal(-2, 5), X(2, 1, 1), Y(1, 3, 3), Z(2, 1, 4),
+                             Skew(4, 3, 5, 7, 1, 2))),
+                        (3, (X(2, 1, 1), Skew(1, 2, 3, 4, 1, 3)))):
+            ident = [int(r == c) for r in range(4) for c in range(4)]
+            for rep in reps:
+                s, s_inv = _s_pair(ring_for_q(q), rep, 16)
+                assert s.mul(s_inv).e == s_inv.mul(s).e == ident
 
 
 class TestSampler:
@@ -441,7 +259,7 @@ class TestSampler:
         for _ in range(50):
             h = sampler._sample_residues()
             for r, c in level:
-                v = Z2.val(h.e[4 * r + c], m)
+                v = _val(h.e[4 * r + c], 2, m)
                 assert v is None or v >= n
 
     def test_samples_have_unit_similitude(self):
@@ -487,7 +305,7 @@ class TestSampler:
         for _ in range(50):
             h = sampler._sample_residues()
             for r, c in level:
-                v = Z2.val(h.e[4 * r + c], m)
+                v = _val(h.e[4 * r + c], 2, m)
                 assert v is None or v >= n
 
     def test_precision_floor(self):
@@ -581,6 +399,18 @@ class TestIntResidues:
         b = _ResMat(ring, d, [entry() for _ in range(16)])
         assert a.mul(b).e == _ring_product(ring, a, b)
 
+    @settings(max_examples=100, deadline=None)
+    @given(q=st.sampled_from([2, 3, 5, 4, 8, 9]), d=st.integers(1, 10),
+           seed=st.integers(0, 2**32 - 1))
+    def test_ring_inverse(self, q, d, seed):
+        # inv is a pow at f = 1 and a Newton lift from F_q at f > 1
+        ring = ring_for_q(q)
+        rng = random.Random(seed)
+        a = ring.random_unit(rng, d)
+        assert ring.mul(a, ring.inv(a, d), d) == ring.from_int(1, d)
+        with pytest.raises(ZeroDivisionError):
+            ring.inv(ring.from_int(ring.p, d), d)
+
     @pytest.mark.parametrize("q", [2, 3, 5])
     @pytest.mark.parametrize("depths", [None, (1, 3, 5), (0, 2), (40,)])
     def test_int_sampler_is_stream_identical(self, q, depths):
@@ -597,15 +427,8 @@ class TestIntResidues:
         (8, X(1, 1, 1), 3),
     ])
     def test_reduce_fast_matches_ring_reduction(self, q, rep, n):
-        ring = ring_for_q(q)
-        spec = ring.spec
-        exps = _torus_exponents(rep)
-        m = n + (max(exps) - min(exps)) + 2
-        x, y, z = _svals_as_ints(rep, ring.p)
-        s_res = _ResMat.from_rows(ring, m, [[1, 0, 0, 0], [x, 1, 0, 0],
-                                            [y, 0, 1, 0], [z, y, -x, 1]])
-        sinv_res = _ResMat.from_rows(ring, m, [[1, 0, 0, 0], [-x, 1, 0, 0],
-                                               [-y, 0, 1, 0], [-z, -y, x, 1]])
+        ring, exps, s_res, sinv_res, m = _conjugation(rep, n, q)
+        spec, p = ring.spec, ring.p
         depths = sorted({a - b for a in exps for b in exps if a > b})
         sampler = KlingenSampler(q, n, m, seed=5, depths=depths)
         integral = 0
@@ -615,14 +438,17 @@ class TestIntResidues:
             want = []
             for r in range(4):
                 for c in range(4):
-                    delta, v = exps[r] - exps[c], ring.val(b[4 * r + c], m)
+                    x = b[4 * r + c]
+                    delta, v = exps[r] - exps[c], _val(x, p, m)
                     if delta >= 1 or v is None:
                         want.append(spec.zero)
                     elif v < -delta:
                         want = None
                         break
                     else:
-                        want.append(ring.reduce_mod_p(ring.shift_down(b[4 * r + c], -delta)))
+                        step = p**-delta
+                        shifted = x // step if ring.f == 1 else tuple(y // step for y in x)
+                        want.append(ring.reduce_mod_p(shifted))
                 if want is None:
                     break
             got = _reduce_fast(ring, exps, s_res, sinv_res, h, m)

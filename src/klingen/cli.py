@@ -72,7 +72,7 @@ from .errors import (
     ValueNotPinned,
 )
 from .ffield import prime_power
-from .groupfq import named_subgroup
+from .groupfq import CLOSURE_BOUND, named_subgroup
 from .padic import estimate_Rg
 from .verify_lemmas import verify_char_lemmas
 
@@ -242,7 +242,7 @@ def build_parser() -> _Parser:
                    help="sample budget for the rg suite")
     v.add_argument("--precision-slack", type=_positive_int, default=2,
                    help="guard digits beyond the minimum precision (rg suite)")
-    v.add_argument("--closure-bound", type=_positive_int, default=10**6,
+    v.add_argument("--closure-bound", type=_positive_int, default=CLOSURE_BOUND,
                    help="cap on generated subgroup size (rg suite)")
     v.add_argument("--group-bound", type=_positive_int, default=10**5,
                    help="cap on whole-group enumeration size (chartab suite)")

@@ -29,13 +29,13 @@ from the (1,4) entry of t(g) J g,
 
     mu = g11 g44 + g21 g34 - g31 g24 - g41 g14,
 
-without the full check.  A numpy fast path runs closure over prime fields;
-the generic table path handles every field, and tests cross-check the two.
-The numpy path holds its products as int16 while a product entry, a sum of
-four products of entries below p, stays below 2^15 (4 (p - 1)^2 < 2^15,
-that is p <= 89), and as int32 above that (p <= ``ffield.FIELD_BOUND``).
-int16 is not for overflow's sake alone: it keeps the peak memory of the
-GSp(4, 3) closure about a fifth lower than int32 does.
+without the full check.  One numpy BFS serves every field: entries are
+split into base-p digit planes, multiplied plane by plane and folded back by
+the modulus (``_fq_matmul``).  Its arrays are int16 while a plane entry
+stays below 2^15: every extension field up to ``ffield.FIELD_BOUND``, and
+prime fields up to p = 89; larger primes take int32.  int16 is not for
+overflow's sake alone: it keeps the peak memory of the GSp(4, 3) closure
+about a fifth lower than int32 does.
 """
 
 from __future__ import annotations
@@ -333,9 +333,11 @@ def subgroup_closure(gens, bound: int = CLOSURE_BOUND, name=None) -> Subgroup:
     matrix is not a similitude or its mu is not the matrix's).  Products are
     trusted: every element gets its mu from the (1,4) entry of t(g) J g and
     is not checked again.  Raises ClosureTooLarge when more than ``bound``
-    elements appear.  Prime fields take a numpy fast path; extension fields
-    the generic table path.
+    elements appear.  Every field takes the same path: one ``_fq_matmul``
+    batch per BFS layer, and mu for all elements at once.
     """
+    import numpy as np
+
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
@@ -343,51 +345,13 @@ def subgroup_closure(gens, bound: int = CLOSURE_BOUND, name=None) -> Subgroup:
         if gsp_elem(g.mat).mu != g.mu:
             raise NotSimilitude(f"similitude factor {g.mu} does not match {g.mat}")
     spec = gens[0].spec
-    closure = _closure_numpy if spec.f == 1 else _closure_generic
-    elems = closure([g.mat for g in gens], spec, bound)
-    return make_subgroup(elems, generators=gens, name=name)
-
-
-def _mu_entry(e, add, mul, neg) -> int:
-    """Encoding of the (1,4) entry of t(g) J g for row-major entries e."""
-    plus = add[mul[e[0]][e[15]]][mul[e[4]][e[11]]]
-    minus = add[mul[e[8]][e[7]]][mul[e[12]][e[3]]]
-    return add[plus][neg[minus]]
-
-
-def _closure_generic(gen_mats, spec, bound) -> list:
-    """The closure as GSpElems, over any field."""
-    ident = Mat4.identity(spec)
-    known = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for m in frontier:
-            for g in gen_mats:
-                prod = m * g
-                if prod not in known:
-                    known.add(prod)
-                    new.append(prod)
-                    if len(known) > bound:
-                        raise ClosureTooLarge(f"closure exceeded {bound}")
-        frontier = new
-    add, mul, neg, _, _ = ffield.tables(spec)
-    elems = ffield.enumerate_field(spec)
-    return [GSpElem(m, elems[_mu_entry(m.e, add, mul, neg)]) for m in known]
-
-
-def _closure_numpy(gen_mats, spec, bound) -> list:
-    """The closure as GSpElems over a prime field: one numpy batch per BFS
-    layer, and mu for all elements at once."""
-    import numpy as np
-
-    p = spec.p
-    # a product entry is a sum of four products of entries below p
-    dtype = np.int16 if 4 * (p - 1) ** 2 < 2**15 else np.int32
-    gens = np.array([m.e for m in gen_mats], dtype=dtype).reshape(1, -1, 4, 4)
+    # a digit-plane entry is at most f sums of four digit products plus f - 1
+    # folded digit products
+    dtype = np.int16 if (5 * spec.f - 1) * (spec.p - 1) ** 2 < 2**15 else np.int32
+    gen_arr = np.array([g.mat.e for g in gens], dtype=dtype).reshape(1, -1, 4, 4)
 
     def row_keys(rows):
-        # entries are below p <= FIELD_BOUND, so a row packs into 16 uint16s
+        # entries are below q <= FIELD_BOUND, so a row packs into 16 uint16s
         return rows.astype(np.uint16).view(np.dtype((np.void, 32))).ravel()
 
     layer = np.eye(4, dtype=dtype).reshape(1, 16)
@@ -395,7 +359,7 @@ def _closure_numpy(gen_mats, spec, bound) -> list:
     layers = []
     while len(layer):
         layers.append(layer)
-        prods = ((layer.reshape(-1, 1, 4, 4) @ gens) % p).reshape(-1, 16)
+        prods = _fq_matmul(layer.reshape(-1, 1, 4, 4), gen_arr, spec).reshape(-1, 16)
         fresh = []
         for i, key in enumerate(row_keys(prods).tolist()):
             if key not in known:
@@ -407,15 +371,45 @@ def _closure_numpy(gen_mats, spec, bound) -> list:
     del known, prods, layer
     mats = np.concatenate(layers)
     del layers
-    mus = (
-        mats[:, 0] * mats[:, 15] + mats[:, 4] * mats[:, 11]
-        - mats[:, 8] * mats[:, 7] - mats[:, 12] * mats[:, 3]
-    ) % p
+    # mu is column 1 of g dotted with column 4 of J g
+    j = np.array(j_matrix(spec).e, dtype=dtype).reshape(4, 4)
+    jg4 = _fq_matmul(j, mats[:, 3::4, None], spec)
+    mus = _fq_matmul(mats[:, None, 0::4], jg4, spec).ravel()
     elems = ffield.enumerate_field(spec)
-    return [
-        GSpElem(Mat4(spec, tuple(e)), elems[mu])
-        for e, mu in zip(mats.tolist(), mus.tolist())
-    ]
+    return make_subgroup(
+        (GSpElem(Mat4(spec, tuple(e)), elems[mu])
+         for e, mu in zip(mats.tolist(), mus.tolist())),
+        generators=gens, name=name,
+    )
+
+
+def _fq_matmul(a, b, spec: FieldSpec):
+    """a @ b over F_q for arrays of element encodings (stacks of matrices,
+    broadcast as ``@`` broadcasts).
+
+    Both operands are split into their f base-p digit planes, the plane
+    products are summed unreduced into 2f - 1 planes, each top plane is
+    reduced mod p and folded down by the modulus, and the low f planes are
+    reduced mod p and recombined: at f = 1 a single ``@`` and ``% p``.
+    """
+    p, f = spec.p, spec.f
+    a, b = ([x // p**k % p for k in range(f)] if f > 1 else [x] for x in (a, b))
+    acc = [None] * (2 * f - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            xy = x @ y
+            acc[i + j] = xy if acc[i + j] is None else acc[i + j] + xy
+    # x^top = x^(top - f) (-c_0 - c_1 x - ... - c_{f-1} x^(f-1)), -c_k mod p
+    for top in range(2 * f - 2, f - 1, -1):
+        t = acc[top] % p
+        for k in range(f):
+            c = -spec.modulus[k] % p
+            if c:
+                acc[top - f + k] += c * t
+    enc = acc[0] % p
+    for k in range(1, f):
+        enc = enc + acc[k] % p * p**k
+    return enc
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,9 @@ _reduce_fast
 
 estimate_Rg
     regrowth of R_g = image of g Kl(n) g^{-1} \\cap K in GSp(4, F_q) as the
-    closure of the sampled reductions.  Convergence heuristic: three
-    consecutive batches that add no new subgroup elements.
+    closure of the sampled reductions that enlarge it, re-closed as each
+    arrives.  Convergence heuristic: three consecutive batches that add no
+    new subgroup elements.
 
 The working precision for conjugating Kl(n) elements by a representative
 is at least  d = n + spread + 2  (estimate_Rg adds ``slack`` >= 2 guard
@@ -54,7 +55,9 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .cosets import CosetRep, Diagonal, Skew, X, Y, Z
 from .errors import NonConvergence, PrecisionTooLow
 from .ffield import FieldSpec, FqElem, field_for_q
-from .groupfq import Mat4, Subgroup, gsp_elem, subgroup_closure
+from .groupfq import (
+    CLOSURE_BOUND, Mat4, Subgroup, gsp_elem, make_subgroup, subgroup_closure,
+)
 
 Residue = Union[int, Tuple[int, ...]]
 
@@ -491,12 +494,13 @@ def _reduce_fast(
 
 def estimate_Rg(
     rep: CosetRep, n: int, q: int, budget: int = 500, seed: int = 0,
-    slack: int = 2, closure_bound: int = 10**6,
+    slack: int = 2, closure_bound: int = CLOSURE_BOUND,
 ) -> Subgroup:
     """Sampled reconstruction of R_g for a support representative.
 
-    Draws Kl(n) elements, keeps the reductions of those whose conjugate is
-    integral, and returns the subgroup they generate.  The result is always
+    Draws Kl(n) elements, reduces those whose conjugate is integral, and
+    returns the subgroup the reductions generate; its generators are the
+    reductions that enlarged it, in order.  The result is always
     contained in the true R_g; convergence is declared after three
     consecutive batches that add no new subgroup elements, and spending the
     whole budget without that raises NonConvergence.
@@ -523,9 +527,8 @@ def estimate_Rg(
         {ea - eb for ea in exps for eb in exps if ea > eb}
     )
     sampler = KlingenSampler(q, n, m, seed, depths=depths)
-    ident = gsp_elem(Mat4.identity(spec))
-    collected = {ident.mat.e: ident}
-    current = subgroup_closure([ident], bound=closure_bound)
+    gens = []
+    current = make_subgroup([gsp_elem(Mat4.identity(spec))])
     batch = max(1, budget // 10)
     used = 0
     stable = 0
@@ -535,14 +538,11 @@ def estimate_Rg(
             h = sampler._sample_residues()
             used += 1
             mat = _reduce_fast(ring, exps, s_res, sinv_res, h, m)
-            if mat is None:
-                continue
-            if mat.e not in collected:
-                collected[mat.e] = gsp_elem(mat)
-            if mat not in current:
+            if mat is not None and mat not in current:
+                gens.append(gsp_elem(mat))
+                current = subgroup_closure(gens, bound=closure_bound)
                 fresh = True
         if fresh:
-            current = subgroup_closure(list(collected.values()), bound=closure_bound)
             stable = 0
         else:
             stable += 1

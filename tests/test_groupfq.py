@@ -249,13 +249,46 @@ class TestNamedSubgroups:
             assert u.order == q**4
 
 
+def _ref_closure(gens):
+    """(matrix encodings, mu encoding) of every element of the group that the
+    GSpElems ``gens`` generate: a BFS from the identity over FqElem rows.
+    Each generator's mu comes from the full t(g) J g, and a product's mu is
+    the product of its factors' mus."""
+    spec = gens[0].spec
+    gen_rows = [_ref_rows(g.mat) for g in gens]
+    gen_pairs = [(rows, _ref_similitude(rows)) for rows in gen_rows]
+    ident = [[spec.one if r == c else spec.zero for c in range(4)] for r in range(4)]
+
+    def key(rows):
+        return tuple(x.encoding() for row in rows for x in row)
+
+    known = {key(ident): spec.one}
+    frontier = [(ident, spec.one)]
+    while frontier:
+        new = []
+        for rows, mu in frontier:
+            for g, g_mu in gen_pairs:
+                prod = _ref_product(rows, g)
+                k = key(prod)
+                if k not in known:
+                    known[k] = mu * g_mu
+                    new.append((prod, known[k]))
+        frontier = new
+    return {(k, mu.encoding()) for k, mu in known.items()}
+
+
+def _pairs(sub):
+    return {(g.mat.e, g.mu.encoding()) for g in sub.elements}
+
+
 class TestClosure:
     def test_numpy_and_generic_paths_agree(self):
+        """The numpy closure against the FqElem reference BFS."""
         gens = gq.gsp4_generators(field_for_q(2))
-        fast = gq._closure_numpy([g.mat for g in gens], field_for_q(2), 10**6)
-        slow = gq._closure_generic([g.mat for g in gens], field_for_q(2), 10**6)
-        assert set(fast) == set(slow)
-        assert len(fast) == 720
+        sub = gq.subgroup_closure(gens)
+        ref = _ref_closure(gens)
+        assert _pairs(sub) == ref
+        assert sub.order == len(ref) == 720
 
     def test_closure_bound(self):
         from klingen.errors import ClosureTooLarge
@@ -270,30 +303,36 @@ class TestClosure:
             assert gq.subgroup_closure(sg.elements).same_elements(sg)
 
 
-    @pytest.mark.parametrize("p", [89, 97, 509])
-    def test_dtype_boundary(self, p):
-        """Both paths agree on either side of the int16 product bound
-        4 (p - 1)^2 < 2^15 (p = 89 is the last prime under it).  Each set is
-        closed alone: a root element of order p, a torus element of order
-        p - 1, and a +-1 similitude whose square has entry (4,4) summing
-        four products (p - 1)^2, the largest a product entry can reach."""
-        spec = field_for_q(p)
+    @pytest.mark.parametrize("q", [89, 97, 509, 8, 25, 27, 256])
+    def test_dtype_boundary(self, q):
+        """The closure against the FqElem reference BFS on either side of the
+        int16 product bound 4 (p - 1)^2 < 2^15 (p = 89 is the last prime
+        under it), and over extension fields whose moduli have several
+        nonzero coefficients (q = 8, 27, 256), a coefficient 2 (q = 25, 27)
+        and degree 8 (q = 256).  Each set is closed alone: a root element of
+        order p, a torus element of order q - 1, whose powers run through
+        every unit, and in odd characteristic a +-1 similitude whose square
+        has entry (4,4) summing four products (p - 1)^2, the largest a
+        product entry can reach at f = 1."""
+        spec = field_for_q(q)
         c = gq._primitive_unit(spec)
-        minus = spec.from_encoding(p - 1)
-        dense = gq.Mat4.from_rows(spec, [[1, 1, -1, -1], [1, -1, 1, -1],
-                                         [-1, 1, 1, -1], [-1, -1, -1, -1]])
-        assert [dense.entry(3, c_) for c_ in range(4)] == [minus] * 4
-        assert [dense.entry(r, 3) for r in range(4)] == [minus] * 4
-        for gen, order in ((gq.pos_root_elem(spec, 3, spec.one), p),
-                           (gq.Mat4.diag(spec, c, c, 1, 1), p - 1),
-                           (dense, None)):
-            mats = [gq.gsp_elem(gen).mat]
-            fast = gq._closure_numpy(mats, spec, 10**6)
-            slow = gq._closure_generic(mats, spec, 10**6)
-            assert {(g.mat, g.mu) for g in fast} == {(g.mat, g.mu) for g in slow}
-            assert len(fast) == len(slow)
+        cases = [(gq.pos_root_elem(spec, 3, spec.one), spec.p),
+                 (gq.Mat4.diag(spec, c, c, 1, 1), q - 1)]
+        if spec.p > 2:
+            minus = spec.from_encoding(spec.p - 1)
+            dense = gq.Mat4.from_rows(spec, [[1, 1, -1, -1], [1, -1, 1, -1],
+                                             [-1, 1, 1, -1], [-1, -1, -1, -1]])
+            assert [dense.entry(3, c_) for c_ in range(4)] == [minus] * 4
+            assert [dense.entry(r, 3) for r in range(4)] == [minus] * 4
+            cases.append((dense, None))
+        for gen, order in cases:
+            gens = [gq.gsp_elem(gen)]
+            sub = gq.subgroup_closure(gens)
+            ref = _ref_closure(gens)
+            assert _pairs(sub) == ref
+            assert sub.order == len(ref)
             if order:
-                assert len(fast) == order
+                assert sub.order == order
 
 
 class TestTrustedClosure:
@@ -312,7 +351,7 @@ class TestTrustedClosure:
 
     @pytest.mark.parametrize("q", [4, 9])
     @pytest.mark.parametrize("root", [2, 3])
-    def test_generic_path(self, q, root):
+    def test_extension_field(self, q, root):
         """A torus element with the +/- root groups of a1+a2 (entries 31
         and 24 both nonzero) or of 2a1+a2 (entries 41 and 14)."""
         spec = field_for_q(q)

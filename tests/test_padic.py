@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from klingen.cosets import Diagonal, Skew, X, Y, Z
+from klingen.cosets import Diagonal, Skew, X, Y, Z, enumerate_small_reps
 from klingen.errors import NonConvergence, PrecisionTooLow
-from klingen.groupfq import Mat4, named_subgroup
+from klingen.groupfq import Mat4, named_subgroup, subgroup_closure
 from klingen.padic import (
     KlingenSampler,
     _reduce_fast,
@@ -359,6 +359,21 @@ class TestEstimateRg:
             estimate_Rg(Diagonal(0, 1), 2, 2, budget=2, seed=0)
         with pytest.raises(ValueError):
             estimate_Rg(Diagonal(0, 1), 2, 2, budget=0, seed=0)
+
+    @pytest.mark.parametrize("q,n_max", [(2, 4), (4, 3)])
+    def test_generators_each_enlarge(self, q, n_max):
+        """The generators are the samples that enlarged the group: each lies
+        outside the closure of those before it (the first outside the
+        trivial group), and together they generate the result."""
+        for n in range(2, n_max + 1):
+            for rep in enumerate_small_reps(n):
+                est = estimate_Rg(rep, n, q, budget=500, seed=0)
+                gens = est.generators
+                assert gens, (rep, n)
+                assert gens[0].mat != Mat4.identity(gens[0].spec)
+                for i in range(1, len(gens)):
+                    assert gens[i] not in subgroup_closure(gens[:i]), (rep, n, i)
+                assert subgroup_closure(gens).same_elements(est)
 
     def test_odd_characteristic_containment(self):
         est = estimate_Rg(Diagonal(1, 1), 4, 3, budget=400, seed=11)

@@ -34,9 +34,8 @@ fully independent oracle at q = 2.
 
 Classification computes on element encodings through ``ffield.tables``:
 one elimination (``_rref``), one h - lam*I helper, the characteristic
-polynomial from principal minors and roots by deflation.  ``char_poly``,
-``rational_roots``, ``mat_rank``, ``mat_kernel`` and ``bilinear`` are their
-public forms on FqElem values.
+polynomial from principal minors and roots by deflation.  ``char_poly``
+and ``rational_roots`` are their public forms on FqElem values.
 """
 
 from __future__ import annotations
@@ -258,23 +257,6 @@ def _roots(coeffs, t) -> tuple:
 
 def _encode(xs) -> list:
     return [x.encoding() for x in xs]
-
-
-def bilinear(u: tuple, v: tuple) -> FqElem:
-    """The symplectic form B(u,v) = u1 v4 + u2 v3 - u3 v2 - u4 v1."""
-    spec = u[0].spec
-    return spec.from_encoding(_bilinear(_encode(u), _encode(v), ffield.tables(spec)))
-
-
-def mat_rank(m: Mat4) -> int:
-    return len(_rref(_rows(m.e), ffield.tables(m.spec))[1])
-
-
-def mat_kernel(m: Mat4) -> list:
-    """Basis of ker(m) as FqElem 4-tuples."""
-    elems = ffield.enumerate_field(m.spec)
-    basis = _kernel(_rows(m.e), ffield.tables(m.spec))
-    return [tuple(elems[x] for x in v) for v in basis]
 
 
 def char_poly(m: Mat4) -> tuple:
@@ -687,7 +669,4 @@ __all__ = [
     "dim_fixed_family",
     "dixon_table",
     "CharacterTable",
-    "mat_rank",
-    "mat_kernel",
-    "bilinear",
 ]

@@ -29,7 +29,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chartab import dim_fixed_family, family_from_name
@@ -72,7 +71,7 @@ from .errors import (
     ValueNotPinned,
 )
 from .ffield import prime_power
-from .groupfq import CLOSURE_BOUND, named_subgroup
+from .groupfq import CLOSURE_BOUND, gsp4_order, named_subgroup
 from .padic import estimate_Rg
 from .verify_lemmas import verify_char_lemmas
 
@@ -135,17 +134,6 @@ def _printable(qs: Sequence[int], ns: Sequence[int]) -> None:
                     f"q={q} n={n}: q^floor((n-2)/4) has more than "
                     f"{DIGITS_BOUND} decimal digits, too many to print"
                 )
-
-
-@dataclass(frozen=True)
-class Config:
-    """Run-wide knobs shared by every subcommand."""
-
-    output: str = "plain"
-
-    def __post_init__(self):
-        if self.output not in FORMATS:
-            raise UsageError(f"--output must be one of {', '.join(FORMATS)}")
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +246,6 @@ def build_parser() -> _Parser:
     return p
 
 
-def _config_from(args: argparse.Namespace) -> Config:
-    return Config(output=args.output)
-
-
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------
@@ -304,13 +288,13 @@ def _emit_plain(headers: Sequence[str], rows: Sequence[Sequence],
     return "\n".join(lines) + "\n"
 
 
-def _render(cfg: Config, payload: Dict, headers: Sequence[str],
+def _render(output: str, payload: Dict, headers: Sequence[str],
             rows: Sequence[Sequence], notes: Sequence[str]) -> str:
-    if cfg.output == "json":
+    if output == "json":
         return _emit_json(payload)
-    if cfg.output == "csv":
+    if output == "csv":
         return _emit_csv(headers, rows)
-    if cfg.output == "markdown":
+    if output == "markdown":
         return _emit_markdown(headers, rows, notes)
     return _emit_plain(headers, rows, notes)
 
@@ -319,7 +303,7 @@ def _render(cfg: Config, payload: Dict, headers: Sequence[str],
 # dim
 # ---------------------------------------------------------------------------
 
-def cmd_dim(args: argparse.Namespace, cfg: Config, out) -> int:
+def cmd_dim(args: argparse.Namespace, out) -> int:
     _prime_powers([args.q])
     _printable([args.q], [args.n])
     try:
@@ -352,7 +336,7 @@ def cmd_dim(args: argparse.Namespace, cfg: Config, out) -> int:
         f"formula {report.formula_value}",
         f"agree {'true' if report.agree else 'false'}",
     ]
-    out.write(_render(cfg, payload, headers, rows, notes))
+    out.write(_render(args.output, payload, headers, rows, notes))
     return EXIT_OK if report.agree else EXIT_DISAGREE
 
 
@@ -360,7 +344,7 @@ def cmd_dim(args: argparse.Namespace, cfg: Config, out) -> int:
 # enumerate
 # ---------------------------------------------------------------------------
 
-def cmd_enumerate(args: argparse.Namespace, cfg: Config, out) -> int:
+def cmd_enumerate(args: argparse.Namespace, out) -> int:
     if args.n < 0:
         raise UsageError(f"--n must be >= 0, got {args.n}")
     _prime_powers([args.q])
@@ -398,7 +382,7 @@ def cmd_enumerate(args: argparse.Namespace, cfg: Config, out) -> int:
     headers = ("family", "count", "dim_typeI", "dim_typeII",
                "subtotal_typeI", "subtotal_typeII")
     rows = [[r[h] for h in headers] for r in rows_out]
-    out.write(_render(cfg, payload, headers, rows, notes))
+    out.write(_render(args.output, payload, headers, rows, notes))
     return EXIT_OK
 
 
@@ -406,17 +390,23 @@ def cmd_enumerate(args: argparse.Namespace, cfg: Config, out) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _suite_counts(qs: List[int], n_max: int) -> Tuple[int, List[Dict]]:
-    checks = 0
-    failures: List[Dict] = []
+class _Checks:
+    """Records checks: calling it with (name, expected, actual) counts one
+    check and keeps it as a failure if the two values differ."""
 
-    def check(name, expected, actual):
-        nonlocal checks
-        checks += 1
+    def __init__(self):
+        self.count = 0
+        self.failures: List[Dict] = []
+
+    def __call__(self, name, expected, actual):
+        self.count += 1
         if expected != actual:
-            failures.append({"name": name, "expected": str(expected),
-                             "actual": str(actual)})
+            self.failures.append({"name": name, "expected": str(expected),
+                                  "actual": str(actual)})
 
+
+def _suite_counts(qs: List[int], n_max: int) -> Tuple[int, List[Dict]]:
+    check = _Checks()
     for q in qs:
         for n in range(1, n_max + 1):
             for row in range(1, 8):
@@ -428,7 +418,7 @@ def _suite_counts(qs: List[int], n_max: int) -> Tuple[int, List[Dict]]:
         if n_max >= 8:
             check(f"q={q} zEQxy_unit witness n=8",
                   q - 2, skew_closed_count("zEQxy_unit", 8, q))
-    return checks, failures
+    return check.count, check.failures
 
 
 def _suite_rg(qs: List[int], n_max: int, budget: int, seed: int,
@@ -462,7 +452,7 @@ def _suite_rg(qs: List[int], n_max: int, budget: int, seed: int,
 
 def _suite_chartab(group_bound: int) -> Tuple[int, List[Dict]]:
     q = 2
-    order = q**4 * (q**2 - 1) * (q**4 - 1) * (q - 1)
+    order = gsp4_order(q)
     if order > group_bound:
         raise ResourceBound(
             f"|GSp(4,{q})| = {order} exceeds --group-bound {group_bound}"
@@ -476,16 +466,7 @@ def _suite_chartab(group_bound: int) -> Tuple[int, List[Dict]]:
 
 
 def _suite_theorem(qs: List[int], n_max: int) -> Tuple[int, List[Dict]]:
-    checks = 0
-    failures: List[Dict] = []
-
-    def check(name, expected, actual):
-        nonlocal checks
-        checks += 1
-        if expected != actual:
-            failures.append({"name": name, "expected": str(expected),
-                             "actual": str(actual)})
-
+    check = _Checks()
     type_i = family_from_name("typeI")
     type_ii = family_from_name("typeII")
     nongen = family_from_name("nongeneric")
@@ -495,10 +476,8 @@ def _suite_theorem(qs: List[int], n_max: int) -> Tuple[int, List[Dict]]:
                 r1 = dim_klingen(DimRequest(q, n, type_i), mode="both")
                 r2 = dim_klingen(DimRequest(q, n, type_ii), mode="both")
             except DisagreementError as exc:
-                checks += 1
-                failures.append({"name": f"q={q} n={n} route agreement",
-                                 "expected": str(exc.formula_value),
-                                 "actual": str(exc.sum_value)})
+                check(f"q={q} n={n} route agreement",
+                      exc.formula_value, exc.sum_value)
                 continue
             check(f"q={q} n={n} typeI agree", True, r1.agree)
             check(f"q={q} n={n} typeII agree", True, r2.agree)
@@ -512,10 +491,10 @@ def _suite_theorem(qs: List[int], n_max: int) -> Tuple[int, List[Dict]]:
                   ).total)
             if q in (2, 3) and n >= 1:
                 check(f"q={q} n={n} corollary", r1.total, corollary_value(q, n))
-    return checks, failures
+    return check.count, check.failures
 
 
-def cmd_verify(args: argparse.Namespace, cfg: Config, out) -> int:
+def cmd_verify(args: argparse.Namespace, out) -> int:
     chosen = (args.suite,) if args.suite != "all" else (
         "chartab", "counts", "rg", "theorem"
     )
@@ -573,7 +552,7 @@ def cmd_verify(args: argparse.Namespace, cfg: Config, out) -> int:
                 f"expected {f['expected']}, got {f['actual']}"
             )
     notes.append("pass" if all_pass else "fail")
-    out.write(_render(cfg, payload, headers, rows, notes))
+    out.write(_render(args.output, payload, headers, rows, notes))
     return EXIT_OK if all_pass else EXIT_DISAGREE
 
 
@@ -581,7 +560,7 @@ def cmd_verify(args: argparse.Namespace, cfg: Config, out) -> int:
 # table
 # ---------------------------------------------------------------------------
 
-def cmd_table(args: argparse.Namespace, cfg: Config, out) -> int:
+def cmd_table(args: argparse.Namespace, out) -> int:
     q_list = _prime_powers(parse_int_list(args.q, "--q"))
     n_list = parse_int_list(args.n, "--n")
     _printable(q_list, n_list)
@@ -608,7 +587,7 @@ def cmd_table(args: argparse.Namespace, cfg: Config, out) -> int:
     }
     headers = ["n"] + [f"q={q}" for q in q_list]
     rows = [[n] + grid[k] for k, n in enumerate(n_list)]
-    out.write(_render(cfg, payload, headers, rows, []))
+    out.write(_render(args.output, payload, headers, rows, []))
     return EXIT_OK
 
 
@@ -630,8 +609,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None, err=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _config_from(args)
-        return _COMMANDS[args.command](args, cfg, out)
+        return _COMMANDS[args.command](args, out)
     except UsageError as exc:
         err.write(f"usage error: {exc}\n")
         return EXIT_USAGE

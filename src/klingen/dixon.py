@@ -5,7 +5,8 @@ looks at the pinned value tables.  The method is the classical one of
 Dixon and Schneider:
 
   1. compute the conjugacy classes and the class-multiplication
-     coefficients a_{ij}^k = #{(x,y) in C_i x C_j : xy = z_k};
+     coefficients a_{ij}^k = #{(x,y) in C_i x C_j : xy = z_k}: the w = x^{-1}
+     in C_{i*} with w z_k in C_j, one array product per class;
   2. the vectors omega = (omega_k) of central-character values are the
      common eigenvectors of the matrices (M_i)_{j,k} = a_{ij}^k; find them
      modulo a prime ell = 1 (mod exp G) with ell > 2 sqrt(|G|), where all
@@ -29,7 +30,9 @@ from functools import lru_cache
 from typing import Dict, List
 
 from .errors import DixonBoundExceeded, MismatchReport, NonIntegralResult
-from .groupfq import GSpElem, Mat4, Subgroup, conjugacy_classes, gsp_elem
+from .ffield import _is_prime
+from .groupfq import (GSpElem, Mat4, Subgroup, _fq_matmul, _positions, _rows,
+                      conjugacy_classes, gsp_elem, row_keys)
 
 ORDER_BOUND = 2 * 10**4
 CLASS_BOUND = 64
@@ -38,19 +41,6 @@ CLASS_BOUND = 64
 # ---------------------------------------------------------------------------
 # small number theory helpers
 # ---------------------------------------------------------------------------
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
 
 def _prime_factors(n: int) -> List[int]:
     out = []
@@ -389,9 +379,6 @@ class CharacterTable:
     def n_classes(self) -> int:
         return len(self.classes)
 
-    def class_index(self, g: GSpElem) -> int:
-        return self.class_of[g.key()]
-
     def value(self, i: int, k: int) -> Cyclotomic:
         return self.values[i][k]
 
@@ -431,6 +418,31 @@ def _element_order(g: GSpElem, identity_key: tuple) -> int:
     return n
 
 
+def _class_products(group: Subgroup, classes: list) -> tuple:
+    """(labels, kstar, mats): the class of each of ``group.elements``, the
+    inverse class of each class, and the class matrices (M_i)_{j,k} =
+    a_{ij}^k, the number of w in C_{i*} with w z_k in C_j (z_k the rep)."""
+    import numpy as np
+
+    spec = group.spec
+    r = len(classes)
+    keys = row_keys(_rows(group.elements, spec))
+    labels = np.empty(group.order, dtype=np.intp)
+    for k, cls in enumerate(classes):
+        labels[_positions(keys, _rows(cls.elements, spec))] = k
+    reps = [cls.rep for cls in classes]
+    inverses = _rows([z.inverse() for z in reps], spec)
+    kstar = labels[_positions(keys, inverses)].tolist()
+    z = _rows(reps, spec).reshape(1, r, 4, 4)
+    mats = []
+    for i in range(r):
+        w = _rows(classes[kstar[i]].elements, spec).reshape(-1, 1, 4, 4)
+        j = labels[_positions(keys, _fq_matmul(w, z, spec))].reshape(-1, r)
+        counts = np.bincount((j * r + np.arange(r)).ravel(), minlength=r * r)
+        mats.append(counts.reshape(r, r).tolist())
+    return labels.tolist(), kstar, mats
+
+
 def dixon_table(
     group: Subgroup,
     order_bound: int = ORDER_BOUND,
@@ -446,13 +458,9 @@ def dixon_table(
     if r > class_bound:
         raise DixonBoundExceeded(f"{r} classes exceed bound {class_bound}")
 
-    spec = group.spec
-    identity = gsp_elem(Mat4.identity(spec))
-    id_key = identity.key()
-    class_of: Dict[tuple, int] = {}
-    for k, cls in enumerate(classes):
-        for g in cls.elements:
-            class_of[g.key()] = k
+    id_key = gsp_elem(Mat4.identity(group.spec)).key()
+    labels, kstar, mats = _class_products(group, classes)
+    class_of: Dict[tuple, int] = dict(zip((g.key() for g in group.elements), labels))
     id_class = class_of[id_key]
     sizes = [cls.size for cls in classes]
     reps = [cls.rep for cls in classes]
@@ -460,19 +468,6 @@ def dixon_table(
     orders = [_element_order(g, id_key) for g in reps]
     exponent = math.lcm(*orders)
     ell = _choose_prime(exponent, group.order, r)
-
-    # inverse classes
-    kstar = [class_of[g.inverse().key()] for g in reps]
-
-    # class matrices (M_i)_{j,k} = a_{ij}^k
-    mats = [[[0] * r for _ in range(r)] for _ in range(r)]
-    for i, cls in enumerate(classes):
-        mi = mats[i]
-        for x in cls.elements:
-            xi = x.inverse()
-            for k, z in enumerate(reps):
-                j = class_of[(xi * z).key()]
-                mi[j][k] += 1
 
     # simultaneous eigenvector descent mod ell
     field = (lambda x: pow(x, ell - 2, ell), lambda x: x % ell)

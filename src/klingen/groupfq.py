@@ -8,7 +8,7 @@ GSp(4) is taken with respect to the antidiagonal symplectic form
          [-1, 0, 0, 0]],
 
 so B(u, v) = u1 v4 + u2 v3 - u3 v2 - u4 v1, and g in GSp(4) means
-t(g) J g = mu(g) J with mu(g) a unit (the similitude factor); det g = mu^2.
+t(g) J g = mu(g) J with mu(g) a unit (the similitude factor).
 
 Matrices store their 16 entries as integer field-element encodings and do
 arithmetic through the per-field lookup tables of ``ffield.tables``, which
@@ -18,24 +18,29 @@ parameterizations are built entry by entry with the add, mul, neg and inv
 tables, ``GSpElem`` products take mu from the mul table, and the inverse is
 the closed form mu^{-1} times the signed anti-transpose of g.  ``FqElem``
 appears only at the API boundary (``GSpElem.mu``, ``Mat4.entry``,
-``Mat4.det``, ``similitude``).
+``similitude``).
 
-What is validated: ``gsp_elem`` checks all 16 entries of t(m) J m = mu J
-and det m = mu^2 in full; it is the one validator.  ``named_subgroup`` runs
-it on every element of its hand-written parameterizations, and
-``subgroup_closure`` runs it once on each generator.  Closure products are
-trusted, since a product of similitudes is a similitude: each gets its mu
-from the (1,4) entry of t(g) J g,
+What is validated: ``gsp_elem`` checks all 16 entries of t(m) J m = mu J;
+it is the one validator.  ``named_subgroup`` runs it on every element of
+its hand-written parameterizations, and ``subgroup_closure`` runs it once
+on each generator.  Closure products are trusted, since a product of
+similitudes is a similitude: each gets its mu from the (1,4) entry of
+t(g) J g,
 
     mu = g11 g44 + g21 g34 - g31 g24 - g41 g14,
 
-without the full check.  One numpy BFS serves every field: entries are
-split into base-p digit planes, multiplied plane by plane and folded back by
-the modulus (``_fq_matmul``).  Its arrays are int16 while a plane entry
-stays below 2^15: every extension field up to ``ffield.FIELD_BOUND``, and
-prime fields up to p = 89; larger primes take int32.  int16 is not for
-overflow's sake alone: it keeps the peak memory of the GSp(4, 3) closure
-about a fifth lower than int32 does.
+without the full check.  Nothing compares det m with mu^2, which the
+similitude check already forces (see ``gsp_elem``).
+
+Whole-group work (closure, conjugacy classes, Dixon's class products) runs
+on (N, 16) arrays with one kernel and one index.  The kernel,
+``_fq_matmul``, splits entries into base-p digit planes, multiplies plane
+by plane and folds back by the modulus; its arrays are int16 while a plane
+entry stays below 2^15 (every extension field up to ``ffield.FIELD_BOUND``,
+primes up to 89), which also keeps the GSp(4, 3) closure's peak memory a
+fifth below int32.  The index, ``row_keys``, packs a row into 16 big-endian
+uint16s, so keys sort as ``Subgroup.elements`` does and ``_positions``
+finds rows by ``searchsorted``.
 """
 
 from __future__ import annotations
@@ -128,39 +133,9 @@ class Mat4:
                 out.append(s)
         return Mat4(self.spec, tuple(out))
 
-    def det(self) -> FqElem:
-        return self.spec.from_encoding(_det_enc(self))
-
     def __repr__(self):
         rows = [" ".join(str(self.e[4 * r + c]) for c in range(4)) for r in range(4)]
         return f"Mat4({self.spec}; " + " | ".join(rows) + ")"
-
-
-def _det_enc(m: Mat4) -> int:
-    """Encoding of det m, by elimination on encodings."""
-    add, mul, neg, inv, _ = ffield.tables(m.spec)
-    a = [list(m.e[r : r + 4]) for r in range(0, 16, 4)]
-    d = 1
-    for col in range(4):
-        piv = None
-        for r in range(col, 4):
-            if a[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            d = neg[d]
-        d = mul[d][a[col][col]]
-        s = inv[a[col][col]]
-        for r in range(col + 1, 4):
-            f = mul[a[r][col]][s]
-            if f:
-                nf = neg[f]
-                for j in range(col, 4):
-                    a[r][j] = add[a[r][j]][mul[nf][a[col][j]]]
-    return d
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +214,6 @@ class GSpElem:
         )
         return GSpElem(Mat4(spec, inv_e), spec.from_encoding(mu_inv))
 
-    def conjugate(self, h: "GSpElem") -> "GSpElem":
-        """h g h^{-1}."""
-        return h * self * h.inverse()
-
     def key(self) -> tuple:
         return self.mat.e
 
@@ -251,21 +222,19 @@ class GSpElem:
 
 
 def gsp_elem(m: Mat4) -> GSpElem:
-    """Validate m in GSp(4) and attach its similitude factor."""
+    """Validate m in GSp(4) and attach its similitude factor.
+
+    The similitude check is the whole check.  Pfaffians of t(m) J m = mu J
+    give det m Pf(J) = mu^2 Pf(J), and Pf(J) = 1, so det m = mu^2 follows
+    over any commutative ring."""
     mu = _similitude_enc(m)
     if not mu:
         raise NotSimilitude(f"not a similitude matrix: {m}")
-    if _det_enc(m) != ffield.tables(m.spec).mul[mu][mu]:
-        raise NotSimilitude("determinant != similitude^2")
     return GSpElem(m, m.spec.from_encoding(mu))
 
 
 def gsp4_order(q: int) -> int:
     return (q - 1) * q**4 * (q**2 - 1) * (q**4 - 1)
-
-
-def sp4_order(q: int) -> int:
-    return q**4 * (q**2 - 1) * (q**4 - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +295,40 @@ def make_subgroup(elems: Iterable[GSpElem], generators=(), name=None) -> Subgrou
 CLOSURE_BOUND = 10**6
 
 
+def _rows(elems, spec: FieldSpec):
+    """The (N, 16) array of encodings of the GSpElems ``elems``: int16 while
+    a digit-plane entry of ``_fq_matmul`` stays below 2^15, else int32."""
+    import numpy as np
+
+    # a digit-plane entry is at most f sums of four digit products plus f - 1
+    # folded digit products
+    small = (5 * spec.f - 1) * (spec.p - 1) ** 2 < 2**15
+    return np.array([g.mat.e for g in elems],
+                    dtype=np.int16 if small else np.int32).reshape(-1, 16)
+
+
+def row_keys(rows):
+    """One 32-byte key per matrix in an array of encodings whose trailing
+    axes hold 16 entries: the entries as big-endian uint16s (every
+    q <= FIELD_BOUND fits), so that keys compare bytewise in the tuple order
+    of ``Mat4.e``, the order of ``Subgroup.elements``."""
+    import numpy as np
+
+    return rows.reshape(-1, 16).astype(">u2").view(np.dtype((np.void, 32))).ravel()
+
+
+def _positions(keys, rows):
+    """Index in the sorted ``keys`` of each matrix of ``rows``, flattened as
+    ``row_keys`` flattens; ValueError if one is not among them."""
+    import numpy as np
+
+    found = row_keys(rows)
+    pos = np.minimum(np.searchsorted(keys, found), len(keys) - 1)
+    if not np.array_equal(keys[pos], found):
+        raise ValueError("row not in the group")
+    return pos
+
+
 def subgroup_closure(gens, bound: int = CLOSURE_BOUND, name=None) -> Subgroup:
     """Closure of GSpElem generators under multiplication (BFS from identity).
 
@@ -334,7 +337,8 @@ def subgroup_closure(gens, bound: int = CLOSURE_BOUND, name=None) -> Subgroup:
     trusted: every element gets its mu from the (1,4) entry of t(g) J g and
     is not checked again.  Raises ClosureTooLarge when more than ``bound``
     elements appear.  Every field takes the same path: one ``_fq_matmul``
-    batch per BFS layer, and mu for all elements at once.
+    batch per BFS layer, deduplicated on ``row_keys``, and mu for all
+    elements at once.
     """
     import numpy as np
 
@@ -345,15 +349,8 @@ def subgroup_closure(gens, bound: int = CLOSURE_BOUND, name=None) -> Subgroup:
         if gsp_elem(g.mat).mu != g.mu:
             raise NotSimilitude(f"similitude factor {g.mu} does not match {g.mat}")
     spec = gens[0].spec
-    # a digit-plane entry is at most f sums of four digit products plus f - 1
-    # folded digit products
-    dtype = np.int16 if (5 * spec.f - 1) * (spec.p - 1) ** 2 < 2**15 else np.int32
-    gen_arr = np.array([g.mat.e for g in gens], dtype=dtype).reshape(1, -1, 4, 4)
-
-    def row_keys(rows):
-        # entries are below q <= FIELD_BOUND, so a row packs into 16 uint16s
-        return rows.astype(np.uint16).view(np.dtype((np.void, 32))).ravel()
-
+    gen_arr = _rows(gens, spec).reshape(1, -1, 4, 4)
+    dtype = gen_arr.dtype
     layer = np.eye(4, dtype=dtype).reshape(1, 16)
     known = set(row_keys(layer).tolist())
     layers = []
@@ -376,9 +373,10 @@ def subgroup_closure(gens, bound: int = CLOSURE_BOUND, name=None) -> Subgroup:
     jg4 = _fq_matmul(j, mats[:, 3::4, None], spec)
     mus = _fq_matmul(mats[:, None, 0::4], jg4, spec).ravel()
     elems = ffield.enumerate_field(spec)
+    # a structured view turns each row straight into a tuple of ints
+    rows = mats.view(np.dtype([("", dtype)] * 16)).ravel().tolist()
     return make_subgroup(
-        (GSpElem(Mat4(spec, tuple(e)), elems[mu])
-         for e, mu in zip(mats.tolist(), mus.tolist())),
+        (GSpElem(Mat4(spec, e), elems[mu]) for e, mu in zip(rows, mus.tolist())),
         generators=gens, name=name,
     )
 
@@ -428,40 +426,47 @@ class ConjClass:
     def size(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, g: GSpElem) -> bool:
-        return g.key() in self._keys
-
-    def __post_init__(self):
-        object.__setattr__(self, "_keys", frozenset(g.key() for g in self.elements))
-
     def __repr__(self):
         return f"<class of size {self.size}, rep {self.rep.key()}>"
 
 
 def conjugacy_classes(group: Subgroup, bound: int = CONJUGACY_BOUND) -> list:
-    """All conjugacy classes, reps chosen minimal in the canonical order."""
+    """All conjugacy classes in the order of their least elements, each with
+    its least element as rep.
+
+    The group's (N, 16) array is conjugated by each generator (by every
+    element if the group has none): h x h^{-1} = y exactly when h x = y h,
+    so the positions of the products h x and y h give the permutation that
+    conjugation by h makes, with no inverse formed.  Orbits are labelled by
+    min-label propagation: each label starts as the element's own index and
+    takes the least label among its images until none changes.
+    """
+    import numpy as np
+
     if group.order > bound:
         raise GroupTooLarge(f"|G| = {group.order} exceeds {bound}")
-    gens = list(group.generators) or list(group.elements)
-    gen_pairs = [(g, g.inverse()) for g in gens]
-    seen = set()
+    spec = group.spec
+    mats = _rows(group.elements, spec).reshape(-1, 4, 4)
+    keys = row_keys(mats)
+    perms = []
+    for h in group.generators or group.elements:
+        hm = _rows([h], spec).reshape(4, 4)
+        left = _positions(keys, _fq_matmul(hm, mats, spec))
+        right = _positions(keys, _fq_matmul(mats, hm, spec))
+        perms.append(np.argsort(right)[left])
+    labels, old = np.arange(len(mats)), None
+    while not np.array_equal(labels, old):
+        old = labels
+        for perm in perms:
+            labels = np.minimum(labels, labels[perm])
+        # a label is the index of an element of the same orbit whose own
+        # label is no larger, so following it once more stays in the orbit
+        labels = labels[labels]
+    members = np.argsort(labels, kind="stable")
     classes = []
-    for e in group.elements:
-        if e.key() in seen:
-            continue
-        orbit = {e.key(): e}
-        frontier = [e]
-        while frontier:
-            new = []
-            for x in frontier:
-                for g, gi in gen_pairs:
-                    y = g * x * gi
-                    if y.key() not in orbit:
-                        orbit[y.key()] = y
-                        new.append(y)
-            frontier = new
-        seen.update(orbit)
-        classes.append(ConjClass(rep=e, elements=_sorted_elements(orbit.values())))
+    for idx in np.split(members, np.flatnonzero(np.diff(labels[members])) + 1):
+        elems = tuple(group.elements[i] for i in idx.tolist())
+        classes.append(ConjClass(rep=elems[0], elements=elems))
     return classes
 
 

@@ -22,7 +22,7 @@ from klingen.chartab import (
     family_from_name,
     rational_roots,
 )
-from klingen.dixon import _kernel, _solve_unique, dixon_table
+from klingen.dixon import _class_products, _kernel, _solve_unique, dixon_table
 from klingen.errors import (
     DixonBoundExceeded,
     NotScopedClass,
@@ -293,6 +293,22 @@ class TestDixonOracle:
     def test_bound_guard(self):
         with pytest.raises(DixonBoundExceeded):
             dixon_table(gq.enumerate_gsp4(3))
+
+    def test_class_matrices(self, table_q2):
+        """The class matrices a_{ij}^k = #{(x, y) in C_i x C_j : xy = z_k}
+        against a count over every x in G, with y = x^{-1} z_k."""
+        classes = table_q2.classes
+        r = len(classes)
+        class_of = {g.key(): k for k, cls in enumerate(classes) for g in cls.elements}
+        want = [[[0] * r for _ in range(r)] for _ in range(r)]
+        for x in table_q2.group.elements:
+            x_inv = x.inverse()
+            for k, cls in enumerate(classes):
+                want[class_of[x.key()]][class_of[(x_inv * cls.rep).key()]][k] += 1
+        labels, kstar, mats = _class_products(table_q2.group, classes)
+        assert mats == want
+        assert labels == [class_of[g.key()] for g in table_q2.group.elements]
+        assert kstar == [class_of[c.rep.inverse().key()] for c in classes]
 
     def test_one_elimination_mod_ell_and_over_q(self):
         # the pivot loop behind the eigenvector descent and the elliptic

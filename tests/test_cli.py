@@ -268,7 +268,7 @@ class TestRefusals:
             # listed by name, so a new class needs a decision
             assert cls in cli._EXIT_OF, cls.__name__
 
-            def raiser(args, cfg, out, cls=cls):
+            def raiser(args, out, cls=cls):
                 raise self._instance(cls)
             monkeypatch.setitem(cli._COMMANDS, "dim", raiser)
             code, out, err = run_cli("dim", "--q", "2", "--n", "2", "--sigma", "typeI")

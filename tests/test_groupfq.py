@@ -6,6 +6,7 @@ import itertools
 import random
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,7 +56,7 @@ class TestSimilitude:
                 g = rng.choice(pool)
                 h = rng.choice(pool)
                 assert (g * g.inverse()).mat == ident
-                assert g.mat.det() == g.mu * g.mu
+                assert _ref_det(_ref_rows(g.mat)) == g.mu * g.mu
                 assert (g * h).mu == g.mu * h.mu
                 assert (g * h).inverse().mat == (h.inverse() * g.inverse()).mat
 
@@ -96,14 +97,17 @@ def _ref_similitude(a):
 
 
 def _ref_det(a):
-    """Leibniz expansion over the 24 permutations."""
+    """Laplace expansion along rows 1 and 2: over the column pairs c < d
+    (0-based), (-1)^(c + d + 1) times the minor of rows 1, 2 in columns c, d
+    times the complementary minor of rows 3, 4."""
+    def minor(r, c, d):
+        return a[r][c] * a[r + 1][d] - a[r][d] * a[r + 1][c]
+
     total = a[0][0].spec.zero
-    for perm in itertools.permutations(range(4)):
-        inversions = sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4))
-        term = a[0][0].spec.one
-        for r in range(4):
-            term = term * a[r][perm[r]]
-        total = total - term if inversions % 2 else total + term
+    for c, d in itertools.combinations(range(4), 2):
+        e, f = (x for x in range(4) if x not in (c, d))
+        term = minor(0, c, d) * minor(2, e, f)
+        total = total + term if (c + d) % 2 else total - term
     return total
 
 
@@ -158,7 +162,6 @@ class TestEncodingValidator:
         mu = _ref_similitude(rows)
         det = _ref_det(rows)
         assert gq.similitude(m) == mu
-        assert m.det() == det
         if mu is None or det != mu * mu:
             with pytest.raises(NotSimilitude):
                 gq.gsp_elem(m)
@@ -343,7 +346,7 @@ class TestTrustedClosure:
     def _assert_similitudes(elems):
         for g in elems:
             assert gq.similitude(g.mat) == g.mu
-            assert g.mat.det() == g.mu * g.mu
+            assert _ref_det(_ref_rows(g.mat)) == g.mu * g.mu
 
     def test_gsp4_3_sampled(self):
         group = gq.enumerate_gsp4(3)
@@ -421,8 +424,75 @@ class TestConjugacyClasses:
         for cls in classes:
             for _ in range(5):
                 h = rng.choice(group.elements)
-                assert cls.rep.conjugate(h) in cls
+                assert h * cls.rep * h.inverse() in cls.elements
+
+    @pytest.mark.parametrize("q, name", [
+        (2, "GSp4"), (3, "Row5"), (3, "R_klingen"), (4, "B"), (5, "M1"),
+    ])
+    def test_against_orbit_bfs(self, q, name):
+        """Class order, reps and sorted elements against the orbit BFS over
+        GSpElem products, on GSp(4,2) (conjugated by its generators) and on
+        named subgroups, which have no generators and are conjugated by
+        every element."""
+        group = gq.enumerate_gsp4(q) if name == "GSp4" else gq.named_subgroup(name, q)
+        got = [(c.rep, c.elements) for c in gq.conjugacy_classes(group)]
+        assert got == _ref_classes(group)
 
     def test_bound(self):
         with pytest.raises(GroupTooLarge):
             gq.conjugacy_classes(gq.enumerate_gsp4(3))
+
+
+def _ref_classes(group):
+    """(rep, sorted elements) of every class: an orbit BFS over GSpElem
+    triple products g x g^{-1}, run from each element not yet reached, in
+    the order of ``group.elements``."""
+    gens = list(group.generators) or list(group.elements)
+    gen_pairs = [(g, g.inverse()) for g in gens]
+    seen = set()
+    classes = []
+    for e in group.elements:
+        if e.key() in seen:
+            continue
+        orbit = {e.key(): e}
+        frontier = [e]
+        while frontier:
+            new = []
+            for x in frontier:
+                for g, gi in gen_pairs:
+                    y = g * x * gi
+                    if y.key() not in orbit:
+                        orbit[y.key()] = y
+                        new.append(y)
+            frontier = new
+        seen.update(orbit)
+        classes.append((e, tuple(sorted(orbit.values(), key=lambda g: g.key()))))
+    return classes
+
+
+class TestRowKeys:
+    @pytest.mark.parametrize("q", [3, 509])
+    def test_key_order_is_element_order(self, q):
+        """Keys of rows in the entry-tuple order that Subgroup.elements is
+        sorted by come out sorted, also where an entry reaches the high byte
+        of its uint16 (255 against 256 at q = 509)."""
+        rng = random.Random(q)
+        entries = [x for x in (0, 1, 2, 255, 256, q - 1) if x < q]
+        entries += [rng.randrange(q) for _ in range(6)]
+        tuples = {tuple(rng.choice(entries) for _ in range(16)) for _ in range(300)}
+        tuples |= {(x,) + (0,) * 15 for x in entries}
+        keys = gq.row_keys(np.array(sorted(tuples)))
+        assert (np.sort(keys) == keys).all()
+
+    def test_positions(self):
+        """Rows found where Subgroup.elements has them; a row outside the
+        group raises."""
+        group = gq.named_subgroup("U_S", 3)
+        spec = group.spec
+        keys = gq.row_keys(gq._rows(group.elements, spec))
+        found = gq._positions(keys, gq._rows(group.elements[::-1], spec))
+        assert found.tolist() == list(range(group.order))[::-1]
+        outside = gq.gsp_elem(gq.Mat4.diag(spec, 2, 2, 1, 1))
+        assert outside not in group
+        with pytest.raises(ValueError, match="not in the group"):
+            gq._positions(keys, gq._rows(group.elements[:3] + (outside,), spec))

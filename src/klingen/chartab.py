@@ -346,10 +346,13 @@ def _unipotent_label(h, even: bool, t) -> ClassLabel:
 
 def classify(g: GSpElem) -> ClassLabel:
     """Conjugacy-class label of g (scheme in the module docstring)."""
-    spec = g.spec
+    return _classify(g.mat.e, g.mu.encoding(), g.spec)
+
+
+def _classify(e, mu: int, spec: FieldSpec) -> ClassLabel:
+    """``classify`` on the entry encodings e and similitude encoding mu."""
     t = ffield.tables(spec)
     even = spec.p == 2
-    e = g.mat.e
     roots, rest = _roots(_char_poly(e, t), t)
     total_mult = sum(roots.values())
 
@@ -365,7 +368,7 @@ def classify(g: GSpElem) -> ClassLabel:
     if not even and len(roots) == 2 and sorted(roots.values()) == [2, 2]:
         l1, l2 = roots  # encoding order, so l1 < l2
         if l1 == t.neg[l2]:
-            if g.mu.encoding() == t.mul[l1][l1]:
+            if mu == t.mul[l1][l1]:
                 return _b_family_label(e, l1, t)
             return ClassLabel("Mixed")
 
@@ -575,7 +578,9 @@ def dim_fixed(subgroup: Subgroup, family: SigmaFamily, q: Optional[int] = None) 
         q = subgroup.spec.q
     if family.kind == FAMILY_NONGENERIC:
         raise ValueNotPinned("nongeneric dimensions are not computed from class data")
-    counts = Counter(classify(g) for g in subgroup.elements)
+    spec = subgroup.spec
+    counts = Counter(_classify(e, mu, spec) for e, mu in
+                     zip(subgroup.rows.tolist(), subgroup.mus.tolist()))
     total = 0
     leftover = Counter()
     for label, n in counts.items():

@@ -4,9 +4,11 @@ This is the independent oracle for the fixed-vector dimensions: it never
 looks at the pinned value tables.  The method is the classical one of
 Dixon and Schneider:
 
-  1. compute the conjugacy classes and the class-multiplication
+  1. compute the conjugacy classes, each an index array into the group's
+     sorted rows, the class of every row, and the class-multiplication
      coefficients a_{ij}^k = #{(x,y) in C_i x C_j : xy = z_k}: the w = x^{-1}
-     in C_{i*} with w z_k in C_j, one array product per class;
+     in C_{i*} with w z_k in C_j, one product of the rows of C_{i*} with
+     the reps per class;
   2. the vectors omega = (omega_k) of central-character values are the
      common eigenvectors of the matrices (M_i)_{j,k} = a_{ij}^k; find them
      modulo a prime ell = 1 (mod exp G) with ell > 2 sqrt(|G|), where all
@@ -27,12 +29,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List
+from typing import List
 
 from .errors import DixonBoundExceeded, MismatchReport, NonIntegralResult
 from .ffield import _is_prime
 from .groupfq import (GSpElem, Mat4, Subgroup, _fq_matmul, _positions, _rows,
-                      conjugacy_classes, gsp_elem, row_keys)
+                      conjugacy_classes)
 
 ORDER_BOUND = 2 * 10**4
 CLASS_BOUND = 64
@@ -148,11 +150,6 @@ class Cyclotomic:
         return Cyclotomic(order, (0,) * d)
 
     @staticmethod
-    def from_rational(order: int, value) -> "Cyclotomic":
-        d = len(cyclotomic_polynomial(order)) - 1
-        return Cyclotomic(order, (Fraction(value),) + (Fraction(0),) * (d - 1))
-
-    @staticmethod
     def root_power(order: int, k: int) -> "Cyclotomic":
         """zeta_order^k."""
         table = _power_table(order)
@@ -163,23 +160,10 @@ class Cyclotomic:
         assert self.order == other.order
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Cyclotomic.from_rational(self.order, other)
         self._check(other)
         return Cyclotomic(
             self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
         )
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Cyclotomic.from_rational(self.order, other)
-        self._check(other)
-        return Cyclotomic(
-            self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __neg__(self):
-        return Cyclotomic(self.order, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -203,7 +187,6 @@ class Cyclotomic:
         return Cyclotomic(self.order, tuple(out))
 
     __rmul__ = __mul__
-    __radd__ = __add__
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation zeta -> zeta^{-1}."""
@@ -358,13 +341,14 @@ def _solve_unique(rows: list, inv, red) -> list:
 # the character table object
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class CharacterTable:
-    """Exact character table: values[i][k] is chi_i on class k."""
+    """Exact character table: values[i][k] is chi_i on class k, and
+    labels[n] is the class of row n of the group."""
 
     group: Subgroup
     classes: list
-    class_of: Dict[tuple, int]
+    labels: "np.ndarray"
     exponent: int
     ell: int
     degrees: List[int]
@@ -382,14 +366,26 @@ class CharacterTable:
     def value(self, i: int, k: int) -> Cyclotomic:
         return self.values[i][k]
 
+    def class_index(self, g: GSpElem) -> int:
+        """The class of the group element g."""
+        return int(self.labels[_positions(self.group.keys, _rows([g.mat.e], g.spec))[0]])
+
     def value_at(self, i: int, g: GSpElem) -> Cyclotomic:
-        return self.values[i][self.class_of[g.key()]]
+        return self.values[i][self.class_index(g)]
+
+    def class_counts(self, sub: Subgroup) -> list:
+        """|sub ∩ C_k| for every class k of the group containing sub."""
+        import numpy as np
+
+        found = self.labels[_positions(self.group.keys, sub.rows)]
+        return np.bincount(found, minlength=self.n_classes).tolist()
 
     def fixed_dim(self, i: int, subgroup: Subgroup) -> int:
-        """dim chi_i^R = (1/|R|) sum_{g in R} chi_i(g), exact."""
+        """dim chi_i^R = (1/|R|) sum_k |R ∩ C_k| chi_i(C_k), exact."""
         total = Cyclotomic.zero(self.exponent)
-        for g in subgroup.elements:
-            total = total + self.values[i][self.class_of[g.key()]]
+        for k, n in enumerate(self.class_counts(subgroup)):
+            if n:
+                total = total + n * self.values[i][k]
         frac = total.as_fraction() / subgroup.order
         if frac.denominator != 1 or frac < 0:
             raise NonIntegralResult(
@@ -409,38 +405,39 @@ class CharacterTable:
 # the solver
 # ---------------------------------------------------------------------------
 
-def _element_order(g: GSpElem, identity_key: tuple) -> int:
-    n = 1
-    x = g
-    while x.key() != identity_key:
-        x = x * g
-        n += 1
-    return n
-
-
 def _class_products(group: Subgroup, classes: list) -> tuple:
-    """(labels, kstar, mats): the class of each of ``group.elements``, the
+    """(labels, kstar, mats): the class of each row of ``group``, the
     inverse class of each class, and the class matrices (M_i)_{j,k} =
     a_{ij}^k, the number of w in C_{i*} with w z_k in C_j (z_k the rep)."""
     import numpy as np
 
-    spec = group.spec
+    spec, rows, keys = group.spec, group.rows, group.keys
     r = len(classes)
-    keys = row_keys(_rows(group.elements, spec))
     labels = np.empty(group.order, dtype=np.intp)
     for k, cls in enumerate(classes):
-        labels[_positions(keys, _rows(cls.elements, spec))] = k
-    reps = [cls.rep for cls in classes]
-    inverses = _rows([z.inverse() for z in reps], spec)
+        labels[cls.index] = k
+    inverses = _rows([cls.rep.inverse().mat.e for cls in classes], spec)
     kstar = labels[_positions(keys, inverses)].tolist()
-    z = _rows(reps, spec).reshape(1, r, 4, 4)
+    z = rows[[cls.index[0] for cls in classes]].reshape(1, r, 4, 4)
     mats = []
     for i in range(r):
-        w = _rows(classes[kstar[i]].elements, spec).reshape(-1, 1, 4, 4)
+        w = rows[classes[kstar[i]].index].reshape(-1, 1, 4, 4)
         j = labels[_positions(keys, _fq_matmul(w, z, spec))].reshape(-1, r)
         counts = np.bincount((j * r + np.arange(r)).ravel(), minlength=r * r)
         mats.append(counts.reshape(r, r).tolist())
-    return labels.tolist(), kstar, mats
+    return labels, kstar, mats
+
+
+def _power_classes(group: Subgroup, labels, g: GSpElem) -> list:
+    """The classes of g^0, g^1, ..., g^(e-1), e the order of g."""
+    identity = Mat4.identity(group.spec).e
+    powers = [g]
+    while powers[-1].key() != identity:
+        powers.append(powers[-1] * g)
+    # powers holds g^1 .. g^e, and g^e is the identity
+    rows = _rows([x.mat.e for x in powers], group.spec)
+    found = labels[_positions(group.keys, rows)].tolist()
+    return found[-1:] + found[:-1]
 
 
 def dixon_table(
@@ -458,14 +455,11 @@ def dixon_table(
     if r > class_bound:
         raise DixonBoundExceeded(f"{r} classes exceed bound {class_bound}")
 
-    id_key = gsp_elem(Mat4.identity(group.spec)).key()
     labels, kstar, mats = _class_products(group, classes)
-    class_of: Dict[tuple, int] = dict(zip((g.key() for g in group.elements), labels))
-    id_class = class_of[id_key]
     sizes = [cls.size for cls in classes]
-    reps = [cls.rep for cls in classes]
-
-    orders = [_element_order(g, id_key) for g in reps]
+    power_classes = [_power_classes(group, labels, cls.rep) for cls in classes]
+    id_class = power_classes[0][0]
+    orders = [len(pows) for pows in power_classes]
     exponent = math.lcm(*orders)
     ell = _choose_prime(exponent, group.order, r)
 
@@ -546,17 +540,6 @@ def dixon_table(
         for i, om in enumerate(omegas)
     ]
 
-    # power maps, shared across characters
-    power_classes = []
-    for k, g in enumerate(reps):
-        e = orders[k]
-        pows = [id_class]
-        x = g
-        for _ in range(e - 1):
-            pows.append(class_of[x.key()])
-            x = x * g
-        power_classes.append(pows)
-
     w = _primitive_root_of_unity(ell, exponent)
 
     # exact lift through root-of-unity multiplicities
@@ -592,7 +575,7 @@ def dixon_table(
     table = CharacterTable(
         group=group,
         classes=classes,
-        class_of=class_of,
+        labels=labels,
         exponent=exponent,
         ell=ell,
         degrees=degrees,

@@ -9,10 +9,10 @@ the polynomial x and plays no role.
 Each element has an integer encoding sum(c_i * p^i) in 0..q-1 (0 -> 0,
 1 -> 1).  ``tables(spec)`` holds addition, multiplication, negation,
 inversion and a square flag on those encodings; it is built once per field
-from the polynomial arithmetic and is the one arithmetic engine that the
-matrix, closure and classification layers compute with.  ``FqElem`` is the
-type at the API boundary: public functions take and return it, and its
-operators stay polynomial arithmetic.
+from base-p digits and discrete logarithms, and is the one arithmetic
+engine that the matrix, closure and classification layers compute with.
+``FqElem`` is the type at the API boundary: public functions take and
+return it, and its operators stay polynomial arithmetic.
 
 Everything here is exact; there is no floating point anywhere.
 """
@@ -62,29 +62,20 @@ def _poly_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]
     return _poly_trim(tuple(out))
 
 
-def _poly_divmod(
-    a: tuple[int, ...], b: tuple[int, ...], p: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Quotient and remainder of a by b (b monic-normalizable, nonzero)."""
+def _poly_mod(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """Remainder of a by b (b monic-normalizable, nonzero)."""
     b = _poly_trim(b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     inv_lead = pow(b[-1], p - 2, p)
     rem = list(a)
     deg_b = len(b) - 1
-    quo = [0] * max(0, len(a) - deg_b)
     for i in range(len(rem) - 1, deg_b - 1, -1):
-        coef = rem[i] % p
-        if coef:
-            factor = (coef * inv_lead) % p
-            quo[i - deg_b] = factor
+        factor = rem[i] % p * inv_lead % p
+        if factor:
             for j, bj in enumerate(b):
                 rem[i - deg_b + j] = (rem[i - deg_b + j] - factor * bj) % p
-    return _poly_trim(tuple(quo)), _poly_trim(tuple(rem))
-
-
-def _poly_mod(a: tuple[int, ...], m: tuple[int, ...], p: int) -> tuple[int, ...]:
-    return _poly_divmod(a, m, p)[1]
+    return _poly_trim(tuple(rem))
 
 
 def _is_irreducible(m: tuple[int, ...], p: int) -> bool:
@@ -101,7 +92,7 @@ def _is_irreducible(m: tuple[int, ...], p: int) -> bool:
                 cand.append(k % p)
                 k //= p
             cand.append(1)
-            if not _poly_divmod(m, tuple(cand), p)[1]:
+            if not _poly_mod(m, tuple(cand), p):
                 return False
     return True
 
@@ -363,18 +354,51 @@ class Tables(NamedTuple):
         return len(self.neg)
 
 
+def _powers(x: FqElem) -> list:
+    """The encodings of x^0, x^1, ..., x^(k-1), k the order of the unit x."""
+    out, y = [1], x
+    while not y.is_one():
+        out.append(y.encoding())
+        y = y * x
+    return out
+
+
+@lru_cache(maxsize=None)
+def primitive_unit(spec: FieldSpec) -> FqElem:
+    """The least-encoding element of multiplicative order q - 1."""
+    return next(x for x in units(spec) if len(_powers(x)) == spec.q - 1)
+
+
+@lru_cache(maxsize=None)
+def _digit_add(p: int, f: int) -> tuple:
+    """Addition of f-digit base-p encodings, digit by digit mod p."""
+    if f == 1:
+        return tuple(tuple(range(a, p)) + tuple(range(a)) for a in range(p))
+    low, high = _digit_add(p, 1), _digit_add(p, f - 1)
+    return tuple(tuple(low[a % p][b % p] + p * high[a // p][b // p]
+                       for b in range(p**f)) for a in range(p**f))
+
+
 @lru_cache(maxsize=None)
 def tables(spec: FieldSpec) -> Tables:
-    """The encoding tables of F_q, built from the polynomial arithmetic."""
-    elems = _element_table(spec)
+    """The encoding tables of F_q: addition digit by digit mod p, and
+    multiplication and inversion through the discrete logarithm to the base
+    ``primitive_unit(spec)``, whose powers are the only polynomial products
+    formed."""
     q = spec.q
-    add = tuple(tuple((a + b).encoding() for b in elems) for a in elems)
-    mul = tuple(tuple((a * b).encoding() for b in elems) for a in elems)
-    neg = tuple((-a).encoding() for a in elems)
-    inv = tuple(0 if k == 0 else elems[k].inverse().encoding() for k in range(q))
+    exp = _powers(primitive_unit(spec))
+    log = [0] * q
+    for k, x in enumerate(exp):
+        log[x] = k
+    logs, exp2 = log[1:], exp + exp
+    # row a of mul holds exp[log a + log b], read off exp shifted by log a
+    mul = ((0,) * q,) + tuple(
+        (0,) + tuple(map(exp2[log[a]:].__getitem__, logs)) for a in range(1, q))
+    add = _digit_add(spec.p, spec.f)
     squares = {mul[k][k] for k in range(q)}
-    square = tuple(k in squares for k in range(q))
-    return Tables(add, mul, neg, inv, square)
+    return Tables(add, mul, tuple(row.index(0) for row in add),
+                  (0,) + tuple(exp2[q - 1 - log[a]] for a in range(1, q)),
+                  tuple(k in squares for k in range(q)))
 
 
 def is_square(a: FqElem) -> bool:

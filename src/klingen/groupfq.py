@@ -32,22 +32,25 @@ t(g) J g,
 without the full check.  Nothing compares det m with mu^2, which the
 similitude check already forces (see ``gsp_elem``).
 
-Whole-group work (closure, conjugacy classes, Dixon's class products) runs
-on (N, 16) arrays with one kernel and one index.  The kernel,
-``_fq_matmul``, splits entries into base-p digit planes, multiplies plane
-by plane and folds back by the modulus; its arrays are int16 while a plane
-entry stays below 2^15 (every extension field up to ``ffield.FIELD_BOUND``,
-primes up to 89), which also keeps the GSp(4, 3) closure's peak memory a
-fifth below int32.  The index, ``row_keys``, packs a row into 16 big-endian
-uint16s, so keys sort as ``Subgroup.elements`` does and ``_positions``
-finds rows by ``searchsorted``.
+A ``Subgroup`` is one sorted (N, 16) array of encodings; whole-group work
+(closure, membership, conjugacy classes, Dixon's class products,
+``dim_fixed``) reads it with one kernel and one index, and ``GSpElem``
+objects are built only when ``Subgroup.elements`` is asked for.  The
+kernel, ``_fq_matmul``, splits entries into base-p digit planes,
+multiplies plane by plane and folds back by the modulus; its arrays are
+int16 while a plane entry stays below 2^15 (every extension field up to
+``ffield.FIELD_BOUND``, primes up to 89), which also keeps the GSp(4, 3)
+closure's peak memory a fifth below int32.  The index, ``row_keys``,
+packs a row into 16 big-endian uint16s, so keys sort as the entry tuples
+do and ``_positions`` finds rows by ``searchsorted``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from functools import lru_cache
+import struct
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
 from . import ffield
@@ -241,70 +244,94 @@ def gsp4_order(q: int) -> int:
 # subgroups
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Subgroup:
-    """A concrete subgroup: sorted element tuple plus optional generators."""
+    """A concrete subgroup: its matrices in key order (the tuple order of
+    ``Mat4.e``) as the (N, 16) encoding array ``rows``, with the similitude
+    encodings ``mus`` and the ``row_keys`` ``keys``, plus optional
+    generators.  ``make_subgroup`` hands rows and mus over as sorted lists,
+    which become arrays on first use, so that building a named subgroup
+    needs no numpy; ``elements`` are built from the rows on first use."""
 
-    spec: FieldSpec
-    elements: tuple  # GSpElem, sorted by matrix key
-    generators: tuple = ()
-    name: Optional[str] = None
-    _members: frozenset = field(init=False, repr=False, compare=False, hash=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_members", frozenset(g.key() for g in self.elements))
+    def __init__(self, spec: FieldSpec, rows, mus, generators=(), name=None):
+        self.spec = spec
+        self._sorted = rows, mus
+        self.generators = tuple(generators)
+        self.name = name
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self._sorted[1])
+
+    @cached_property
+    def rows(self):
+        return _rows(self._sorted[0], self.spec)
+
+    @cached_property
+    def mus(self):
+        import numpy as np
+
+        return np.asarray(self._sorted[1])
+
+    @cached_property
+    def keys(self):
+        return row_keys(self.rows)
+
+    @cached_property
+    def elements(self) -> tuple:
+        return _elements(self.spec, self.rows, self.mus)
+
+    def element(self, i: int) -> GSpElem:
+        """The GSpElem of row i, built from that row alone."""
+        return _elements(self.spec, self.rows[i:i + 1], self.mus[i:i + 1])[0]
 
     def __contains__(self, g) -> bool:
-        key = g.key() if isinstance(g, GSpElem) else tuple(g.e)
-        return key in self._members
+        return _contains(self.keys, g.mat.e if isinstance(g, GSpElem) else g.e)
 
     def __iter__(self):
         return iter(self.elements)
 
     def is_subset_of(self, other: "Subgroup") -> bool:
-        return self._members <= other._members
+        return bool(_lookup(other.keys, self.rows)[1].all())
 
     def same_elements(self, other: "Subgroup") -> bool:
-        return self._members == other._members
+        return self.order == other.order and self.is_subset_of(other)
 
     def __repr__(self):
         label = self.name or "subgroup"
         return f"<{label} of GSp(4,{self.spec.q}), order {self.order}>"
 
 
-def _sorted_elements(elems: Iterable[GSpElem]) -> tuple:
-    return tuple(sorted(elems, key=lambda g: g.key()))
+def _elements(spec: FieldSpec, rows, mus) -> tuple:
+    """The GSpElems of matrix rows and similitude encodings."""
+    import numpy as np
+
+    field = ffield.enumerate_field(spec)
+    # a structured view turns each row straight into a tuple of ints
+    tuples = rows.view(np.dtype([("", rows.dtype)] * 16)).ravel().tolist()
+    return tuple(GSpElem(Mat4(spec, e), field[mu]) for e, mu in zip(tuples, mus.tolist()))
 
 
 def make_subgroup(elems: Iterable[GSpElem], generators=(), name=None) -> Subgroup:
     elems = list(elems)
     if not elems:
         raise ValueError("empty subgroup")
-    return Subgroup(
-        spec=elems[0].spec,
-        elements=_sorted_elements(elems),
-        generators=tuple(generators),
-        name=name,
-    )
+    pairs = sorted((g.mat.e, g.mu.encoding()) for g in elems)
+    return Subgroup(elems[0].spec, [e for e, _ in pairs], [mu for _, mu in pairs],
+                    generators, name)
 
 
 CLOSURE_BOUND = 10**6
 
 
-def _rows(elems, spec: FieldSpec):
-    """The (N, 16) array of encodings of the GSpElems ``elems``: int16 while
+def _rows(mats, spec: FieldSpec):
+    """The (N, 16) encoding array of the entry tuples ``mats``: int16 while
     a digit-plane entry of ``_fq_matmul`` stays below 2^15, else int32."""
     import numpy as np
 
     # a digit-plane entry is at most f sums of four digit products plus f - 1
     # folded digit products
     small = (5 * spec.f - 1) * (spec.p - 1) ** 2 < 2**15
-    return np.array([g.mat.e for g in elems],
-                    dtype=np.int16 if small else np.int32).reshape(-1, 16)
+    return np.asarray(mats, dtype=np.int16 if small else np.int32).reshape(-1, 16)
 
 
 def row_keys(rows):
@@ -312,19 +339,38 @@ def row_keys(rows):
     axes hold 16 entries: the entries as big-endian uint16s (every
     q <= FIELD_BOUND fits), so that keys compare bytewise in the tuple order
     of ``Mat4.e``, the order of ``Subgroup.elements``."""
+    return rows.reshape(-1, 16).astype(">u2").view("V32").ravel()
+
+
+def _lookup(keys, rows) -> tuple:
+    """(positions, found) for each matrix of ``rows``, flattened as
+    ``row_keys`` flattens: its index in the sorted ``keys`` if it is there,
+    and whether it is."""
     import numpy as np
 
-    return rows.reshape(-1, 16).astype(">u2").view(np.dtype((np.void, 32))).ravel()
+    wanted = row_keys(rows)
+    pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    return pos, keys[pos] == wanted
+
+
+_KEY = struct.Struct(">16H")  # one row key, as ``row_keys`` packs it
+
+
+def _contains(keys, e) -> bool:
+    """Whether the matrix with the 16 entries e is among the sorted ``keys``:
+    ``_lookup`` for one matrix, without its array steps."""
+    import numpy as np
+
+    key = _KEY.pack(*e)
+    i = keys.searchsorted(np.void(key))
+    return bool(i < len(keys) and keys[i].tobytes() == key)
 
 
 def _positions(keys, rows):
-    """Index in the sorted ``keys`` of each matrix of ``rows``, flattened as
-    ``row_keys`` flattens; ValueError if one is not among them."""
-    import numpy as np
-
-    found = row_keys(rows)
-    pos = np.minimum(np.searchsorted(keys, found), len(keys) - 1)
-    if not np.array_equal(keys[pos], found):
+    """Index in the sorted ``keys`` of each matrix of ``rows``; ValueError
+    if one is not among them."""
+    pos, found = _lookup(keys, rows)
+    if not found.all():
         raise ValueError("row not in the group")
     return pos
 
@@ -349,7 +395,7 @@ def subgroup_closure(gens, bound: int = CLOSURE_BOUND, name=None) -> Subgroup:
         if gsp_elem(g.mat).mu != g.mu:
             raise NotSimilitude(f"similitude factor {g.mu} does not match {g.mat}")
     spec = gens[0].spec
-    gen_arr = _rows(gens, spec).reshape(1, -1, 4, 4)
+    gen_arr = _rows([g.mat.e for g in gens], spec).reshape(1, -1, 4, 4)
     dtype = gen_arr.dtype
     layer = np.eye(4, dtype=dtype).reshape(1, 16)
     known = set(row_keys(layer).tolist())
@@ -372,13 +418,8 @@ def subgroup_closure(gens, bound: int = CLOSURE_BOUND, name=None) -> Subgroup:
     j = np.array(j_matrix(spec).e, dtype=dtype).reshape(4, 4)
     jg4 = _fq_matmul(j, mats[:, 3::4, None], spec)
     mus = _fq_matmul(mats[:, None, 0::4], jg4, spec).ravel()
-    elems = ffield.enumerate_field(spec)
-    # a structured view turns each row straight into a tuple of ints
-    rows = mats.view(np.dtype([("", dtype)] * 16)).ravel().tolist()
-    return make_subgroup(
-        (GSpElem(Mat4(spec, e), elems[mu]) for e, mu in zip(rows, mus.tolist())),
-        generators=gens, name=name,
-    )
+    order = np.argsort(row_keys(mats))
+    return Subgroup(spec, mats[order], mus[order], gens, name)
 
 
 def _fq_matmul(a, b, spec: FieldSpec):
@@ -417,42 +458,68 @@ def _fq_matmul(a, b, spec: FieldSpec):
 CONJUGACY_BOUND = 10**5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConjClass:
-    rep: GSpElem
-    elements: tuple  # sorted
+    """A conjugacy class: the ascending indices ``index`` of its members in
+    ``group``'s rows; the least member is the rep."""
+
+    group: Subgroup
+    index: "np.ndarray"
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return len(self.index)
+
+    @property
+    def rep(self) -> GSpElem:
+        return self.group.element(int(self.index[0]))
+
+    @property
+    def elements(self) -> tuple:
+        """The members as GSpElems, in key order."""
+        return _elements(self.group.spec, self.group.rows[self.index],
+                         self.group.mus[self.index])
 
     def __repr__(self):
         return f"<class of size {self.size}, rep {self.rep.key()}>"
+
+
+def _generating_set(group: Subgroup) -> list:
+    """Generators of ``group`` picked in key order: each element outside the
+    closure of those picked before it."""
+    import numpy as np
+
+    gens = []
+    inside = group.keys == row_keys(np.eye(4, dtype=group.rows.dtype))
+    while not inside.all():
+        gens.append(group.element(int(np.argmin(inside))))
+        inside = _lookup(subgroup_closure(gens).keys, group.rows)[1]
+    return gens
 
 
 def conjugacy_classes(group: Subgroup, bound: int = CONJUGACY_BOUND) -> list:
     """All conjugacy classes in the order of their least elements, each with
     its least element as rep.
 
-    The group's (N, 16) array is conjugated by each generator (by every
-    element if the group has none): h x h^{-1} = y exactly when h x = y h,
-    so the positions of the products h x and y h give the permutation that
-    conjugation by h makes, with no inverse formed.  Orbits are labelled by
-    min-label propagation: each label starts as the element's own index and
-    takes the least label among its images until none changes.
+    The group's (N, 16) array is conjugated by each generator (a group
+    without generators first gets some from ``_generating_set``):
+    h x h^{-1} = y exactly when h x = y h, so the positions of the products
+    h x and y h give the permutation that conjugation by h makes, with no
+    inverse formed.  Orbits are labelled by min-label propagation: each
+    label starts as the element's own index and takes the least label among
+    its images until none changes.
     """
     import numpy as np
 
     if group.order > bound:
         raise GroupTooLarge(f"|G| = {group.order} exceeds {bound}")
     spec = group.spec
-    mats = _rows(group.elements, spec).reshape(-1, 4, 4)
-    keys = row_keys(mats)
+    mats = group.rows.reshape(-1, 4, 4)
     perms = []
-    for h in group.generators or group.elements:
-        hm = _rows([h], spec).reshape(4, 4)
-        left = _positions(keys, _fq_matmul(hm, mats, spec))
-        right = _positions(keys, _fq_matmul(mats, hm, spec))
+    for h in group.generators or _generating_set(group):
+        hm = _rows([h.mat.e], spec).reshape(4, 4)
+        left = _positions(group.keys, _fq_matmul(hm, mats, spec))
+        right = _positions(group.keys, _fq_matmul(mats, hm, spec))
         perms.append(np.argsort(right)[left])
     labels, old = np.arange(len(mats)), None
     while not np.array_equal(labels, old):
@@ -463,11 +530,8 @@ def conjugacy_classes(group: Subgroup, bound: int = CONJUGACY_BOUND) -> list:
         # label is no larger, so following it once more stays in the orbit
         labels = labels[labels]
     members = np.argsort(labels, kind="stable")
-    classes = []
-    for idx in np.split(members, np.flatnonzero(np.diff(labels[members])) + 1):
-        elems = tuple(group.elements[i] for i in idx.tolist())
-        classes.append(ConjClass(rep=elems[0], elements=elems))
-    return classes
+    return [ConjClass(group, idx) for idx in
+            np.split(members, np.flatnonzero(np.diff(labels[members])) + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -476,10 +540,8 @@ def conjugacy_classes(group: Subgroup, bound: int = CONJUGACY_BOUND) -> list:
 
 def _root_mat(spec: FieldSpec, positions, t: FqElem) -> Mat4:
     """I + t * sum of signed elementary matrices; positions = ((r,c,sign),...)."""
-    rows = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
-    m = Mat4.from_rows(spec, rows)
-    e = list(m.e)
-    for (r, c, sign) in positions:
+    e = list(Mat4.identity(spec).e)
+    for r, c, sign in positions:
         e[4 * r + c] = (t if sign > 0 else -t).encoding()
     return Mat4(spec, tuple(e))
 
@@ -511,20 +573,6 @@ def neg_root_elem(spec: FieldSpec, idx: int, t: FqElem) -> Mat4:
     return _root_mat(spec, NEG_ROOT_POSITIONS[idx], t)
 
 
-@lru_cache(maxsize=None)
-def _primitive_unit(spec: FieldSpec) -> FqElem:
-    q = spec.q
-    for x in ffield.units(spec):
-        order = 1
-        y = x
-        while not y.is_one():
-            y = y * x
-            order += 1
-        if order == q - 1:
-            return x
-    raise RuntimeError("unreachable: F_q^x is cyclic")
-
-
 def gsp4_generators(spec: FieldSpec) -> list:
     """A small generating set: simple +/- root groups over an F_p-basis,
     plus a similitude torus generator."""
@@ -535,7 +583,7 @@ def gsp4_generators(spec: FieldSpec) -> list:
         mats.append(pos_root_elem(spec, 1, b))
         mats.append(neg_root_elem(spec, 0, b))
         mats.append(neg_root_elem(spec, 1, b))
-    c = _primitive_unit(spec)
+    c = ffield.primitive_unit(spec)
     mats.append(Mat4.diag(spec, c, c, 1, 1))
     mats.append(Mat4.diag(spec, c, 1, 1, c.inverse()))
     return [gsp_elem(m) for m in mats]
@@ -573,12 +621,6 @@ def _gl2_iter(spec: FieldSpec):
                         yield a, b, c, d, det
 
 
-def _sl2_iter(spec: FieldSpec):
-    for a, b, c, d, det in _gl2_iter(spec):
-        if det == 1:
-            yield a, b, c, d
-
-
 def _named_elements(name: str, spec: FieldSpec):
     """Yield the matrices for each supported subgroup name, built on
     element encodings (1 is encoding 1, 0 is 0)."""
@@ -604,12 +646,10 @@ def _named_elements(name: str, spec: FieldSpec):
                 yield mk(
                     z, 0, 0, 0, 0, mz[a], mz[b], 0, 0, mz[c], mz[d], 0, 0, 0, 0, mz[det]
                 )
-    elif name == "M1":
-        for a, b, c, d in _sl2_iter(spec):
-            yield mk(1, 0, 0, 0, 0, a, b, 0, 0, c, d, 0, 0, 0, 0, 1)
-    elif name == "R_klingen":
-        sl2 = list(_sl2_iter(spec))
-        for x in E:
+    elif name in ("M1", "R_klingen"):
+        # M1 is the x = 0 part of R_klingen
+        sl2 = [(a, b, c, d) for a, b, c, d, det in _gl2_iter(spec) if det == 1]
+        for x in E if name == "R_klingen" else (0,):
             for a, b, c, d in sl2:
                 yield mk(1, 0, 0, 0, 0, a, b, 0, 0, c, d, 0, x, 0, 0, 1)
     elif name == "S":
@@ -628,20 +668,14 @@ def _named_elements(name: str, spec: FieldSpec):
                     nx_d = mul[n_d][x]
                     for z in E:
                         yield mk(a, 0, 0, 0, x, ad, 0, 0, 0, 0, a_d, 0, z, 0, nx_d, a)
-    elif name == "B":
+    elif name in ("B", "C"):
+        # B is the y = 0 part of C
         for a in U:
             for b in U:
                 for c in U:
                     c_b, c_a = mul[c][inv[b]], mul[c][inv[a]]
                     for x in E:
-                        yield mk(a, 0, 0, 0, 0, b, 0, 0, 0, x, c_b, 0, 0, 0, 0, c_a)
-    elif name == "C":
-        for a in U:
-            for b in U:
-                for c in U:
-                    c_b, c_a = mul[c][inv[b]], mul[c][inv[a]]
-                    for x in E:
-                        for y in E:
+                        for y in E if name == "C" else (0,):
                             yield mk(a, 0, 0, 0, 0, b, 0, 0, 0, x, c_b, 0, y, 0, 0, c_a)
     elif name == "D":
         for a in U:
@@ -656,26 +690,6 @@ def _named_elements(name: str, spec: FieldSpec):
                                 0, b, 0, 0,
                                 0, x, c_b, mul[nc_b][y],
                                 0, 0, 0, c_a,
-                            )
-    elif name == "R_last":
-        for x in E:
-            nxx, nx = neg[mul[x][x]], neg[x]
-            for y in E:
-                for z in E:
-                    yield mk(1, 0, 0, 0, x, 1, 0, 0, y, x, 1, 0, z, add[y][nxx], nx, 1)
-    elif name == "Row1":
-        for a in U:
-            for b in U:
-                for d in U:
-                    d_b = mul[d][inv[b]]
-                    c, nd_b = mul[a][d_b], neg[d_b]
-                    for u in E:
-                        for w in E:
-                            yield mk(
-                                a, u, 0, 0,
-                                0, b, 0, 0,
-                                0, w, c, mul[nd_b][u],
-                                0, 0, 0, d,
                             )
     elif name == "Row5":
         for a in U:
@@ -698,8 +712,9 @@ def _named_elements(name: str, spec: FieldSpec):
                 for x in E:
                     for y in E:
                         yield mk(a, 0, 0, 0, 0, d, 0, 0, x, y, a, 0, 0, mul[d_a][x], 0, d)
-    elif name == "Row8":
-        for a in U:
+    elif name in ("R_last", "Row8"):
+        # Row8 is R_last times the scalars a
+        for a in U if name == "Row8" else (1,):
             inv_a = inv[a]
             for v in E:
                 nvv_a, nv = neg[mul[mul[v][v]][inv_a]], neg[v]
@@ -715,7 +730,7 @@ def _named_elements(name: str, spec: FieldSpec):
         raise UnknownName(name)
 
 
-_ALIASES = {"Row2": "C", "Row3": "M", "Row4": "B"}
+_ALIASES = {"Row1": "D", "Row2": "C", "Row3": "M", "Row4": "B"}
 
 NAMED_SUBGROUP_NAMES = (
     "U_S", "U_K", "M", "M1", "S", "A", "B", "C", "D", "R_last",
@@ -727,7 +742,9 @@ NAMED_SUBGROUP_NAMES = (
 def named_subgroup(name: str, q) -> Subgroup:
     """One of the fixed-group families by name, over F_q.
 
-    Rows 2/3/4 coincide with C/M/B and are served as aliases.  Every element
+    Rows 1/2/3/4 coincide with D/C/M/B and are served as aliases (D's
+    (1,2) entry a y is Row 1's u, so its (3,4) entry -(c/b) y is -(d/b) u
+    with d = c/a).  Every element
     is validated as a similitude; element counts are tested against the
     closed orders.
     """
@@ -737,32 +754,6 @@ def named_subgroup(name: str, q) -> Subgroup:
     base = _ALIASES.get(name, name)
     elems = [gsp_elem(m) for m in _named_elements(base, spec)]
     return make_subgroup(elems, name=name)
-
-
-def named_subgroup_order(name: str, q: int) -> int:
-    """Closed-form order of each named subgroup."""
-    base = _ALIASES.get(name, name)
-    gl2 = (q * q - 1) * (q * q - q)
-    orders = {
-        "U_S": q**3,
-        "U_K": q**3,
-        "M": (q - 1) * gl2,
-        "M1": q * (q * q - 1),
-        "R_klingen": q * q * (q * q - 1),
-        "S": q * q * (q - 1) ** 2,
-        "A": q * q * (q - 1) ** 2,
-        "B": q * (q - 1) ** 3,
-        "C": q * q * (q - 1) ** 3,
-        "D": q * q * (q - 1) ** 3,
-        "R_last": q**3,
-        "Row1": q * q * (q - 1) ** 3,
-        "Row5": q * q * (q - 1) ** 2,
-        "Row6": q * q * (q - 1) ** 2,
-        "Row7": q * q * (q - 1) ** 2,
-        "Row8": q**3 * (q - 1),
-        "Z_ray": q,
-    }
-    return orders[base]
 
 
 def upper_unipotent(spec: FieldSpec) -> Subgroup:

@@ -307,8 +307,21 @@ class TestDixonOracle:
                 want[class_of[x.key()]][class_of[(x_inv * cls.rep).key()]][k] += 1
         labels, kstar, mats = _class_products(table_q2.group, classes)
         assert mats == want
-        assert labels == [class_of[g.key()] for g in table_q2.group.elements]
+        assert labels.tolist() == [class_of[g.key()] for g in table_q2.group.elements]
+        assert (table_q2.labels == labels).all()
         assert kstar == [class_of[c.rep.inverse().key()] for c in classes]
+
+    def test_class_counts(self, table_q2):
+        """class_counts against a per-element count through class_index and
+        through the class member lists."""
+        class_of = {g.key(): k for k, cls in enumerate(table_q2.classes)
+                    for g in cls.elements}
+        for name in ("U_S", "B", "M1", "R_klingen", "Row8", "Z_ray"):
+            sub = gq.named_subgroup(name, 2)
+            want = Counter(class_of[g.key()] for g in sub)
+            assert Counter(table_q2.class_index(g) for g in sub) == want
+            got = table_q2.class_counts(sub)
+            assert got == [want[k] for k in range(table_q2.n_classes)], name
 
     def test_one_elimination_mod_ell_and_over_q(self):
         # the pivot loop behind the eigenvector descent and the elliptic

@@ -165,6 +165,21 @@ class TestTables:
                     assert t.add[i][j] == (a + b).encoding()
                     assert t.mul[i][j] == (a * b).encoding()
 
+    def test_primitive_unit_is_least_generator(self):
+        """The least-encoding unit of multiplicative order q - 1, by counting
+        powers of every unit up to it."""
+        for q in SMALL_QS + [256, 509]:
+            spec = ff.field_for_q(q)
+            c = ff.primitive_unit(spec)
+            for x in ff.units(spec):
+                order, y = 1, x
+                while not y.is_one():
+                    y, order = y * x, order + 1
+                if x == c:
+                    assert order == q - 1
+                    break
+                assert order < q - 1
+
     def test_prime_power(self):
         assert ff.prime_power(9) == (3, 2)
         assert ff.prime_power(1024) == (2, 10)

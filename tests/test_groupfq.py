@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from closed_orders import named_subgroup_order
 from klingen import ffield, groupfq as gq
 from klingen.errors import GroupTooLarge, NotSimilitude, UnknownName
 from klingen.ffield import field_for_q
@@ -190,7 +191,7 @@ class TestNamedSubgroups:
     def test_orders_match_closed_forms(self, q):
         for name in gq.NAMED_SUBGROUP_NAMES:
             sg = gq.named_subgroup(name, q)
-            assert sg.order == gq.named_subgroup_order(name, q), name
+            assert sg.order == named_subgroup_order(name, q), name
 
     def test_aliases(self):
         for alias, base in (("Row2", "C"), ("Row3", "M"), ("Row4", "B")):
@@ -318,7 +319,7 @@ class TestClosure:
         has entry (4,4) summing four products (p - 1)^2, the largest a
         product entry can reach at f = 1."""
         spec = field_for_q(q)
-        c = gq._primitive_unit(spec)
+        c = ffield.primitive_unit(spec)
         cases = [(gq.pos_root_elem(spec, 3, spec.one), spec.p),
                  (gq.Mat4.diag(spec, c, c, 1, 1), q - 1)]
         if spec.p > 2:
@@ -489,10 +490,65 @@ class TestRowKeys:
         group raises."""
         group = gq.named_subgroup("U_S", 3)
         spec = group.spec
-        keys = gq.row_keys(gq._rows(group.elements, spec))
-        found = gq._positions(keys, gq._rows(group.elements[::-1], spec))
+        mats = [g.mat.e for g in group.elements]
+        found = gq._positions(group.keys, gq._rows(mats[::-1], spec))
         assert found.tolist() == list(range(group.order))[::-1]
         outside = gq.gsp_elem(gq.Mat4.diag(spec, 2, 2, 1, 1))
         assert outside not in group
         with pytest.raises(ValueError, match="not in the group"):
-            gq._positions(keys, gq._rows(group.elements[:3] + (outside,), spec))
+            gq._positions(group.keys, gq._rows(mats[:3] + [outside.mat.e], spec))
+
+
+def _array_groups(q):
+    """Subgroups over F_q from both constructors: a closure and a named
+    subgroup (plus GSp(4,2) itself, and B, at q = 2 and 4)."""
+    spec = field_for_q(q)
+    c = ffield.primitive_unit(spec)
+    torus = gq.gsp_elem(gq.Mat4.diag(spec, c, c, 1, 1))
+    root = gq.gsp_elem(gq.pos_root_elem(spec, 3, spec.one))
+    groups = [gq.subgroup_closure([torus]), gq.named_subgroup("Z_ray", q)]
+    if q < 5:
+        groups += [gq.subgroup_closure([torus, root]), gq.named_subgroup("B", q)]
+    if q == 2:
+        groups.append(gq.enumerate_gsp4(2))
+    return groups
+
+
+class TestSubgroupArrays:
+    @pytest.mark.parametrize("q", [2, 4, 509])
+    def test_rows_sorted_and_match_elements(self, q):
+        """rows, keys and mus are in row_keys order, and .elements holds the
+        same matrices and similitude factors, each a validated similitude."""
+        for group in _array_groups(q):
+            keys = gq.row_keys(group.rows)
+            assert (group.keys == keys).all()
+            assert (np.sort(keys) == keys).all(), group
+            assert len(set(keys.tolist())) == group.order, group
+            assert group.rows.tolist() == [list(g.mat.e) for g in group.elements]
+            assert group.mus.tolist() == [g.mu.encoding() for g in group.elements]
+            assert [g.key() for g in group.elements] == sorted(g.key() for g in group)
+            for g in group.elements[:: max(1, group.order // 50)]:
+                assert gq.gsp_elem(g.mat) == g
+
+    def test_membership_of_elements_and_matrices(self):
+        group = gq.named_subgroup("R_last", 3)
+        spec = group.spec
+        g = group.elements[7]
+        assert g in group and g.mat in group
+        outside = gq.gsp_elem(gq.Mat4.diag(spec, 2, 2, 1, 1))
+        assert outside not in group and outside.mat not in group
+
+    def test_subset_and_same_elements_false_cases(self):
+        for q in (2, 3):
+            r_last = gq.named_subgroup("R_last", q)
+            row8 = gq.named_subgroup("Row8", q)
+            # Row8 has order q^3 (q - 1), so the two coincide at q = 2 only
+            assert row8.is_subset_of(r_last) == (q == 2)
+            assert row8.same_elements(r_last) == (q == 2)
+            m1, r_kl = gq.named_subgroup("M1", q), gq.named_subgroup("R_klingen", q)
+            assert m1.is_subset_of(r_kl)
+            assert not m1.same_elements(r_kl) and not r_kl.same_elements(m1)
+            # equal orders, different elements
+            row5, row6 = gq.named_subgroup("Row5", q), gq.named_subgroup("Row6", q)
+            assert row5.order == row6.order
+            assert not row5.same_elements(row6)

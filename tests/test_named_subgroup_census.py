@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from closed_orders import named_subgroup_order
 from klingen import groupfq as gq
 
 CENSUS = json.loads(
@@ -42,5 +43,5 @@ def test_census_coverage():
         assert set(CENSUS[q]) == set(gq.NAMED_SUBGROUP_NAMES)
     for q in ("7", "8", "9"):
         small = {n for n in gq.NAMED_SUBGROUP_NAMES
-                 if gq.named_subgroup_order(n, int(q)) <= 6000}
+                 if named_subgroup_order(n, int(q)) <= 6000}
         assert set(CENSUS[q]) == small

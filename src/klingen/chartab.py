@@ -579,8 +579,7 @@ def dim_fixed(subgroup: Subgroup, family: SigmaFamily, q: Optional[int] = None) 
     if family.kind == FAMILY_NONGENERIC:
         raise ValueNotPinned("nongeneric dimensions are not computed from class data")
     spec = subgroup.spec
-    counts = Counter(_classify(e, mu, spec) for e, mu in
-                     zip(subgroup.rows.tolist(), subgroup.mus.tolist()))
+    counts = Counter(_classify(e, mu, spec) for e, mu in zip(*subgroup.row_lists()))
     total = 0
     leftover = Counter()
     for label, n in counts.items():

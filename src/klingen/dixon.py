@@ -16,11 +16,14 @@ Dixon and Schneider:
   3. recover each degree d from d^2 = |G| / sum_k omega_k omega_{k*} / h_k
      (mod ell) together with 0 < d <= sqrt(|G|);
   4. lift the modular values to exact cyclotomic integers through the
-     root-of-unity multiplicities m_j = (1/e) sum_t chi(g^t) z^{-jt};
+     root-of-unity multiplicities m_j = (1/e) sum_t chi(g^t) z^{-jt}: the
+     value is sum_j m_j zeta_e^j with integer m_j, so it has integer
+     coefficients in the power basis of Z[zeta_e];
   5. verify sum d^2 = |G| and first orthogonality exactly.
 
 Everything is exact: modular arithmetic with proven-unique lifts, then
-cyclotomic integers over Q with Fraction coefficients.
+cyclotomic integers in Z[zeta_e] with int coefficients.  Averages over a
+group sum ints and divide once, at the end.
 """
 
 from __future__ import annotations
@@ -110,20 +113,25 @@ def cyclotomic_polynomial(n: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _degree(n: int) -> int:
+    """deg Phi_n, the length of a coefficient vector of Q(zeta_n)."""
+    return len(cyclotomic_polynomial(n)) - 1
+
+
+@lru_cache(maxsize=None)
 def _power_table(n: int) -> tuple:
-    """x^m reduced mod Phi_n for m = 0 .. max(n, 2 deg - 1), as tuples."""
+    """x^m reduced mod Phi_n for m = 0 .. max(n, 2 deg - 1), as int tuples:
+    Phi_n is monic, so reducing by it never divides."""
     phi = cyclotomic_polynomial(n)
     d = len(phi) - 1
     top = max(n, 2 * d - 1)
     table = []
-    cur = [Fraction(0)] * d
-    if d > 0:
-        cur[0] = Fraction(1)
+    cur = [1] + [0] * (d - 1)
     for m in range(top + 1):
         table.append(tuple(cur))
         # multiply by x
         carry = cur[d - 1]
-        nxt = [Fraction(0)] + cur[: d - 1]
+        nxt = [0] + cur[: d - 1]
         if carry:
             for i in range(d):
                 nxt[i] -= carry * phi[i]
@@ -132,28 +140,58 @@ def _power_table(n: int) -> tuple:
 
 
 class Cyclotomic:
-    """An element of Q(zeta_n) in the power basis of Q[x]/Phi_n(x)."""
+    """An element of Z[zeta_n] in the power basis of Z[x]/Phi_n(x).
+
+    Character values are algebraic integers, so every coefficient is an int;
+    the constructor refuses anything else.  Exact averages divide once, at
+    the end of a sum (``as_int`` of the total, then a ``Fraction`` or
+    ``divmod`` by the group order)."""
 
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs):
+        cs = tuple(coeffs)
+        if len(cs) != _degree(order):
+            raise ValueError(
+                f"Q(zeta_{order}) has degree {_degree(order)}, got {len(cs)} coefficients"
+            )
+        bad = [c for c in cs if not isinstance(c, int)]
+        if bad:
+            raise TypeError(
+                f"cyclotomic integer coefficients must be ints, got {bad[0]!r}"
+            )
         self.order = order
-        d = len(cyclotomic_polynomial(order)) - 1
-        cs = tuple(Fraction(c) for c in coeffs)
-        assert len(cs) == d
         self.coeffs = cs
+
+    @classmethod
+    def _of(cls, order: int, coeffs: tuple) -> "Cyclotomic":
+        """The element with the int tuple ``coeffs``, unchecked: for results
+        of int arithmetic on checked elements."""
+        out = object.__new__(cls)
+        out.order = order
+        out.coeffs = coeffs
+        return out
 
     # constructors -----------------------------------------------------
     @staticmethod
     def zero(order: int) -> "Cyclotomic":
-        d = len(cyclotomic_polynomial(order)) - 1
-        return Cyclotomic(order, (0,) * d)
+        return Cyclotomic._of(order, (0,) * _degree(order))
 
     @staticmethod
     def root_power(order: int, k: int) -> "Cyclotomic":
         """zeta_order^k."""
-        table = _power_table(order)
-        return Cyclotomic(order, table[k % order])
+        return Cyclotomic._of(order, _power_table(order)[k % order])
+
+    @staticmethod
+    def combination(order: int, terms) -> "Cyclotomic":
+        """sum n * c over the pairs (int n, Cyclotomic c) of ``terms``."""
+        out = [0] * _degree(order)
+        for n, c in terms:
+            if n:
+                for i, a in enumerate(c.coeffs):
+                    if a:
+                        out[i] += n * a
+        return Cyclotomic(order, out)
 
     # arithmetic -------------------------------------------------------
     def _check(self, other: "Cyclotomic"):
@@ -161,45 +199,46 @@ class Cyclotomic:
 
     def __add__(self, other):
         self._check(other)
-        return Cyclotomic(
+        return Cyclotomic._of(
             self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
         )
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Cyclotomic(self.order, tuple(a * other for a in self.coeffs))
+        if isinstance(other, int):
+            return Cyclotomic._of(self.order, tuple(a * other for a in self.coeffs))
+        if not isinstance(other, Cyclotomic):
+            return NotImplemented
         self._check(other)
         d = len(self.coeffs)
-        conv = [Fraction(0)] * (2 * d - 1)
+        conv = [0] * (2 * d - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     if b:
                         conv[i + j] += a * b
+        # x^m for m < d is a basis vector; fold the higher powers
+        out = conv[:d]
         table = _power_table(self.order)
-        out = [Fraction(0)] * d
-        for m, c in enumerate(conv):
+        for m in range(d, 2 * d - 1):
+            c = conv[m]
             if c:
-                base = table[m]
-                for i in range(d):
-                    if base[i]:
-                        out[i] += c * base[i]
-        return Cyclotomic(self.order, tuple(out))
+                for i, t in enumerate(table[m]):
+                    if t:
+                        out[i] += c * t
+        return Cyclotomic._of(self.order, tuple(out))
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation zeta -> zeta^{-1}."""
         table = _power_table(self.order)
-        d = len(self.coeffs)
-        out = [Fraction(0)] * d
+        out = [0] * len(self.coeffs)
         for k, c in enumerate(self.coeffs):
             if c:
-                base = table[(self.order - k) % self.order]
-                for i in range(d):
-                    if base[i]:
-                        out[i] += c * base[i]
-        return Cyclotomic(self.order, tuple(out))
+                for i, t in enumerate(table[(self.order - k) % self.order]):
+                    if t:
+                        out[i] += c * t
+        return Cyclotomic._of(self.order, tuple(out))
 
     # predicates -------------------------------------------------------
     def __eq__(self, other):
@@ -218,20 +257,18 @@ class Cyclotomic:
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
 
-    def as_fraction(self) -> Fraction:
+    def as_int(self) -> int:
+        """The value, which must be rational, hence an integer."""
         if not self.is_rational():
             raise NonIntegralResult(f"{self!r} is not rational")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return self.coeffs[0]
 
-    def as_int(self) -> int:
-        f = self.as_fraction()
-        if f.denominator != 1:
-            raise NonIntegralResult(f"{f} is not an integer")
-        return f.numerator
+    def as_fraction(self) -> Fraction:
+        return Fraction(self.as_int())
 
     def __repr__(self):
         if self.is_rational():
-            return f"Cyc({self.coeffs[0] if self.coeffs else 0})"
+            return f"Cyc({self.coeffs[0]})"
         return f"Cyc(order={self.order}, {list(self.coeffs)})"
 
 
@@ -370,35 +407,37 @@ class CharacterTable:
         """The class of the group element g."""
         return int(self.labels[_positions(self.group.keys, _rows([g.mat.e], g.spec))[0]])
 
-    def value_at(self, i: int, g: GSpElem) -> Cyclotomic:
-        return self.values[i][self.class_index(g)]
+    def classes_of(self, sub: Subgroup) -> "np.ndarray":
+        """The class of each row of sub, a subgroup of the group."""
+        return self.labels[_positions(self.group.keys, sub.rows)]
 
     def class_counts(self, sub: Subgroup) -> list:
         """|sub ∩ C_k| for every class k of the group containing sub."""
         import numpy as np
 
-        found = self.labels[_positions(self.group.keys, sub.rows)]
-        return np.bincount(found, minlength=self.n_classes).tolist()
+        return np.bincount(self.classes_of(sub), minlength=self.n_classes).tolist()
 
     def fixed_dim(self, i: int, subgroup: Subgroup) -> int:
         """dim chi_i^R = (1/|R|) sum_k |R ∩ C_k| chi_i(C_k), exact."""
-        total = Cyclotomic.zero(self.exponent)
-        for k, n in enumerate(self.class_counts(subgroup)):
-            if n:
-                total = total + n * self.values[i][k]
-        frac = total.as_fraction() / subgroup.order
-        if frac.denominator != 1 or frac < 0:
+        total = Cyclotomic.combination(
+            self.exponent, zip(self.class_counts(subgroup), self.values[i])
+        ).as_int()
+        dim, rem = divmod(total, subgroup.order)
+        if rem or dim < 0:
             raise NonIntegralResult(
-                f"character sum {frac} is not a nonnegative integer"
+                f"character sum {Fraction(total, subgroup.order)} is not a "
+                f"nonnegative integer"
             )
-        return frac.numerator
+        return dim
 
     def inner(self, i: int, j: int) -> Fraction:
         """First-orthogonality inner product <chi_i, chi_j>, exact."""
-        total = Cyclotomic.zero(self.exponent)
-        for k, cls in enumerate(self.classes):
-            total = total + cls.size * (self.values[i][k] * self.values[j][k].conjugate())
-        return total.as_fraction() / self.group.order
+        total = Cyclotomic.combination(
+            self.exponent,
+            ((cls.size, vi * vj.conjugate())
+             for cls, vi, vj in zip(self.classes, self.values[i], self.values[j])),
+        )
+        return Fraction(total.as_int(), self.group.order)
 
 
 # ---------------------------------------------------------------------------
@@ -551,25 +590,25 @@ def dixon_table(
             z = pow(w, exponent // e, ell)
             zinv = pow(z, ell - 2, ell)
             inv_e = pow(e % ell, ell - 2, ell)
-            val = Cyclotomic.zero(exponent)
-            total_mult = 0
+            zpow = [pow(zinv, t, ell) for t in range(e)]
+            terms = []
             for j in range(e):
                 s = 0
                 for t in range(e):
-                    s += cvals[i][power_classes[k][t]] * pow(zinv, (j * t) % e, ell)
+                    s += cvals[i][power_classes[k][t]] * zpow[(j * t) % e]
                 m_j = (s % ell) * inv_e % ell
                 if m_j > degrees[i]:
                     raise MismatchReport(
                         [("root-of-unity multiplicity", f"<= {degrees[i]}", m_j)]
                     )
                 if m_j:
-                    total_mult += m_j
-                    val = val + m_j * Cyclotomic.root_power(exponent, j * (exponent // e))
+                    terms.append((m_j, Cyclotomic.root_power(exponent, j * (exponent // e))))
+            total_mult = sum(m for m, _ in terms)
             if total_mult != degrees[i]:
                 raise MismatchReport(
                     [("total multiplicity", degrees[i], total_mult)]
                 )
-            row.append(val)
+            row.append(Cyclotomic.combination(exponent, terms))
         values.append(row)
 
     table = CharacterTable(

@@ -32,6 +32,7 @@ Any discrepancy raises MismatchReport listing every failed comparison.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from collections import Counter
 from dataclasses import dataclass, field
@@ -108,13 +109,13 @@ class LemmaReport:
         return [(c.name, c.expected, c.actual) for c in self.checks if not c.ok]
 
 
-def _whittaker_pairing(table: CharacterTable, i: int, unipotent) -> object:
+def _whittaker_pairing(table: CharacterTable, i: int, unipotent) -> Fraction:
     """<chi_i|_U, psi> against psi(u) = (-1)^(u_12 + u_23); q = 2 only."""
-    total = Cyclotomic.zero(table.exponent)
-    for u in unipotent.elements:
-        sign = (-1) ** (u.mat.entry(0, 1).encoding() + u.mat.entry(1, 2).encoding())
-        total = total + sign * table.value_at(i, u)
-    return total.as_fraction() / unipotent.order
+    weights = [0] * table.n_classes
+    for u, k in zip(unipotent.elements, table.classes_of(unipotent).tolist()):
+        weights[k] += (-1) ** (u.mat.entry(0, 1).encoding() + u.mat.entry(1, 2).encoding())
+    total = Cyclotomic.combination(table.exponent, zip(weights, table.values[i]))
+    return Fraction(total.as_int(), unipotent.order)
 
 
 def _virtual_type_ii(table: CharacterTable, labels, q: int):
@@ -126,7 +127,9 @@ def _virtual_type_ii(table: CharacterTable, labels, q: int):
     dimensions, and the remaining (free) values are fixed by requiring an
     integral decomposition over the computed table of minimal norm.  That
     minimum is certified unique and equal to 2, so the result is the
-    difference of exactly two irreducibles.
+    difference of exactly two irreducibles.  The search sweeps every free
+    value in -6..6 on ints: each multiplicity is scaled by |G| and by the
+    lcm of the known values' denominators, and tested with divmod.
 
     Returns (values per class as Fractions, coefficient per character).
     """
@@ -158,37 +161,33 @@ def _virtual_type_ii(table: CharacterTable, labels, q: int):
     for k, v in zip(elliptic, _solve_unique(eqs, lambda x: 1 / x, lambda x: x)):
         values[k] = v
 
-    # free values: minimal-norm integral completion
+    # free values: minimal-norm integral completion.  The coefficient of
+    # chi_i is (1/|G|) sum_k |C_k| v_k chi_i(C_k); times den = |G| * scale,
+    # every term is an int.
     sizes = [cls.size for cls in table.classes]
+    known_k = [k for k in range(r) if values[k] is not None]
+    scale = math.lcm(*(values[k].denominator for k in known_k))
+    den = table.group.order * scale
+    chi = [[table.value(i, k).as_int() for k in range(r)] for i in range(table.n_chars)]
     known = [
-        sum(
-            Fraction(sizes[k]) * values[k] * table.value(i, k).as_fraction()
-            for k in range(r)
-            if values[k] is not None
-        )
-        / table.group.order
-        for i in range(table.n_chars)
+        sum(sizes[k] * (values[k] * scale).numerator * row[k] for k in known_k)
+        for row in chi
     ]
-    coef = [
-        [
-            Fraction(sizes[k]) * table.value(i, k).as_fraction() / table.group.order
-            for k in free
-        ]
-        for i in range(table.n_chars)
-    ]
+    coef = [[scale * sizes[k] * row[k] for k in free] for row in chi]
     best = None
     for xs in product(range(-6, 7), repeat=len(free)):
-        cs = [
-            known[i] + sum(c * x for c, x in zip(coef[i], xs))
-            for i in range(table.n_chars)
-        ]
-        if any(c.denominator != 1 for c in cs):
-            continue
-        norm = sum(c * c for c in cs)
-        if best is None or norm < best[0]:
-            best = (norm, xs, [int(c) for c in cs], 1)
-        elif norm == best[0] and xs != best[1]:
-            best = (best[0], best[1], best[2], best[3] + 1)
+        cs = []
+        for kn, co in zip(known, coef):
+            c, rem = divmod(kn + sum(a * x for a, x in zip(co, xs)), den)
+            if rem:
+                break
+            cs.append(c)
+        else:
+            norm = sum(c * c for c in cs)
+            if best is None or norm < best[0]:
+                best = (norm, xs, cs, 1)
+            elif norm == best[0] and xs != best[1]:
+                best = (best[0], best[1], best[2], best[3] + 1)
     if best is None:
         raise ArithmeticError("no integral completion of the virtual character")
     norm, xs, coeffs, n_minimal = best
@@ -354,10 +353,11 @@ def verify_char_lemmas(q: int = 2) -> LemmaReport:
             by_token.setdefault(lab.token, []).append(g)
     checks.append(CheckResult("elliptic tokens in Klingen Levi", True, len(by_token) >= 1))
     for token, elems in sorted(by_token.items()):
+        counts = Counter(table.class_index(g) for g in elems)
         for i in type_i:
-            total = Cyclotomic.zero(table.exponent)
-            for g in elems:
-                total = total + table.value_at(i, g)
+            total = Cyclotomic.combination(
+                table.exponent, ((n, table.values[i][k]) for k, n in counts.items())
+            )
             checks.append(
                 CheckResult(
                     f"elliptic cancellation token {token} (typeI, char {i})",
@@ -366,7 +366,7 @@ def verify_char_lemmas(q: int = 2) -> LemmaReport:
                 )
             )
         if virtual_vals is not None:
-            total = sum(virtual_vals[table.class_index(g)] for g in elems)
+            total = sum(n * virtual_vals[k] for k, n in counts.items())
             checks.append(
                 CheckResult(
                     f"elliptic cancellation token {token} (typeII, virtual)",

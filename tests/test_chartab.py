@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import cmath
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -22,7 +24,14 @@ from klingen.chartab import (
     family_from_name,
     rational_roots,
 )
-from klingen.dixon import _class_products, _kernel, _solve_unique, dixon_table
+from klingen.dixon import (
+    Cyclotomic,
+    _class_products,
+    _kernel,
+    _solve_unique,
+    cyclotomic_polynomial,
+    dixon_table,
+)
 from klingen.errors import (
     DixonBoundExceeded,
     NotScopedClass,
@@ -259,6 +268,83 @@ class TestIntersectionCounts:
         assert counts["B32"] == (q - 1) * (q * q - 1) // 2
 
 
+CYCLOTOMIC_ORDERS = (1, 3, 4, 12, 60, 360)
+
+
+@st.composite
+def cyclotomic_pairs(draw):
+    """An order n and two coefficient vectors of length deg Phi_n."""
+    n = draw(st.sampled_from(CYCLOTOMIC_ORDERS))
+    d = len(cyclotomic_polynomial(n)) - 1
+    vec = st.lists(st.integers(-40, 40), min_size=d, max_size=d)
+    return n, draw(vec), draw(vec)
+
+
+def _reduce_mod(poly, modulus):
+    """poly mod a monic modulus by long division (both constant first)."""
+    poly = list(poly)
+    d = len(modulus) - 1
+    for m in range(len(poly) - 1, d - 1, -1):
+        c = poly[m]
+        if c:
+            for j, mj in enumerate(modulus):
+                poly[m - d + j] -= c * mj
+    return (poly + [0] * d)[:d]
+
+
+def _evaluate(x: Cyclotomic) -> complex:
+    zeta = cmath.exp(2j * cmath.pi / x.order)
+    return sum(c * zeta**k for k, c in enumerate(x.coeffs))
+
+
+def _close(a: complex, b: complex, x: Cyclotomic) -> bool:
+    return abs(a - b) <= 1e-9 * (1 + sum(abs(c) for c in x.coeffs))
+
+
+class TestCyclotomic:
+    """Z[zeta_n] arithmetic against polynomial long division and against
+    complex evaluation at exp(2 pi i / n)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(cyclotomic_pairs())
+    def test_product_is_reduced_polynomial_product(self, pair):
+        n, a, b = pair
+        conv = [0] * (2 * len(a) - 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                conv[i + j] += ai * bj
+        got = Cyclotomic(n, a) * Cyclotomic(n, b)
+        assert got.coeffs == tuple(_reduce_mod(conv, cyclotomic_polynomial(n)))
+        assert all(type(c) is int for c in got.coeffs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cyclotomic_pairs())
+    def test_conjugate_is_complex_conjugation_and_an_involution(self, pair):
+        n, a, _ = pair
+        x = Cyclotomic(n, a)
+        bar = x.conjugate()
+        assert _close(_evaluate(bar), _evaluate(x).conjugate(), x)
+        assert bar.conjugate() == x
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(CYCLOTOMIC_ORDERS), st.integers(-1000, 1000))
+    def test_root_power(self, n, k):
+        x = Cyclotomic.root_power(n, k)
+        assert _close(_evaluate(x), cmath.exp(2j * cmath.pi * k / n), x)
+
+    @pytest.mark.parametrize("n", CYCLOTOMIC_ORDERS)
+    def test_non_int_coefficients_refused(self, n):
+        d = len(cyclotomic_polynomial(n)) - 1
+        with pytest.raises(TypeError, match="must be ints"):
+            Cyclotomic(n, (Fraction(1, 2),) + (0,) * (d - 1))
+        with pytest.raises(TypeError, match="must be ints"):
+            Cyclotomic(n, (0,) * (d - 1) + (1.0,))
+        with pytest.raises(TypeError):
+            Cyclotomic.root_power(n, 1) * Fraction(1, 2)
+        with pytest.raises(ValueError):
+            Cyclotomic(n, (0,) * (d + 1))
+
+
 class TestDixonOracle:
     def test_degrees(self, table_q2):
         assert table_q2.n_classes == 11
@@ -272,8 +358,6 @@ class TestDixonOracle:
             assert v.is_rational() and v.as_int() == table_q2.degrees[i]
 
     def test_orthogonality_spot(self, table_q2):
-        from fractions import Fraction
-
         assert table_q2.inner(0, 0) == Fraction(1)
         assert table_q2.inner(0, 1) == Fraction(0)
         assert table_q2.inner(3, 7) == Fraction(0)
@@ -326,8 +410,6 @@ class TestDixonOracle:
     def test_one_elimination_mod_ell_and_over_q(self):
         # the pivot loop behind the eigenvector descent and the elliptic
         # solve, over F_7 and over Q
-        from fractions import Fraction
-
         mod7 = (lambda x: pow(x, 5, 7), lambda x: x % 7)
         rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
         for v in _kernel(rows, *mod7):

@@ -33,9 +33,11 @@ totals), never invented per element.  A Dixon-Schneider solver provides a
 fully independent oracle at q = 2.
 
 Classification computes on element encodings through ``ffield.tables``:
-one elimination (``_rref``), one h - lam*I helper, the characteristic
-polynomial from principal minors and roots by deflation.  ``char_poly``
-and ``rational_roots`` are their public forms on FqElem values.
+the one elimination ``ffield.row_reduce`` (ranks, the pivot columns that
+give the rank-2 complement, the B-block kernel), one h - lam*I helper,
+the characteristic polynomial from principal minors and roots by
+deflation.  ``char_poly`` and ``rational_roots`` are their public forms
+on FqElem values.
 """
 
 from __future__ import annotations
@@ -119,48 +121,13 @@ def family_from_name(name: str, q: Optional[int] = None) -> SigmaFamily:
 # linear algebra over F_q on element encodings (ffield.tables)
 # ---------------------------------------------------------------------------
 
-def _rref(rows, t) -> tuple:
-    """Reduced row echelon form of encoded rows: (rows, pivot columns)."""
-    add, mul, neg, inv = t.add, t.mul, t.neg, t.inv
-    a = [list(r) for r in rows]
-    pivots = []
-    for col in range(len(a[0]) if a else 0):
-        row = len(pivots)
-        piv = next((r for r in range(row, len(a)) if a[r][col]), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        s = mul[inv[a[row][col]]]
-        prow = a[row] = [s[x] for x in a[row]]
-        for r in range(len(a)):
-            f = a[r][col]
-            if r != row and f:
-                nf = mul[neg[f]]
-                a[r] = [add[x][nf[y]] for x, y in zip(a[r], prow)]
-        pivots.append(col)
-        if len(pivots) == len(a):
-            break
-    return a, pivots
-
-
-def _kernel(rows, t) -> list:
-    """Basis of the null space of encoded rows, read off the RREF."""
-    a, pivots = _rref(rows, t)
-    n = len(rows[0])
-    basis = []
-    for fc in range(n):
-        if fc in pivots:
-            continue
-        v = [0] * n
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = t.neg[a[r][fc]]
-        basis.append(v)
-    return basis
-
-
 def _rows(e) -> list:
     return [e[0:4], e[4:8], e[8:12], e[12:16]]
+
+
+def _rank(e, t) -> int:
+    """Rank of the matrix with entries e; 4 - rank is its kernel's dimension."""
+    return len(ffield.row_reduce(_rows(e), t)[1])
 
 
 def _minus_scalar(e, lam: int, t) -> list:
@@ -294,45 +261,32 @@ _EVEN_RANK_LABELS = {0: "A1", 1: "A2", 3: "A41"}
 _ODD_RANK_LABELS = {0: "A0", 1: "A1", 3: "A3"}
 
 
-def _rank2_form(n, t) -> tuple:
+def _rank2_form(n, pivots, t) -> tuple:
     """The binary quadratic form Q(v) = B(Nv, v) on a complement of ker N,
-    N given by its entries: returns (alpha, beta, gamma) with Q = alpha s^2 +
-    beta st + gamma t^2."""
-    # complement basis: standard vectors independent modulo ker N
-    cur = _kernel(_rows(n), t)
-    basis = []
-    for i in range(4):
-        v = [1 if j == i else 0 for j in range(4)]
-        if len(_rref(cur + [v], t)[1]) > len(cur):
-            basis.append(v)
-            cur = cur + [v]
-            if len(basis) == 2:
-                break
-    w1, w2 = basis
-    nw1, nw2 = _mat_vec(n, w1, t), _mat_vec(n, w2, t)
+    N given by its entries and the pivot columns of its echelon form:
+    returns (alpha, beta, gamma) with Q = alpha s^2 + beta st + gamma t^2.
+
+    The standard vectors at the pivot columns span a complement: a kernel
+    vector supported on them is 0.  Q(v + k) = Q(v) for k in ker N, since
+    uk = k for the unipotent symplectic u = 1 + N gives B(Nv, k) =
+    B(uv, uk) - B(v, k) = 0; so any complement gives the same form up to
+    change of basis."""
+    w1, w2 = ([1 if j == pc else 0 for j in range(4)] for pc in pivots)
+    nw1, nw2 = (n[pc::4] for pc in pivots)  # the columns N w1, N w2
     alpha = _bilinear(nw1, w1, t)
     gamma = _bilinear(nw2, w2, t)
     beta = t.add[_bilinear(nw1, w2, t)][_bilinear(nw2, w1, t)]
     return alpha, beta, gamma
 
 
-def _gen_eigenspace(h, lam: int, t, power: int = 2) -> list:
-    """Basis of ker((h - lam)^power), h given by its entries."""
-    shifted = _minus_scalar(h, lam, t)
-    if power == 2:
-        cols = [_mat_vec(shifted, shifted[c::4], t) for c in range(4)]
-        shifted = [cols[c][r] for r in range(4) for c in range(4)]
-    return _kernel(_rows(shifted), t)
-
-
 def _unipotent_label(h, even: bool, t) -> ClassLabel:
     """Label of a unipotent h (all eigenvalues 1) by rank and form data."""
     n = _minus_scalar(h, 1, t)
-    r = len(_rref(_rows(n), t)[1])
-    if r != 2:
+    pivots = ffield.row_reduce(_rows(n), t)[1]
+    if len(pivots) != 2:
         table = _EVEN_RANK_LABELS if even else _ODD_RANK_LABELS
-        return ClassLabel(table[r])
-    alpha, beta, gamma = _rank2_form(n, t)
+        return ClassLabel(table[len(pivots)])
+    alpha, beta, gamma = _rank2_form(n, pivots, t)
     if even:
         if alpha == 0 and beta == 0 and gamma == 0:
             return ClassLabel("A31")
@@ -378,11 +332,12 @@ def _classify(e, mu: int, spec: FieldSpec) -> ClassLabel:
         c0, b1 = rest[0], rest[1]
         if c0 == t.mul[lam][lam]:
             token = t.mul[b1][t.inv[lam]]
-            fixed_dim = len(_gen_eigenspace(e, lam, t, power=1))
+            # a fixed space of dimension 2 = 4 - rank: trivial unipotent part
+            trivial = _rank(_minus_scalar(e, lam, t), t) == 2
             if even:
-                kind = "C3" if fixed_dim == 2 else "D3"
+                kind = "C3" if trivial else "D3"
             else:
-                kind = "G0" if fixed_dim == 2 else "G1"
+                kind = "G0" if trivial else "G1"
             return ClassLabel(kind, token)
         return ClassLabel("Mixed")
 
@@ -393,13 +348,14 @@ def _classify(e, mu: int, spec: FieldSpec) -> ClassLabel:
 def _b_family_label(e, lam: int, t) -> ClassLabel:
     h = _scale(e, t.inv[lam], t)
     minus_one = t.neg[1]
-    plus_fixed = len(_gen_eigenspace(h, 1, t, power=1))
-    minus_fixed = len(_gen_eigenspace(h, minus_one, t, power=1))
-    if plus_fixed == 2 and minus_fixed == 2:
+    # each eigenspace has dimension 4 - rank; 2 means a trivial block
+    plus_trivial = _rank(_minus_scalar(h, 1, t), t) == 2
+    minus_trivial = _rank(_minus_scalar(h, minus_one, t), t) == 2
+    if plus_trivial and minus_trivial:
         return ClassLabel("B0")
-    if plus_fixed == 2:
+    if plus_trivial:
         return ClassLabel("B2")
-    if minus_fixed == 2:
+    if minus_trivial:
         return ClassLabel("B1")
     # both blocks nontrivial: square class of the product of the rank-1
     # form coefficients on the two generalized eigenspaces
@@ -409,17 +365,19 @@ def _b_family_label(e, lam: int, t) -> ClassLabel:
 
 
 def _block_form_coeff(h, lam: int, t) -> int:
-    """Nonzero value of Q(v) = B((h-lam)v, v) on ker((h-lam)^2)."""
-    s0, s1 = _gen_eigenspace(h, lam, t, power=2)
+    """Nonzero value of Q(v) = B((h-lam)v, v) on ker((h-lam)^2).
+
+    Q is a rank-1 form c*L^2 on that plane, so it is nonzero at one of the
+    two kernel basis vectors s0, s1 unless it vanishes; Q(s1) is tried
+    first."""
     shifted = _minus_scalar(h, lam, t)
-    add, mul = t.add, t.mul
-    # Q is a rank-1 form c*L^2 on the block; evaluate until nonzero
-    for a in range(t.q):
-        for b in range(t.q):
-            v = [add[mul[a][x]][mul[b][y]] for x, y in zip(s0, s1)]
-            q = _bilinear(_mat_vec(shifted, v, t), v, t)
-            if q:
-                return q
+    cols = [_mat_vec(shifted, shifted[c::4], t) for c in range(4)]
+    square = [cols[c][r] for r in range(4) for c in range(4)]
+    s0, s1 = ffield.kernel(_rows(square), t)
+    for v in (s1, s0):
+        q = _bilinear(_mat_vec(shifted, v, t), v, t)
+        if q:
+            return q
     raise NotScopedClass("vanishing block form on a B31/B32 candidate")
 
 
@@ -653,12 +611,6 @@ def dim_fixed_family(which, family: SigmaFamily, q: int) -> int:
         pair = _NAME_DIMS[which]
     return pair[0 if family.kind == FAMILY_TYPE_I else 1](q)
 
-
-# The Dixon-Schneider oracle lives in its own module; re-export its
-# public names here (the lemma-verification suite imports from this module,
-# so it is reached as klingen.verify_lemmas directly).
-from .dixon import CharacterTable, dixon_table  # noqa: E402
-
 __all__ = [
     "SigmaFamily",
     "family_from_name",
@@ -671,6 +623,4 @@ __all__ = [
     "char_poly",
     "dim_fixed",
     "dim_fixed_family",
-    "dixon_table",
-    "CharacterTable",
 ]

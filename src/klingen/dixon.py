@@ -35,7 +35,7 @@ from functools import lru_cache
 from typing import List
 
 from .errors import DixonBoundExceeded, MismatchReport, NonIntegralResult
-from .ffield import _is_prime
+from .ffield import FieldOps, _is_prime, kernel, row_reduce
 from .groupfq import (GSpElem, Mat4, Subgroup, _fq_matmul, _positions, _rows,
                       conjugacy_classes)
 
@@ -318,54 +318,15 @@ def _poly_roots_mod(coeffs: List[int], m: int) -> List[int]:
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Jordan elimination over a field given by its operations
+# Gauss-Jordan elimination: ffield.row_reduce and ffield.kernel over a
+# FieldOps, mod ell for the descent and over Q for the elliptic solve
 # ---------------------------------------------------------------------------
 
-def _row_reduce(rows: list, inv, red):
-    """Reduced row echelon form over a field given by two operations:
-    ``inv`` inverts a nonzero element and ``red`` returns an element's normal
-    form, which is 0 exactly for zero.  Mod a prime ell these are
-    pow(x, ell - 2, ell) and x % ell; over Q, with Fraction entries, 1 / x
-    and the identity.  Returns (rows, pivots): the nonzero reduced rows and
-    their pivot columns, in column order."""
-    work = [[red(x) for x in row] for row in rows]
-    pivots = []
-    for c in range(len(work[0]) if work else 0):
-        r = len(pivots)
-        piv = next((rr for rr in range(r, len(work)) if work[rr][c]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        s = inv(work[r][c])
-        work[r] = [red(x * s) for x in work[r]]
-        for rr in range(len(work)):
-            f = work[rr][c]
-            if rr != r and f:
-                work[rr] = [red(x - f * y) for x, y in zip(work[rr], work[r])]
-        pivots.append(c)
-    return work[:len(pivots)], pivots
-
-
-def _kernel(rows: list, inv, red) -> list:
-    """Basis of {v : rows v = 0}, one vector per non-pivot column."""
-    reduced, pivots = _row_reduce(rows, inv, red)
-    cols = len(rows[0])
-    basis = []
-    for fc in range(cols):
-        if fc in pivots:
-            continue
-        v = [0] * cols
-        v[fc] = 1
-        for row, pc in zip(reduced, pivots):
-            v[pc] = red(-row[fc])
-        basis.append(v)
-    return basis
-
-
-def _solve_unique(rows: list, inv, red) -> list:
-    """The solution of the system given by augmented rows [A | b], which
-    must exist and be unique (every column of A gets a pivot)."""
-    reduced, pivots = _row_reduce(rows, inv, red)
+def _solve_unique(rows: list) -> list:
+    """The solution over Q of the system given by augmented rows [A | b] of
+    Fractions, which must exist and be unique (every column of A gets a
+    pivot)."""
+    reduced, pivots = row_reduce(rows, FieldOps(lambda x: 1 / x, lambda x: x))
     ncols = len(rows[0]) - 1
     if [c for c in pivots if c < ncols] != list(range(ncols)):
         raise ArithmeticError("underdetermined linear system")
@@ -503,7 +464,7 @@ def dixon_table(
     ell = _choose_prime(exponent, group.order, r)
 
     # simultaneous eigenvector descent mod ell
-    field = (lambda x: pow(x, ell - 2, ell), lambda x: x % ell)
+    field = FieldOps(lambda x: pow(x, ell - 2, ell), lambda x: x % ell)
     full = [[1 if a == b else 0 for b in range(r)] for a in range(r)]
     spaces = [(full, list(range(r)))]  # (rref rows, pivot columns)
     for i in range(r):
@@ -512,7 +473,7 @@ def dixon_table(
         if all(len(rows) == 1 for rows, _ in spaces):
             break
         mat_i = [[mats[i][j][k] % ell for k in range(r)] for j in range(r)]
-        refined = []
+        refined = []  # (rref rows, pivot columns) of each eigenspace
         for rows, pivots in spaces:
             d = len(rows)
             if d == 1:
@@ -528,7 +489,7 @@ def dixon_table(
                     for a in range(d)
                 ]
                 eigen_vecs = []
-                for combo in _kernel(shifted, *field):
+                for combo in kernel(shifted, field):
                     vec = [0] * r
                     for a, ca in enumerate(combo):
                         if ca:
@@ -536,11 +497,8 @@ def dixon_table(
                                 vec[pos] = (vec[pos] + ca * rows[a][pos]) % ell
                     eigen_vecs.append(vec)
                 if eigen_vecs:
-                    refined.append(eigen_vecs)
-        spaces = [
-            _row_reduce(vecs, *field) if isinstance(vecs, list) else vecs
-            for vecs in refined
-        ]
+                    refined.append(row_reduce(eigen_vecs, field))
+        spaces = refined
 
     if not all(len(rows) == 1 for rows, _ in spaces) or len(spaces) != r:
         raise MismatchReport(

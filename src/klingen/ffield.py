@@ -14,6 +14,11 @@ engine that the matrix, closure and classification layers compute with.
 ``FqElem`` is the type at the API boundary: public functions take and
 return it, and its operators stay polynomial arithmetic.
 
+The one Gaussian elimination of the package, ``row_reduce`` and its
+``kernel``, lives here too.  It takes its field as an argument: ``Tables``
+for F_q on encodings, or ``FieldOps`` built from an inverse and a normal
+form, which the character-table oracle uses mod a prime and over Q.
+
 Everything here is exact; there is no floating point anywhere.
 """
 
@@ -22,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import DivisionByZero, FieldTooLarge, MixedFields, NotPrime
 
@@ -353,6 +358,21 @@ class Tables(NamedTuple):
     def q(self) -> int:
         return len(self.neg)
 
+    # the row operations of ``row_reduce``
+    def inverse(self, a: int) -> int:
+        return self.inv[a]
+
+    def scale(self, row, s: int) -> list:
+        m = self.mul[s]
+        return [m[x] for x in row]
+
+    def sub_multiple(self, row, f: int, pivot_row) -> list:
+        add, m = self.add, self.mul[self.neg[f]]
+        return [add[x][m[y]] for x, y in zip(row, pivot_row)]
+
+    def negate(self, a: int) -> int:
+        return self.neg[a]
+
 
 def _powers(x: FqElem) -> list:
     """The encodings of x^0, x^1, ..., x^(k-1), k the order of the unit x."""
@@ -412,3 +432,72 @@ def is_square(a: FqElem) -> bool:
 def units(spec: FieldSpec) -> list[FqElem]:
     """The nonzero elements, in encoding order."""
     return [x for x in enumerate_field(spec) if not x.is_zero()]
+
+
+# ---------------------------------------------------------------------------
+# Gaussian elimination over a field given by its row operations
+# ---------------------------------------------------------------------------
+
+class FieldOps(NamedTuple):
+    """The row operations of ``row_reduce`` from ``inverse``, which inverts
+    a nonzero element, and ``red``, which returns an element's normal form.
+    Mod a prime ell these are ``pow(x, ell - 2, ell)`` and ``x % ell``;
+    over Q, on ``Fraction`` entries, ``1 / x`` and the identity."""
+
+    inverse: Callable
+    red: Callable
+
+    def scale(self, row, s) -> list:
+        red = self.red
+        return [red(x * s) for x in row]
+
+    def sub_multiple(self, row, f, pivot_row) -> list:
+        red = self.red
+        return [red(x - f * y) for x, y in zip(row, pivot_row)]
+
+    def negate(self, a):
+        return self.red(-a)
+
+
+def row_reduce(rows, field) -> tuple:
+    """Reduced row echelon form: (the nonzero reduced rows, their pivot
+    columns in order).
+
+    ``field`` is a ``Tables`` or a ``FieldOps``: it supplies ``inverse``,
+    ``scale``, ``sub_multiple`` and ``negate``.  Entries must come in
+    normal form, and zero must be exactly the falsy value, since pivots are
+    found by truth tests."""
+    a = [list(r) for r in rows]
+    pivots = []
+    for col in range(len(a[0]) if a else 0):
+        row = len(pivots)
+        piv = next((r for r in range(row, len(a)) if a[r][col]), None)
+        if piv is None:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        prow = a[row] = field.scale(a[row], field.inverse(a[row][col]))
+        for r in range(len(a)):
+            f = a[r][col]
+            if r != row and f:
+                a[r] = field.sub_multiple(a[r], f, prow)
+        pivots.append(col)
+        if len(pivots) == len(a):
+            break
+    return a[:len(pivots)], pivots
+
+
+def kernel(rows, field) -> list:
+    """Basis of {v : rows v = 0}, one vector per non-pivot column of the
+    reduced form, with 1 at that column."""
+    reduced, pivots = row_reduce(rows, field)
+    n = len(rows[0])
+    basis = []
+    for fc in range(n):
+        if fc in pivots:
+            continue
+        v = [0] * n
+        v[fc] = 1
+        for r, pc in zip(reduced, pivots):
+            v[pc] = field.negate(r[fc])
+        basis.append(v)
+    return basis

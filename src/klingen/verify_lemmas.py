@@ -158,7 +158,7 @@ def _virtual_type_ii(table: CharacterTable, labels, q: int):
         if any(counts[k] for k in free):
             raise ArithmeticError(f"free class meets lemma subgroup {name}")
         eqs.append(row + [rhs])
-    for k, v in zip(elliptic, _solve_unique(eqs, lambda x: 1 / x, lambda x: x)):
+    for k, v in zip(elliptic, _solve_unique(eqs)):
         values[k] = v
 
     # free values: minimal-norm integral completion.  The coefficient of

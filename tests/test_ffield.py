@@ -187,3 +187,81 @@ class TestTables:
         for q in (0, 1, 6, 12, 100, 2 * (10**9 + 7)):
             with pytest.raises(NotPrime):
                 ff.prime_power(q)
+
+
+PIVOT_QS = [2, 3, 4, 5, 8, 9]
+
+
+@st.composite
+def encoded_matrix(draw, qs=PIVOT_QS):
+    """(spec, rows of encodings): zeros are drawn often and one row may be a
+    combination of two others, so that ranks below full come up."""
+    spec = ff.field_for_q(draw(st.sampled_from(qs)))
+    q = spec.q
+    n_rows = draw(st.integers(min_value=1, max_value=5))
+    n_cols = draw(st.integers(min_value=1, max_value=6))
+    entry = st.one_of(st.just(0), st.integers(min_value=0, max_value=q - 1))
+    rows = [[draw(entry) for _ in range(n_cols)] for _ in range(n_rows)]
+    if n_rows >= 2 and draw(st.booleans()):
+        a, b = (draw(st.integers(min_value=0, max_value=q - 1)) for _ in range(2))
+        x, y = rows[0], rows[1]
+        rows.append([(a * spec.from_encoding(u) + b * spec.from_encoding(v)).encoding()
+                     for u, v in zip(x, y)])
+    return spec, rows
+
+
+def _reference_rref(rows, spec):
+    """Gauss-Jordan on FqElem values: (reduced nonzero rows, pivots)."""
+    a = [[spec.from_encoding(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(len(a[0])):
+        top = len(pivots)
+        piv = next((r for r in range(top, len(a)) if a[r][c]), None)
+        if piv is None:
+            continue
+        a[top], a[piv] = a[piv], a[top]
+        lead = a[top][c]
+        a[top] = [x / lead for x in a[top]]
+        for r in range(len(a)):
+            f = a[r][c]
+            if r != top and f:
+                a[r] = [x - f * y for x, y in zip(a[r], a[top])]
+        pivots.append(c)
+    return [[x.encoding() for x in row] for row in a[:len(pivots)]], pivots
+
+
+class TestRowReduce:
+    @given(encoded_matrix())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fqelem_reference(self, case):
+        spec, rows = case
+        assert ff.row_reduce(rows, ff.tables(spec)) == _reference_rref(rows, spec)
+
+    @given(encoded_matrix())
+    @settings(max_examples=300, deadline=None)
+    def test_kernel_annihilates_and_has_full_dimension(self, case):
+        spec, rows = case
+        t = ff.tables(spec)
+        basis = ff.kernel(rows, t)
+        n_cols = len(rows[0])
+        pivots = ff.row_reduce(rows, t)[1]
+        assert len(basis) == n_cols - len(pivots)
+        zero = spec.zero
+        for v in basis:
+            for row in rows:
+                dot = sum((spec.from_encoding(a) * spec.from_encoding(b)
+                           for a, b in zip(row, v)), zero)
+                assert dot.is_zero()
+        # independent: each vector is 1 at its own free column, 0 at the others
+        free = [c for c in range(n_cols) if c not in pivots]
+        assert [[v[c] for c in free] for v in basis] == [
+            [1 if a == b else 0 for b in free] for a in free]
+
+    @given(encoded_matrix(qs=[2, 3, 5, 7]))
+    @settings(max_examples=300, deadline=None)
+    def test_tables_and_mod_prime_adapter_agree(self, case):
+        spec, rows = case
+        p = spec.p
+        t, mod_p = ff.tables(spec), ff.FieldOps(lambda x: pow(x, p - 2, p), lambda x: x % p)
+        assert ff.row_reduce(rows, t) == ff.row_reduce(rows, mod_p)
+        assert ff.kernel(rows, t) == ff.kernel(rows, mod_p)

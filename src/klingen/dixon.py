@@ -273,7 +273,8 @@ class Cyclotomic:
 
 
 # ---------------------------------------------------------------------------
-# modular linear algebra
+# modular linear algebra; the elimination is ffield.row_reduce and
+# ffield.kernel over a FieldOps mod ell
 # ---------------------------------------------------------------------------
 
 def _mat_apply(mat: List[List[int]], vec: List[int], m: int) -> List[int]:
@@ -315,24 +316,6 @@ def _poly_roots_mod(coeffs: List[int], m: int) -> List[int]:
         if acc == 0:
             roots.append(x)
     return roots
-
-
-# ---------------------------------------------------------------------------
-# Gauss-Jordan elimination: ffield.row_reduce and ffield.kernel over a
-# FieldOps, mod ell for the descent and over Q for the elliptic solve
-# ---------------------------------------------------------------------------
-
-def _solve_unique(rows: list) -> list:
-    """The solution over Q of the system given by augmented rows [A | b] of
-    Fractions, which must exist and be unique (every column of A gets a
-    pivot)."""
-    reduced, pivots = row_reduce(rows, FieldOps(lambda x: 1 / x, lambda x: x))
-    ncols = len(rows[0]) - 1
-    if [c for c in pivots if c < ncols] != list(range(ncols)):
-        raise ArithmeticError("underdetermined linear system")
-    if len(pivots) > ncols:
-        raise ArithmeticError("inconsistent linear system")
-    return [row[-1] for row in reduced]
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +390,9 @@ class CharacterTable:
 
 def _class_products(group: Subgroup, classes: list) -> tuple:
     """(labels, kstar, mats): the class of each row of ``group``, the
-    inverse class of each class, and the class matrices (M_i)_{j,k} =
-    a_{ij}^k, the number of w in C_{i*} with w z_k in C_j (z_k the rep)."""
+    inverse class of each class, and a generator of the class matrices
+    (M_i)_{j,k} = a_{ij}^k, the number of w in C_{i*} with w z_k in C_j
+    (z_k the rep), built one class i at a time as it is consumed."""
     import numpy as np
 
     spec, rows, keys = group.spec, group.rows, group.keys
@@ -419,13 +403,15 @@ def _class_products(group: Subgroup, classes: list) -> tuple:
     inverses = _rows([cls.rep.inverse().mat.e for cls in classes], spec)
     kstar = labels[_positions(keys, inverses)].tolist()
     z = rows[[cls.index[0] for cls in classes]].reshape(1, r, 4, 4)
-    mats = []
-    for i in range(r):
-        w = rows[classes[kstar[i]].index].reshape(-1, 1, 4, 4)
-        j = labels[_positions(keys, _fq_matmul(w, z, spec))].reshape(-1, r)
-        counts = np.bincount((j * r + np.arange(r)).ravel(), minlength=r * r)
-        mats.append(counts.reshape(r, r).tolist())
-    return labels, kstar, mats
+
+    def mats():
+        for i in range(r):
+            w = rows[classes[kstar[i]].index].reshape(-1, 1, 4, 4)
+            j = labels[_positions(keys, _fq_matmul(w, z, spec))].reshape(-1, r)
+            counts = np.bincount((j * r + np.arange(r)).ravel(), minlength=r * r)
+            yield counts.reshape(r, r).tolist()
+
+    return labels, kstar, mats()
 
 
 def _power_classes(group: Subgroup, labels, g: GSpElem) -> list:
@@ -440,20 +426,17 @@ def _power_classes(group: Subgroup, labels, g: GSpElem) -> list:
     return found[-1:] + found[:-1]
 
 
-def dixon_table(
-    group: Subgroup,
-    order_bound: int = ORDER_BOUND,
-    class_bound: int = CLASS_BOUND,
-) -> CharacterTable:
-    """Compute the exact character table of a small group."""
-    if group.order > order_bound:
+def dixon_table(group: Subgroup) -> CharacterTable:
+    """Compute the exact character table of a group of order at most
+    ORDER_BOUND with at most CLASS_BOUND classes."""
+    if group.order > ORDER_BOUND:
         raise DixonBoundExceeded(
-            f"group order {group.order} exceeds bound {order_bound}"
+            f"group order {group.order} exceeds bound {ORDER_BOUND}"
         )
     classes = conjugacy_classes(group)
     r = len(classes)
-    if r > class_bound:
-        raise DixonBoundExceeded(f"{r} classes exceed bound {class_bound}")
+    if r > CLASS_BOUND:
+        raise DixonBoundExceeded(f"{r} classes exceed bound {CLASS_BOUND}")
 
     labels, kstar, mats = _class_products(group, classes)
     sizes = [cls.size for cls in classes]
@@ -467,12 +450,11 @@ def dixon_table(
     field = FieldOps(lambda x: pow(x, ell - 2, ell), lambda x: x % ell)
     full = [[1 if a == b else 0 for b in range(r)] for a in range(r)]
     spaces = [(full, list(range(r)))]  # (rref rows, pivot columns)
-    for i in range(r):
+    # the next class matrix is built only while some eigenspace is not a line
+    for i, mat in enumerate(mats):
         if i == id_class:
             continue
-        if all(len(rows) == 1 for rows, _ in spaces):
-            break
-        mat_i = [[mats[i][j][k] % ell for k in range(r)] for j in range(r)]
+        mat_i = [[x % ell for x in row] for row in mat]
         refined = []  # (rref rows, pivot columns) of each eigenspace
         for rows, pivots in spaces:
             d = len(rows)
@@ -499,6 +481,8 @@ def dixon_table(
                 if eigen_vecs:
                     refined.append(row_reduce(eigen_vecs, field))
         spaces = refined
+        if all(len(rows) == 1 for rows, _ in spaces):
+            break
 
     if not all(len(rows) == 1 for rows, _ in spaces) or len(spaces) != r:
         raise MismatchReport(

@@ -17,7 +17,7 @@ return it, and its operators stay polynomial arithmetic.
 The one Gaussian elimination of the package, ``row_reduce`` and its
 ``kernel``, lives here too.  It takes its field as an argument: ``Tables``
 for F_q on encodings, or ``FieldOps`` built from an inverse and a normal
-form, which the character-table oracle uses mod a prime and over Q.
+form, which the character-table oracle uses mod a prime.
 
 Everything here is exact; there is no floating point anywhere.
 """
@@ -441,8 +441,7 @@ def units(spec: FieldSpec) -> list[FqElem]:
 class FieldOps(NamedTuple):
     """The row operations of ``row_reduce`` from ``inverse``, which inverts
     a nonzero element, and ``red``, which returns an element's normal form.
-    Mod a prime ell these are ``pow(x, ell - 2, ell)`` and ``x % ell``;
-    over Q, on ``Fraction`` entries, ``1 / x`` and the identity."""
+    Mod a prime ell these are ``pow(x, ell - 2, ell)`` and ``x % ell``."""
 
     inverse: Callable
     red: Callable

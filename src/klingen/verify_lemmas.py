@@ -20,24 +20,22 @@ is both generic and cuspidal (the Gelfand-Graev module is exhausted by the
 degrees 16, 9, 10, 10).  The family's fixed-space dimensions still make
 sense: they are computed from a *virtual* character, pinned on every
 rationally-split class by the same values that drive the general-q proofs
-and forced on the elliptic classes by the Levi dimensions.  The suite
-constructs that virtual character, certifies it is the difference of
-exactly two irreducibles of the computed table (the unique integral
-completion of minimal norm), and then runs every lemma comparison against
-it.  The three classes the construction leaves free meet none of the
-lemma subgroups, which the suite also asserts.
+and held to the Klingen-Levi dimensions.  The suite finds that virtual
+character by one search over the computed table: among all +-chi_i and
++-chi_i +- chi_j, exactly one takes every pin and both Levi dimensions,
+and it is the difference of two irreducibles (norm 2).  Every lemma
+comparison then runs against it.
 
 Any discrepancy raises MismatchReport listing every failed comparison.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import product
-from typing import Dict, List, Optional
+from itertools import combinations
+from typing import List, Optional
 
 from .chartab import (
     FAMILY_TYPE_I,
@@ -48,7 +46,7 @@ from .chartab import (
     dim_fixed_family,
     _pinned_value,
 )
-from .dixon import CharacterTable, Cyclotomic, _solve_unique, dixon_table
+from .dixon import CharacterTable, Cyclotomic, dixon_table
 from .errors import DixonBoundExceeded, MismatchReport
 from .ffield import field_for_q
 from .groupfq import (
@@ -119,86 +117,51 @@ def _whittaker_pairing(table: CharacterTable, i: int, unipotent) -> Fraction:
 
 
 def _virtual_type_ii(table: CharacterTable, labels, q: int):
-    """Build the formal-degree (q^2+1)(q-1)^2 class function carrying the
-    second cuspidal family when no irreducible of that degree is cuspidal.
+    """The class function carrying the second cuspidal family when no
+    irreducible of its degree (q^2+1)(q-1)^2 is cuspidal.
 
-    Values on rationally-split classes come from the per-element pins, the
-    elliptic values are forced by the torus and Klingen-Levi fixed-space
-    dimensions, and the remaining (free) values are fixed by requiring an
-    integral decomposition over the computed table of minimal norm.  That
-    minimum is certified unique and equal to 2, so the result is the
-    difference of exactly two irreducibles.  The search sweeps every free
-    value in -6..6 on ints: each multiplicity is scaled by |G| and by the
-    lcm of the known values' denominators, and tested with divmod.
+    One search over the computed table.  The candidates are every +-chi_i
+    and every +-chi_i +- chi_j, which are all the integral class functions
+    of norm <= 2.  A candidate survives if it takes the typeII pin on every
+    pinned class and has the Klingen-Levi dimensions dim^M = 2 and
+    dim^{R_klingen} = 0.  Exactly one candidate must survive, and it must
+    have two terms, the norm 2 that Deligne-Lusztig predicts for
+    <R_T^theta, R_T^theta>; otherwise MismatchReport lists the survivors
+    as (character, sign) pairs.
 
     Returns (values per class as Fractions, coefficient per character).
     """
-    r = table.n_classes
-    values: List[Optional[Fraction]] = [None] * r
-    elliptic: List[int] = []
-    free: List[int] = []
+    pins = []
     for k, label in enumerate(labels):
         pin = _pinned_value(label.kind, FAMILY_TYPE_II, q)
         if pin is not None:
-            values[k] = Fraction(pin)
-        elif label.kind in ("C3", "D3", "B0", "B1", "B2", "B31", "B32", "G0", "G1"):
-            elliptic.append(k)
-        else:
-            free.append(k)
+            pins.append((k, pin))
+    levi = [named_subgroup(name, q) for name in ("M", "R_klingen")]
+    levi_dims = [[table.fixed_dim(i, sub) for sub in levi] for i in range(table.n_chars)]
 
-    # elliptic values forced by two already-verified Levi dimensions
-    eqs = []
-    for name, dim in (("M", 2), ("R_klingen", 0)):
-        sub = named_subgroup(name, q)
-        counts = table.class_counts(sub)
-        row = [Fraction(counts[k]) for k in elliptic]
-        rhs = Fraction(dim * sub.order) - sum(
-            n * values[k] for k, n in enumerate(counts) if n and values[k] is not None
+    def value(terms, k) -> Cyclotomic:
+        return Cyclotomic.combination(
+            table.exponent, ((s, table.values[i][k]) for i, s in terms)
         )
-        if any(counts[k] for k in free):
-            raise ArithmeticError(f"free class meets lemma subgroup {name}")
-        eqs.append(row + [rhs])
-    for k, v in zip(elliptic, _solve_unique(eqs)):
-        values[k] = v
 
-    # free values: minimal-norm integral completion.  The coefficient of
-    # chi_i is (1/|G|) sum_k |C_k| v_k chi_i(C_k); times den = |G| * scale,
-    # every term is an int.
-    sizes = [cls.size for cls in table.classes]
-    known_k = [k for k in range(r) if values[k] is not None]
-    scale = math.lcm(*(values[k].denominator for k in known_k))
-    den = table.group.order * scale
-    chi = [[table.value(i, k).as_int() for k in range(r)] for i in range(table.n_chars)]
-    known = [
-        sum(sizes[k] * (values[k] * scale).numerator * row[k] for k in known_k)
-        for row in chi
+    signed = [(i, s) for i in range(table.n_chars) for s in (1, -1)]
+    candidates = [[t] for t in signed]
+    candidates += [[a, b] for a, b in combinations(signed, 2) if a[0] != b[0]]
+    survivors = [
+        terms
+        for terms in candidates
+        if [sum(s * levi_dims[i][n] for i, s in terms) for n in (0, 1)] == [2, 0]
+        and all(value(terms, k) == pin for k, pin in pins)
     ]
-    coef = [[scale * sizes[k] * row[k] for k in free] for row in chi]
-    best = None
-    for xs in product(range(-6, 7), repeat=len(free)):
-        cs = []
-        for kn, co in zip(known, coef):
-            c, rem = divmod(kn + sum(a * x for a, x in zip(co, xs)), den)
-            if rem:
-                break
-            cs.append(c)
-        else:
-            norm = sum(c * c for c in cs)
-            if best is None or norm < best[0]:
-                best = (norm, xs, cs, 1)
-            elif norm == best[0] and xs != best[1]:
-                best = (best[0], best[1], best[2], best[3] + 1)
-    if best is None:
-        raise ArithmeticError("no integral completion of the virtual character")
-    norm, xs, coeffs, n_minimal = best
-    if norm != 2 or n_minimal != 1:
-        raise ArithmeticError(
-            f"virtual character not a unique two-term difference: norm={norm},"
-            f" minimizers={n_minimal}"
+    if len(survivors) != 1 or len(survivors[0]) != 2:
+        raise MismatchReport(
+            [("virtual typeII carrier", "one two-term difference", survivors)]
         )
-    for k, x in zip(free, xs):
-        values[k] = Fraction(x)
-    return values, coeffs
+    terms = survivors[0]
+    coeffs = [0] * table.n_chars
+    for i, s in terms:
+        coeffs[i] = s
+    return [value(terms, k).as_fraction() for k in range(table.n_classes)], coeffs
 
 
 def verify_char_lemmas(q: int = 2) -> LemmaReport:

@@ -27,7 +27,6 @@ from klingen.chartab import (
 from klingen.dixon import (
     Cyclotomic,
     _class_products,
-    _solve_unique,
     cyclotomic_polynomial,
     dixon_table,
 )
@@ -37,7 +36,7 @@ from klingen.errors import (
     ValueNotPinned,
 )
 from klingen.ffield import FieldOps, field_for_q, kernel
-from klingen.verify_lemmas import verify_char_lemmas
+from klingen.verify_lemmas import _virtual_type_ii, verify_char_lemmas
 
 TYPE_I = SigmaFamily(FAMILY_TYPE_I)
 TYPE_II = SigmaFamily(FAMILY_TYPE_II)
@@ -389,7 +388,7 @@ class TestDixonOracle:
             for k, cls in enumerate(classes):
                 want[class_of[x.key()]][class_of[(x_inv * cls.rep).key()]][k] += 1
         labels, kstar, mats = _class_products(table_q2.group, classes)
-        assert mats == want
+        assert list(mats) == want
         assert labels.tolist() == [class_of[g.key()] for g in table_q2.group.elements]
         assert (table_q2.labels == labels).all()
         assert kstar == [class_of[c.rep.inverse().key()] for c in classes]
@@ -406,20 +405,13 @@ class TestDixonOracle:
             got = table_q2.class_counts(sub)
             assert got == [want[k] for k in range(table_q2.n_classes)], name
 
-    def test_one_elimination_mod_ell_and_over_q(self):
-        # the pivot loop behind the eigenvector descent and the elliptic
-        # solve, over F_7 and over Q
+    def test_one_elimination_mod_ell(self):
+        # the pivot loop behind the eigenvector descent, over F_7
         mod7 = FieldOps(lambda x: pow(x, 5, 7), lambda x: x % 7)
         rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
         for v in kernel(rows, mod7):
             assert all(sum(a * b for a, b in zip(row, v)) % 7 == 0 for row in rows)
         assert len(kernel(rows, mod7)) == 1
-        system = [[Fraction(2), Fraction(1), Fraction(5)], [Fraction(1), Fraction(-1), Fraction(1)]]
-        assert _solve_unique(system) == [2, 1]
-        with pytest.raises(ArithmeticError, match="underdetermined"):
-            _solve_unique([[Fraction(1), Fraction(1), Fraction(2)]])
-        with pytest.raises(ArithmeticError, match="inconsistent"):
-            _solve_unique(system + [[Fraction(1), Fraction(0), Fraction(0)]])
 
 
 class TestVerifySuite:
@@ -433,6 +425,18 @@ class TestVerifySuite:
         assert report.type_ii == []
         nonzero = sorted(c for c in report.virtual_type_ii if c != 0)
         assert nonzero == [-1, 1]
+
+    def test_virtual_type_ii_is_chi10_minus_chi5(self, table_q2):
+        # the one carrier the table search admits, class by class
+        labels = [classify(cls.rep) for cls in table_q2.classes]
+        values, coeffs = _virtual_type_ii(table_q2, labels, 2)
+        assert (table_q2.degrees[5], table_q2.degrees[10]) == (5, 10)
+        assert coeffs == [0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 1]
+        assert values == [
+            table_q2.value(10, k).as_int() - table_q2.value(5, k).as_int()
+            for k in range(table_q2.n_classes)
+        ]
+        assert all(isinstance(v, Fraction) for v in values)
 
     def test_rejects_other_q(self):
         with pytest.raises(DixonBoundExceeded):

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from klingen import cli, dims, errors
+from klingen import cli, dims, errors, verify_lemmas
 
 
 def run_cli(*argv):
@@ -180,6 +180,22 @@ class TestVerify:
         code, _, err = run_cli("verify", "chartab", "--group-bound", "100")
         assert code == 3
         assert "resource bound" in err
+
+    def test_chartab_carrier_failure_exit(self, monkeypatch):
+        # a wrong typeII pin leaves no virtual carrier: exit 2, one line
+        pinned = verify_lemmas._pinned_value
+
+        def bent(kind, family_kind, q):
+            v = pinned(kind, family_kind, q)
+            return v + 1 if (kind, family_kind) == ("A32", "typeII") else v
+
+        monkeypatch.setattr(verify_lemmas, "_pinned_value", bent)
+        code, out, err = run_cli("verify", "chartab")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("verification mismatch: ")
+        assert "virtual typeII carrier" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_rg_depth_limit_usage(self):
         code, _, err = run_cli("verify", "rg", "--n-max", "9")

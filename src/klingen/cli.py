@@ -12,10 +12,12 @@ failed verification, 3 resource bound exceeded.  Every KlingenError ends in
 one of them (``_ERROR_EXITS``), never in a traceback: bad or unsupported
 input (a q that is not a prime power, an unknown name, a value the class
 data does not pin) is a usage error; a disagreement, failed verification or
-non-integral result is 2; a size, budget or precision bound is 3.  Two
+non-integral result is 2; a size, budget or precision bound is 3.  Three
 refusals are made before any work: ``verify counts`` at a q that is not
-prime (exit 1; its skew-coset oracle is still wrong there), and dim,
-enumerate or table at a level too large to print (exit 3, ``DIGITS_BOUND``).
+prime (exit 1; its skew-coset oracle is still wrong there), a verify suite
+whose --n-max is below its first level, so that it would check nothing
+(exit 1, ``_SUITE_LEVELS``), and dim, enumerate or table at a level too
+large to print (exit 3, ``DIGITS_BOUND``).
 Identical flags (and seed) produce byte-identical output.  Only the rg
 suite of verify samples, so only verify takes --seed, and the KLINGEN_SEED
 environment variable is read only when the rg suite runs.
@@ -405,10 +407,14 @@ class _Checks:
                                   "actual": str(actual)})
 
 
+# the lowest level each suite taking --n-max checks, and its default --n-max
+_SUITE_LEVELS = {"counts": (1, 14), "rg": (2, 5), "theorem": (0, 40)}
+
+
 def _suite_counts(qs: List[int], n_max: int) -> Tuple[int, List[Dict]]:
     check = _Checks()
     for q in qs:
-        for n in range(1, n_max + 1):
+        for n in range(_SUITE_LEVELS["counts"][0], n_max + 1):
             for row in range(1, 8):
                 check(f"q={q} n={n} row{row}",
                       table1_brute_count(row, n), table1_count(row, n))
@@ -431,7 +437,7 @@ def _suite_rg(qs: List[int], n_max: int, budget: int, seed: int,
     checks = 0
     failures: List[Dict] = []
     for q in qs:
-        for n in range(2, n_max + 1):
+        for n in range(_SUITE_LEVELS["rg"][0], n_max + 1):
             for rep in enumerate_small_reps(n):
                 checks += 1
                 row = row_of(rep, n)
@@ -471,7 +477,7 @@ def _suite_theorem(qs: List[int], n_max: int) -> Tuple[int, List[Dict]]:
     type_ii = family_from_name("typeII")
     nongen = family_from_name("nongeneric")
     for q in qs:
-        for n in range(0, n_max + 1):
+        for n in range(_SUITE_LEVELS["theorem"][0], n_max + 1):
             try:
                 r1 = dim_klingen(DimRequest(q, n, type_i), mode="both")
                 r2 = dim_klingen(DimRequest(q, n, type_ii), mode="both")
@@ -508,25 +514,28 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
                     f"oracle skew_brute_count counts over Z/q^k instead of "
                     f"o/p^k (an open defect), so its disagreements are false"
                 )
+    n_maxes = {}
+    for name in sorted(set(chosen) & set(_SUITE_LEVELS)):
+        first, default = _SUITE_LEVELS[name]
+        n_maxes[name] = default if args.n_max is None else args.n_max
+        if n_maxes[name] < first:
+            raise UsageError(
+                f"verify {name} checks the levels {first}..--n-max, so "
+                f"--n-max {args.n_max} checks nothing; use --n-max >= {first}"
+            )
     suites: List[Dict] = []
     for name in sorted(chosen):
         if name == "counts":
-            qs = given or [2, 3]
-            n_max = args.n_max if args.n_max is not None else 14
-            checks, failures = _suite_counts(qs, n_max)
+            checks, failures = _suite_counts(given or [2, 3], n_maxes[name])
         elif name == "rg":
-            qs = given or [2]
-            n_max = args.n_max if args.n_max is not None else 5
             checks, failures = _suite_rg(
-                qs, n_max, args.budget, seed,
+                given or [2], n_maxes[name], args.budget, seed,
                 args.precision_slack, args.closure_bound,
             )
         elif name == "chartab":
             checks, failures = _suite_chartab(args.group_bound)
         else:
-            qs = given or [2, 3, 4, 5, 7]
-            n_max = args.n_max if args.n_max is not None else 40
-            checks, failures = _suite_theorem(qs, n_max)
+            checks, failures = _suite_theorem(given or [2, 3, 4, 5, 7], n_maxes[name])
         suites.append({
             "suite": name,
             "passed": not failures,

@@ -9,9 +9,11 @@ set as a table of eight families and provides, for each family,
   * a closed-form count (`table1_count` for the seven polynomial rows,
     `skew_closed_count` for the four valuation cases of the skew family),
   * an independent brute-force counter (`table1_brute_count` enumerates
-    the parameter boxes directly; `skew_brute_count` enumerates unit
-    residues and merges them with union-find under the canonical
-    equivalence `skew_equal`).
+    the parameter boxes directly; `skew_brute_count` scans a box of
+    parameter tuples read off `in_supp`, decides each stratum of unit
+    residues with one `in_supp` probe, and counts the classes of the
+    canonical equivalence `skew_equal` by walking the orbits of 1 + p^t;
+    no closed expression is consulted).
 
 The family table (row = family index used throughout the package):
 
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from .errors import NonIntegralResult, ResourceBound
 
@@ -366,105 +368,120 @@ def table1_brute_count(row: int, n: int) -> int:
     return count
 
 
-def _units(p: int, prec: int) -> Iterator[int]:
-    return (u for u in range(1, p ** prec) if u % p != 0)
+def _orbit_count(members: Set[int], p: int, t: int) -> int:
+    """Orbits of 1 + p^t acting on a union of its orbits mod p^(t+1).
+
+    The group has the p elements 1 + a p^t, so popping any member and
+    discarding its other p - 1 images removes exactly one orbit.  Empties
+    `members`.
+    """
+    mod = p ** (t + 1)
+    steps = [a * p ** t for a in range(1, p)]
+    count = 0
+    while members:
+        u = members.pop()
+        count += 1
+        for s in steps:
+            members.discard((u + u * s) % mod)
+    return count
 
 
-def _orbit_class_count(members: List[int], p: int, t: int, prec: int) -> int:
-    """Union-find count of orbits of 1 + p^t acting on residues mod p^prec."""
-    mod = p ** prec
-    index = {u: k for k, u in enumerate(members)}
-    parent = list(range(len(members)))
+def _skew_tuples(case: str, n: int) -> Iterator[Tuple[int, int, int, int]]:
+    """A box of (i, k_x, k_y, k_z) holding every level-n support tuple of a case.
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    step = p ** t
-    multipliers = [1 + step * a for a in range(mod // step)]
-    for u in members:
-        for w in multipliers:
-            v = (u * w) % mod
-            if v in index:
-                ra, rb = find(index[u]), find(index[v])
-                if ra != rb:
-                    parent[ra] = rb
-    return sum(1 for k, par in enumerate(parent) if find(k) == k)
+    The ranges are read off `in_supp`, with v = val(y + z/x), which is
+    k_z - k_x in zLTxy, k_y in zGTxy and at least k_y in the zEQ cases, and
+    j = i + v - (k_x + k_z - k_y):
+      1 <= k_x < i and k_x < k_y < k_z;
+      i + v < n;
+      j < v, which reads k_z > i + k_y - k_x, or i < 2 k_x when zEQ;
+      j < 2 (k_y - k_x), which reads k_y > i in zLTxy and the zEQ cases, and
+      k_z > i + k_x in zGTxy;
+      k_y - k_x < j, which in zGTxy reads k_z < i + k_y.
+    Those are all of its inequalities that do not involve u, so in fact the
+    box is the support; still `in_supp` decides each tuple, and the counter
+    relies only on the box holding the support.
+    """
+    for i in range(2, n):
+        for k_x in range(1, i):
+            if case == "zLTxy":
+                for k_y in range(i + 1, n - i + k_x - 1):
+                    for k_z in range(i + k_y - k_x + 1, min(k_x + k_y, n - i + k_x)):
+                        yield i, k_x, k_y, k_z
+            elif case == "zGTxy":
+                for k_y in range(k_x + 1, n - i):
+                    low = max(k_x + k_y, i + k_y - k_x, i + k_x)
+                    for k_z in range(low + 1, i + k_y):
+                        yield i, k_x, k_y, k_z
+            elif 2 * k_x > i:
+                for k_y in range(i + 1, n - i):
+                    yield i, k_x, k_y, k_x + k_y
 
 
 def skew_brute_count(case: str, n: int, q: int) -> int:
     """Count a skew valuation case by enumerating representatives.
 
-    For every parameter tuple (i, k_x, k_y, k_z) the counter enumerates
-    unit residues u at just enough precision to decide membership and the
-    canonical equivalence, then merges residues with union-find under
-    multiplication by 1 + p^{j - val(y/x)}.  No closed expression is
-    consulted anywhere.
+    For every parameter tuple (i, k_x, k_y, k_z) in the box `_skew_tuples`
+    the counter splits the units u into strata of equal val(1 + u), on
+    which the valuation data and so membership are constant; one `in_supp`
+    probe decides each stratum.  An accepted stratum is enumerated at just
+    enough precision to decide the canonical equivalence, and its orbits
+    under multiplication by 1 + p^{j - val(y/x)} are counted by walking
+    them.  No closed expression is consulted anywhere.
     """
     if case not in SKEW_CASES:
         raise ValueError(f"unknown skew case {case!r}; expected one of {SKEW_CASES}")
     if n > BRUTE_N_MAX:
         raise ResourceBound(f"skew_brute_count is guarded to n <= {BRUTE_N_MAX}")
     p = q
-    total = 0
-    # every in-support tuple has i + val-sum < n, so all indices stay < n
-    for i in range(2, n):
-        for k_x in range(1, i):
-            for k_y in range(k_x + 1, n):
-                for k_z in range(k_y + 1, 2 * n):
-                    if case == "zLTxy" and not k_z < k_x + k_y:
-                        continue
-                    if case == "zGTxy" and not k_z > k_x + k_y:
-                        continue
-                    if case.startswith("zEQxy") and k_z != k_x + k_y:
-                        continue
-                    total += _count_tuple(case, n, p, i, k_x, k_y, k_z)
-    return total
+    return sum(
+        _count_tuple(case, n, p, i, k_x, k_y, k_z)
+        for i, k_x, k_y, k_z in _skew_tuples(case, n)
+    )
 
 
 def _count_tuple(case: str, n: int, p: int, i: int, k_x: int, k_y: int, k_z: int) -> int:
     """Distinct support cosets above one (i, k_x, k_y, k_z) tuple."""
-    if case in ("zLTxy", "zGTxy"):
-        # the valuation data, hence membership and j, do not depend on u
-        v_sum = min(k_y, k_z - k_x)
-        j = i + v_sum - (k_x + k_z - k_y)
-        t = j - (k_y - k_x)
-        if t < 1:
-            return 0
-        probe = Skew(i, k_x, k_y, k_z, 1, p)
-        if not in_supp(probe, n):
-            return 0
-        members = [u for u in _units(p, t + 1) if in_supp(Skew(i, k_x, k_y, k_z, u, p), n)]
-        return _orbit_class_count(members, p, t, t + 1)
-
-    # boundary case: j and t depend on u through val(1 + u); stratify.
-    # The valuation data is uniform across a stratum, so the membership
-    # inequalities are checked cheaply first — residues are enumerated only
-    # for strata that can contribute (j grows with v, so the window closes
-    # monotonically and the loop below terminates).
     total = 0
-    v = 0 if case == "zEQxy_unit" else 1
-    while True:
-        j_v = i + k_y + v - 2 * k_x
-        if j_v >= 2 * (k_y - k_x) or i + k_y + v >= n:
-            break
-        t = i - k_x + v  # j - val(y/x) for this stratum
-        if k_y - k_x < j_v and j_v < k_y + v:
-            prec = t + 1
-            members = [
-                u
-                for u in _units(p, prec)
-                if _val_exact(1 + u, p, prec) == v
-                and in_supp(Skew(i, k_x, k_y, k_z, u, p), n)
-            ]
-            if members:
-                total += _orbit_class_count(members, p, t, prec)
-        if case == "zEQxy_unit":
-            break  # single stratum
-        v += 1
+    for probe, v in _strata(case, n, p, i, k_x, k_y, k_z):
+        if in_supp(probe, n):
+            t = probe.j - (k_y - k_x)
+            total += _orbit_count(_stratum_units(p, v, t + 1), p, t)
     return total
+
+
+def _strata(
+    case: str, n: int, p: int, i: int, k_x: int, k_y: int, k_z: int
+) -> Iterator[Tuple[Skew, Optional[int]]]:
+    """One (probe, v) per stratum of units above a tuple.
+
+    Units with equal val(1 + u) = v share the valuation data, hence
+    membership and j, so the probe decides the whole stratum.  In zLTxy and
+    zGTxy val(y + z/x) = min(k_y, k_z - k_x) for every unit: one stratum,
+    v = None.  In the zEQ cases val(y + z/x) = k_y + v, so `in_supp` reads
+    v < n - i - k_y and, from j < 2 val(y/x), v < k_y - i.
+    """
+    if case in ("zLTxy", "zGTxy"):
+        yield Skew(i, k_x, k_y, k_z, 1, p), None
+        return
+    levels = (0,) if case == "zEQxy_unit" else range(1, min(n - i - k_y, k_y - i))
+    for v in levels:
+        if v == 0 and p == 2:
+            continue  # 1 + u is even for every unit u
+        yield Skew(i, k_x, k_y, k_z, 1 if v == 0 else p ** v - 1, p), v
+
+
+def _stratum_units(p: int, v: Optional[int], prec: int) -> Set[int]:
+    """Units u mod p^prec with val(1 + u) = v (every unit when v is None)."""
+    mod = p ** prec
+    if v is None:
+        return {u for u in range(1, mod) if u % p != 0}
+    # val(1 + u) = v puts u in the coset -1 + p^v
+    return {
+        u
+        for u in range(p ** v - 1, mod, p ** v)
+        if u % p != 0 and _val_exact(1 + u, p, prec) == v
+    }
 
 
 def _val_exact(m: int, p: int, cap: int) -> int:

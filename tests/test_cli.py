@@ -338,6 +338,25 @@ class TestBoundsAndFlags:
         assert (code, out) == (1, "")
         assert "skew_brute_count" in err and "open defect" in err
 
+    @pytest.mark.parametrize("argv, suite, first", [
+        (("verify", "counts", "--n-max", "0"), "counts", 1),
+        (("verify", "counts", "--n-max", "-3"), "counts", 1),
+        (("verify", "rg", "--n-max", "1"), "rg", 2),
+        (("verify", "theorem", "--n-max", "-1"), "theorem", 0),
+        (("verify", "all", "--n-max", "0"), "counts", 1),
+    ])
+    def test_n_max_below_first_level_refused(self, argv, suite, first):
+        code, out, err = run_cli(*argv, "-o", "json")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"usage error: verify {suite} ")
+        assert f"--n-max >= {first}" in err
+
+    def test_n_max_at_first_level_checks_something(self):
+        for suite, first in (("counts", 1), ("rg", 2), ("theorem", 0)):
+            code, out, _ = run_cli("verify", suite, "--n-max", str(first), "-o", "json")
+            assert code == 0
+            assert json.loads(out)["suites"][0]["checks"] > 0
+
     def test_rg_still_takes_prime_powers(self):
         assert run_cli("verify", "rg", "--q", "4", "--n-max", "2")[0] == 0
 

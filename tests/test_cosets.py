@@ -20,6 +20,9 @@ from klingen.cosets import (
     enumerate_supp,
     in_supp,
     row_of,
+    _skew_tuples,
+    _strata,
+    _stratum_units,
     skew_brute_count,
     skew_closed_count,
     skew_equal,
@@ -142,8 +145,8 @@ class TestSkewCounts:
             assert skew_closed_count("zEQxy_nonunit", 10, q) == q - 1
 
     def test_closed_matches_brute(self):
-        for q in (2, 3):
-            for n in range(1, 15):
+        for q in (2, 3, 5, 7):
+            for n in range(1, BRUTE_N_MAX + 1):
                 for case in SKEW_CASES:
                     c = skew_closed_count(case, n, q)
                     b = skew_brute_count(case, n, q)
@@ -166,6 +169,68 @@ class TestSkewCounts:
     def test_brute_guard(self):
         with pytest.raises(ResourceBound):
             skew_brute_count("zLTxy", BRUTE_N_MAX + 1, 2)
+
+
+class TestSkewOracle:
+    """The pruning inside skew_brute_count: the tuple box, the one membership
+    probe per stratum of units, and the orbit walk."""
+
+    @staticmethod
+    def _accepted_strata(case, n, p):
+        for tup in _skew_tuples(case, n):
+            for probe, v in _strata(case, n, p, *tup):
+                if in_supp(probe, n):
+                    t = probe.j - (probe.k_y - probe.k_x)
+                    yield tup, _stratum_units(p, v, t + 1)
+
+    def test_box_holds_every_support_tuple(self):
+        top = 14
+        for p in (2, 3):
+            boxes = {(case, n): set(_skew_tuples(case, n))
+                     for case in SKEW_CASES for n in range(1, top + 1)}
+            probes = sorted({*range(1, p), *(p ** v - 1 for v in range(1, top))})
+            # the box i < n, k_x < i, k_y < n, k_z < 2n at every n <= top; in_supp
+            # rejects every u unless 1 <= k_x < i and k_x < k_y < k_z
+            for i in range(2, top):
+                for kx in range(1, i):
+                    for ky in range(kx + 1, top):
+                        for kz in range(ky + 1, 2 * top):
+                            first = max(i, ky, kz // 2) + 1
+                            for u in probes:
+                                s = Skew(i, kx, ky, kz, u, p)
+                                for n in range(first, top + 1):
+                                    if u < p ** (n - 1) and in_supp(s, n):
+                                        assert (i, kx, ky, kz) in boxes[s.case, n], (s, n)
+
+    def test_membership_constant_on_each_stratum(self):
+        for p in (2, 3):
+            for n in range(1, 13):
+                for case in SKEW_CASES:
+                    for tup in _skew_tuples(case, n):
+                        for probe, v in _strata(case, n, p, *tup):
+                            verdict = in_supp(probe, n)
+                            t = probe.j - (probe.k_y - probe.k_x)
+                            units = _stratum_units(p, v, t + 1)
+                            assert probe.u in units
+                            for u in units:
+                                s = Skew(*tup, u, p)
+                                assert s.case == case
+                                assert in_supp(s, n) == verdict, (s, n)
+
+    def test_orbit_walk_matches_skew_equal(self):
+        for p in (2, 3):
+            for n in range(1, 12):
+                for case in SKEW_CASES:
+                    classes = []
+                    for tup, units in self._accepted_strata(case, n, p):
+                        for u in sorted(units):
+                            s = Skew(*tup, u, p)
+                            for cls in classes:
+                                if skew_equal(cls, s, n):
+                                    break
+                            else:
+                                classes.append(s)
+                    assert len(classes) == skew_brute_count(case, n, p), (case, n, p)
 
 
 class TestSupportScan:

@@ -531,9 +531,12 @@ def dim_fixed(subgroup: Subgroup, family: SigmaFamily, q: Optional[int] = None) 
     Per-element pins cover the A-family and Mixed classes; B-family and
     elliptic-Levi contributions enter through validated aggregate patterns.
     The result must be a nonnegative integer or NonIntegralResult is raised.
+    ``q`` may be omitted; given, it must be the subgroup's field size
+    (ValueError otherwise).
     """
-    if q is None:
-        q = subgroup.spec.q
+    if q is not None and q != subgroup.spec.q:
+        raise ValueError(f"q={q} is not the field size of {subgroup!r}")
+    q = subgroup.spec.q
     if family.kind == FAMILY_NONGENERIC:
         raise ValueNotPinned("nongeneric dimensions are not computed from class data")
     spec = subgroup.spec

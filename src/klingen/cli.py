@@ -12,10 +12,13 @@ failed verification, 3 resource bound exceeded.  Every KlingenError ends in
 one of them (``_ERROR_EXITS``), never in a traceback: bad or unsupported
 input (a q that is not a prime power, an unknown name, a value the class
 data does not pin) is a usage error; a disagreement, failed verification or
-non-integral result is 2; a size, budget or precision bound is 3.  Three
-refusals are made before any work: ``verify counts`` at a q that is not
-prime (exit 1; its skew-coset oracle is still wrong there), a verify suite
-whose --n-max is below its first level, so that it would check nothing
+non-integral result is 2; a size, budget or precision bound is 3.  The size
+bounds are library constants, not flags (``groupfq.CLOSURE_BOUND``,
+``CONJUGACY_BOUND``, ``ffield.FIELD_BOUND``, ``dixon.ORDER_BOUND``); only the
+rg suite's sample --budget is set on the command line.  Three refusals are
+made before any work: ``verify counts`` at a q that is not prime (exit 1; its
+skew-coset oracle is still wrong there), a verify suite whose --n-max is
+below its first level, so that it would check nothing, or above its last
 (exit 1, ``_SUITE_LEVELS``), and dim, enumerate or table at a level too
 large to print (exit 3, ``DIGITS_BOUND``).
 Identical flags (and seed) produce byte-identical output.  Only the rg
@@ -73,7 +76,7 @@ from .errors import (
     ValueNotPinned,
 )
 from .ffield import prime_power
-from .groupfq import CLOSURE_BOUND, gsp4_order, named_subgroup
+from .groupfq import named_subgroup
 from .padic import estimate_Rg
 from .verify_lemmas import verify_char_lemmas
 
@@ -184,16 +187,6 @@ def parse_int_list(text: str, what: str) -> List[int]:
     return out
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
-
-
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output", "-o", default="plain", choices=FORMATS,
                      help="output format (default plain)")
@@ -230,12 +223,6 @@ def build_parser() -> _Parser:
     v.add_argument("--n-max", type=int, default=None)
     v.add_argument("--budget", type=int, default=500,
                    help="sample budget for the rg suite")
-    v.add_argument("--precision-slack", type=_positive_int, default=2,
-                   help="guard digits beyond the minimum precision (rg suite)")
-    v.add_argument("--closure-bound", type=_positive_int, default=CLOSURE_BOUND,
-                   help="cap on generated subgroup size (rg suite)")
-    v.add_argument("--group-bound", type=_positive_int, default=10**5,
-                   help="cap on whole-group enumeration size (chartab suite)")
     v.add_argument("--seed", type=int, default=None,
                    help="RNG seed of the rg suite (default: KLINGEN_SEED or 0)")
     _add_common(v)
@@ -308,11 +295,8 @@ def _render(output: str, payload: Dict, headers: Sequence[str],
 def cmd_dim(args: argparse.Namespace, out) -> int:
     _prime_powers([args.q])
     _printable([args.q], [args.n])
-    try:
-        family = family_from_name(args.sigma, args.q)
-        req = DimRequest(q=args.q, n=args.n, sigma=family, origin=args.origin)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    family = family_from_name(args.sigma, args.q)
+    req = DimRequest(q=args.q, n=args.n, sigma=family, origin=args.origin)
     report = dim_klingen(req, mode=args.mode)
     payload = {
         "schema": SCHEMA,
@@ -407,8 +391,10 @@ class _Checks:
                                   "actual": str(actual)})
 
 
-# the lowest level each suite taking --n-max checks, and its default --n-max
-_SUITE_LEVELS = {"counts": (1, 14), "rg": (2, 5), "theorem": (0, 40)}
+# the lowest level each suite taking --n-max checks, its default --n-max and
+# its highest level (None: no limit); the rg suite enumerates representatives
+# of the polynomial rows only, which end at level 7
+_SUITE_LEVELS = {"counts": (1, 14, None), "rg": (2, 5, 7), "theorem": (0, 40, None)}
 
 
 def _suite_counts(qs: List[int], n_max: int) -> Tuple[int, List[Dict]]:
@@ -427,43 +413,24 @@ def _suite_counts(qs: List[int], n_max: int) -> Tuple[int, List[Dict]]:
     return check.count, check.failures
 
 
-def _suite_rg(qs: List[int], n_max: int, budget: int, seed: int,
-              slack: int, closure_bound: int) -> Tuple[int, List[Dict]]:
-    if n_max > 7:
-        raise UsageError(
-            "the rg suite enumerates representatives of the polynomial rows "
-            "only (levels up to 7); use --n-max <= 7"
-        )
-    checks = 0
-    failures: List[Dict] = []
+def _suite_rg(qs: List[int], n_max: int, budget: int,
+              seed: int) -> Tuple[int, List[Dict]]:
+    check = _Checks()
     for q in qs:
         for n in range(_SUITE_LEVELS["rg"][0], n_max + 1):
             for rep in enumerate_small_reps(n):
-                checks += 1
-                row = row_of(rep, n)
-                pred = named_subgroup(f"Row{row}", q)
-                est = estimate_Rg(rep, n, q, budget=budget, seed=seed,
-                                  slack=slack, closure_bound=closure_bound)
+                pred = named_subgroup(f"Row{row_of(rep, n)}", q)
+                est = estimate_Rg(rep, n, q, budget=budget, seed=seed)
                 name = f"q={q} n={n} {rep!r}"
-                if not est.is_subset_of(pred):
-                    failures.append({"name": name,
-                                     "expected": "contained in prediction",
-                                     "actual": "not contained"})
-                elif est.order != pred.order:
-                    failures.append({"name": name,
-                                     "expected": f"order {pred.order}",
-                                     "actual": f"order {est.order}"})
-    return checks, failures
+                if est.is_subset_of(pred):
+                    check(name, f"order {pred.order}", f"order {est.order}")
+                else:
+                    check(name, "contained in prediction", "not contained")
+    return check.count, check.failures
 
 
-def _suite_chartab(group_bound: int) -> Tuple[int, List[Dict]]:
-    q = 2
-    order = gsp4_order(q)
-    if order > group_bound:
-        raise ResourceBound(
-            f"|GSp(4,{q})| = {order} exceeds --group-bound {group_bound}"
-        )
-    report = verify_char_lemmas(q)
+def _suite_chartab() -> Tuple[int, List[Dict]]:
+    report = verify_char_lemmas(2)
     failures = [
         {"name": name, "expected": str(exp), "actual": str(act)}
         for name, exp, act in report.failures()
@@ -516,24 +483,27 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
                 )
     n_maxes = {}
     for name in sorted(set(chosen) & set(_SUITE_LEVELS)):
-        first, default = _SUITE_LEVELS[name]
+        first, default, last = _SUITE_LEVELS[name]
         n_maxes[name] = default if args.n_max is None else args.n_max
         if n_maxes[name] < first:
             raise UsageError(
                 f"verify {name} checks the levels {first}..--n-max, so "
                 f"--n-max {args.n_max} checks nothing; use --n-max >= {first}"
             )
+        if last is not None and n_maxes[name] > last:
+            raise UsageError(
+                f"the {name} suite enumerates representatives of the polynomial "
+                f"rows only (levels up to {last}); use --n-max <= {last}"
+            )
     suites: List[Dict] = []
     for name in sorted(chosen):
         if name == "counts":
             checks, failures = _suite_counts(given or [2, 3], n_maxes[name])
         elif name == "rg":
-            checks, failures = _suite_rg(
-                given or [2], n_maxes[name], args.budget, seed,
-                args.precision_slack, args.closure_bound,
-            )
+            checks, failures = _suite_rg(given or [2], n_maxes[name],
+                                         args.budget, seed)
         elif name == "chartab":
-            checks, failures = _suite_chartab(args.group_bound)
+            checks, failures = _suite_chartab()
         else:
             checks, failures = _suite_theorem(given or [2, 3, 4, 5, 7], n_maxes[name])
         suites.append({
@@ -573,17 +543,14 @@ def cmd_table(args: argparse.Namespace, out) -> int:
     q_list = _prime_powers(parse_int_list(args.q, "--q"))
     n_list = parse_int_list(args.n, "--n")
     _printable(q_list, n_list)
-    try:
-        families = {q: family_from_name(args.sigma, q) for q in q_list}
-        grid = []
-        for n in n_list:
-            row = []
-            for q in q_list:
-                req = DimRequest(q=q, n=n, sigma=families[q])
-                row.append(dim_klingen(req, mode="both").total)
-            grid.append(row)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    families = {q: family_from_name(args.sigma, q) for q in q_list}
+    grid = []
+    for n in n_list:
+        row = []
+        for q in q_list:
+            req = DimRequest(q=q, n=n, sigma=families[q])
+            row.append(dim_klingen(req, mode="both").total)
+        grid.append(row)
     kind = families[q_list[0]].kind
     payload = {
         "schema": SCHEMA,

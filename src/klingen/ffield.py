@@ -277,18 +277,24 @@ class FqElem:
 # public operations
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def field_make(p: int, f: int = 1, bound: int = FIELD_BOUND) -> FieldSpec:
+def field_make(p: int, f: int = 1) -> FieldSpec:
     """Construct F_{p^f} with the deterministic least modulus.
 
-    Raises NotPrime if p is composite, FieldTooLarge if p^f exceeds bound.
+    Raises NotPrime if p is composite, FieldTooLarge if p^f exceeds
+    ``FIELD_BOUND`` (checked on every call; only the modulus search is
+    cached).
     """
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if f < 1:
         raise ValueError("extension degree must be >= 1")
-    if p**f > bound:
-        raise FieldTooLarge(f"p^f = {p ** f} exceeds bound {bound}")
+    if p**f > FIELD_BOUND:
+        raise FieldTooLarge(f"p^f = {p ** f} exceeds bound {FIELD_BOUND}")
+    return _least_modulus_field(p, f)
+
+
+@lru_cache(maxsize=None)
+def _least_modulus_field(p: int, f: int) -> FieldSpec:
     if f == 1:
         return FieldSpec(p, 1, (0, 1))
     for code in range(p**f):

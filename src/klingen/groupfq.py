@@ -319,13 +319,13 @@ def _elements(spec: FieldSpec, rows, mus) -> tuple:
     return tuple(GSpElem(Mat4(spec, e), field[mu]) for e, mu in zip(tuples, mus.tolist()))
 
 
-def make_subgroup(elems: Iterable[GSpElem], generators=(), name=None) -> Subgroup:
+def make_subgroup(elems: Iterable[GSpElem], *, name=None) -> Subgroup:
     elems = list(elems)
     if not elems:
         raise ValueError("empty subgroup")
     pairs = sorted((g.mat.e, g.mu.encoding()) for g in elems)
     return Subgroup(elems[0].spec, [e for e, _ in pairs], [mu for _, mu in pairs],
-                    generators, name)
+                    name=name)
 
 
 CLOSURE_BOUND = 10**6
@@ -383,16 +383,16 @@ def _positions(keys, rows):
     return pos
 
 
-def subgroup_closure(gens, bound: int = CLOSURE_BOUND, name=None) -> Subgroup:
+def subgroup_closure(gens, *, name=None) -> Subgroup:
     """Closure of GSpElem generators under multiplication (BFS from identity).
 
     Each generator is validated once with ``gsp_elem`` (NotSimilitude if its
     matrix is not a similitude or its mu is not the matrix's).  Products are
     trusted: every element gets its mu from the (1,4) entry of t(g) J g and
-    is not checked again.  Raises ClosureTooLarge when more than ``bound``
-    elements appear.  Every field takes the same path: one ``_fq_matmul``
-    batch per BFS layer, deduplicated on ``row_keys``, and mu for all
-    elements at once.
+    is not checked again.  Raises ClosureTooLarge when more than
+    ``CLOSURE_BOUND`` elements appear.  Every field takes the same path: one
+    ``_fq_matmul`` batch per BFS layer, deduplicated on ``row_keys``, and mu
+    for all elements at once.
     """
     import numpy as np
 
@@ -416,8 +416,8 @@ def subgroup_closure(gens, bound: int = CLOSURE_BOUND, name=None) -> Subgroup:
             if key not in known:
                 known.add(key)
                 fresh.append(i)
-        if len(known) > bound:
-            raise ClosureTooLarge(f"closure exceeded {bound}")
+        if len(known) > CLOSURE_BOUND:
+            raise ClosureTooLarge(f"closure exceeded {CLOSURE_BOUND}")
         layer = prods[fresh]
     del known, prods, layer
     mats = np.concatenate(layers)
@@ -505,9 +505,10 @@ def _generating_set(group: Subgroup) -> list:
     return gens
 
 
-def conjugacy_classes(group: Subgroup, bound: int = CONJUGACY_BOUND) -> list:
+def conjugacy_classes(group: Subgroup) -> list:
     """All conjugacy classes in the order of their least elements, each with
-    its least element as rep.
+    its least element as rep; GroupTooLarge beyond ``CONJUGACY_BOUND``
+    elements.
 
     The group's (N, 16) array is conjugated by each generator (a group
     without generators first gets some from ``_generating_set``):
@@ -519,8 +520,8 @@ def conjugacy_classes(group: Subgroup, bound: int = CONJUGACY_BOUND) -> list:
     """
     import numpy as np
 
-    if group.order > bound:
-        raise GroupTooLarge(f"|G| = {group.order} exceeds {bound}")
+    if group.order > CONJUGACY_BOUND:
+        raise GroupTooLarge(f"|G| = {group.order} exceeds {CONJUGACY_BOUND}")
     spec = group.spec
     mats = group.rows.reshape(-1, 4, 4)
     perms = []
@@ -747,7 +748,7 @@ NAMED_SUBGROUP_NAMES = (
 )
 
 
-def named_subgroup(name: str, q) -> Subgroup:
+def named_subgroup(name: str, q: int) -> Subgroup:
     """One of the fixed-group families by name, over F_q.
 
     Rows 1/2/3/4 coincide with D/C/M/B and are served as aliases (D's
@@ -758,7 +759,7 @@ def named_subgroup(name: str, q) -> Subgroup:
     """
     if name not in NAMED_SUBGROUP_NAMES:
         raise UnknownName(f"{name!r}; known: {', '.join(NAMED_SUBGROUP_NAMES)}")
-    spec = q if isinstance(q, FieldSpec) else field_for_q(q)
+    spec = field_for_q(q)
     base = _ALIASES.get(name, name)
     elems = [gsp_elem(m) for m in _named_elements(base, spec)]
     return make_subgroup(elems, name=name)

@@ -37,9 +37,9 @@ estimate_Rg
     new subgroup elements.
 
 The working precision for conjugating Kl(n) elements by a representative
-is at least  d = n + spread + 2  (estimate_Rg adds ``slack`` >= 2 guard
-digits to n + spread), where spread is the largest difference of the
-torus exponents (2i+j, i+j, i, 0) — the deepest division the conjugation
+is  d = n + spread + 2  (estimate_Rg always adds two guard digits to
+n + spread), where spread is the largest difference of the torus
+exponents (2i+j, i+j, i, 0) — the deepest division the conjugation
 performs (2i+j when i >= 1, but j for the i <= 0 representatives).  At
 that precision the verdict and the reduction do not depend on which lift
 of h mod p^d is conjugated: changing the lift moves every entry of
@@ -55,9 +55,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .cosets import CosetRep, Diagonal, Skew, X, Y, Z
 from .errors import NonConvergence, PrecisionTooLow
 from .ffield import FieldSpec, FqElem, field_for_q
-from .groupfq import (
-    CLOSURE_BOUND, Mat4, Subgroup, gsp_elem, make_subgroup, subgroup_closure,
-)
+from .groupfq import Mat4, Subgroup, gsp_elem, make_subgroup, subgroup_closure
 
 Residue = Union[int, Tuple[int, ...]]
 
@@ -492,10 +490,8 @@ def _reduce_fast(
     return Mat4(ring.spec, tuple(out))
 
 
-def estimate_Rg(
-    rep: CosetRep, n: int, q: int, budget: int = 500, seed: int = 0,
-    slack: int = 2, closure_bound: int = CLOSURE_BOUND,
-) -> Subgroup:
+def estimate_Rg(rep: CosetRep, n: int, q: int, budget: int = 500,
+                seed: int = 0) -> Subgroup:
     """Sampled reconstruction of R_g for a support representative.
 
     Draws Kl(n) elements, reduces those whose conjugate is integral, and
@@ -509,17 +505,16 @@ def estimate_Rg(
     differences of the representative's torus exponents: those are exactly
     the depths at which the conjugate's entries must vanish or contribute,
     and uniform draws hit them too rarely to converge within any sane
-    budget.  ``slack`` is the number of extra guard digits beyond
-    n + spread; ``closure_bound`` caps the generated subgroup size.  A
-    Skew representative whose p is not the characteristic of q raises
+    budget.  Residues are taken mod p^(n + spread + 2), two fixed guard
+    digits beyond n + spread (see the module docstring), and a closure
+    beyond ``groupfq.CLOSURE_BOUND`` raises ClosureTooLarge.  A Skew
+    representative whose p is not the characteristic of q raises
     ValueError.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if slack < 2:
-        raise PrecisionTooLow(f"need at least 2 guard digits, got slack={slack}")
     ring = ring_for_q(q)
-    m = n + _exponent_spread(rep) + slack
+    m = n + _exponent_spread(rep) + 2
     s_res, sinv_res = _s_pair(ring, rep, m)
     spec = ring.spec
     exps = _torus_exponents(rep)
@@ -540,7 +535,7 @@ def estimate_Rg(
             mat = _reduce_fast(ring, exps, s_res, sinv_res, h, m)
             if mat is not None and mat not in current:
                 gens.append(gsp_elem(mat))
-                current = subgroup_closure(gens, bound=closure_bound)
+                current = subgroup_closure(gens)
                 fresh = True
         if fresh:
             stable = 0

@@ -233,6 +233,14 @@ class TestDimensionRoutes:
             for fam in (TYPE_I, TYPE_II):
                 assert dim_fixed(sub, fam) == dim_fixed_family(name, fam, 5)
 
+    @pytest.mark.parametrize("group_q, passed_q", [(2, 4), (2, 8), (3, 5), (4, 2)])
+    def test_q_of_another_field_refused(self, group_q, passed_q):
+        # the pins would be read at passed_q over a group of F_group_q
+        sub = gq.named_subgroup("B", group_q)
+        with pytest.raises(ValueError):
+            dim_fixed(sub, TYPE_I, passed_q)
+        assert dim_fixed(sub, TYPE_I, group_q) == dim_fixed(sub, TYPE_I)
+
     def test_closed_values_scale(self):
         for q in (2, 3, 4, 5, 7):
             assert dim_fixed_family("B", TYPE_I, q) == q + 1

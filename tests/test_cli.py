@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from klingen import cli, dims, errors, verify_lemmas
+from klingen import cli, dims, errors, groupfq, verify_lemmas
 
 
 def run_cli(*argv):
@@ -176,11 +176,6 @@ class TestVerify:
         fails = doc["suites"][0]["failures"]
         assert fails and all("expected" in f and "actual" in f for f in fails)
 
-    def test_group_bound_resource_exit(self):
-        code, _, err = run_cli("verify", "chartab", "--group-bound", "100")
-        assert code == 3
-        assert "resource bound" in err
-
     def test_chartab_carrier_failure_exit(self, monkeypatch):
         # a wrong typeII pin leaves no virtual carrier: exit 2, one line
         pinned = verify_lemmas._pinned_value
@@ -260,9 +255,9 @@ class TestRefusals:
         assert out == ""
         assert "6 is not a prime power" in err
 
-    def test_closure_bound_is_resource_exit(self):
-        code, out, err = run_cli("verify", "rg", "--n-max", "3",
-                                 "--closure-bound", "5")
+    def test_closure_bound_is_resource_exit(self, monkeypatch):
+        monkeypatch.setattr(groupfq, "CLOSURE_BOUND", 5)
+        code, out, err = run_cli("verify", "rg", "--n-max", "3")
         assert code == 3
         assert out == ""
         assert err.startswith("resource bound: ")
@@ -360,17 +355,33 @@ class TestBoundsAndFlags:
     def test_rg_still_takes_prime_powers(self):
         assert run_cli("verify", "rg", "--q", "4", "--n-max", "2")[0] == 0
 
-    def test_resource_flags_only_on_verify(self):
-        for flag in ("--precision-slack", "--closure-bound", "--group-bound"):
-            code, out, err = run_cli("dim", "--q", "2", "--n", "3",
-                                     "--sigma", "typeI", flag, "5")
-            assert (code, out) == (1, "")
-            assert "unrecognized arguments" in err
-            assert run_cli("enumerate", "--q", "2", "--n", "3", flag, "5")[0] == 1
-            assert run_cli("table", "--q", "2", "--n", "3", "--sigma", "typeI",
-                           flag, "5")[0] == 1
-        code, _, err = run_cli("verify", "rg", "--n-max", "3", "--closure-bound", "0")
-        assert code == 1 and "must be a positive integer" in err
+    def test_resource_flags_refused_everywhere(self):
+        # the size bounds are library constants, settable by no subcommand
+        for argv in (("dim", "--q", "2", "--n", "3", "--sigma", "typeI"),
+                     ("enumerate", "--q", "2", "--n", "3"),
+                     ("table", "--q", "2", "--n", "3", "--sigma", "typeI"),
+                     ("verify", "rg", "--n-max", "3"),
+                     ("verify", "chartab")):
+            for flag in ("--precision-slack", "--closure-bound", "--group-bound"):
+                code, out, err = run_cli(*argv, flag, "5")
+                assert (code, out) == (1, "")
+                assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "all", "--n-max", "8"),
+        ("verify", "all", "--n-max", "21"),
+        ("verify", "rg", "--n-max", "8"),
+    ])
+    def test_n_max_above_rg_levels_refused_before_any_suite(self, argv, monkeypatch):
+        def ran(*args, **kwargs):
+            raise AssertionError("a suite ran before --n-max was refused")
+
+        monkeypatch.setattr(cli, "verify_char_lemmas", ran)
+        monkeypatch.setattr(cli, "skew_brute_count", ran)
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (1, "")
+        assert err == ("usage error: the rg suite enumerates representatives of "
+                       "the polynomial rows only (levels up to 7); use --n-max <= 7\n")
 
     def test_seed_only_on_verify(self):
         for argv in (("dim", "--q", "2", "--n", "4", "--sigma", "typeI"),

@@ -294,12 +294,13 @@ class TestClosure:
         assert _pairs(sub) == ref
         assert sub.order == len(ref) == 720
 
-    def test_closure_bound(self):
+    def test_closure_bound(self, monkeypatch):
         from klingen.errors import ClosureTooLarge
 
+        monkeypatch.setattr(gq, "CLOSURE_BOUND", 1000)
         gens = gq.gsp4_generators(field_for_q(3))
         with pytest.raises(ClosureTooLarge):
-            gq.subgroup_closure(gens, bound=1000)
+            gq.subgroup_closure(gens)
 
     def test_closure_of_scan_is_scan(self):
         for name in ("S", "A", "B", "R_last", "M1", "Row8"):

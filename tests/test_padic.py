@@ -230,11 +230,6 @@ class TestBuildRep:
         assert _val(s.e[13], 2, m) == rep.k_y  # y in the bottom row
         assert _val(s.e[14], 2, m) == rep.k_x  # -x
 
-    def test_precision_floor_enforced(self):
-        # fewer than two guard digits beyond n + spread are refused
-        with pytest.raises(PrecisionTooLow):
-            estimate_Rg(Diagonal(1, 0), 2, 2, slack=1)
-
     def test_wrong_residue_characteristic_rejected(self):
         # a p = 3 representative cannot be conjugated over o with p = 2
         for q in (2, 4):

@@ -15,9 +15,10 @@ from klingen.errors import NonConvergence, PrecisionTooLow
 from klingen.groupfq import Mat4, named_subgroup, subgroup_closure
 from klingen.padic import (
     KlingenSampler,
+    _below,
+    _conjugation_plan,
+    _plane_product,
     _reduce_fast,
-    _ResMat,
-    _s_pair,
     _torus_exponents,
     estimate_Rg,
     ring_for_q,
@@ -32,20 +33,55 @@ def _s_rows(x, y, z):
     return [[1, 0, 0, 0], [x, 1, 0, 0], [y, 0, 1, 0], [z, y, -x, 1]]
 
 
+def _s_xyz(rep, p):
+    """x, y, z of a representative's S(x, y, z), read off its fields: p^k on
+    the perturbed position (Skew: p^k_x, p^k_y, u p^k_z), else 0."""
+    if isinstance(rep, X):
+        return p**rep.k, 0, 0
+    if isinstance(rep, Y):
+        return 0, p**rep.k, 0
+    if isinstance(rep, Z):
+        return 0, 0, p**rep.k
+    if isinstance(rep, Skew):
+        return p**rep.k_x, p**rep.k_y, rep.u * p**rep.k_z
+    return 0, 0, 0
+
+
+def _to_planes(ring, d, rows):
+    """The coefficient planes mod p^d of a matrix given by rows of ints (any
+    lift) or, at f > 1, residue tuples."""
+    mod = ring.p**d
+    pad = (0,) * (ring.f - 1)
+    flat = [(x % mod,) + pad if isinstance(x, int) else x for row in rows for x in row]
+    return [list(plane) for plane in zip(*flat)]
+
+
+def _entries(ring, planes):
+    """The 16 residues (ints at f = 1, tuples at f > 1) of plane matrices."""
+    return planes[0] if ring.f == 1 else list(zip(*planes))
+
+
+def _s_pair(ring, rep, d):
+    """S(x, y, z) of a representative and its inverse S(-x, -y, -z), as
+    plane matrices mod p^d (both are exactly integral)."""
+    x, y, z = _s_xyz(rep, ring.p)
+    return tuple(_to_planes(ring, d, _s_rows(a, b, c))
+                 for a, b, c in ((x, y, z), (-x, -y, -z)))
+
+
 def _conjugation(rep, n, q):
-    """(ring, exps, S, S^{-1}, m) for rep at level n, set up the way
-    estimate_Rg sets them up; m is the working precision n + spread + 2."""
+    """(ring, plan, m) for rep at level n, set up the way estimate_Rg sets
+    them up; m is the working precision n + spread + 2."""
     ring = ring_for_q(q)
     exps = _torus_exponents(rep)
     m = n + max(exps) - min(exps) + 2
-    s_res, sinv_res = _s_pair(ring, rep, m)
-    return ring, exps, s_res, sinv_res, m
+    return ring, _conjugation_plan(rep, ring.p), m
 
 
 def _reducer(rep, n, q):
     """m and h -> _reduce_fast(h) for rep at level n."""
-    ring, exps, s_res, sinv_res, m = _conjugation(rep, n, q)
-    return m, lambda h: _reduce_fast(ring, exps, s_res, sinv_res, h, m)
+    ring, plan, m = _conjugation(rep, n, q)
+    return m, lambda h: _reduce_fast(ring.spec, plan, h)
 
 
 # -- an exact rational conjugation: the oracle _reduce_fast is held to --------
@@ -59,15 +95,7 @@ def _rep_factors(rep, p):
     """t(i, j) and S(x, y, z) of a representative as Fraction matrices, read
     off its fields: x, y, z are p^k on the perturbed position (Skew: p^k_x,
     p^k_y, u p^k_z)."""
-    x = y = z = 0
-    if isinstance(rep, X):
-        x = p**rep.k
-    elif isinstance(rep, Y):
-        y = p**rep.k
-    elif isinstance(rep, Z):
-        z = p**rep.k
-    elif isinstance(rep, Skew):
-        x, y, z = p**rep.k_x, p**rep.k_y, rep.u * p**rep.k_z
+    x, y, z = _s_xyz(rep, p)
     exps = (2 * rep.i + rep.j, rep.i + rep.j, rep.i, 0)
     t = [[Fraction(p) ** exps[r] if r == c else Fraction(0) for c in range(4)]
          for r in range(4)]
@@ -83,7 +111,7 @@ def _exact_reduction(factors, p, spec, h):
     when some entry is not p-integral.  Any lift gives the same answer at
     the working precision n + spread + 2."""
     t, s, s_inv, t_inv = factors
-    lift = [h.e[r:r + 4] for r in range(0, 16, 4)]
+    lift = [h[0][r:r + 4] for r in range(0, 16, 4)]
     conj = _fmul(_fmul(t, _fmul(_fmul(s, lift), s_inv)), t_inv)
     if any(x.denominator % p == 0 for row in conj for x in row):
         return None
@@ -102,7 +130,7 @@ class TestConjugateReduce:
         for n, cs in ((i, (c1, 0, 0)), (i + j, (0, c2, 0)), (2 * i + j, (0, 0, c3))):
             for level, want in ((n, Mat4.from_rows(Z3.spec, _s_rows(*cs))), (n - 1, None)):
                 m, reduce = _reducer(rep, level, 3)
-                h = _ResMat.from_rows(Z3, m, _s_rows(*(3**level * c for c in cs)))
+                h = _to_planes(Z3, m, _s_rows(*(3**level * c for c in cs)))
                 assert reduce(h) == want
 
     def test_conjugation_formula_with_x_part(self):
@@ -113,7 +141,7 @@ class TestConjugateReduce:
         i, j, k, n = 1, 1, 1, 2
         c1, c2, c3 = 1, 1, 3
         m, reduce = _reducer(X(i, j, k), n, 3)
-        got = reduce(_ResMat.from_rows(Z3, m, _s_rows(3**n * c1, 3**n * c2, 3**n * c3)))
+        got = reduce(_to_planes(Z3, m, _s_rows(3**n * c1, 3**n * c2, 3**n * c3)))
         assert got is not None
         assert got.entry(3, 0) == Z3.spec.scalar((c3 - 2 * c2 * 3**k) // 3)
 
@@ -123,13 +151,13 @@ class TestConjugateReduce:
         sampler = KlingenSampler(2, 2, m, seed=5)
         for _ in range(10):
             h = sampler._sample_residues()
-            assert reduce(h) == Mat4(Z2.spec, tuple(x % 2 for x in h.e))
+            assert reduce(h) == Mat4(Z2.spec, tuple(x % 2 for x in h[0]))
 
     def test_deep_rep_rejects_shallow_h(self):
         # g = t(1,1), n = 2: h = S(p^2, p^2, p^2) has conjugate (4,1) entry
         # of valuation n - 2i - j = -1, not integral
         m, reduce = _reducer(Diagonal(1, 1), 2, 2)
-        assert reduce(_ResMat.from_rows(Z2, m, _s_rows(4, 4, 4))) is None
+        assert reduce(_to_planes(Z2, m, _s_rows(4, 4, 4))) is None
 
     def test_half_of_samples_absent_at_t11(self):
         # same g: over many sampled h both outcomes occur
@@ -149,7 +177,7 @@ class TestConjugateReduce:
         for _ in range(250):
             h1 = sampler._sample_residues()
             h2 = sampler._sample_residues()
-            r1, r2, r12 = reduce(h1), reduce(h2), reduce(h1.mul(h2))
+            r1, r2, r12 = reduce(h1), reduce(h2), reduce(_plane_product(Z2, m, h1, h2))
             if r1 is None or r2 is None or r12 is None:
                 continue
             checked += 1
@@ -171,7 +199,8 @@ class TestConjugateReduce:
         for q, reps in cases.items():
             integral = absent = 0
             for rep, n in reps:
-                ring, exps, s_res, sinv_res, m = _conjugation(rep, n, q)
+                ring, plan, m = _conjugation(rep, n, q)
+                exps = _torus_exponents(rep)
                 factors = _rep_factors(rep, q)
                 depths = sorted({a - b for a in exps for b in exps if a > b})
                 for sampler in (KlingenSampler(q, n, m, seed=17),
@@ -179,7 +208,7 @@ class TestConjugateReduce:
                     for _ in range(40):
                         h = sampler._sample_residues()
                         want = _exact_reduction(factors, q, ring.spec, h)
-                        assert _reduce_fast(ring, exps, s_res, sinv_res, h, m) == want
+                        assert _reduce_fast(ring.spec, plan, h) == want
                         integral += want is not None
                         absent += want is None
             assert integral >= 50 and absent >= 50, (q, integral, absent)
@@ -207,28 +236,28 @@ class TestBuildRep:
         # t(1,0) = diag(p^2, p, p, 1) with no unipotent part
         assert _torus_exponents(Diagonal(1, 0)) == (2, 1, 1, 0)
         for s in _s_pair(Z2, Diagonal(1, 0), 8):
-            assert s.e == [int(r == c) for r in range(4) for c in range(4)]
+            assert s == [[int(r == c) for r in range(4) for c in range(4)]]
 
     def test_x_rep_lower_entry(self):
         # t(2,1) S(p,0,0): the (2,1) entry is p^{i+j} * p^k = p^4, the (4,3)
         # entry is -x = -p and the other lower entries vanish
         rep, m = X(2, 1, 1), 10
         exps = _torus_exponents(rep)
-        s, _ = _s_pair(Z2, rep, m)
-        assert exps[1] + _val(s.e[4], 2, m) == 4
-        assert s.e[8] == s.e[12] == s.e[13] == 0
-        assert s.e[14] == -2 % 2**m
+        (s,), _ = _s_pair(Z2, rep, m)
+        assert exps[1] + _val(s[4], 2, m) == 4
+        assert s[8] == s[12] == s[13] == 0
+        assert s[14] == -2 % 2**m
 
     def test_skew_rep_entries(self):
         # rows scale the S-entries by p^{i+j}, p^i, 1
         rep, m = Skew(1, 2, 3, 4, 1, 2), 14
         exps = _torus_exponents(rep)
-        s, _ = _s_pair(Z2, rep, m)
-        assert exps[1] + _val(s.e[4], 2, m) == (rep.i + rep.j) + rep.k_x
-        assert exps[2] + _val(s.e[8], 2, m) == rep.i + rep.k_y
-        assert exps[3] + _val(s.e[12], 2, m) == rep.k_z
-        assert _val(s.e[13], 2, m) == rep.k_y  # y in the bottom row
-        assert _val(s.e[14], 2, m) == rep.k_x  # -x
+        (s,), _ = _s_pair(Z2, rep, m)
+        assert exps[1] + _val(s[4], 2, m) == (rep.i + rep.j) + rep.k_x
+        assert exps[2] + _val(s[8], 2, m) == rep.i + rep.k_y
+        assert exps[3] + _val(s[12], 2, m) == rep.k_z
+        assert _val(s[13], 2, m) == rep.k_y  # y in the bottom row
+        assert _val(s[14], 2, m) == rep.k_x  # -x
 
     def test_wrong_residue_characteristic_rejected(self):
         # a p = 3 representative cannot be conjugated over o with p = 2
@@ -240,10 +269,12 @@ class TestBuildRep:
         for q, reps in ((2, (Diagonal(-2, 5), X(2, 1, 1), Y(1, 3, 3), Z(2, 1, 4),
                              Skew(4, 3, 5, 7, 1, 2))),
                         (3, (X(2, 1, 1), Skew(1, 2, 3, 4, 1, 3)))):
-            ident = [int(r == c) for r in range(4) for c in range(4)]
+            ring = ring_for_q(q)
+            ident = [[int(r == c) for r in range(4) for c in range(4)]]
             for rep in reps:
-                s, s_inv = _s_pair(ring_for_q(q), rep, 16)
-                assert s.mul(s_inv).e == s_inv.mul(s).e == ident
+                s, s_inv = _s_pair(ring, rep, 16)
+                assert (_plane_product(ring, 16, s, s_inv)
+                        == _plane_product(ring, 16, s_inv, s) == ident)
 
 
 class TestSampler:
@@ -254,7 +285,7 @@ class TestSampler:
         for _ in range(50):
             h = sampler._sample_residues()
             for r, c in level:
-                v = _val(h.e[4 * r + c], 2, m)
+                v = _val(h[0][4 * r + c], 2, m)
                 assert v is None or v >= n
 
     def test_samples_have_unit_similitude(self):
@@ -264,19 +295,19 @@ class TestSampler:
             ring = ring_for_q(q)
             sampler = KlingenSampler(q, n, m, seed=4)
             jrows = [[0, 0, 0, 1], [0, 0, 1, 0], [0, -1, 0, 0], [-1, 0, 0, 0]]
-            jm = _ResMat.from_rows(ring, m, jrows)
+            jm = _to_planes(ring, m, jrows)
             for _ in range(25):
                 h = sampler._sample_residues()
-                ht = _ResMat.from_rows(
-                    ring, m, [[h.e[4 * c + r] for c in range(4)] for r in range(4)]
+                ht = _to_planes(
+                    ring, m, [[h[0][4 * c + r] for c in range(4)] for r in range(4)]
                 )
-                prod = ht.mul(jm).mul(h)
-                mu = prod.e[3]  # (1,4) position
+                prod = _plane_product(ring, m, _plane_product(ring, m, ht, jm), h)[0]
+                mu = prod[3]  # (1,4) position
                 assert ring.is_unit(mu)
                 for r in range(4):
                     for c in range(4):
-                        want = jm.e[4 * r + c]
-                        got = prod.e[4 * r + c]
+                        want = jm[0][4 * r + c]
+                        got = prod[4 * r + c]
                         assert got == ring.mul(
                             ring.from_int(want, m) if isinstance(want, int) else want,
                             mu,
@@ -287,9 +318,9 @@ class TestSampler:
         a = KlingenSampler(2, 2, 8, seed=21)
         b = KlingenSampler(2, 2, 8, seed=21)
         c = KlingenSampler(2, 2, 8, seed=22)
-        seq_a = [a._sample_residues().e for _ in range(6)]
-        seq_b = [b._sample_residues().e for _ in range(6)]
-        seq_c = [c._sample_residues().e for _ in range(6)]
+        seq_a = [a._sample_residues() for _ in range(6)]
+        seq_b = [b._sample_residues() for _ in range(6)]
+        seq_c = [c._sample_residues() for _ in range(6)]
         assert seq_a == seq_b
         assert seq_a != seq_c
 
@@ -300,7 +331,7 @@ class TestSampler:
         for _ in range(50):
             h = sampler._sample_residues()
             for r, c in level:
-                v = _val(h.e[4 * r + c], 2, m)
+                v = _val(h[0][4 * r + c], 2, m)
                 assert v is None or v >= n
 
     def test_precision_floor(self):
@@ -378,23 +409,98 @@ class TestEstimateRg:
 
 
 # ---------------------------------------------------------------------------
-# plain-int residue arithmetic against RingO's scalar methods
+# the randrange-based reference: RingO's scalar methods, one call per scalar
 # ---------------------------------------------------------------------------
 
-def _ring_product(ring, a, b):
-    """Entrywise RingO.mul / RingO.add composition of a 4x4 product."""
-    d = a.d
+def _ring_product(ring, d, a, b):
+    """Entrywise RingO.mul / RingO.add composition of a 4x4 product of two
+    lists of 16 residues."""
     out = []
     for r in range(0, 16, 4):
         for c in range(4):
-            acc = ring.mul(a.e[r], b.e[c], d)
+            acc = ring.mul(a[r], b[c], d)
             for k in range(1, 4):
-                acc = ring.add(acc, ring.mul(a.e[r + k], b.e[c + 4 * k], d), d)
+                acc = ring.add(acc, ring.mul(a[r + k], b[c + 4 * k], d), d)
             out.append(acc)
     return out
 
 
+def _random(ring, rng, d):
+    """Uniform residue mod p^d."""
+    mod = ring.p**d
+    if ring.f == 1:
+        return rng.randrange(mod)
+    return tuple(rng.randrange(mod) for _ in range(ring.f))
+
+
+def _random_unit(ring, rng, d):
+    """Uniform unit residue mod p^d."""
+    if ring.f == 1:
+        r = rng.randrange(ring.p**d)
+        return r - r % ring.p + rng.randrange(1, ring.p)
+    while True:
+        r = _random(ring, rng, d)
+        if ring.is_unit(r):
+            return r
+
+
+def _random_layered(ring, rng, d, depths):
+    """Uniform mod p^d (half the time), exactly p^v * unit with v picked from
+    ``depths`` (a quarter), or zero (a quarter)."""
+    roll = rng.random()
+    usable = [v for v in depths if 0 <= v < d]
+    if roll < 0.5 or (roll < 0.75 and not usable):
+        return _random(ring, rng, d)
+    if roll < 0.75:
+        v = usable[rng.randrange(len(usable))]
+        unit = _random_unit(ring, rng, d - v)
+        return ring.mul(ring.from_int(ring.p**v, d), unit, d)
+    return ring.from_int(0, d)
+
+
+def _sample_via_ring(ring, rng, n, d, depths):
+    """A Kl(n) sample as KlingenSampler(q, n, d, depths=depths) draws it,
+    through RingO's scalar methods and ``randrange``: the 16 residues of
+    S(p^n a, p^n b, p^n c) * diag(t, A, det(A)/t) * upper(xu, yu, zu)."""
+    layers = None if depths is None else sorted(set(depths))
+    low = None if depths is None else sorted({max(0, v - n) for v in layers})
+
+    def draw(vs):
+        return _random(ring, rng, d) if vs is None else _random_layered(ring, rng, d, vs)
+
+    shift = ring.from_int(ring.p**n, d)
+    a, b, c = (ring.mul(shift, draw(low), d) for _ in range(3))
+    t = _random_unit(ring, rng, d)
+    while True:
+        a00, a01, a10, a11 = (draw(layers) for _ in range(4))
+        det = ring.add(ring.mul(a00, a11, d), ring.neg(ring.mul(a01, a10, d), d), d)
+        if ring.is_unit(det):
+            break
+    dd = ring.mul(det, ring.inv(t, d), d)
+    xu, yu, zu = (draw(layers) for _ in range(3))
+    one, zero = ring.from_int(1, d), ring.from_int(0, d)
+    lower = [one, zero, zero, zero, a, one, zero, zero,
+             b, zero, one, zero, c, b, ring.neg(a, d), one]
+    levi = [t, zero, zero, zero, zero, a00, a01, zero,
+            zero, a10, a11, zero, zero, zero, zero, dd]
+    upper = [one, xu, yu, zu, zero, one, zero, yu,
+             zero, zero, one, ring.neg(xu, d), zero, zero, zero, one]
+    return _ring_product(ring, d, _ring_product(ring, d, lower, levi), upper)
+
+
 class TestIntResidues:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 2**20, 3**11, 509**11])
+    def test_below_mirrors_randrange(self, n):
+        # the sampler's one draw against the stdlib on the same seed:
+        # randrange(n), and randrange(1, n + 1) as the unit digit's
+        # randrange(1, p) with p - 1 = n (n = 1 is p = 2)
+        ours, ref = random.Random(n), random.Random(n)
+        k = n.bit_length()
+        for _ in range(300):
+            assert _below(ours.getrandbits, n, k) == ref.randrange(n)
+            assert 1 + _below(ours.getrandbits, n, k) == ref.randrange(1, n + 1)
+        assert ours.random() == ref.random()
+
     @settings(max_examples=120, deadline=None)
     @given(q=st.sampled_from([2, 3, 5, 4, 8, 9]), d=st.integers(1, 10),
            seed=st.integers(0, 2**32 - 1))
@@ -404,10 +510,11 @@ class TestIntResidues:
         # mix in zeros, units and pure powers of p so cancellations occur
         pool = [ring.from_int(0, d), ring.from_int(ring.p**(d - 1), d)]
         def entry():
-            return pool[rng.randrange(2)] if rng.random() < 0.2 else ring.random(rng, d)
-        a = _ResMat(ring, d, [entry() for _ in range(16)])
-        b = _ResMat(ring, d, [entry() for _ in range(16)])
-        assert a.mul(b).e == _ring_product(ring, a, b)
+            return pool[rng.randrange(2)] if rng.random() < 0.2 else _random(ring, rng, d)
+        a = [entry() for _ in range(16)]
+        b = [entry() for _ in range(16)]
+        got = _plane_product(ring, d, _to_planes(ring, d, [a]), _to_planes(ring, d, [b]))
+        assert _entries(ring, got) == _ring_product(ring, d, a, b)
 
     @settings(max_examples=100, deadline=None)
     @given(q=st.sampled_from([2, 3, 5, 4, 8, 9]), d=st.integers(1, 10),
@@ -416,35 +523,40 @@ class TestIntResidues:
         # inv is a pow at f = 1 and a Newton lift from F_q at f > 1
         ring = ring_for_q(q)
         rng = random.Random(seed)
-        a = ring.random_unit(rng, d)
+        a = _random_unit(ring, rng, d)
         assert ring.mul(a, ring.inv(a, d), d) == ring.from_int(1, d)
         with pytest.raises(ZeroDivisionError):
             ring.inv(ring.from_int(ring.p, d), d)
 
-    @pytest.mark.parametrize("q", [2, 3, 5])
+    @pytest.mark.parametrize("q", [2, 3, 5, 4, 8, 9])
     @pytest.mark.parametrize("depths", [None, (1, 3, 5), (0, 2), (40,)])
     def test_int_sampler_is_stream_identical(self, q, depths):
-        # the f = 1 int path against the RingO path on the same seed
-        fast = KlingenSampler(q, 3, 9, seed=q + 7, depths=depths)
-        ring_path = KlingenSampler(q, 3, 9, seed=q + 7, depths=depths)
+        # the sampler against the randrange-based RingO reference on the
+        # same seed: the same samples, and the same stream afterwards
+        sampler = KlingenSampler(q, 3, 9, seed=q + 7, depths=depths)
+        ring, rng = sampler.ring, random.Random(q + 7)
         for _ in range(60):
-            assert fast._sample_residues().e == ring_path._sample_via_ring().e
-        assert fast._rng.random() == ring_path._rng.random()
+            want = _sample_via_ring(ring, rng, 3, 9, depths)
+            assert _entries(ring, sampler._sample_residues()) == want
+        assert sampler._rng.random() == rng.random()
 
     @pytest.mark.parametrize("q,rep,n", [
         (3, Diagonal(1, 1), 4), (3, X(2, 1, 1), 5),
         (4, Diagonal(-2, 5), 3), (4, Z(1, 2, 3), 4), (9, Diagonal(1, 1), 3),
-        (8, X(1, 1, 1), 3),
+        (8, X(1, 1, 1), 3), (4, Y(1, 1, 2), 3), (9, Skew(1, 2, 3, 4, 1, 3), 3),
     ])
     def test_reduce_fast_matches_ring_reduction(self, q, rep, n):
-        ring, exps, s_res, sinv_res, m = _conjugation(rep, n, q)
+        # against the dense S h S^{-1} over RingO, then the shift by t
+        ring, plan, m = _conjugation(rep, n, q)
         spec, p = ring.spec, ring.p
+        exps = _torus_exponents(rep)
+        s, s_inv = (_entries(ring, x) for x in _s_pair(ring, rep, m))
         depths = sorted({a - b for a in exps for b in exps if a > b})
         sampler = KlingenSampler(q, n, m, seed=5, depths=depths)
         integral = 0
         for _ in range(200):
             h = sampler._sample_residues()
-            b = s_res.mul(h).mul(sinv_res).e
+            b = _ring_product(ring, m, _ring_product(ring, m, s, _entries(ring, h)), s_inv)
             want = []
             for r in range(4):
                 for c in range(4):
@@ -457,11 +569,11 @@ class TestIntResidues:
                         break
                     else:
                         step = p**-delta
-                        shifted = x // step if ring.f == 1 else tuple(y // step for y in x)
-                        want.append(ring.reduce_mod_p(shifted))
+                        shifted = (x,) if ring.f == 1 else x
+                        want.append(spec.elem([y // step for y in shifted]))
                 if want is None:
                     break
-            got = _reduce_fast(ring, exps, s_res, sinv_res, h, m)
+            got = _reduce_fast(spec, plan, h)
             if want is None:
                 assert got is None
             else:

@@ -15,12 +15,14 @@ data does not pin) is a usage error; a disagreement, failed verification or
 non-integral result is 2; a size, budget or precision bound is 3.  The size
 bounds are library constants, not flags (``groupfq.CLOSURE_BOUND``,
 ``CONJUGACY_BOUND``, ``ffield.FIELD_BOUND``, ``dixon.ORDER_BOUND``); only the
-rg suite's sample --budget is set on the command line.  Three refusals are
+rg suite's sample --budget is set on the command line.  Four refusals are
 made before any work: ``verify counts`` at a q that is not prime (exit 1; its
-skew-coset oracle is still wrong there), a verify suite whose --n-max is
-below its first level, so that it would check nothing, or above its last
-(exit 1, ``_SUITE_LEVELS``), and dim, enumerate or table at a level too
-large to print (exit 3, ``DIGITS_BOUND``).
+skew-coset oracle is still wrong there), ``verify chartab`` at a q other
+than 2 (exit 1; ``verify all`` runs its chartab suite at q = 2 whatever
+--q says), a verify suite whose --n-max is below its first level, so that
+it would check nothing, or above its last (exit 1, ``_SUITE_LEVELS``), and
+dim, enumerate or table at a level too large to print (exit 3,
+``DIGITS_BOUND``).
 Identical flags (and seed) produce byte-identical output.  Only the rg
 suite of verify samples, so only verify takes --seed, and the KLINGEN_SEED
 environment variable is read only when the rg suite runs.
@@ -473,6 +475,14 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
     )
     seed = _seed(args) if "rg" in chosen else None
     given = _prime_powers(parse_int_list(args.q, "--q")) if args.q else None
+    if args.suite == "chartab":
+        for q in given or ():
+            if q != 2:
+                raise UsageError(
+                    f"verify chartab checks the character data at q=2 only; "
+                    f"q={q} is not supported yet (ROADMAP item 3: the odd-q "
+                    f"character data)"
+                )
     if "counts" in chosen:
         for q in given or ():
             if prime_power(q)[1] > 1:

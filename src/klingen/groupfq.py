@@ -22,10 +22,10 @@ appears only at the API boundary (``GSpElem.mu``, ``Mat4.entry``,
 
 What is validated: ``gsp_elem`` checks all 16 entries of t(m) J m = mu J;
 it is the one validator.  ``named_subgroup`` runs it on every element of
-its hand-written parameterizations, and ``subgroup_closure`` runs it once
-on each generator.  Closure products are trusted, since a product of
-similitudes is a similitude: each gets its mu from the (1,4) entry of
-t(g) J g,
+its hand-written parameterizations, and ``subgroup_closure`` and
+``adjoin`` run it once on each generator.  Closure products are trusted,
+since a product of similitudes is a similitude: each gets its mu from the
+(1,4) entry of t(g) J g,
 
     mu = g11 g44 + g21 g34 - g31 g24 - g41 g14,
 
@@ -35,14 +35,15 @@ similitude check already forces (see ``gsp_elem``).
 A ``Subgroup`` is one sorted (N, 16) array of encodings; whole-group work
 (closure, membership, conjugacy classes, Dixon's class products,
 ``dim_fixed``) reads it with one kernel and one index, and ``GSpElem``
-objects are built only when ``Subgroup.elements`` is asked for.  The
-kernel, ``_fq_matmul``, splits entries into base-p digit planes,
-multiplies plane by plane and folds back by the modulus; its arrays are
-int16 while a plane entry stays below 2^15 (every extension field up to
-``ffield.FIELD_BOUND``, primes up to 89), which also keeps the GSp(4, 3)
-closure's peak memory a fifth below int32.  The index, ``row_keys``,
-packs a row into 16 big-endian uint16s, so keys sort as the entry tuples
-do and ``_positions`` finds rows by ``searchsorted``.
+objects are built only when ``Subgroup.elements`` is asked for.  Closure
+is Dimino's: each group is a union of right cosets of the one before, found
+by their representatives alone.  The kernel, ``_fq_matmul``, splits entries
+into base-p digit planes, multiplies plane by plane and folds back by the
+modulus; its arrays are int16 while a plane entry stays below 2^15 (every
+extension field up to ``ffield.FIELD_BOUND``, primes up to 89), which also
+keeps the GSp(4, 3) closure's peak memory a fifth below int32.  The index,
+``row_keys``, packs a row into 16 big-endian uint16s, so keys sort as the
+entry tuples do and ``_positions`` finds rows by ``searchsorted``.
 """
 
 from __future__ import annotations
@@ -384,50 +385,69 @@ def _positions(keys, rows):
 
 
 def subgroup_closure(gens, *, name=None) -> Subgroup:
-    """Closure of GSpElem generators under multiplication (BFS from identity).
+    """Closure of GSpElem generators under multiplication, by Dimino's
+    algorithm: each generator s in turn is adjoined to H, the group of those
+    before it.  <H, s> is a union of right cosets H c; as (H r) t = H (r t),
+    a BFS over coset representatives r, with candidates r t for t among the
+    generators up to s, tests membership for candidates only and forms each
+    element once (left cosets c H would not close this way).
 
-    Each generator is validated once with ``gsp_elem`` (NotSimilitude if its
-    matrix is not a similitude or its mu is not the matrix's).  Products are
-    trusted: every element gets its mu from the (1,4) entry of t(g) J g and
-    is not checked again.  Raises ClosureTooLarge when more than
-    ``CLOSURE_BOUND`` elements appear.  Every field takes the same path: one
-    ``_fq_matmul`` batch per BFS layer, deduplicated on ``row_keys``, and mu
-    for all elements at once.
+    Each generator is validated once with ``gsp_elem`` (NotSimilitude if it
+    is not a similitude or has a wrong mu); products are trusted and get mu
+    from the (1,4) entry of t(g) J g.  ClosureTooLarge past ``CLOSURE_BOUND``.
     """
-    import numpy as np
-
-    gens = list(gens)
+    gens = tuple(gens)
     if not gens:
         raise ValueError("need at least one generator")
-    for g in gens:
+    spec = gens[0].spec
+    return _close(_rows(Mat4.identity(spec).e, spec), gens, 0, name)
+
+
+def adjoin(group: Subgroup, g: GSpElem) -> Subgroup:
+    """<group, g> with generators ``group.generators + (g,)``, which must
+    generate group (none for the trivial group): one subgroup_closure step."""
+    return _close(group.rows, group.generators + (g,), len(group.generators), None)
+
+
+def _close(h, gens, start: int, name) -> Subgroup:
+    """<gens> from the rows ``h`` of <gens[:start]>, by the steps of
+    ``subgroup_closure``: each BFS layer makes one ``_fq_matmul`` for its
+    candidates and one for the cosets of the new ones, none while H is trivial."""
+    import numpy as np
+
+    spec = gens[0].spec
+    for g in gens[start:]:
         if gsp_elem(g.mat).mu != g.mu:
             raise NotSimilitude(f"similitude factor {g.mu} does not match {g.mat}")
-    spec = gens[0].spec
-    gen_arr = _rows([g.mat.e for g in gens], spec).reshape(1, -1, 4, 4)
-    dtype = gen_arr.dtype
-    layer = np.eye(4, dtype=dtype).reshape(1, 16)
-    known = set(row_keys(layer).tolist())
-    layers = []
-    while len(layer):
-        layers.append(layer)
-        prods = _fq_matmul(layer.reshape(-1, 1, 4, 4), gen_arr, spec).reshape(-1, 16)
-        fresh = []
-        for i, key in enumerate(row_keys(prods).tolist()):
-            if key not in known:
-                known.add(key)
-                fresh.append(i)
-        if len(known) > CLOSURE_BOUND:
-            raise ClosureTooLarge(f"closure exceeded {CLOSURE_BOUND}")
-        layer = prods[fresh]
-    del known, prods, layer
-    mats = np.concatenate(layers)
-    del layers
+    gen_arr = _rows([g.mat.e for g in gens], spec).reshape(-1, 4, 4)
+    known = set(row_keys(h).tolist())
+    for i in range(start, len(gens)):
+        blocks, cands = [h], gen_arr[i].reshape(1, 16)  # nothing new if gens[i] is in H
+        while True:
+            keys = row_keys(cands).tolist()
+            fresh = {key: c for c, key in enumerate(keys) if key not in known}
+            if not fresh:
+                break
+            reps = cands[list(fresh.values())].reshape(-1, 1, 4, 4)
+            cosets = reps.reshape(-1, 1, 16) if len(h) == 1 else _fq_matmul(
+                h.reshape(1, -1, 4, 4), reps, spec)
+            new = []
+            for c, key in enumerate(fresh):
+                if key not in known:  # else a coset found earlier in the layer
+                    known.update(row_keys(cosets[c]).tolist())
+                    new.append(c)
+            if len(known) > CLOSURE_BOUND:
+                raise ClosureTooLarge(f"closure exceeded {CLOSURE_BOUND}")
+            blocks.append(cosets[new].reshape(-1, 16))
+            cands = _fq_matmul(reps[new], gen_arr[:i + 1], spec).reshape(-1, 16)
+        h = np.concatenate(blocks)
+    del known, blocks
     # mu is column 1 of g dotted with column 4 of J g
-    j = np.array(j_matrix(spec).e, dtype=dtype).reshape(4, 4)
-    jg4 = _fq_matmul(j, mats[:, 3::4, None], spec)
-    mus = _fq_matmul(mats[:, None, 0::4], jg4, spec).ravel()
-    order = np.argsort(row_keys(mats))
-    return Subgroup(spec, mats[order], mus[order], gens, name)
+    j = np.array(j_matrix(spec).e, dtype=h.dtype).reshape(4, 4)
+    jg4 = _fq_matmul(j, h[:, 3::4, None], spec)
+    mus = _fq_matmul(h[:, None, 0::4], jg4, spec).ravel()
+    order = np.argsort(row_keys(h))
+    return Subgroup(spec, h[order], mus[order], gens, name)
 
 
 def _fq_matmul(a, b, spec: FieldSpec):
@@ -497,12 +517,12 @@ def _generating_set(group: Subgroup) -> list:
     closure of those picked before it."""
     import numpy as np
 
-    gens = []
-    inside = group.keys == row_keys(np.eye(4, dtype=group.rows.dtype))
+    closure = make_subgroup([gsp_elem(Mat4.identity(group.spec))])
+    inside = group.keys == closure.keys
     while not inside.all():
-        gens.append(group.element(int(np.argmin(inside))))
-        inside = _lookup(subgroup_closure(gens).keys, group.rows)[1]
-    return gens
+        closure = adjoin(closure, group.element(int(np.argmin(inside))))
+        inside = _lookup(closure.keys, group.rows)[1]
+    return list(closure.generators)
 
 
 def conjugacy_classes(group: Subgroup) -> list:

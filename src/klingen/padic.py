@@ -61,7 +61,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .cosets import CosetRep, Diagonal, Skew, X, Y, Z
 from .errors import NonConvergence, PrecisionTooLow
 from .ffield import FieldSpec, field_for_q, tables
-from .groupfq import Mat4, Subgroup, gsp_elem, make_subgroup, subgroup_closure
+from .groupfq import Mat4, Subgroup, adjoin, gsp_elem, make_subgroup
 
 Residue = Union[int, Tuple[int, ...]]
 Planes = List[List[int]]
@@ -485,7 +485,8 @@ def estimate_Rg(rep: CosetRep, n: int, q: int, budget: int = 500,
 
     Draws Kl(n) elements, reduces those whose conjugate is integral, and
     returns the subgroup the reductions generate; its generators are the
-    reductions that enlarged it, in order.  The result is always
+    reductions that enlarged it, in order, each adjoined to the group so far
+    by ``groupfq.adjoin`` as it is found.  The result is always
     contained in the true R_g; convergence is declared after three
     consecutive batches that add no new subgroup elements, and spending the
     whole budget without that raises NonConvergence.
@@ -510,7 +511,6 @@ def estimate_Rg(rep: CosetRep, n: int, q: int, budget: int = 500,
         {ea - eb for ea in exps for eb in exps if ea > eb}
     )
     sampler = KlingenSampler(q, n, m, seed, depths=depths)
-    gens = []
     current = make_subgroup([gsp_elem(Mat4.identity(spec))])
     # the current group's matrices, for membership by one set lookup
     members = {Mat4.identity(spec).e}
@@ -524,8 +524,7 @@ def estimate_Rg(rep: CosetRep, n: int, q: int, budget: int = 500,
             used += 1
             mat = _reduce_fast(spec, plan, h)
             if mat is not None and mat.e not in members:
-                gens.append(gsp_elem(mat))
-                current = subgroup_closure(gens)
+                current = adjoin(current, gsp_elem(mat))
                 members = set(map(tuple, current.rows.tolist()))
                 fresh = True
         if fresh:

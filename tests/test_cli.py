@@ -333,6 +333,30 @@ class TestBoundsAndFlags:
         assert (code, out) == (1, "")
         assert "skew_brute_count" in err and "open defect" in err
 
+    @pytest.mark.parametrize("qs", ["3", "7,9", "2,3", "4"])
+    def test_chartab_refuses_q_other_than_2(self, qs, monkeypatch):
+        def ran(*args, **kwargs):
+            raise AssertionError("the chartab suite ran before --q was refused")
+
+        monkeypatch.setattr(cli, "verify_char_lemmas", ran)
+        code, out, err = run_cli("verify", "chartab", "--q", qs, "-o", "json")
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: verify chartab checks the character "
+                              "data at q=2 only; ")
+        assert "ROADMAP item 3" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    def test_chartab_at_q2_is_the_default_run(self, fmt):
+        default = run_cli("verify", "chartab", "-o", fmt)
+        assert default[0] == 0
+        assert run_cli("verify", "chartab", "--q", "2", "-o", fmt) == default
+
+    def test_all_runs_chartab_at_q2_whatever_q(self):
+        code, out, _ = run_cli("verify", "all", "--q", "3", "--n-max", "2", "-o", "json")
+        chartab = json.loads(run_cli("verify", "chartab", "-o", "json")[1])
+        assert code == 0
+        assert json.loads(out)["suites"][0] == chartab["suites"][0]
+
     @pytest.mark.parametrize("argv, suite, first", [
         (("verify", "counts", "--n-max", "0"), "counts", 1),
         (("verify", "counts", "--n-max", "-3"), "counts", 1),

@@ -285,6 +285,21 @@ def _pairs(sub):
     return {(g.mat.e, g.mu.encoding()) for g in sub.elements}
 
 
+def _root_pair_and_torus(q):
+    """The short-root elements x_a(1), x_-a(1) and the similitude
+    diag(c, c, 1, 1) for a primitive c (the identity at q = 2)."""
+    spec = field_for_q(q)
+    c = ffield.primitive_unit(spec)
+    return [gq.gsp_elem(gq.pos_root_elem(spec, 0, spec.one)),
+            gq.gsp_elem(gq.neg_root_elem(spec, 0, spec.one)),
+            gq.gsp_elem(gq.Mat4.diag(spec, c, c, 1, 1))]
+
+
+def _same_closure(a, b):
+    return (a.generators == b.generators and np.array_equal(a.rows, b.rows)
+            and np.array_equal(a.mus, b.mus))
+
+
 class TestClosure:
     def test_numpy_and_generic_paths_agree(self):
         """The numpy closure against the FqElem reference BFS."""
@@ -301,6 +316,62 @@ class TestClosure:
         gens = gq.gsp4_generators(field_for_q(3))
         with pytest.raises(ClosureTooLarge):
             gq.subgroup_closure(gens)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+    def test_several_generators_against_reference(self, q):
+        """Closures of a root pair and a torus element against the FqElem
+        reference BFS, also with a generator repeated and with generators
+        already in the group (x_a(1) x_-a(1), t^2, and t itself at q = 2)."""
+        a, b, t = _root_pair_and_torus(q)
+        ref = _ref_closure([a, b, t])
+        for gens in ([a, b, t], [t, a, b, a], [a, b, a * b, t, t * t]):
+            assert _pairs(gq.subgroup_closure(gens)) == ref
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_generator_order(self, q):
+        """The same rows and mus under every order of three generators, each
+        adjoined to a different group before it; at q = 3 also for two roots
+        that do not commute."""
+        sets = [_root_pair_and_torus(q)]
+        if q == 3:
+            spec = field_for_q(q)
+            sets.append([gq.gsp_elem(gq.pos_root_elem(spec, i, spec.one))
+                         for i in (0, 1)] + sets[0][2:])
+        for gens in sets:
+            first = gq.subgroup_closure(gens)
+            for perm in itertools.permutations(gens):
+                sub = gq.subgroup_closure(perm)
+                assert sub.generators == perm
+                assert np.array_equal(sub.rows, first.rows)
+                assert np.array_equal(sub.mus, first.mus)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 9])
+    def test_adjoin_is_one_closure_step(self, q):
+        a, b, t = _root_pair_and_torus(q)
+        for gens, g in (([a], b), ([a, b], t), ([a, b, t], a * b), ([t], t)):
+            assert _same_closure(gq.adjoin(gq.subgroup_closure(gens), g),
+                                 gq.subgroup_closure(gens + [g]))
+        group = gq.make_subgroup([gq.gsp_elem(gq.Mat4.identity(a.spec))])
+        for g in (a, b, t):
+            group = gq.adjoin(group, g)
+        assert _same_closure(group, gq.subgroup_closure([a, b, t]))
+
+    def test_products_formed(self, monkeypatch):
+        """While the group so far is trivial a coset is its representative:
+        closing a cyclic group of order m takes one product for each power
+        t^2, ..., t^m and two for mu, and a generator already in the group
+        takes none."""
+        spec = field_for_q(5)
+        c = ffield.primitive_unit(spec)
+        t = gq.gsp_elem(gq.Mat4.diag(spec, c, c, 1, 1))
+        calls = []
+        matmul = gq._fq_matmul
+        monkeypatch.setattr(gq, "_fq_matmul",
+                            lambda *args: calls.append(args) or matmul(*args))
+        for gens in ([t], [t, t], [t, t * t]):
+            calls.clear()
+            assert gq.subgroup_closure(gens).order == 4
+            assert len(calls) == 4 + 1
 
     def test_closure_of_scan_is_scan(self):
         for name in ("S", "A", "B", "R_last", "M1", "Row8"):
@@ -391,6 +462,8 @@ class TestTrustedClosure:
         m = gq.Mat4.diag(spec, 2, 2, 1, 1)  # mu = 2
         with pytest.raises(NotSimilitude):
             gq.subgroup_closure([gq.GSpElem(m, spec(3))])
+        with pytest.raises(NotSimilitude):
+            gq.adjoin(gq.subgroup_closure([gq.gsp_elem(m)]), gq.GSpElem(m, spec(3)))
 
 
 class TestFullGroup:

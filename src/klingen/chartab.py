@@ -36,12 +36,21 @@ Classification computes on element encodings through ``ffield.tables``:
 the one elimination ``ffield.row_reduce`` (ranks, the pivot columns that
 give the rank-2 complement, the B-block kernel), one h - lam*I helper,
 the characteristic polynomial from principal minors and roots by
-deflation.  ``char_poly`` and ``rational_roots`` are their public forms
+deflation.  It runs in two parts: ``_poly_label`` gives the labels that
+the characteristic polynomial decides (NotScoped, Mixed), and
+``_element_label`` does the rank and form work of the rest.  ``classify``
+runs both on one element.  ``dim_fixed`` classifies a subgroup once per
+subgroup object (``_class_counts``, held weakly and shared by both
+families): it finds roots once per distinct characteristic polynomial,
+counts the polynomial-decided labels without per-element work, and sends
+only the other elements to ``_element_label``.  ``char_poly`` and
+``rational_roots`` are the public forms of the polynomial and its roots
 on FqElem values.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -161,7 +170,7 @@ def _bilinear(u, v, t) -> int:
     return add[plus][t.neg[minus]]
 
 
-def _char_poly(e, t) -> list:
+def _char_poly(e, t) -> tuple:
     """(c0, ..., c4) of det(tI - h) = t^4 - E1 t^3 + E2 t^2 - E3 t + E4,
     E_k the sum of the principal k x k minors of h."""
     add, mul, neg = t.add, t.mul, t.neg
@@ -190,7 +199,7 @@ def _char_poly(e, t) -> list:
     ):
         term = mul[minor2(0, 1, c1, c2)][minor2(2, 3, d1, d2)]
         e4 = add[e4][term if sign > 0 else neg[term]]
-    return [e4, neg[e3], e2, neg[e1], 1]
+    return e4, neg[e3], e2, neg[e1], 1
 
 
 def _deflate(coeffs, root: int, t) -> tuple:
@@ -300,49 +309,62 @@ def _unipotent_label(h, even: bool, t) -> ClassLabel:
 
 def classify(g: GSpElem) -> ClassLabel:
     """Conjugacy-class label of g (scheme in the module docstring)."""
-    return _classify(g.mat.e, g.mu.encoding(), g.spec)
-
-
-def _classify(e, mu: int, spec: FieldSpec) -> ClassLabel:
-    """``classify`` on the entry encodings e and similitude encoding mu."""
-    t = ffield.tables(spec)
-    even = spec.p == 2
+    t = ffield.tables(g.spec)
+    even = g.spec.p == 2
+    e = g.mat.e
     roots, rest = _roots(_char_poly(e, t), t)
-    total_mult = sum(roots.values())
+    label = _poly_label(roots, rest, even, t)
+    if label is None:
+        label = _element_label(e, g.mu.encoding(), roots, rest, even, t)
+    return label
 
-    if total_mult == 0:
-        return ClassLabel("NotScoped")
 
-    # single eigenvalue of multiplicity 4: scalar times unipotent
-    if total_mult == 4 and len(roots) == 1:
-        lam = next(iter(roots))
-        return _unipotent_label(_scale(e, t.inv[lam], t), even, t)
+_NOT_SCOPED = ClassLabel("NotScoped")
+_MIXED = ClassLabel("Mixed")
 
-    # {l, l, -l, -l} with similitude l^2 (odd q only)
-    if not even and len(roots) == 2 and sorted(roots.values()) == [2, 2]:
-        l1, l2 = roots  # encoding order, so l1 < l2
-        if l1 == t.neg[l2]:
-            if mu == t.mul[l1][l1]:
-                return _b_family_label(e, l1, t)
-            return ClassLabel("Mixed")
 
-    # {l, l} plus an irreducible quadratic t^2 + b t + c of norm c = l^2
-    if total_mult == 2 and len(roots) == 1:
-        lam = next(iter(roots))
-        c0, b1 = rest[0], rest[1]
-        if c0 == t.mul[lam][lam]:
-            token = t.mul[b1][t.inv[lam]]
-            # a fixed space of dimension 2 = 4 - rank: trivial unipotent part
-            trivial = _rank(_minus_scalar(e, lam, t), t) == 2
-            if even:
-                kind = "C3" if trivial else "D3"
-            else:
-                kind = "G0" if trivial else "G1"
-            return ClassLabel(kind, token)
-        return ClassLabel("Mixed")
-
+def _poly_label(roots, rest, even: bool, t) -> Optional[ClassLabel]:
+    """The label that the characteristic polynomial alone decides, from its
+    rational roots and the quotient ``rest`` left by ``_roots``: NotScoped
+    or Mixed, else None when the element's own rank and form data (and mu)
+    decide it, in ``_element_label``."""
+    if not roots:
+        return _NOT_SCOPED
+    if len(roots) == 1:
+        (lam, mult), = roots.items()
+        # scalar times unipotent, or {l, l} plus an irreducible quadratic
+        # t^2 + b t + c of norm c = l^2
+        if mult == 4 or (mult == 2 and rest[0] == t.mul[lam][lam]):
+            return None
+    elif not even and sorted(roots.values()) == [2, 2]:
+        l1, l2 = roots
+        if l1 == t.neg[l2]:  # {l, l, -l, -l}
+            return None
     # any other pattern with at least one rational eigenvalue
-    return ClassLabel("Mixed")
+    return _MIXED
+
+
+def _element_label(e, mu: int, roots, rest, even: bool, t) -> ClassLabel:
+    """The label of an element whose polynomial leaves it open
+    (``_poly_label`` gave None), by rank and form data of its entries e."""
+    if len(roots) == 2:
+        # {l, l, -l, -l}: B-family when the similitude is l^2 (odd q only)
+        l1 = next(iter(roots))  # encoding order, so l1 < l2
+        if mu == t.mul[l1][l1]:
+            return _b_family_label(e, l1, t)
+        return _MIXED
+    (lam, mult), = roots.items()
+    if mult == 4:
+        return _unipotent_label(_scale(e, t.inv[lam], t), even, t)
+    # elliptic-Levi
+    token = t.mul[rest[1]][t.inv[lam]]
+    # a fixed space of dimension 2 = 4 - rank: trivial unipotent part
+    trivial = _rank(_minus_scalar(e, lam, t), t) == 2
+    if even:
+        kind = "C3" if trivial else "D3"
+    else:
+        kind = "G0" if trivial else "G1"
+    return ClassLabel(kind, token)
 
 
 def _b_family_label(e, lam: int, t) -> ClassLabel:
@@ -525,13 +547,47 @@ def _aggregate_total(leftover: Counter, family_kind: str, q: int) -> int:
 # fixed-space dimensions
 # ---------------------------------------------------------------------------
 
+def _class_counts(subgroup: Subgroup) -> Counter:
+    """The Counter of ``classify`` labels over the elements of subgroup.
+
+    Rows are grouped by characteristic polynomial; roots and the
+    polynomial's label are found once per group, a label the polynomial
+    decides counts the whole group, and only the rows of the other groups
+    reach ``_element_label``."""
+    spec = subgroup.spec
+    t = ffield.tables(spec)
+    even = spec.p == 2
+    by_poly = {}
+    for e, mu in zip(*subgroup.row_lists()):
+        by_poly.setdefault(_char_poly(e, t), []).append((e, mu))
+    counts = Counter()
+    for poly, members in by_poly.items():
+        roots, rest = _roots(poly, t)
+        label = _poly_label(roots, rest, even, t)
+        if label is not None:
+            counts[label] += len(members)
+        else:
+            counts.update(_element_label(e, mu, roots, rest, even, t)
+                          for e, mu in members)
+    return counts
+
+
+# Subgroup -> its _class_counts, shared by the families and dropped with it
+_COUNTS = weakref.WeakKeyDictionary()
+
+
 def dim_fixed(subgroup: Subgroup, family: SigmaFamily, q: Optional[int] = None) -> int:
     """dim sigma^R by averaging the pinned character data over R.
 
-    Per-element pins cover the A-family and Mixed classes; B-family and
-    elliptic-Levi contributions enter through validated aggregate patterns.
-    The result must be a nonnegative integer or NonIntegralResult is raised.
-    ``q`` may be omitted; given, it must be the subgroup's field size
+    The labels of R are counted once per subgroup object (``_class_counts``,
+    held weakly, so every family asked about the same object reads one
+    count): roots are found once per distinct characteristic polynomial,
+    NotScoped and Mixed elements are counted from their polynomial alone,
+    and only the others get per-element rank and form work.  Per-element
+    pins cover the A-family and Mixed classes; B-family and elliptic-Levi
+    contributions enter through validated aggregate patterns.  The result
+    must be a nonnegative integer or NonIntegralResult is raised.  ``q``
+    may be omitted; given, it must be the subgroup's field size
     (ValueError otherwise).
     """
     if q is not None and q != subgroup.spec.q:
@@ -539,8 +595,9 @@ def dim_fixed(subgroup: Subgroup, family: SigmaFamily, q: Optional[int] = None) 
     q = subgroup.spec.q
     if family.kind == FAMILY_NONGENERIC:
         raise ValueNotPinned("nongeneric dimensions are not computed from class data")
-    spec = subgroup.spec
-    counts = Counter(_classify(e, mu, spec) for e, mu in zip(*subgroup.row_lists()))
+    counts = _COUNTS.get(subgroup)
+    if counts is None:
+        counts = _COUNTS[subgroup] = _class_counts(subgroup)
     total = 0
     leftover = Counter()
     for label, n in counts.items():

@@ -31,6 +31,7 @@ environment variable is read only when the rg suite runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -194,7 +195,10 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="output format (default plain)")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The klingen parser, built once per process: argparse keeps no state
+    between ``parse_args`` calls, so every ``main`` call shares it."""
     p = _Parser(
         prog="klingen",
         description="Fixed-vector dimensions at Klingen level for "

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import cmath
+import gc
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from klingen import ffield, groupfq as gq
+from klingen import chartab, ffield, groupfq as gq
 from klingen.chartab import (
     FAMILY_NONGENERIC,
     FAMILY_TYPE_I,
@@ -240,6 +242,32 @@ class TestDimensionRoutes:
         with pytest.raises(ValueError):
             dim_fixed(sub, TYPE_I, passed_q)
         assert dim_fixed(sub, TYPE_I, group_q) == dim_fixed(sub, TYPE_I)
+
+    @pytest.mark.parametrize("q, name", [(2, "B"), (3, "Row3"), (4, "M")])
+    def test_both_families_share_one_classification(self, q, name, monkeypatch):
+        sub = gq.named_subgroup(name, q)
+        polys = []
+        real = chartab._char_poly
+        monkeypatch.setattr(chartab, "_char_poly",
+                            lambda e, t: polys.append(e) or real(e, t))
+        for fam in (TYPE_I, TYPE_II):
+            assert dim_fixed(sub, fam) == dim_fixed_family(name, fam, q)
+        assert len(polys) == sub.order
+        # a new object of the same group is classified afresh
+        again = gq.named_subgroup(name, q)
+        assert dim_fixed(again, TYPE_I) == dim_fixed_family(name, TYPE_I, q)
+        assert len(polys) == 2 * sub.order
+
+    def test_memo_dies_with_the_subgroup(self):
+        sub = gq.named_subgroup("B", 3)
+        dim_fixed(sub, TYPE_II)
+        assert sub in chartab._COUNTS
+        held = len(chartab._COUNTS)
+        ref = weakref.ref(sub)
+        del sub
+        gc.collect()
+        assert ref() is None
+        assert len(chartab._COUNTS) < held
 
     def test_closed_values_scale(self):
         for q in (2, 3, 4, 5, 7):

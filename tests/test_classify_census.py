@@ -2,7 +2,9 @@
 
 ``data/classify_census.json`` holds, for each q and group, the Counter of
 ``repr(classify(g))`` over every element: all named subgroups at q = 2, 3, 4,
-seven named subgroups at q = 5, and GSp(4, 2) (key "GSp4").  It was captured
+seven named subgroups at q = 5, and GSp(4, 2) (key "GSp4").  Both the
+per-element ``classify`` and the per-subgroup ``_class_counts`` that
+``dim_fixed`` reads are held to it.  It was captured
 from the polynomial-arithmetic classify that preceded the encoding-table
 port, so any label or elliptic token that moves shows up here.
 """
@@ -19,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from klingen import groupfq as gq
-from klingen.chartab import classify
+from klingen.chartab import _class_counts, classify
 from klingen.ffield import field_for_q
 
 CENSUS = json.loads((Path(__file__).parent / "data" / "classify_census.json").read_text())
@@ -34,6 +36,14 @@ def test_label_census(q):
     for name, want in CENSUS[q].items():
         got = Counter(repr(classify(g)) for g in _group(int(q), name).elements)
         assert dict(got) == want, (q, name)
+
+
+@pytest.mark.parametrize("q", sorted(CENSUS, key=int))
+def test_class_counts_census(q):
+    # the per-subgroup path of dim_fixed: roots once per polynomial
+    for name, want in CENSUS[q].items():
+        got = _class_counts(_group(int(q), name))
+        assert {repr(label): n for label, n in got.items()} == want, (q, name)
 
 
 def test_census_covers_every_named_subgroup():

@@ -228,6 +228,19 @@ class TestHarness:
         assert run_cli("dim", "--q", "2", "--n", "2", "--sigma", "typeI",
                        "--precision-slack", "0")[0] == 1
 
+    def test_parser_built_once_per_process(self):
+        """A usage error between two runs of one command changes neither
+        its output nor its exit code, and all three share one parser."""
+        cli.build_parser.cache_clear()
+        valid = ("dim", "--q", "3", "--n", "5", "--sigma", "typeII", "-o", "json")
+        first = run_cli(*valid)
+        assert first[0] == 0
+        bad = run_cli("dim", "--q", "3", "--n", "five", "--sigma", "typeII")
+        assert bad[0] == 1 and bad[2].startswith("usage error:")
+        assert run_cli(*valid) == first
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "klingen.cli", "dim", "--q", "2", "--n", "2",

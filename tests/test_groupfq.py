@@ -559,6 +559,23 @@ class TestRowKeys:
         keys = gq.row_keys(np.array(sorted(tuples)))
         assert (np.sort(keys) == keys).all()
 
+    @pytest.mark.parametrize("q", [2, 3, 4, 9, 509])
+    def test_lexsort_order_is_key_order(self, q):
+        """The column lexsort that orders a closure gives the permutation of
+        a sort by row_keys, on shuffled distinct rows in the closure's dtype
+        (int32 at q = 509, with entries on both sides of 255/256)."""
+        rng = random.Random(q)
+        spec = field_for_q(q)
+        entries = [x for x in (0, 1, 2, 255, 256, q - 1) if x < q]
+        tuples = {tuple(rng.choice(entries) if rng.random() < 0.5 else rng.randrange(q)
+                        for _ in range(16)) for _ in range(400)}
+        if q < 10:
+            tuples |= {g.mat.e for g in gq.named_subgroup("B", q).elements}
+        tuples = sorted(tuples)
+        rng.shuffle(tuples)
+        rows = gq._rows(tuples, spec)
+        assert (gq._key_order(rows) == np.argsort(gq.row_keys(rows))).all()
+
     def test_positions(self):
         """Rows found where Subgroup.elements has them; a row outside the
         group raises."""

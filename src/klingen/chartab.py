@@ -170,34 +170,48 @@ def _bilinear(u, v, t) -> int:
     return add[plus][t.neg[minus]]
 
 
+_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+# every 2 x 2 minor _char_poly needs, once, as (rows, columns): rows (0, 1)
+# and (2, 3) at every column pair for the Laplace expansion of det h, which
+# hold two of the six principal minors; the other four principal minors;
+# and the rows-(j, k) minors of E3's expansions along row i
+_MINORS = tuple(((0, 1), c) for c in _PAIRS) + tuple(((2, 3), c) for c in _PAIRS) + (
+    ((0, 2), (0, 2)), ((0, 3), (0, 3)), ((1, 2), (1, 2)), ((1, 3), (1, 3)),
+    ((1, 2), (0, 1)), ((1, 2), (0, 2)), ((1, 3), (0, 1)), ((1, 3), (0, 3)))
+_MINOR_AT = {minor: k for k, minor in enumerate(_MINORS)}
+# a minor's four entry indices: it is e[a] e[b] - e[c] e[d]
+_MINOR_ENTRIES = tuple((4 * r1 + c1, 4 * r2 + c2, 4 * r1 + c2, 4 * r2 + c1)
+                       for (r1, r2), (c1, c2) in _MINORS)
+_PRINCIPAL = tuple(_MINOR_AT[pair, pair] for pair in _PAIRS)
+# the principal 3 x 3 minor on rows (i, j, k), expanded along row i:
+# e[ii] M(jk|jk) - e[ij] M(jk|ik) + e[ik] M(jk|ij)
+_E3 = tuple(
+    (5 * i, _MINOR_AT[(j, k), (j, k)], 4 * i + j, _MINOR_AT[(j, k), (i, k)],
+     4 * i + k, _MINOR_AT[(j, k), (i, j)])
+    for i, j, k in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)))
+# Laplace expansion of det h along rows 0 and 1: (M(01|c), M(23|d), sign)
+_E4 = tuple((_MINOR_AT[(0, 1), c], _MINOR_AT[(2, 3), d], sign) for c, d, sign in (
+    ((0, 1), (2, 3), 1), ((0, 2), (1, 3), -1), ((0, 3), (1, 2), 1),
+    ((1, 2), (0, 3), 1), ((1, 3), (0, 2), -1), ((2, 3), (0, 1), 1)))
+
+
 def _char_poly(e, t) -> tuple:
     """(c0, ..., c4) of det(tI - h) = t^4 - E1 t^3 + E2 t^2 - E3 t + E4,
-    E_k the sum of the principal k x k minors of h."""
+    E_k the sum of the principal k x k minors of h; each 2 x 2 minor is
+    formed once (``_MINORS``)."""
     add, mul, neg = t.add, t.mul, t.neg
-
-    def minor2(r1, r2, c1, c2):
-        return add[mul[e[4 * r1 + c1]][e[4 * r2 + c2]]][
-            neg[mul[e[4 * r1 + c2]][e[4 * r2 + c1]]]
-        ]
-
+    m = [add[mul[e[a]][e[b]]][neg[mul[e[c]][e[d]]]] for a, b, c, d in _MINOR_ENTRIES]
     e1 = add[add[e[0]][e[5]]][add[e[10]][e[15]]]
     e2 = 0
-    for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
-        e2 = add[e2][minor2(i, j, i, j)]
+    for k in _PRINCIPAL:
+        e2 = add[e2][m[k]]
     e3 = 0
-    for i, j, k in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
-        # expansion of the principal 3 x 3 minor along row i
-        d = mul[e[5 * i]][minor2(j, k, j, k)]
-        d = add[d][neg[mul[e[4 * i + j]][minor2(j, k, i, k)]]]
-        d = add[d][mul[e[4 * i + k]][minor2(j, k, i, j)]]
-        e3 = add[e3][d]
-    # Laplace expansion of det h along rows 1 and 2
+    for ii, mjj, ij, mik, ik, mij in _E3:
+        d = add[mul[e[ii]][m[mjj]]][neg[mul[e[ij]][m[mik]]]]
+        e3 = add[e3][add[d][mul[e[ik]][m[mij]]]]
     e4 = 0
-    for c1, c2, d1, d2, sign in (
-        (0, 1, 2, 3, 1), (0, 2, 1, 3, -1), (0, 3, 1, 2, 1),
-        (1, 2, 0, 3, 1), (1, 3, 0, 2, -1), (2, 3, 0, 1, 1),
-    ):
-        term = mul[minor2(0, 1, c1, c2)][minor2(2, 3, d1, d2)]
+    for top, bottom, sign in _E4:
+        term = mul[m[top]][m[bottom]]
         e4 = add[e4][term if sign > 0 else neg[term]]
     return e4, neg[e3], e2, neg[e1], 1
 

@@ -8,20 +8,20 @@ field's modulus) when f > 1.  A 4x4 residue matrix is kept as its f
 coefficient planes, each a row-major list of 16 ints.  On top of the
 residues sit:
 
-RingO / _plane_product
-    scalar residue arithmetic mod p^d, and the product of two residue
-    matrices: the f^2 plane products are summed unreduced into 2f - 1
-    planes, then reduced once by the modulus lift and once mod p^d.
+RingO
+    scalar residue arithmetic mod p^d, and the Newton inverse the sampler
+    takes of its unit t at f > 1.
 
-KlingenSampler
+KlingenSampler / _kl_product
     seeded sampling of the level-n Klingen subgroup via its exact
-    factorization  lower(p^n) * levi * upper(o).  Every draw is one
-    ``_below``, which makes the ``getrandbits`` calls CPython's
-    ``Random.randrange`` makes, so a seed yields the samples the reference
-    draws through randrange yield (the tests keep that reference).  At
-    f = 1 the product of the three factors is written out on ints; at f > 1
-    det(A) is tested for a unit on the draws mod p through the F_q tables,
-    and the factors are multiplied as plane matrices.
+    factorization  lower(p^n) * levi * upper(o).  Two draw closures, built
+    once per sampler, inline ``_below``'s rejection loop, so every digit
+    makes the ``getrandbits`` calls CPython's ``Random.randrange`` makes and
+    a seed yields the samples the reference draws through randrange yield
+    (the tests keep that reference).  For every f one closed form multiplies
+    the factors on residues packed into ints, coefficient i at bit K i with
+    2^K above 7 f^2 p^(3d), so no coefficient of an entry carries into the
+    next (Kronecker substitution); each entry is then unpacked once.
 
 _reduce_fast
     for a support representative g = t_{i,j} S(x, y, z), with
@@ -98,10 +98,6 @@ class RingO:
     def f(self) -> int:
         return self.spec.f
 
-    @property
-    def q(self) -> int:
-        return self.spec.q
-
     def from_int(self, k: int, d: int) -> Residue:
         mod = self.p**d
         if self.f == 1:
@@ -171,41 +167,6 @@ def ring_for_q(q: int) -> RingO:
 
 
 # ---------------------------------------------------------------------------
-# residue matrices as coefficient planes
-# ---------------------------------------------------------------------------
-
-def _int_product(a: Sequence[int], b: Sequence[int]) -> List[int]:
-    """Row-major 4x4 product of integer matrices, unreduced."""
-    rows = (a[0:4], a[4:8], a[8:12], a[12:16])
-    cols = (b[0::4], b[1::4], b[2::4], b[3::4])
-    return [
-        a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3
-        for a0, a1, a2, a3 in rows
-        for b0, b1, b2, b3 in cols
-    ]
-
-
-def _plane_product(ring: RingO, d: int, a: Planes, b: Planes) -> Planes:
-    """Product of two residue matrices mod p^d, each given as its f
-    coefficient planes: the f^2 plane products are summed unreduced into
-    2f - 1 planes, reduced once by the modulus lift and once mod p^d.  The
-    result equals the entrywise RingO.mul / RingO.add composition."""
-    f, lift, mod = ring.f, ring.spec.modulus, ring.p**d
-    acc = [[0] * 16 for _ in range(2 * f - 1)]
-    for i, pa in enumerate(a):
-        for j, pb in enumerate(b):
-            acc[i + j] = list(map(int.__add__, acc[i + j], _int_product(pa, pb)))
-    # x^top = -x^(top - f) (c_0 + c_1 x + ... + c_{f-1} x^(f-1))
-    for top in range(2 * f - 2, f - 1, -1):
-        for k in range(f):
-            if lift[k]:
-                acc[top - f + k] = [
-                    u - lift[k] * w for u, w in zip(acc[top - f + k], acc[top])
-                ]
-    return [[u % mod for u in plane] for plane in acc[:f]]
-
-
-# ---------------------------------------------------------------------------
 # coset representatives
 # ---------------------------------------------------------------------------
 
@@ -256,15 +217,58 @@ def _below(getrandbits, n: int, k: int) -> int:
     return r
 
 
-def _layer_set(p: int, prec: int, depths) -> tuple:
-    """The layers v of ``depths`` below prec as (p^v, p^(prec - v), its bit
-    length), in increasing v, behind their count and the count's bit
-    length."""
-    usable = tuple(
-        (p**v, p**(prec - v), (p**(prec - v)).bit_length())
-        for v in sorted(depths) if 0 <= v < prec
-    )
-    return len(usable), len(usable).bit_length(), usable
+def _packing(ring: RingO, d: int) -> tuple:
+    """Residues mod p^d packed as ints, coefficient i at bit K i for K the
+    bit length of 7 f^2 p^(3d) plus one: p^d, p^d packed in each of f digits,
+    the offsets of the 3f - 2 digits of a product entry, the digit mask and
+    the modulus lift."""
+    f, mod = ring.f, ring.p**d
+    width = (7 * f * f * mod**3).bit_length() + 1
+    places = tuple(width * i for i in range(3 * f - 2))
+    return (mod, sum(mod << o for o in places[:f]), places, (1 << width) - 1,
+            ring.spec.modulus)
+
+
+def _kl_product(packing: tuple, lower, levi, upper) -> Planes:
+    """The coefficient planes mod p^d of S(a, b, c) * diag(t, A, det(A)/t) *
+    upper(xu, yu, zu), from residues packed by ``_packing(ring, d)`` with
+    coefficients below p^d: lower = (a, b, c), levi = (t, t^-1, a00, a01,
+    a10, a11), upper = (xu, yu, zu).
+
+    One closed form on the packed ints for every f (Kronecker substitution).
+    -a and -xu are p^d less each coefficient, so none is negative.  An entry
+    is a sum of at most seven products of three residues (det(A)/t is two),
+    so its coefficients, of degree at most 3f - 3, are at most 7 f^2 p^(3d)
+    and never carry into the next.  Each entry is unpacked once: its digits
+    of degree f and up folded back by the modulus lift, then all mod p^d;
+    at f = 1 the packing is the identity and the unpack is x % p^d.
+    """
+    mod, mods, places, mask, lift = packing
+    (a, b, c), (t, tinv, a00, a01, a10, a11), (xu, yu, zu) = lower, levi, upper
+    na, nxu, at, bt, ct = mods - a, mods - xu, a * t, b * t, c * t
+    # the rows of lower * levi are (t, 0, 0, 0), (at, a00, a01, 0),
+    # (bt, a10, a11, 0) and (ct, r1, r2, det(A)/t); upper has rows
+    # (1, xu, yu, zu), (0, 1, 0, yu), (0, 0, 1, -xu), (0, 0, 0, 1)
+    r1, r2 = b * a00 + na * a10, b * a01 + na * a11
+    entries = [
+        t, t * xu, t * yu, t * zu,
+        at, at * xu + a00, at * yu + a01, at * zu + a00 * yu + a01 * nxu,
+        bt, bt * xu + a10, bt * yu + a11, bt * zu + a10 * yu + a11 * nxu,
+        ct, ct * xu + r1, ct * yu + r2,
+        ct * zu + r1 * yu + r2 * nxu + (a00 * a11 + a01 * (mods - a10)) * tinv,
+    ]
+    f = len(lift) - 1
+    if f == 1:
+        return [[x % mod for x in entries]]
+    # x^top = -x^(top - f) (c_0 + c_1 x + ... + c_{f-1} x^(f-1))
+    acc = [[x >> o & mask for x in entries] for o in places]
+    for top in range(3 * f - 3, f - 1, -1):
+        for k in range(f):
+            if lift[k]:
+                acc[top - f + k] = [
+                    u - lift[k] * w for u, w in zip(acc[top - f + k], acc[top])
+                ]
+    return [[u % mod for u in plane] for plane in acc[:f]]
 
 
 class KlingenSampler:
@@ -282,12 +286,16 @@ class KlingenSampler:
     uniformly, so deep-valuation coincidences are seen within a realistic
     number of samples.  Either way every sample is a genuine Kl(n) element.
 
-    The draws are pinned: each residue digit is one ``_below`` with a bit
-    length fixed here, which calls ``getrandbits`` exactly as
-    ``randrange`` would.  A unit mod p^d is drawn at f = 1 as r - r % p +
-    randrange(1, p), at f > 1 by redrawing the whole tuple until it is a
-    unit.  So every seed gives the samples of the randrange-based
+    The draws are pinned: each residue digit is one rejection loop of
+    ``_below`` with a bit length fixed here, which calls ``getrandbits``
+    exactly as ``randrange`` would.  A unit mod p^d is drawn at f = 1 as
+    r - r % p + randrange(1, p), at f > 1 by redrawing the whole tuple until
+    it is a unit.  So every seed gives the samples of the randrange-based
     reference in the tests; the rg census in the tests pins them.
+
+    One path serves every f: each residue is packed into one int, and
+    ``_kl_product`` multiplies the factors by one closed form on these ints,
+    with digits wide enough that no coefficient carries into the next.
     """
 
     def __init__(
@@ -304,113 +312,104 @@ class KlingenSampler:
         self.seed = seed
         self.depths = None if depths is None else tuple(sorted(set(depths)))
         self._rng = random.Random(seed)
-        self._getrandbits, self._random = self._rng.getrandbits, self._rng.random
-        p = self._p = self.ring.p
-        self._shift = p**n
-        self._mod = p**prec
-        self._kmod = self._mod.bit_length()
+        p, f = self._p, self._f = self.ring.p, self.ring.f
+        mod = self._mod = p**prec
+        self._kmod = mod.bit_length()
         self._kunit = (p - 1).bit_length()
+        self._packing = _packing(self.ring, prec)
         # the lower-triangular parameters carry a built-in p^n shift, so the
         # layers relevant to them sit n lower
-        self._layers, self._layers_low = (
-            None if depths is None else _layer_set(p, prec, vs)
-            for vs in (self.depths, {max(0, v - n) for v in self.depths or ()})
-        )
+        self._draw, self._draw_low = (
+            self._drawer(vs, scale) for vs, scale in (
+                (self.depths, 1),
+                (None if depths is None else {max(0, v - n) for v in self.depths}, p**n)))
 
-    def _draw_int(self, layers) -> int:
-        """One free parameter at f = 1, uniform or layered."""
-        gb = self._getrandbits
-        if layers is not None:
-            roll = self._random()
-            if roll >= 0.75:
-                return 0
-            count, k, usable = layers
-            if roll >= 0.5 and count:
-                step, span, kspan = usable[_below(gb, count, k)]
-                r = _below(gb, span, kspan)
-                return step * (r - r % self._p + 1 + _below(gb, self._p - 1, self._kunit))
-        return _below(gb, self._mod, self._kmod)
+    def _drawer(self, depths, scale: int):
+        """A closure that draws one free parameter times ``scale``, packed and
+        reduced mod p^prec: uniform, or layered on ``depths`` when given."""
+        getrandbits, rand = self._rng.getrandbits, self._rng.random
+        p, f, mod, kmod, kunit = self._p, self._f, self._mod, self._kmod, self._kunit
+        places, layered = self._packing[2][:f], depths is not None
+        # the layers v below prec as (scale p^v, p^(prec - v), its bit length)
+        usable = tuple((scale * p**v, p**(self.prec - v), (p**(self.prec - v)).bit_length())
+                       for v in sorted(depths or ()) if 0 <= v < self.prec)
+        count, kcount = len(usable), len(usable).bit_length()
+        # only a scaled or packed uniform draw is more than its one digit
+        plain = f == 1 and scale == 1
 
-    def _unit_tuple(self, span: int, k: int) -> List[int]:
-        """A unit residue mod span at f > 1: whole tuples until one is a unit."""
-        gb, p, f = self._getrandbits, self._p, self.ring.f
-        while True:
-            r = [_below(gb, span, k) for _ in range(f)]
-            if any(x % p for x in r):
+        def draw() -> int:
+            if layered:
+                roll = rand()
+                if roll >= 0.75:
+                    return 0
+                if roll >= 0.5 and count:
+                    i = getrandbits(kcount)
+                    while i >= count:
+                        i = getrandbits(kcount)
+                    step, span, kspan = usable[i]
+                    if f == 1:
+                        r = getrandbits(kspan)
+                        while r >= span:
+                            r = getrandbits(kspan)
+                        u = getrandbits(kunit)
+                        while u >= p - 1:
+                            u = getrandbits(kunit)
+                        return step * (r - r % p + 1 + u) % mod
+                    while True:
+                        x = unit = 0
+                        for o in places:
+                            r = getrandbits(kspan)
+                            while r >= span:
+                                r = getrandbits(kspan)
+                            unit = unit or r % p
+                            x += step * r % mod << o
+                        if unit:
+                            return x
+            if plain:
+                r = getrandbits(kmod)
+                while r >= mod:
+                    r = getrandbits(kmod)
                 return r
-
-    def _draw_tuple(self, layers) -> Tuple[int, ...]:
-        """One free parameter at f > 1, uniform or layered."""
-        gb, f = self._getrandbits, self.ring.f
-        if layers is not None:
-            roll = self._random()
-            if roll >= 0.75:
-                return (0,) * f
-            count, k, usable = layers
-            if roll >= 0.5 and count:
-                step, span, kspan = usable[_below(gb, count, k)]
-                return tuple(step * x for x in self._unit_tuple(span, kspan))
-        return tuple(_below(gb, self._mod, self._kmod) for _ in range(f))
+            x = 0
+            for o in places:
+                r = getrandbits(kmod)
+                while r >= mod:
+                    r = getrandbits(kmod)
+                x += scale * r % mod << o
+            return x
+        return draw
 
     def _sample_residues(self) -> Planes:
         """One Kl(n) element mod p^prec as its coefficient planes."""
-        if self.ring.f > 1:
-            return self._sample_planes()
-        gb, mod, p = self._getrandbits, self._mod, self._p
-        draw, low, layers = self._draw_int, self._layers_low, self._layers
-        shift = self._shift
-        a, b, c = shift * draw(low), shift * draw(low), shift * draw(low)
-        r = _below(gb, mod, self._kmod)
-        t = r - r % p + 1 + _below(gb, p - 1, self._kunit)
+        p, f, mod, draw = self._p, self._f, self._mod, self._draw
+        getrandbits, kmod, low = self._rng.getrandbits, self._kmod, self._draw_low
+        _, _, places, mask, _ = self._packing
+        a, b, c = low(), low(), low()
+        if f == 1:
+            t = _below(getrandbits, mod, kmod)
+            t += 1 - t % p + _below(getrandbits, p - 1, self._kunit)
+            tinv = pow(t, -1, mod)
+        else:
+            while True:
+                t = tuple(_below(getrandbits, mod, kmod) for _ in range(f))
+                if any(x % p for x in t):
+                    break
+            t, tinv = (sum(x << o for x, o in zip(v, places))
+                       for v in (t, self.ring.inv(t, self.prec)))
+            tab = tables(self.ring.spec)
         while True:
-            a00, a01, a10, a11 = draw(layers), draw(layers), draw(layers), draw(layers)
-            det = (a00 * a11 - a01 * a10) % mod
-            if det % p:
-                break
-        dd = det * pow(t, -1, mod)
-        xu, yu, zu = draw(layers), draw(layers), draw(layers)
-        # lower * levi, row by row, then times upper: lower is S(a, b, c),
-        # levi diag(t, A, dd) and upper has rows (1, xu, yu, zu), (0, 1, 0, yu),
-        # (0, 0, 1, -xu), (0, 0, 0, 1)
-        lower_levi = (
-            (t, 0, 0, 0),
-            (a * t, a00, a01, 0),
-            (b * t, a10, a11, 0),
-            (c * t, b * a00 - a * a10, b * a01 - a * a11, dd),
-        )
-        return [[
-            x % mod
-            for r0, r1, r2, r3 in lower_levi
-            for x in (r0, r0 * xu + r1, r0 * yu + r2, r0 * zu + r1 * yu - r2 * xu + r3)
-        ]]
-
-    def _sample_planes(self) -> Planes:
-        """_sample_residues at f > 1: det(A) is tested for a unit mod p on
-        the F_q encodings of the draws, and formed with t^{-1} only once
-        it is one."""
-        ring, d, p, mod = self.ring, self.prec, self._p, self._mod
-        draw, layers = self._draw_tuple, self._layers
-        tab = tables(ring.spec)
-        a, b, c = (tuple(self._shift * x % mod for x in draw(self._layers_low))
-                   for _ in range(3))
-        t = tuple(self._unit_tuple(mod, self._kmod))
-        while True:
-            a00, a01, a10, a11 = draw(layers), draw(layers), draw(layers), draw(layers)
-            e00, e01, e10, e11 = (_encode(x, p) for x in (a00, a01, a10, a11))
-            if tab.add[tab.mul[e00][e11]][tab.neg[tab.mul[e01][e10]]]:
-                break
-        det = ring.add(ring.mul(a00, a11, d), ring.neg(ring.mul(a01, a10, d), d), d)
-        dd = ring.mul(det, ring.inv(t, d), d)
-        xu, yu, zu = draw(layers), draw(layers), draw(layers)
-        one, zero = ring.from_int(1, d), ring.from_int(0, d)
-        lower = (one, zero, zero, zero, a, one, zero, zero,
-                 b, zero, one, zero, c, b, ring.neg(a, d), one)
-        levi = (t, zero, zero, zero, zero, a00, a01, zero,
-                zero, a10, a11, zero, zero, zero, zero, dd)
-        upper = (one, xu, yu, zu, zero, one, zero, yu,
-                 zero, zero, one, ring.neg(xu, d), zero, zero, zero, one)
-        lower, levi, upper = ([list(pl) for pl in zip(*m)] for m in (lower, levi, upper))
-        return _plane_product(ring, d, _plane_product(ring, d, lower, levi), upper)
+            a00, a01, a10, a11 = draw(), draw(), draw(), draw()
+            if f == 1:
+                if (a00 * a11 - a01 * a10) % p:
+                    break
+            else:
+                # det(A) is tested for a unit on the F_q encodings of the draws
+                e00, e01, e10, e11 = (_encode([x >> o & mask for o in places[:f]], p)
+                                      for x in (a00, a01, a10, a11))
+                if tab.add[tab.mul[e00][e11]][tab.neg[tab.mul[e01][e10]]]:
+                    break
+        return _kl_product(self._packing, (a, b, c), (t, tinv, a00, a01, a10, a11),
+                           (draw(), draw(), draw()))
 
 
 # ---------------------------------------------------------------------------

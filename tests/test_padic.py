@@ -17,7 +17,8 @@ from klingen.padic import (
     KlingenSampler,
     _below,
     _conjugation_plan,
-    _plane_product,
+    _kl_product,
+    _packing,
     _reduce_fast,
     _torus_exponents,
     estimate_Rg,
@@ -177,7 +178,9 @@ class TestConjugateReduce:
         for _ in range(250):
             h1 = sampler._sample_residues()
             h2 = sampler._sample_residues()
-            r1, r2, r12 = reduce(h1), reduce(h2), reduce(_plane_product(Z2, m, h1, h2))
+            h12 = _ring_product(Z2, m, _entries(Z2, h1), _entries(Z2, h2))
+            h12 = _to_planes(Z2, m, [h12])
+            r1, r2, r12 = reduce(h1), reduce(h2), reduce(h12)
             if r1 is None or r2 is None or r12 is None:
                 continue
             checked += 1
@@ -270,11 +273,11 @@ class TestBuildRep:
                              Skew(4, 3, 5, 7, 1, 2))),
                         (3, (X(2, 1, 1), Skew(1, 2, 3, 4, 1, 3)))):
             ring = ring_for_q(q)
-            ident = [[int(r == c) for r in range(4) for c in range(4)]]
+            ident = [int(r == c) for r in range(4) for c in range(4)]
             for rep in reps:
-                s, s_inv = _s_pair(ring, rep, 16)
-                assert (_plane_product(ring, 16, s, s_inv)
-                        == _plane_product(ring, 16, s_inv, s) == ident)
+                s, s_inv = (_entries(ring, x) for x in _s_pair(ring, rep, 16))
+                assert (_ring_product(ring, 16, s, s_inv)
+                        == _ring_product(ring, 16, s_inv, s) == ident)
 
 
 class TestSampler:
@@ -301,7 +304,8 @@ class TestSampler:
                 ht = _to_planes(
                     ring, m, [[h[0][4 * c + r] for c in range(4)] for r in range(4)]
                 )
-                prod = _plane_product(ring, m, _plane_product(ring, m, ht, jm), h)[0]
+                ht, j, h = (_entries(ring, x) for x in (ht, jm, h))
+                prod = _ring_product(ring, m, _ring_product(ring, m, ht, j), h)
                 mu = prod[3]  # (1,4) position
                 assert ring.is_unit(mu)
                 for r in range(4):
@@ -458,6 +462,22 @@ def _random_layered(ring, rng, d, depths):
     return ring.from_int(0, d)
 
 
+def _kl_via_ring(ring, d, lower, levi, upper):
+    """The 16 residues of S(a, b, c) * diag(t, A, det(A) t^-1) *
+    upper(xu, yu, zu) through RingO's scalar methods, for lower = (a, b, c),
+    levi = (t, t^-1, a00, a01, a10, a11) and upper = (xu, yu, zu)."""
+    (a, b, c), (t, tinv, a00, a01, a10, a11), (xu, yu, zu) = lower, levi, upper
+    det = ring.add(ring.mul(a00, a11, d), ring.neg(ring.mul(a01, a10, d), d), d)
+    one, zero = ring.from_int(1, d), ring.from_int(0, d)
+    lower = [one, zero, zero, zero, a, one, zero, zero,
+             b, zero, one, zero, c, b, ring.neg(a, d), one]
+    levi = [t, zero, zero, zero, zero, a00, a01, zero,
+            zero, a10, a11, zero, zero, zero, zero, ring.mul(det, tinv, d)]
+    upper = [one, xu, yu, zu, zero, one, zero, yu,
+             zero, zero, one, ring.neg(xu, d), zero, zero, zero, one]
+    return _ring_product(ring, d, _ring_product(ring, d, lower, levi), upper)
+
+
 def _sample_via_ring(ring, rng, n, d, depths):
     """A Kl(n) sample as KlingenSampler(q, n, d, depths=depths) draws it,
     through RingO's scalar methods and ``randrange``: the 16 residues of
@@ -476,16 +496,9 @@ def _sample_via_ring(ring, rng, n, d, depths):
         det = ring.add(ring.mul(a00, a11, d), ring.neg(ring.mul(a01, a10, d), d), d)
         if ring.is_unit(det):
             break
-    dd = ring.mul(det, ring.inv(t, d), d)
     xu, yu, zu = (draw(layers) for _ in range(3))
-    one, zero = ring.from_int(1, d), ring.from_int(0, d)
-    lower = [one, zero, zero, zero, a, one, zero, zero,
-             b, zero, one, zero, c, b, ring.neg(a, d), one]
-    levi = [t, zero, zero, zero, zero, a00, a01, zero,
-            zero, a10, a11, zero, zero, zero, zero, dd]
-    upper = [one, xu, yu, zu, zero, one, zero, yu,
-             zero, zero, one, ring.neg(xu, d), zero, zero, zero, one]
-    return _ring_product(ring, d, _ring_product(ring, d, lower, levi), upper)
+    return _kl_via_ring(ring, d, (a, b, c), (t, ring.inv(t, d), a00, a01, a10, a11),
+                        (xu, yu, zu))
 
 
 class TestIntResidues:
@@ -501,20 +514,34 @@ class TestIntResidues:
             assert 1 + _below(ours.getrandbits, n, k) == ref.randrange(1, n + 1)
         assert ours.random() == ref.random()
 
-    @settings(max_examples=120, deadline=None)
-    @given(q=st.sampled_from([2, 3, 5, 4, 8, 9]), d=st.integers(1, 10),
+    @settings(max_examples=150, deadline=None)
+    @given(q=st.sampled_from([2, 3, 5, 4, 8, 9]), d=st.integers(1, 12),
            seed=st.integers(0, 2**32 - 1))
-    def test_resmat_mul_matches_ring(self, q, d, seed):
-        ring = ring_for_q(q)
-        rng = random.Random(seed)
-        # mix in zeros, units and pure powers of p so cancellations occur
-        pool = [ring.from_int(0, d), ring.from_int(ring.p**(d - 1), d)]
+    def test_packed_product_matches_ring(self, q, d, seed):
+        # the closed form on packed residues, unpacked, against the RingO
+        # product of the three factors; zeros and pure powers of p are mixed
+        # in so cancellations occur, and residues with every coefficient
+        # p^d - 1, whose products stress the packing's digit width
+        ring, rng = ring_for_q(q), random.Random(seed)
+        packing, top = _packing(ring, d), ring.p**d - 1
+
         def entry():
-            return pool[rng.randrange(2)] if rng.random() < 0.2 else _random(ring, rng, d)
-        a = [entry() for _ in range(16)]
-        b = [entry() for _ in range(16)]
-        got = _plane_product(ring, d, _to_planes(ring, d, [a]), _to_planes(ring, d, [b]))
-        assert _entries(ring, got) == _ring_product(ring, d, a, b)
+            kind = rng.randrange(6)
+            if kind == 0:
+                return ring.from_int(0, d)
+            if kind == 1:
+                return ring.from_int(ring.p**rng.randrange(d), d)
+            if kind == 2:
+                return top if ring.f == 1 else (top,) * ring.f
+            return _random(ring, rng, d)
+
+        def pack(x):
+            return sum(c << o for c, o in zip((x,) if ring.f == 1 else x, packing[2]))
+
+        lower, levi, upper = ([entry() for _ in range(k)] for k in (3, 6, 3))
+        got = _kl_product(packing, *([pack(x) for x in part]
+                                     for part in (lower, levi, upper)))
+        assert _entries(ring, got) == _kl_via_ring(ring, d, lower, levi, upper)
 
     @settings(max_examples=100, deadline=None)
     @given(q=st.sampled_from([2, 3, 5, 4, 8, 9]), d=st.integers(1, 10),
@@ -528,15 +555,18 @@ class TestIntResidues:
         with pytest.raises(ZeroDivisionError):
             ring.inv(ring.from_int(ring.p, d), d)
 
-    @pytest.mark.parametrize("q", [2, 3, 5, 4, 8, 9])
+    @pytest.mark.parametrize(
+        "q,prec", [pytest.param(q, 9, id=str(q)) for q in (2, 3, 5, 4, 8, 9)]
+        + [pytest.param(q, 20, id=f"{q}-prec20") for q in (2, 9)])
     @pytest.mark.parametrize("depths", [None, (1, 3, 5), (0, 2), (40,)])
-    def test_int_sampler_is_stream_identical(self, q, depths):
+    def test_int_sampler_is_stream_identical(self, q, prec, depths):
         # the sampler against the randrange-based RingO reference on the
-        # same seed: the same samples, and the same stream afterwards
-        sampler = KlingenSampler(q, 3, 9, seed=q + 7, depths=depths)
+        # same seed: the same samples, and the same stream afterwards; at
+        # prec = 20, p^prec > 2^32, so getrandbits draws more than one word
+        sampler = KlingenSampler(q, 3, prec, seed=q + 7, depths=depths)
         ring, rng = sampler.ring, random.Random(q + 7)
         for _ in range(60):
-            want = _sample_via_ring(ring, rng, 3, 9, depths)
+            want = _sample_via_ring(ring, rng, 3, prec, depths)
             assert _entries(ring, sampler._sample_residues()) == want
         assert sampler._rng.random() == rng.random()
 

@@ -43,9 +43,7 @@ runs both on one element.  ``dim_fixed`` classifies a subgroup once per
 subgroup object (``_class_counts``, held weakly and shared by both
 families): it finds roots once per distinct characteristic polynomial,
 counts the polynomial-decided labels without per-element work, and sends
-only the other elements to ``_element_label``.  ``char_poly`` and
-``rational_roots`` are the public forms of the polynomial and its roots
-on FqElem values.
+only the other elements to ``_element_label``.
 """
 
 from __future__ import annotations
@@ -58,8 +56,8 @@ from typing import Optional
 
 from . import ffield
 from .errors import NonIntegralResult, NotScopedClass, ValueNotPinned
-from .ffield import FieldSpec, FqElem, field_for_q
-from .groupfq import GSpElem, Mat4, Subgroup
+from .ffield import FieldSpec, field_for_q
+from .groupfq import GSpElem, Subgroup
 
 # ---------------------------------------------------------------------------
 # representation families
@@ -240,27 +238,6 @@ def _roots(coeffs, t) -> tuple:
             work = quo
             roots[x] = roots.get(x, 0) + 1
     return roots, work
-
-
-# public forms of the above on FqElem values
-
-
-def _encode(xs) -> list:
-    return [x.encoding() for x in xs]
-
-
-def char_poly(m: Mat4) -> tuple:
-    """Coefficients (c0, ..., c4) of det(t*I - m), monic, over F_q."""
-    elems = ffield.enumerate_field(m.spec)
-    return tuple(elems[x] for x in _char_poly(m.e, ffield.tables(m.spec)))
-
-
-def rational_roots(coeffs) -> Counter:
-    """Roots in F_q with multiplicity (by repeated deflation)."""
-    spec = coeffs[0].spec
-    elems = ffield.enumerate_field(spec)
-    roots, _ = _roots(_encode(coeffs), ffield.tables(spec))
-    return Counter({elems[x]: n for x, n in roots.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -446,22 +423,6 @@ def _pinned_value(kind: str, family_kind: str, q: int) -> Optional[int]:
     if kind in table:
         return table[kind][0 if t1 else 1]
     return None
-
-
-def char_value(family: SigmaFamily, label: ClassLabel, q: int) -> int:
-    """Pinned per-element value of the family's character on the class.
-
-    Raises ValueNotPinned for labels whose values are stored only in
-    aggregate (B-family, elliptic-Levi) or not at all (NotScoped).
-    """
-    if family.kind == FAMILY_NONGENERIC:
-        raise ValueNotPinned("nongeneric per-class values are not stored")
-    if label.kind == "NotScoped":
-        raise NotScopedClass("element outside the classification scope")
-    v = _pinned_value(label.kind, family.kind, q)
-    if v is None:
-        raise ValueNotPinned(f"{label} is stored only in aggregates")
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -693,8 +654,6 @@ __all__ = [
     "FAMILY_NONGENERIC",
     "ClassLabel",
     "classify",
-    "char_value",
-    "char_poly",
     "dim_fixed",
     "dim_fixed_family",
 ]

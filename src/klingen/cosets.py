@@ -48,6 +48,7 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from .errors import NonIntegralResult, ResourceBound
+from .ffield import prime_power
 
 SKEW_CASES = ("zLTxy", "zGTxy", "zEQxy_unit", "zEQxy_nonunit")
 
@@ -510,7 +511,9 @@ class FamilyCount:
 
 def enumerate_supp(q: int, n: int) -> List[FamilyCount]:
     """The level-n support table: seven polynomial rows plus the four skew
-    valuation cases, with closed-form counts."""
+    valuation cases, with closed-form counts.  NotPrime if q is not a prime
+    power."""
+    prime_power(q)
     if n < 1:
         raise ValueError(f"the support table is defined for n >= 1, got n={n}")
     out = [

@@ -22,7 +22,8 @@ class FieldTooLarge(KlingenError):
 
 
 class MixedFields(KlingenError):
-    """Arithmetic attempted between elements of different fields."""
+    """Arithmetic between elements of different fields, or a subset or
+    equality test between subgroups over different fields."""
 
 
 class DivisionByZero(KlingenError):

@@ -427,14 +427,6 @@ def tables(spec: FieldSpec) -> Tables:
                   tuple(k in squares for k in range(q)))
 
 
-def is_square(a: FqElem) -> bool:
-    """Whether a is a square in its field (0 counts as a square).
-
-    In characteristic 2 squaring is a bijection, so everything is a square.
-    """
-    return tables(a.spec).square[a.encoding()]
-
-
 def units(spec: FieldSpec) -> list[FqElem]:
     """The nonzero elements, in encoding order."""
     return [x for x in enumerate_field(spec) if not x.is_zero()]

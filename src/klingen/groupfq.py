@@ -17,8 +17,9 @@ the group law run on those encodings too: the named-subgroup
 parameterizations are built entry by entry with the add, mul, neg and inv
 tables, ``GSpElem`` products take mu from the mul table, and the inverse is
 the closed form mu^{-1} times the signed anti-transpose of g.  ``FqElem``
-appears only at the API boundary (``GSpElem.mu``, ``Mat4.entry``,
-``similitude``).
+appears only at the API boundary: ``GSpElem.mu``, ``Mat4.entry``, the
+entries ``Mat4.from_rows`` and ``Mat4.diag`` accept, and the parameter of
+``pos_root_elem`` and ``neg_root_elem``.
 
 What is validated: ``gsp_elem`` checks all 16 entries of t(m) J m = mu J;
 it is the one validator.  ``named_subgroup`` runs it on every element of
@@ -50,15 +51,15 @@ columns, ``_key_order``) and ``_positions`` finds rows by ``searchsorted``.
 from __future__ import annotations
 
 import itertools
-import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional
+from typing import Iterable
 
 from . import ffield
 from .errors import (
     ClosureTooLarge,
     GroupTooLarge,
+    MixedFields,
     NotSimilitude,
     UnknownName,
 )
@@ -178,12 +179,6 @@ def _similitude_enc(m: Mat4) -> int:
     return mu
 
 
-def similitude(m: Mat4) -> Optional[FqElem]:
-    """mu with t(m) J m = mu J, or None if m is not a similitude."""
-    mu = _similitude_enc(m)
-    return m.spec.from_encoding(mu) if mu else None
-
-
 # g^{-1}[i][j] = mu^{-1} g[3-j][3-i], negated where exactly one of i, j is
 # 2 or 3: from t(g) J g = mu J, g^{-1} = -mu^{-1} J t(g) J.
 _INV_SOURCE = tuple(4 * (3 - j) + (3 - i) for i in range(4) for j in range(4))
@@ -295,16 +290,24 @@ class Subgroup:
         return _elements(self.spec, self.rows[i:i + 1], self.mus[i:i + 1])[0]
 
     def __contains__(self, g) -> bool:
-        return _contains(self.keys, g.mat.e if isinstance(g, GSpElem) else g.e)
+        """Whether a GSpElem or Mat4 is among the elements; False for one
+        over another field."""
+        mat = g.mat if isinstance(g, GSpElem) else g
+        if mat.spec != self.spec:
+            return False
+        return bool(_lookup(self.keys, _rows(mat.e, self.spec))[1][0])
 
     def __iter__(self):
         return iter(self.elements)
 
     def is_subset_of(self, other: "Subgroup") -> bool:
+        """MixedFields if other is a subgroup over another field."""
+        if other.spec != self.spec:
+            raise MixedFields(f"{self.spec} vs {other.spec}")
         return bool(_lookup(other.keys, self.rows)[1].all())
 
     def same_elements(self, other: "Subgroup") -> bool:
-        return self.order == other.order and self.is_subset_of(other)
+        return self.is_subset_of(other) and self.order == other.order
 
     def __repr__(self):
         label = self.name or "subgroup"
@@ -361,19 +364,6 @@ def _lookup(keys, rows) -> tuple:
     wanted = row_keys(rows)
     pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
     return pos, keys[pos] == wanted
-
-
-_KEY = struct.Struct(">16H")  # one row key, as ``row_keys`` packs it
-
-
-def _contains(keys, e) -> bool:
-    """Whether the matrix with the 16 entries e is among the sorted ``keys``:
-    ``_lookup`` for one matrix, without its array steps."""
-    import numpy as np
-
-    key = _KEY.pack(*e)
-    i = keys.searchsorted(np.void(key))
-    return bool(i < len(keys) and keys[i].tobytes() == key)
 
 
 def _positions(keys, rows):

@@ -1,16 +1,15 @@
 """Residues of the p-adic integers and the randomized R_g oracle.
 
 The base ring is the unramified extension o of Z_p with residue field F_q
-(q = p^f); the uniformizer is p itself.  Elements of o/p^d are "residues":
-a plain int mod p^d when f = 1, a length-f tuple of ints mod p^d (the
-coefficient vector on the power basis of a fixed monic lift of the residue
-field's modulus) when f > 1.  A 4x4 residue matrix is kept as its f
-coefficient planes, each a row-major list of 16 ints.  On top of the
-residues sit:
+(q = p^f); the uniformizer is p itself.  Elements of o/p^d are "residues",
+for every f a length-f tuple of ints mod p^d: the coefficient vector on the
+power basis of a fixed monic lift of the residue field's modulus.  A 4x4
+residue matrix is kept as its f coefficient planes, each a row-major list
+of 16 ints.  On top of the residues sit:
 
 RingO
     scalar residue arithmetic mod p^d, and the Newton inverse the sampler
-    takes of its unit t at f > 1.
+    takes of its unit t at f > 1 (at f = 1 it inverts t with ``pow``).
 
 KlingenSampler / _kl_product
     seeded sampling of the level-n Klingen subgroup via its exact
@@ -56,14 +55,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from .cosets import CosetRep, Diagonal, Skew, X, Y, Z
 from .errors import NonConvergence, PrecisionTooLow
 from .ffield import FieldSpec, field_for_q, tables
 from .groupfq import Mat4, Subgroup, adjoin, gsp_elem, make_subgroup
 
-Residue = Union[int, Tuple[int, ...]]
+Residue = Tuple[int, ...]
 Planes = List[List[int]]
 
 
@@ -99,29 +98,20 @@ class RingO:
         return self.spec.f
 
     def from_int(self, k: int, d: int) -> Residue:
-        mod = self.p**d
-        if self.f == 1:
-            return k % mod
-        return (k % mod,) + (0,) * (self.f - 1)
+        return (k % self.p**d,) + (0,) * (self.f - 1)
 
     # -- arithmetic mod p^d ----------------------------------------------
 
     def add(self, a: Residue, b: Residue, d: int) -> Residue:
         mod = self.p**d
-        if self.f == 1:
-            return (a + b) % mod
         return tuple((x + y) % mod for x, y in zip(a, b))
 
     def neg(self, a: Residue, d: int) -> Residue:
         mod = self.p**d
-        if self.f == 1:
-            return (-a) % mod
         return tuple((-x) % mod for x in a)
 
     def mul(self, a: Residue, b: Residue, d: int) -> Residue:
         mod = self.p**d
-        if self.f == 1:
-            return (a * b) % mod
         # polynomial product, then reduction by the monic modulus lift
         f = self.f
         prod = [0] * (2 * f - 1)
@@ -139,8 +129,6 @@ class RingO:
         return tuple(prod[:f])
 
     def is_unit(self, a: Residue) -> bool:
-        if self.f == 1:
-            return a % self.p != 0
         return any(x % self.p for x in a)
 
     def inv(self, a: Residue, d: int) -> Residue:
@@ -148,8 +136,6 @@ class RingO:
         if not self.is_unit(a):
             raise ZeroDivisionError("residue is not a unit")
         p = self.p
-        if self.f == 1:
-            return pow(a, -1, p**d)
         # start from the residue-field inverse, then double digits
         start = tables(self.spec).inv[_encode(a, p)]
         x: Residue = tuple(start // p**i % p for i in range(self.f))

@@ -35,7 +35,7 @@ from fractions import Fraction
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import List, Optional
+from typing import List
 
 from .chartab import (
     FAMILY_TYPE_I,
@@ -96,7 +96,7 @@ class LemmaReport:
     table: CharacterTable
     type_i: List[int]
     type_ii: List[int]
-    virtual_type_ii: Optional[List[int]] = None  # coefficient per character
+    virtual_type_ii: List[int]  # coefficient per character
     checks: List[CheckResult] = field(default_factory=list)
 
     @property
@@ -214,66 +214,60 @@ def verify_char_lemmas(q: int = 2) -> LemmaReport:
     labels = [classify(cls.rep) for cls in table.classes]
 
     # The second family's parameter set is empty at q = 2: certify that no
-    # degree-5 irreducible is cuspidal, then build the virtual carrier.
-    virtual_vals = None
-    virtual_coeffs = None
+    # degree-5 irreducible is cuspidal, then build the virtual carrier, which
+    # every typeII check below runs against.
+    checks.append(
+        CheckResult(
+            "no cuspidal irreducible of typeII degree",
+            [],
+            sorted(i for i in cuspidal if table.degrees[i] == deg_ii),
+        )
+    )
+    virtual_vals, virtual_coeffs = _virtual_type_ii(table, labels, q)
 
     def virtual_dim(sub) -> Fraction:
         counts = table.class_counts(sub)
         return sum(n * virtual_vals[k] for k, n in enumerate(counts) if n) / sub.order
 
-    if type_ii:
-        checks.append(CheckResult("typeII carrier", "irreducible", "irreducible"))
-    else:
-        checks.append(
-            CheckResult(
-                "no cuspidal irreducible of typeII degree",
-                [],
-                sorted(i for i in cuspidal if table.degrees[i] == deg_ii),
-            )
+    checks.append(
+        CheckResult(
+            "virtual typeII formal degree",
+            deg_ii,
+            virtual_vals[table.identity_class],
         )
-        virtual_vals, virtual_coeffs = _virtual_type_ii(table, labels, q)
-        checks.append(
-            CheckResult(
-                "virtual typeII formal degree",
-                deg_ii,
-                virtual_vals[table.identity_class],
-            )
+    )
+    checks.append(
+        CheckResult(
+            "virtual typeII is a two-term difference",
+            [-1, 1],
+            sorted(c for c in virtual_coeffs if c != 0),
         )
+    )
+    # vanishing sums over both unipotent radicals (cuspidal-like)
+    for uname, usub in (("U_S", u_s), ("U_K", u_k)):
         checks.append(
-            CheckResult(
-                "virtual typeII is a two-term difference",
-                [-1, 1],
-                sorted(c for c in virtual_coeffs if c != 0),
-            )
+            CheckResult(f"virtual typeII kills {uname}", 0, virtual_dim(usub))
         )
-        # vanishing sums over both unipotent radicals (cuspidal-like)
-        for uname, usub in (("U_S", u_s), ("U_K", u_k)):
-            checks.append(
-                CheckResult(f"virtual typeII kills {uname}", 0, virtual_dim(usub))
-            )
 
-    # lemma dimensions, three routes: Dixon table / classify+average / closed
+    # lemma dimensions, three routes: Dixon table (the typeI characters or
+    # the virtual carrier) / classify+average / closed
     subgroups = {name: named_subgroup(name, q) for name in _LEMMA_SUBGROUPS}
-    for fam_kind, indices in ((FAMILY_TYPE_I, type_i), (FAMILY_TYPE_II, type_ii)):
+    for fam_kind in (FAMILY_TYPE_I, FAMILY_TYPE_II):
         family = SigmaFamily(fam_kind)
         for name, sub in subgroups.items():
             want = dim_fixed_family(name, family, q)
-            for i in indices:
-                checks.append(
-                    CheckResult(
-                        f"dim {fam_kind}^{name} (oracle, char {i})",
-                        want,
-                        table.fixed_dim(i, sub),
+            if fam_kind == FAMILY_TYPE_I:
+                for i in type_i:
+                    checks.append(
+                        CheckResult(
+                            f"dim {fam_kind}^{name} (oracle, char {i})",
+                            want,
+                            table.fixed_dim(i, sub),
+                        )
                     )
-                )
-            if fam_kind == FAMILY_TYPE_II and virtual_vals is not None:
+            else:
                 checks.append(
-                    CheckResult(
-                        f"dim {fam_kind}^{name} (virtual)",
-                        want,
-                        virtual_dim(sub),
-                    )
+                    CheckResult(f"dim {fam_kind}^{name} (virtual)", want, virtual_dim(sub))
                 )
             checks.append(
                 CheckResult(
@@ -284,26 +278,23 @@ def verify_char_lemmas(q: int = 2) -> LemmaReport:
             )
 
     # per-element pinned values on every class they cover
-    for fam_kind, indices in ((FAMILY_TYPE_I, type_i), (FAMILY_TYPE_II, type_ii)):
+    for fam_kind in (FAMILY_TYPE_I, FAMILY_TYPE_II):
         for k, label in enumerate(labels):
             pin = _pinned_value(label.kind, fam_kind, q)
             if pin is None:
                 continue
-            for i in indices:
-                v = table.value(i, k)
-                actual = v.as_int() if v.is_rational() else repr(v)
-                checks.append(
-                    CheckResult(
-                        f"pinned {fam_kind} on {label} (char {i})", pin, actual
+            if fam_kind == FAMILY_TYPE_I:
+                for i in type_i:
+                    v = table.value(i, k)
+                    actual = v.as_int() if v.is_rational() else repr(v)
+                    checks.append(
+                        CheckResult(
+                            f"pinned {fam_kind} on {label} (char {i})", pin, actual
+                        )
                     )
-                )
-            if fam_kind == FAMILY_TYPE_II and virtual_vals is not None:
+            else:
                 checks.append(
-                    CheckResult(
-                        f"pinned {fam_kind} on {label} (virtual)",
-                        pin,
-                        virtual_vals[k],
-                    )
+                    CheckResult(f"pinned {fam_kind} on {label} (virtual)", pin, virtual_vals[k])
                 )
 
     # token-wise elliptic cancellation inside the Klingen Levi
@@ -328,15 +319,14 @@ def verify_char_lemmas(q: int = 2) -> LemmaReport:
                     total.is_zero(),
                 )
             )
-        if virtual_vals is not None:
-            total = sum(n * virtual_vals[k] for k, n in counts.items())
-            checks.append(
-                CheckResult(
-                    f"elliptic cancellation token {token} (typeII, virtual)",
-                    0,
-                    total,
-                )
+        total = sum(n * virtual_vals[k] for k, n in counts.items())
+        checks.append(
+            CheckResult(
+                f"elliptic cancellation token {token} (typeII, virtual)",
+                0,
+                total,
             )
+        )
 
     # cuspidal nongeneric characters die on the long-root center
     z_ray = named_subgroup("Z_ray", q)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import gc
 import weakref
 from collections import Counter
@@ -18,24 +19,25 @@ from klingen.chartab import (
     FAMILY_TYPE_I,
     FAMILY_TYPE_II,
     SigmaFamily,
-    char_poly,
-    char_value,
+    _char_poly,
+    _pinned_value,
+    _roots,
     classify,
     dim_fixed,
     dim_fixed_family,
     family_from_name,
-    rational_roots,
 )
 from klingen.dixon import (
     Cyclotomic,
     _class_products,
+    _verify_table,
     cyclotomic_polynomial,
     dixon_table,
 )
 from klingen.errors import (
     DixonBoundExceeded,
+    MismatchReport,
     NotScopedClass,
-    ValueNotPinned,
 )
 from klingen.ffield import FieldOps, field_for_q, kernel
 from klingen.verify_lemmas import _virtual_type_ii, verify_char_lemmas
@@ -85,25 +87,30 @@ def _elem(q, rows):
 
 
 class TestCharPoly:
+    """The characteristic polynomial and its roots, on encodings."""
+
     def test_diagonal(self):
         """char poly of a diagonal similitude is the product of (t - d_i)."""
         spec = field_for_q(5)
+        t = ffield.tables(spec)
         m = gq.Mat4.diag(spec, 2, 3, 4, 1)  # mu = 2*1 = 3*4 = 2
-        cp = char_poly(m)
-        roots = rational_roots(cp)
-        assert roots == Counter({spec(2): 1, spec(3): 1, spec(4): 1, spec(1): 1})
+        cp = _char_poly(m.e, t)
+        roots, _ = _roots(cp, t)
+        assert roots == {spec(x).encoding(): 1 for x in (2, 3, 4, 1)}
 
     def test_constant_term_is_determinant(self):
         """c0 = det = mu^2 for similitude matrices."""
         for q in (2, 3, 4):
+            t = ffield.tables(field_for_q(q))
             for g in gq.named_subgroup("M1", q).elements:
-                cp = char_poly(g.mat)
-                assert cp[0] == g.mu * g.mu
+                cp = _char_poly(g.mat.e, t)
+                assert cp[0] == (g.mu * g.mu).encoding()
 
     def test_unipotent(self):
         g = _elem(3, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 2], [0, 0, 0, 1]])
         spec = field_for_q(3)
-        assert rational_roots(char_poly(g.mat)) == Counter({spec.one: 4})
+        t = ffield.tables(spec)
+        assert _roots(_char_poly(g.mat.e, t), t)[0] == {spec.one.encoding(): 4}
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
@@ -112,7 +119,8 @@ class TestCharPoly:
         conj = gq.named_subgroup("Row8", 3).elements
         g = pool[a % len(pool)]
         h = conj[b % len(conj)]
-        assert char_poly((h * g * h.inverse()).mat) == char_poly(g.mat)
+        t = ffield.tables(g.spec)
+        assert _char_poly((h * g * h.inverse()).mat.e, t) == _char_poly(g.mat.e, t)
 
 
 class TestClassify:
@@ -191,27 +199,24 @@ class TestClassify:
 class TestPinnedValues:
     def test_not_scoped_raises(self):
         group = gq.enumerate_gsp4(2)
-        label = next(
-            lab
-            for lab in (classify(g) for g in group.elements)
-            if lab.kind == "NotScoped"
-        )
+        g = next(g for g in group.elements if classify(g).kind == "NotScoped")
+        # dim_fixed refuses a subgroup that holds an out-of-scope class
         with pytest.raises(NotScopedClass):
-            char_value(TYPE_I, label, 2)
+            dim_fixed(gq.subgroup_closure([g]), TYPE_I)
 
     def test_aggregate_only_raises(self):
         rows = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1]]
         label = classify(_elem(2, rows))
         assert label.kind == "C3"
-        with pytest.raises(ValueNotPinned):
-            char_value(TYPE_II, label, 2)
+        # no per-element pin: the class enters dim_fixed through aggregates
+        assert _pinned_value(label.kind, FAMILY_TYPE_II, 2) is None
 
     def test_identity_value_is_degree(self):
         for q in (2, 3, 4, 5):
             ident = gq.gsp_elem(gq.Mat4.identity(field_for_q(q)))
             label = classify(ident)
             for fam in (TYPE_I, TYPE_II):
-                assert char_value(fam, label, q) == fam.degree(q)
+                assert _pinned_value(label.kind, fam.kind, q) == fam.degree(q)
 
 
 class TestDimensionRoutes:
@@ -407,6 +412,21 @@ class TestDixonOracle:
             if table_q2.degrees[i] == 1 and table_q2.fixed_dim(i, sub) == 1
         ]
         assert triv
+
+    def test_column_checks_of_a_large_table(self):
+        """Past 32 characters _verify_table checks the columns against the
+        identity column and their norms; B at q = 4 has 36 classes.  The
+        table passes, and negating one nonzero value off the identity class
+        fails it."""
+        table = dixon_table(gq.named_subgroup("B", 4))
+        assert table.n_chars == table.n_classes == 36
+        _verify_table(table)
+        i, k = next((i, k) for i in range(table.n_chars) for k in range(table.n_classes)
+                    if k != table.identity_class and not table.value(i, k).is_zero())
+        values = [list(row) for row in table.values]
+        values[i][k] = -1 * values[i][k]
+        with pytest.raises(MismatchReport):
+            _verify_table(dataclasses.replace(table, values=values))
 
     def test_bound_guard(self):
         with pytest.raises(DixonBoundExceeded):

@@ -29,7 +29,7 @@ from klingen.cosets import (
     table1_brute_count,
     table1_count,
 )
-from klingen.errors import ResourceBound
+from klingen.errors import NotPrime, ResourceBound
 
 
 class TestMembership:
@@ -257,6 +257,13 @@ class TestSupportScan:
         tab = {fc.family: fc.count for fc in enumerate_supp(2, 2)}
         assert tab["row1"] == 1
         assert sum(tab.values()) == 1
+
+    @pytest.mark.parametrize("q", [1, 6, 12])
+    def test_q_not_a_prime_power_refused(self, q):
+        # the skew counts are a closed form in q, defined for every q >= 2,
+        # but no residue field has 6 or 12 elements
+        with pytest.raises(NotPrime):
+            enumerate_supp(q, 9)
 
 
 class TestCanonicalEquality:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from closed_orders import named_subgroup_order
 from klingen import ffield, groupfq as gq
-from klingen.errors import GroupTooLarge, NotSimilitude, UnknownName
+from klingen.errors import GroupTooLarge, MixedFields, NotSimilitude, UnknownName
 from klingen.ffield import field_for_q
 
 
@@ -22,27 +22,27 @@ class TestSimilitude:
         """J itself lies in Sp(4): t(J) J J = J."""
         for q in (2, 3, 4, 5):
             j = gq.j_matrix(field_for_q(q))
-            assert gq.similitude(j) == field_for_q(q).one
+            assert gq._similitude_enc(j) == field_for_q(q).one.encoding()
 
     def test_root_elements_are_symplectic(self):
         for q in (2, 3, 4, 5):
             spec = field_for_q(q)
             for t in ffield.enumerate_field(spec):
                 for i in range(4):
-                    assert gq.similitude(gq.pos_root_elem(spec, i, t)) == spec.one
-                    assert gq.similitude(gq.neg_root_elem(spec, i, t)) == spec.one
+                    assert gq._similitude_enc(gq.pos_root_elem(spec, i, t)) == spec.one.encoding()
+                    assert gq._similitude_enc(gq.neg_root_elem(spec, i, t)) == spec.one.encoding()
 
     def test_similitude_diag(self):
         spec = field_for_q(5)
         m = gq.Mat4.diag(spec, 2, 2, 1, 1)
-        assert gq.similitude(m) == spec(2)
+        assert gq._similitude_enc(m) == spec(2).encoding()
 
     def test_not_similitude(self):
         spec = field_for_q(3)
         bad = gq.Mat4.from_rows(
             spec, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
         )
-        assert gq.similitude(bad) is None
+        assert gq._similitude_enc(bad) == 0
         with pytest.raises(NotSimilitude):
             gq.gsp_elem(bad)
 
@@ -145,7 +145,7 @@ def _draw_word(data, q, label):
 
 
 class TestEncodingValidator:
-    """similitude, gsp_elem and the group law on encodings against the FqElem
+    """_similitude_enc, gsp_elem and the group law on encodings against the FqElem
     reference above, on random words in the generators of GSp(4, q) and on
     copies with one entry changed."""
 
@@ -162,7 +162,7 @@ class TestEncodingValidator:
         m = gq.Mat4.from_rows(spec, rows)
         mu = _ref_similitude(rows)
         det = _ref_det(rows)
-        assert gq.similitude(m) == mu
+        assert gq._similitude_enc(m) == (0 if mu is None else mu.encoding())
         if mu is None or det != mu * mu:
             with pytest.raises(NotSimilitude):
                 gq.gsp_elem(m)
@@ -418,7 +418,7 @@ class TestTrustedClosure:
     @staticmethod
     def _assert_similitudes(elems):
         for g in elems:
-            assert gq.similitude(g.mat) == g.mu
+            assert gq._similitude_enc(g.mat) == g.mu.encoding()
             assert _ref_det(_ref_rows(g.mat)) == g.mu * g.mu
 
     def test_gsp4_3_sampled(self):
@@ -643,3 +643,19 @@ class TestSubgroupArrays:
             row5, row6 = gq.named_subgroup("Row5", q), gq.named_subgroup("Row6", q)
             assert row5.order == row6.order
             assert not row5.same_elements(row6)
+
+    def test_element_of_another_field_is_not_a_member(self):
+        # the identity of GSp(4, 2) has the entries of the identity of
+        # GSp(4, 3), but is no element of it
+        ident = gq.gsp_elem(gq.Mat4.identity(field_for_q(2)))
+        group = gq.enumerate_gsp4(3)
+        assert gq.gsp_elem(gq.Mat4.identity(group.spec)) in group
+        assert ident not in group and ident.mat not in group
+
+    def test_subgroups_of_another_field_refused(self):
+        small, large = gq.named_subgroup("Z_ray", 2), gq.named_subgroup("Z_ray", 3)
+        for a, b in ((small, large), (large, small)):
+            with pytest.raises(MixedFields):
+                a.is_subset_of(b)
+            with pytest.raises(MixedFields):
+                a.same_elements(b)

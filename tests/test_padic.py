@@ -50,16 +50,14 @@ def _s_xyz(rep, p):
 
 def _to_planes(ring, d, rows):
     """The coefficient planes mod p^d of a matrix given by rows of ints (any
-    lift) or, at f > 1, residue tuples."""
-    mod = ring.p**d
-    pad = (0,) * (ring.f - 1)
-    flat = [(x % mod,) + pad if isinstance(x, int) else x for row in rows for x in row]
+    lift) or residue tuples."""
+    flat = [ring.from_int(x, d) if isinstance(x, int) else x for row in rows for x in row]
     return [list(plane) for plane in zip(*flat)]
 
 
-def _entries(ring, planes):
-    """The 16 residues (ints at f = 1, tuples at f > 1) of plane matrices."""
-    return planes[0] if ring.f == 1 else list(zip(*planes))
+def _entries(planes):
+    """The 16 residues (coefficient tuples) of plane matrices."""
+    return list(zip(*planes))
 
 
 def _s_pair(ring, rep, d):
@@ -178,7 +176,7 @@ class TestConjugateReduce:
         for _ in range(250):
             h1 = sampler._sample_residues()
             h2 = sampler._sample_residues()
-            h12 = _ring_product(Z2, m, _entries(Z2, h1), _entries(Z2, h2))
+            h12 = _ring_product(Z2, m, _entries(h1), _entries(h2))
             h12 = _to_planes(Z2, m, [h12])
             r1, r2, r12 = reduce(h1), reduce(h2), reduce(h12)
             if r1 is None or r2 is None or r12 is None:
@@ -273,9 +271,9 @@ class TestBuildRep:
                              Skew(4, 3, 5, 7, 1, 2))),
                         (3, (X(2, 1, 1), Skew(1, 2, 3, 4, 1, 3)))):
             ring = ring_for_q(q)
-            ident = [int(r == c) for r in range(4) for c in range(4)]
+            ident = [ring.from_int(int(r == c), 16) for r in range(4) for c in range(4)]
             for rep in reps:
-                s, s_inv = (_entries(ring, x) for x in _s_pair(ring, rep, 16))
+                s, s_inv = (_entries(x) for x in _s_pair(ring, rep, 16))
                 assert (_ring_product(ring, 16, s, s_inv)
                         == _ring_product(ring, 16, s_inv, s) == ident)
 
@@ -304,7 +302,7 @@ class TestSampler:
                 ht = _to_planes(
                     ring, m, [[h[0][4 * c + r] for c in range(4)] for r in range(4)]
                 )
-                ht, j, h = (_entries(ring, x) for x in (ht, jm, h))
+                ht, j, h = (_entries(x) for x in (ht, jm, h))
                 prod = _ring_product(ring, m, _ring_product(ring, m, ht, j), h)
                 mu = prod[3]  # (1,4) position
                 assert ring.is_unit(mu)
@@ -312,11 +310,7 @@ class TestSampler:
                     for c in range(4):
                         want = jm[0][4 * r + c]
                         got = prod[4 * r + c]
-                        assert got == ring.mul(
-                            ring.from_int(want, m) if isinstance(want, int) else want,
-                            mu,
-                            m,
-                        )
+                        assert got == ring.mul(ring.from_int(want, m), mu, m)
 
     def test_seed_determinism(self):
         a = KlingenSampler(2, 2, 8, seed=21)
@@ -432,16 +426,15 @@ def _ring_product(ring, d, a, b):
 def _random(ring, rng, d):
     """Uniform residue mod p^d."""
     mod = ring.p**d
-    if ring.f == 1:
-        return rng.randrange(mod)
     return tuple(rng.randrange(mod) for _ in range(ring.f))
 
 
 def _random_unit(ring, rng, d):
-    """Uniform unit residue mod p^d."""
+    """Uniform unit residue mod p^d: at f = 1 a uniform residue with its
+    last digit redrawn among the units, at f > 1 a redrawn tuple."""
     if ring.f == 1:
         r = rng.randrange(ring.p**d)
-        return r - r % ring.p + rng.randrange(1, ring.p)
+        return (r - r % ring.p + rng.randrange(1, ring.p),)
     while True:
         r = _random(ring, rng, d)
         if ring.is_unit(r):
@@ -532,22 +525,22 @@ class TestIntResidues:
             if kind == 1:
                 return ring.from_int(ring.p**rng.randrange(d), d)
             if kind == 2:
-                return top if ring.f == 1 else (top,) * ring.f
+                return (top,) * ring.f
             return _random(ring, rng, d)
 
         def pack(x):
-            return sum(c << o for c, o in zip((x,) if ring.f == 1 else x, packing[2]))
+            return sum(c << o for c, o in zip(x, packing[2]))
 
         lower, levi, upper = ([entry() for _ in range(k)] for k in (3, 6, 3))
         got = _kl_product(packing, *([pack(x) for x in part]
                                      for part in (lower, levi, upper)))
-        assert _entries(ring, got) == _kl_via_ring(ring, d, lower, levi, upper)
+        assert _entries(got) == _kl_via_ring(ring, d, lower, levi, upper)
 
     @settings(max_examples=100, deadline=None)
     @given(q=st.sampled_from([2, 3, 5, 4, 8, 9]), d=st.integers(1, 10),
            seed=st.integers(0, 2**32 - 1))
     def test_ring_inverse(self, q, d, seed):
-        # inv is a pow at f = 1 and a Newton lift from F_q at f > 1
+        # inv is a Newton lift from F_q for every f
         ring = ring_for_q(q)
         rng = random.Random(seed)
         a = _random_unit(ring, rng, d)
@@ -567,7 +560,7 @@ class TestIntResidues:
         ring, rng = sampler.ring, random.Random(q + 7)
         for _ in range(60):
             want = _sample_via_ring(ring, rng, 3, prec, depths)
-            assert _entries(ring, sampler._sample_residues()) == want
+            assert _entries(sampler._sample_residues()) == want
         assert sampler._rng.random() == rng.random()
 
     @pytest.mark.parametrize("q,rep,n", [
@@ -580,13 +573,13 @@ class TestIntResidues:
         ring, plan, m = _conjugation(rep, n, q)
         spec, p = ring.spec, ring.p
         exps = _torus_exponents(rep)
-        s, s_inv = (_entries(ring, x) for x in _s_pair(ring, rep, m))
+        s, s_inv = (_entries(x) for x in _s_pair(ring, rep, m))
         depths = sorted({a - b for a in exps for b in exps if a > b})
         sampler = KlingenSampler(q, n, m, seed=5, depths=depths)
         integral = 0
         for _ in range(200):
             h = sampler._sample_residues()
-            b = _ring_product(ring, m, _ring_product(ring, m, s, _entries(ring, h)), s_inv)
+            b = _ring_product(ring, m, _ring_product(ring, m, s, _entries(h)), s_inv)
             want = []
             for r in range(4):
                 for c in range(4):
@@ -599,8 +592,7 @@ class TestIntResidues:
                         break
                     else:
                         step = p**-delta
-                        shifted = (x,) if ring.f == 1 else x
-                        want.append(spec.elem([y // step for y in shifted]))
+                        want.append(spec.elem([y // step for y in x]))
                 if want is None:
                     break
             got = _reduce_fast(spec, plan, h)

@@ -71,10 +71,11 @@ from .ffield import FieldSpec, FqElem, field_for_q
 # ---------------------------------------------------------------------------
 
 def _enc(spec: FieldSpec, x) -> int:
-    """Encoding of an entry given as int (scalar) or FqElem."""
+    """Encoding of an entry given as int (scalar) or FqElem; MixedFields
+    for an FqElem of another field."""
     if isinstance(x, FqElem):
         if x.spec != spec:
-            raise ValueError("entry from a different field")
+            raise MixedFields(f"entry from {x.spec}, matrix over {spec}")
         return x.encoding()
     return spec.scalar(x).encoding()
 
@@ -124,7 +125,7 @@ class Mat4:
 
     def __mul__(self, other: "Mat4") -> "Mat4":
         if self.spec != other.spec:
-            raise ValueError("mixed fields")
+            raise MixedFields(f"{self.spec} vs {other.spec}")
         t = ffield.tables(self.spec)
         add, mul = t.add, t.mul
         a, b = self.e, other.e

@@ -36,8 +36,14 @@ _reduce_fast
 estimate_Rg
     regrowth of R_g = image of g Kl(n) g^{-1} \\cap K in GSp(4, F_q) as the
     closure of the sampled reductions that enlarge it, re-closed as each
-    arrives.  Convergence heuristic: three consecutive batches that add no
-    new subgroup elements.
+    arrives.  For a Diagonal representative it stops as soon as the closure
+    fills the valuation envelope E, the similitudes supported where
+    e_r - e_c + a_rc <= 0 (a_rc = n on Kl(n)'s five level positions, else
+    0): entry (r, c) of g h g^{-1} is p^(e_r - e_c) h_rc with
+    val(h_rc) >= a_rc, so R_g lies in E, and a closure of order |E| is R_g.
+    |E| has a closed form (``_envelope_order``).  Otherwise, and whenever E
+    is not reached, convergence is declared after three consecutive batches
+    that add no new subgroup elements.
 
 The working precision for conjugating Kl(n) elements by a representative
 is  d = n + spread + 2  (estimate_Rg always adds two guard digits to
@@ -60,7 +66,15 @@ from typing import List, Optional, Sequence, Tuple
 from .cosets import CosetRep, Diagonal, Skew, X, Y, Z
 from .errors import NonConvergence, PrecisionTooLow
 from .ffield import FieldSpec, field_for_q, tables
-from .groupfq import Mat4, Subgroup, adjoin, gsp_elem, make_subgroup
+from .groupfq import (
+    NEG_ROOT_POSITIONS,
+    POS_ROOT_POSITIONS,
+    Mat4,
+    Subgroup,
+    adjoin,
+    gsp_elem,
+    make_subgroup,
+)
 
 Residue = Tuple[int, ...]
 Planes = List[List[int]]
@@ -433,6 +447,37 @@ def _conjugation_plan(rep: CosetRep, p: int) -> tuple:
     return _s_params(rep, p), tuple(deep), tuple(kept)
 
 
+# the positions (r, c) where every Kl(n) entry is divisible by p^n
+_LEVEL_POSITIONS = frozenset({(1, 0), (2, 0), (3, 0), (3, 1), (3, 2)})
+
+
+def _envelope_order(rep: CosetRep, n: int, q: int) -> Optional[int]:
+    """|E| for a Diagonal representative, None for any other.
+
+    E is the set of similitudes supported on the positions (r, c) with
+    e_r - e_c + a_rc <= 0, over the torus exponents e and a_rc = n on the
+    level positions, 0 elsewhere; it contains R_g at every (i, j, n).  The
+    condition takes the same value on every position of a root, so E is the
+    torus times the root groups of the allowed roots Psi (the Iwahori
+    factorization), of order (q - 1)^3 q^(#alpha in Psi with -alpha not in
+    Psi) (q (q + 1))^(#pairs +-alpha in Psi).  Only the long pair +-a2 can
+    lie in Psi, when j = 0; every other pair needs i <= 0 and i >= n or the
+    like.
+    """
+    if not isinstance(rep, Diagonal):
+        return None
+    exps = _torus_exponents(rep)
+
+    def allowed(positions) -> bool:
+        return all(exps[r] - exps[c] + (n if (r, c) in _LEVEL_POSITIONS else 0) <= 0
+                   for r, c, _ in positions)
+
+    pos = [allowed(root) for root in POS_ROOT_POSITIONS]
+    neg = [allowed(root) for root in NEG_ROOT_POSITIONS]
+    pairs = sum(a and b for a, b in zip(pos, neg))
+    return (q - 1)**3 * q**(sum(pos) + sum(neg) - 2 * pairs) * (q * (q + 1))**pairs
+
+
 def _reduce_fast(spec: FieldSpec, plan: tuple, h: Planes) -> Optional[Mat4]:
     """Reduction mod p of g h g^{-1} for g = t * S (t diagonal), or None
     when it is not integral.
@@ -472,9 +517,12 @@ def estimate_Rg(rep: CosetRep, n: int, q: int, budget: int = 500,
     returns the subgroup the reductions generate; its generators are the
     reductions that enlarged it, in order, each adjoined to the group so far
     by ``groupfq.adjoin`` as it is found.  The result is always
-    contained in the true R_g; convergence is declared after three
-    consecutive batches that add no new subgroup elements, and spending the
-    whole budget without that raises NonConvergence.
+    contained in the true R_g.  For a Diagonal representative R_g lies in
+    the valuation envelope E (``_envelope_order``), so the draws stop at the
+    sample whose adjoin makes the closure's order |E|: no later sample can
+    enlarge it.  Otherwise convergence is declared after three consecutive
+    batches that add no new subgroup elements, and spending the whole
+    budget without that (or without reaching E) raises NonConvergence.
 
     The sampler is pointed at the valuation layers given by the positive
     differences of the representative's torus exponents: those are exactly
@@ -496,6 +544,7 @@ def estimate_Rg(rep: CosetRep, n: int, q: int, budget: int = 500,
         {ea - eb for ea in exps for eb in exps if ea > eb}
     )
     sampler = KlingenSampler(q, n, m, seed, depths=depths)
+    envelope = _envelope_order(rep, n, q)
     current = make_subgroup([gsp_elem(Mat4.identity(spec))])
     # the current group's matrices, for membership by one set lookup
     members = {Mat4.identity(spec).e}
@@ -510,6 +559,8 @@ def estimate_Rg(rep: CosetRep, n: int, q: int, budget: int = 500,
             mat = _reduce_fast(spec, plan, h)
             if mat is not None and mat.e not in members:
                 current = adjoin(current, gsp_elem(mat))
+                if current.order == envelope:
+                    return current
                 members = set(map(tuple, current.rows.tolist()))
                 fresh = True
         if fresh:

@@ -659,3 +659,21 @@ class TestSubgroupArrays:
                 a.is_subset_of(b)
             with pytest.raises(MixedFields):
                 a.same_elements(b)
+
+    def test_product_across_fields_refused(self):
+        # MixedFields, which the CLI maps to exit 1, not a plain ValueError
+        one_2, one_3 = (gq.gsp_elem(gq.Mat4.identity(field_for_q(q))) for q in (2, 3))
+        for a, b in ((one_2, one_3), (one_3, one_2)):
+            with pytest.raises(MixedFields):
+                a * b
+            with pytest.raises(MixedFields):
+                a.mat * b.mat
+
+    def test_entry_of_another_field_refused(self):
+        f3, one_2 = field_for_q(3), field_for_q(2).one
+        rows = [[1 if r == c else 0 for c in range(4)] for r in range(4)]
+        rows[0][0] = one_2
+        with pytest.raises(MixedFields):
+            gq.Mat4.from_rows(f3, rows)
+        with pytest.raises(MixedFields):
+            gq.Mat4.diag(f3, one_2, 1, 1, 1)

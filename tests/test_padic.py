@@ -3,6 +3,7 @@ exact rational conjugation, and the sampled R_g oracle."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,13 +11,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from klingen.cosets import Diagonal, Skew, X, Y, Z, enumerate_small_reps
+from klingen.cosets import (
+    Diagonal,
+    Skew,
+    X,
+    Y,
+    Z,
+    enumerate_diagonal_reps,
+    enumerate_small_reps,
+)
 from klingen.errors import NonConvergence, PrecisionTooLow
-from klingen.groupfq import Mat4, named_subgroup, subgroup_closure
+from klingen.ffield import field_for_q
+from klingen.groupfq import (
+    Mat4,
+    _similitude_enc,
+    enumerate_gsp4,
+    named_subgroup,
+    subgroup_closure,
+)
 from klingen.padic import (
     KlingenSampler,
     _below,
     _conjugation_plan,
+    _envelope_order,
     _kl_product,
     _packing,
     _reduce_fast,
@@ -384,6 +401,15 @@ class TestEstimateRg:
         with pytest.raises(ValueError):
             estimate_Rg(Diagonal(0, 1), 2, 2, budget=0, seed=0)
 
+    def test_small_budget_stops_on_the_envelope(self):
+        # budget 5 is five batches of one sample: too few for three quiet
+        # batches after the last new element, which the fourth sample
+        # adjoins, filling E (order q (q + 1) = 6 at j = 0)
+        rep, n, q = Diagonal(1, 0), 4, 2
+        est = estimate_Rg(rep, n, q, budget=5, seed=0)
+        assert est.order == _envelope_order(rep, n, q) == 6
+        assert not est.rows[:, _forbidden(rep, n)].any()
+
     @pytest.mark.parametrize("q,n_max", [(2, 4), (4, 3)])
     def test_generators_each_enlarge(self, q, n_max):
         """The generators are the samples that enlarged the group: each lies
@@ -404,6 +430,103 @@ class TestEstimateRg:
         pred = named_subgroup("Row4", 3)
         assert est.is_subset_of(pred)
         assert est.order == pred.order
+
+
+# ---------------------------------------------------------------------------
+# the valuation envelope of a Diagonal representative and the sampler's stop
+# ---------------------------------------------------------------------------
+
+_LEVEL = {(1, 0), (2, 0), (3, 0), (3, 1), (3, 2)}
+
+
+def _allowed(rep, n):
+    """Flat positions 4r + c where entry (r, c) of t h t^{-1}, h in Kl(n),
+    can be a unit: p^(e_r - e_c) h_rc with val(h_rc) >= n on the five level
+    positions, so e_r - e_c + (n or 0) <= 0."""
+    e = (2 * rep.i + rep.j, rep.i + rep.j, rep.i, 0)
+    return [4 * r + c for r in range(4) for c in range(4)
+            if e[r] - e[c] + (n if (r, c) in _LEVEL else 0) <= 0]
+
+
+def _forbidden(rep, n):
+    allowed = _allowed(rep, n)
+    return [i for i in range(16) if i not in allowed]
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """The coefficient planes of every Kl(n) sample drawn, in order."""
+    samples = []
+    draw = KlingenSampler._sample_residues
+
+    def recording(self):
+        h = draw(self)
+        samples.append(h)
+        return h
+
+    monkeypatch.setattr(KlingenSampler, "_sample_residues", recording)
+    return samples
+
+
+class TestEnvelope:
+    @pytest.mark.parametrize("q,n_max", [(2, 8), (3, 6)])
+    def test_order_is_a_filter_of_the_whole_group(self, q, n_max):
+        rows = enumerate_gsp4(q).rows
+        for n in range(1, n_max + 1):
+            for rep in enumerate_diagonal_reps(n):
+                inside = ~rows[:, _forbidden(rep, n)].any(axis=1)
+                assert _envelope_order(rep, n, q) == int(inside.sum()), (rep, n)
+
+    def test_order_counts_the_similitudes_on_the_pattern_q4(self):
+        spec = field_for_q(4)
+        for n in range(1, 4):
+            for rep in enumerate_diagonal_reps(n):
+                allowed = _allowed(rep, n)
+                assert len(allowed) <= 7
+                count = 0
+                for values in itertools.product(range(4), repeat=len(allowed)):
+                    e = [0] * 16
+                    for i, v in zip(allowed, values):
+                        e[i] = v
+                    count += _similitude_enc(Mat4(spec, tuple(e))) != 0
+                assert _envelope_order(rep, n, 4) == count, (rep, n)
+
+    def test_other_representatives_have_no_envelope(self):
+        for rep in (X(2, 1, 1), Y(1, 1, 1), Z(1, 1, 1), Skew(4, 3, 5, 7, 1, 2)):
+            assert _envelope_order(rep, 5, 2) is None
+
+    def test_diagonal_draws_stop_where_the_envelope_fills(self, drawn):
+        """Over the rg window at seed 0 every Diagonal result lies in its
+        pattern; one that has order |E| came from draws that end at the
+        sample adjoining its last generator, and the two early stops (order
+        2 of 4) end on a batch boundary as before."""
+        early = set()
+        for q, n_max in ((2, 7), (3, 4), (4, 3)):
+            for n in range(2, n_max + 1):
+                for rep in enumerate_diagonal_reps(n):
+                    drawn.clear()
+                    est = estimate_Rg(rep, n, q, budget=500, seed=0)
+                    assert not est.rows[:, _forbidden(rep, n)].any(), (q, n, rep)
+                    if est.order == _envelope_order(rep, n, q):
+                        spec = field_for_q(q)
+                        plan = _conjugation_plan(rep, spec.p)
+                        last = _reduce_fast(spec, plan, drawn[-1])
+                        assert last == est.generators[-1].mat, (q, n, rep)
+                    else:
+                        assert len(drawn) % 50 == 0, (q, n, rep)
+                        early.add((q, n, rep))
+        assert early == {(2, 6, Diagonal(-3, 8)), (2, 7, Diagonal(-3, 7))}
+
+    @pytest.mark.parametrize("rep,n,count", [
+        (X(2, 1, 1), 5, 200),
+        (Diagonal(-3, 8), 6, 200),
+    ], ids=["X", "early-stop"])
+    def test_draw_counts_without_the_envelope_stop(self, drawn, rep, n, count):
+        # an X representative has no envelope and Diagonal(-3, 8) stops
+        # early at order 2 of 4: both draw until three quiet batches of 50
+        est = estimate_Rg(rep, n, 2, budget=500, seed=0)
+        assert len(drawn) == count
+        assert est.order != _envelope_order(rep, n, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -484,8 +484,8 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
             if q != 2:
                 raise UsageError(
                     f"verify chartab checks the character data at q=2 only; "
-                    f"q={q} is not supported yet (ROADMAP item 3: the odd-q "
-                    f"character data)"
+                    f"q={q} is refused, since no other q has an independent "
+                    f"character-table check"
                 )
     if "counts" in chosen:
         for q in given or ():

@@ -20,13 +20,21 @@ All rational arithmetic is exact (fractions.Fraction); floors of negative
 arguments are mathematical floors (toward -infinity), and negative powers
 of q are kept as exact rationals until the final integrality assertion.
 That reading is what makes the n=1 evaluation collapse to 0 identically.
+
+``degree_in_q`` checks the paper's dependence on p.  At a fixed level
+n >= 2 the formula's shape bounds its degree in q by b = floor((n-2)/4) + 1,
+and the degree is read off exact integer differences of the formula at the
+b + 3 consecutive integers q = 2, ..., b + 4: b + 1 values fix a polynomial
+of degree b, and two more check it.  Those nodes include q that are not
+prime powers, which is sound because polynomiality is a property of the
+closed formula, not of the fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from .chartab import (
     FAMILY_NONGENERIC,
@@ -58,12 +66,6 @@ _COROLLARY_CONSTANTS = {
     2: {0: 219, 1: 260, 2: 155, 3: 184},
     3: {0: 112, 1: 147, 2: 65, 3: 85},
 }
-
-# Interpolation nodes for the degree check; the first seven fit the
-# polynomial, the last two cross-validate it.
-_FIT_NODES = (2, 3, 4, 5, 7, 8, 9)
-_CHECK_NODES = (11, 13)
-
 
 @dataclass(frozen=True)
 class DimRequest:
@@ -198,49 +200,19 @@ def corollary_value(q: int, n: int) -> int:
     return _as_int(value, f"corollary at q={q}, n={n}")
 
 
-def _interpolate(points: Sequence[Tuple[int, int]]) -> List[Fraction]:
-    """Exact Lagrange interpolation; returns coefficients, low degree first."""
-    size = len(points)
-    coeffs = [Fraction(0)] * size
-    for i, (xi, yi) in enumerate(points):
-        # basis numerator prod_{j != i} (x - xj), built up coefficient-wise
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            denom *= xi - xj
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for k, coeff in enumerate(basis):
-                nxt[k] -= coeff * xj
-                nxt[k + 1] += coeff
-            basis = nxt
-        scale = Fraction(yi) / denom
-        for k, coeff in enumerate(basis):
-            coeffs[k] += coeff * scale
-    return coeffs
-
-
-def _poly_eval(coeffs: Sequence[Fraction], x: int) -> Fraction:
-    acc = Fraction(0)
-    for coeff in reversed(coeffs):
-        acc = acc * x + coeff
-    return acc
-
-
-def _dim_at(q: int, n: int, kind: str) -> int:
-    if n <= 1:
-        return 0
-    return _formula_value(q, n, kind)
-
-
 def degree_in_q(n: int, sigma_kind: str) -> int:
     """Degree of dim pi^{Kl(n)} as a polynomial in q (fixed level n).
 
-    Fits an exact polynomial through the formula values at seven field
-    sizes, then cross-validates at two more; a mismatch means the values
-    are not polynomial in q and raises NotPolynomial.  The zero polynomial
-    reports degree 0.
+    For n >= 2 the formula's numerator has degree at most m + 3 in q,
+    m = floor((n-2)/4), over the denominator (q-1)^2, so a polynomial value
+    has degree at most b = m + 1.  The formula is evaluated at the b + 3
+    consecutive integers q = 2, ..., b + 4 and differenced: b + 1 values fix
+    the polynomial, and the two more make the differences of order b + 1
+    and b + 2 a check, whose failure raises NotPolynomial.  Nodes such as
+    q = 6 are not prime powers; that is sound, since polynomiality is a
+    property of the closed formula, which never factors q.  The degree is
+    the order of the last nonzero difference; the zero polynomial and the
+    empty levels n <= 1 report degree 0.
     """
     if n < 0:
         raise ValueError(f"level n must be >= 0, got {n}")
@@ -249,16 +221,19 @@ def degree_in_q(n: int, sigma_kind: str) -> int:
             f"sigma_kind must be {FAMILY_TYPE_I!r} or {FAMILY_TYPE_II!r}, "
             f"got {sigma_kind!r}"
         )
-    points = [(q, _dim_at(q, n, sigma_kind)) for q in _FIT_NODES]
-    coeffs = _interpolate(points)
-    for q in _CHECK_NODES:
-        predicted = _poly_eval(coeffs, q)
-        actual = _dim_at(q, n, sigma_kind)
-        if predicted != actual:
-            raise NotPolynomial(
-                f"degree-{len(coeffs) - 1} fit through q={_FIT_NODES} predicts "
-                f"{predicted} at q={q}, but the formula gives {actual} (n={n})"
-            )
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return len(coeffs) - 1
+    if n <= 1:
+        return 0
+    bound = (n - 2) // 4 + 1
+    row = [_formula_value(q, n, sigma_kind) for q in range(2, bound + 5)]
+    degree = 0
+    for order in range(1, bound + 3):
+        row = [b - a for a, b in zip(row, row[1:])]
+        if any(row):
+            if order > bound:
+                raise NotPolynomial(
+                    f"order-{order} differences {row} of the formula over "
+                    f"q=2..{bound + 4} (n={n}) are nonzero, but its degree "
+                    f"in q is at most {bound}"
+                )
+            degree = order
+    return degree

@@ -45,6 +45,12 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def base_p_digits(k, p: int, f: int) -> tuple:
+    """The f base-p digits of k, constant term first (k = sum d_i p^i); works
+    unchanged on integer arrays, digit by digit."""
+    return tuple(k // p**i % p for i in range(f))
+
+
 # ---------------------------------------------------------------------------
 # dense polynomial helpers over F_p (tuples of ints, index = degree)
 # ---------------------------------------------------------------------------
@@ -91,13 +97,7 @@ def _is_irreducible(m: tuple[int, ...], p: int) -> bool:
     for d in range(1, deg // 2 + 1):
         # all monic polynomials of degree d: p^d candidates
         for code in range(p**d):
-            cand = []
-            k = code
-            for _ in range(d):
-                cand.append(k % p)
-                k //= p
-            cand.append(1)
-            if not _poly_mod(m, tuple(cand), p):
+            if not _poly_mod(m, base_p_digits(code, p, d) + (1,), p):
                 return False
     return True
 
@@ -298,14 +298,8 @@ def _least_modulus_field(p: int, f: int) -> FieldSpec:
     if f == 1:
         return FieldSpec(p, 1, (0, 1))
     for code in range(p**f):
-        # code's base-p digits, most significant digit = c_{f-1}
-        digits = []
-        k = code
-        for _ in range(f):
-            digits.append(k % p)
-            k //= p
-        # digits[0] = c_0 ... from least significant: code = sum c_i p^i
-        cand = tuple(digits) + (1,)
+        # code = sum c_i p^i: its base-p digits are c_0, ..., c_{f-1}
+        cand = base_p_digits(code, p, f) + (1,)
         if _is_irreducible(cand, p):
             return FieldSpec(p, f, cand)
     raise RuntimeError("unreachable: an irreducible of every degree exists")
@@ -334,15 +328,8 @@ def field_for_q(q: int) -> FieldSpec:
 
 @lru_cache(maxsize=None)
 def _element_table(spec: FieldSpec) -> tuple:
-    out = []
-    for k in range(spec.q):
-        digits = []
-        m = k
-        for _ in range(spec.f):
-            digits.append(m % spec.p)
-            m //= spec.p
-        out.append(FqElem(spec, tuple(digits)))
-    return tuple(out)
+    return tuple(FqElem(spec, base_p_digits(k, spec.p, spec.f))
+                 for k in range(spec.q))
 
 
 def enumerate_field(spec: FieldSpec) -> list[FqElem]:

@@ -462,7 +462,7 @@ def _fq_matmul(a, b, spec: FieldSpec):
     reduced mod p and recombined: at f = 1 a single ``@`` and ``% p``.
     """
     p, f = spec.p, spec.f
-    a, b = ([x // p**k % p for k in range(f)] if f > 1 else [x] for x in (a, b))
+    a, b = (ffield.base_p_digits(x, p, f) if f > 1 else [x] for x in (a, b))
     acc = [None] * (2 * f - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):

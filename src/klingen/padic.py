@@ -65,7 +65,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .cosets import CosetRep, Diagonal, Skew, X, Y, Z
 from .errors import NonConvergence, PrecisionTooLow
-from .ffield import FieldSpec, field_for_q, tables
+from .ffield import FieldSpec, base_p_digits, field_for_q, tables
 from .groupfq import (
     NEG_ROOT_POSITIONS,
     POS_ROOT_POSITIONS,
@@ -152,7 +152,7 @@ class RingO:
         p = self.p
         # start from the residue-field inverse, then double digits
         start = tables(self.spec).inv[_encode(a, p)]
-        x: Residue = tuple(start // p**i % p for i in range(self.f))
+        x: Residue = base_p_digits(start, p, self.f)
         digits = 1
         while digits < d:
             digits = min(2 * digits, d)

@@ -174,7 +174,7 @@ def test_criterion_7_structural_properties():
             b = dim_klingen(DimRequest(q, n, TYPE_II), mode="both").total
             assert a >= 0 and b >= 0
             assert b - a == (2 * ((n - 1) // 2) if n >= 1 else 0)
-    for n in range(0, 25):
+    for n in range(0, 61):
         assert degree_in_q(n, "typeI") == n // 4
         assert degree_in_q(n, "typeII") == n // 4
     _verdict(7, "structural properties (zeros, gap, integrality, degree)", t0)

@@ -128,14 +128,24 @@ class TestDegree:
         assert degree_in_q(16, "typeI") == 4
 
     def test_full_range(self):
-        for n in range(0, 25):
+        for n in range(0, 121):
             for kind in ("typeI", "typeII"):
                 assert degree_in_q(n, kind) == n // 4, (n, kind)
 
     def test_nonpolynomial_detected(self, monkeypatch):
-        monkeypatch.setattr(dims, "_dim_at", lambda q, n, kind: q**10)
-        with pytest.raises(NotPolynomial):
-            degree_in_q(4, "typeI")
+        stubs = (
+            lambda q: q**10,
+            lambda q: 2**q,
+            # vanishing second difference over q = 2..4: only the second
+            # check point past the two values that fix a line (b = 1 at
+            # n = 4) sees it
+            lambda q: (q - 3) ** 3,
+        )
+        for stub in stubs:
+            monkeypatch.setattr(dims, "_formula_value",
+                                lambda q, n, kind, stub=stub: stub(q))
+            with pytest.raises(NotPolynomial):
+                degree_in_q(4, "typeI")
 
     def test_bad_kind(self):
         with pytest.raises(ValueError):

@@ -17,7 +17,9 @@ return it, and its operators stay polynomial arithmetic.
 The one Gaussian elimination of the package, ``row_reduce`` and its
 ``kernel``, lives here too.  It takes its field as an argument: ``Tables``
 for F_q on encodings, or ``FieldOps`` built from an inverse and a normal
-form, which the character-table oracle uses mod a prime.
+form, which the character-table oracle uses mod a prime.  A ``FieldOps``
+with a valuation is the ring Z/p^M instead, where the R_g oracle solves
+its lattice congruences.
 
 Everything here is exact; there is no floating point anywhere.
 """
@@ -27,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 from .errors import DivisionByZero, FieldTooLarge, MixedFields, NotPrime
 
@@ -351,7 +353,9 @@ class Tables(NamedTuple):
     def q(self) -> int:
         return len(self.neg)
 
-    # the row operations of ``row_reduce``
+    # the row operations of ``row_reduce``, over a field
+    valuation = None
+
     def inverse(self, a: int) -> int:
         return self.inv[a]
 
@@ -426,10 +430,15 @@ def units(spec: FieldSpec) -> list[FqElem]:
 class FieldOps(NamedTuple):
     """The row operations of ``row_reduce`` from ``inverse``, which inverts
     a nonzero element, and ``red``, which returns an element's normal form.
-    Mod a prime ell these are ``pow(x, ell - 2, ell)`` and ``x % ell``."""
+    Mod a prime ell these are ``pow(x, ell - 2, ell)`` and ``x % ell``.
+
+    With a ``valuation`` the ring is Z/p^M on ints instead of a field:
+    ``red`` is ``x % p^M``, ``valuation`` the exponent of p in a nonzero x,
+    and ``inverse`` inverts the unit part x / p^valuation(x)."""
 
     inverse: Callable
     red: Callable
+    valuation: Optional[Callable] = None
 
     def scale(self, row, s) -> list:
         red = self.red
@@ -444,29 +453,47 @@ class FieldOps(NamedTuple):
 
 
 def row_reduce(rows, field) -> tuple:
-    """Reduced row echelon form: (the nonzero reduced rows, their pivot
-    columns in order).
+    """Row echelon form by row operations: (the nonzero reduced rows, their
+    pivot columns in order).
 
     ``field`` is a ``Tables`` or a ``FieldOps``: it supplies ``inverse``,
-    ``scale``, ``sub_multiple`` and ``negate``.  Entries must come in
-    normal form, and zero must be exactly the falsy value, since pivots are
-    found by truth tests."""
+    ``scale``, ``sub_multiple`` and ``negate``.  Entries are ints in normal
+    form, and zero must be exactly the falsy value, since pivots are found
+    by truth tests.  Over a field the form is reduced: each pivot is 1 and
+    the only nonzero entry of its column, and pivots come in column order.
+
+    Over Z/p^M (a ``FieldOps`` with a ``valuation``) each pivot is the first
+    entry, in column order, of least valuation v in the whole remaining
+    block, scaled to p^v.  p^v divides every entry of the rows below, so
+    they are cleared; a row above is cleared where p^v divides its entry.
+    Every entry of a pivot's row stays a multiple of its p^v.  Over a field
+    every nonzero entry has valuation 0, and the two searches agree."""
     a = [list(r) for r in rows]
     pivots = []
-    for col in range(len(a[0]) if a else 0):
+    valuation = field.valuation
+    width, start = (len(a[0]) if a else 0), 0
+    while len(pivots) < len(a):
         row = len(pivots)
-        piv = next((r for r in range(row, len(a)) if a[r][col]), None)
-        if piv is None:
-            continue
+        if valuation is None:
+            # no column before the last pivot's has a nonzero entry left
+            found = next(((r, c) for c in range(start, width)
+                          for r in range(row, len(a)) if a[r][c]), None)
+        else:
+            least = min(((valuation(x), c, r) for r in range(row, len(a))
+                         for c, x in enumerate(a[r]) if x), default=None)
+            found = least and least[:0:-1]
+        if found is None:
+            break
+        piv, col = found
         a[row], a[piv] = a[piv], a[row]
         prow = a[row] = field.scale(a[row], field.inverse(a[row][col]))
+        lead = prow[col]  # 1, or p^v over Z/p^M
         for r in range(len(a)):
             f = a[r][col]
-            if r != row and f:
-                a[r] = field.sub_multiple(a[r], f, prow)
+            if r != row and f and not f % lead:
+                a[r] = field.sub_multiple(a[r], f // lead, prow)
         pivots.append(col)
-        if len(pivots) == len(a):
-            break
+        start = col + 1
     return a[:len(pivots)], pivots
 
 

@@ -161,21 +161,21 @@ def _similitude_enc(m: Mat4) -> int:
     """Encoding of mu with t(m) J m = mu J, or 0 if m is not a similitude.
 
     J m is m's rows (4, 3, -2, -1), so entry (i, j) of t(m) J m is
-    m1i m4j + m2i m3j - m3i m2j - m4i m1j; all 16 are compared with mu J.
+    m1i m4j + m2i m3j - m3i m2j - m4i m1j.  That matrix is alternating for
+    every m (x^t J x = 0 for an alternating J, in every characteristic), so
+    its six entries above the diagonal decide: (1,2), (1,3), (2,4) and (3,4)
+    are 0, and (1,4) = (2,3) = mu is not.
     """
     add, mul, neg, _, _ = ffield.tables(m.spec)
     e = m.e
     r0, r1, r2, r3 = e[0:4], e[4:8], e[8:12], e[12:16]
-    a = tuple(
-        add[add[mul[r0[i]][r3[j]]][mul[r1[i]][r2[j]]]][
-            neg[add[mul[r2[i]][r1[j]]][mul[r3[i]][r0[j]]]]
-        ]
-        for i in range(4)
-        for j in range(4)
-    )
-    mu = a[3]  # position (1,4) of J carries coefficient +1
-    nm = neg[mu]
-    if mu == 0 or a != (0, 0, 0, mu, 0, 0, mu, 0, 0, nm, 0, 0, nm, 0, 0, 0):
+
+    def form(i: int, j: int) -> int:
+        return add[add[mul[r0[i]][r3[j]]][mul[r1[i]][r2[j]]]][
+            neg[add[mul[r2[i]][r1[j]]][mul[r3[i]][r0[j]]]]]
+
+    mu = form(0, 3)
+    if not mu or form(1, 2) != mu or form(0, 1) or form(0, 2) or form(1, 3) or form(2, 3):
         return 0
     return mu
 

@@ -36,14 +36,22 @@ _reduce_fast
 estimate_Rg
     regrowth of R_g = image of g Kl(n) g^{-1} \\cap K in GSp(4, F_q) as the
     closure of the sampled reductions that enlarge it, re-closed as each
-    arrives.  For a Diagonal representative it stops as soon as the closure
-    fills the valuation envelope E, the similitudes supported where
-    e_r - e_c + a_rc <= 0 (a_rc = n on Kl(n)'s five level positions, else
-    0): entry (r, c) of g h g^{-1} is p^(e_r - e_c) h_rc with
-    val(h_rc) >= a_rc, so R_g lies in E, and a closure of order |E| is R_g.
-    |E| has a closed form (``_envelope_order``).  Otherwise, and whenever E
-    is not reached, convergence is declared after three consecutive batches
-    that add no new subgroup elements.
+    arrives.  It stops as soon as the closure's order reaches a bound on
+    |R_g|, since no later sample can then enlarge it.  Both bounds count
+    similitudes in the reduction of Lambda = {g h g^{-1} : h in the Kl(n)
+    lattice, g h g^{-1} integral}, which contains g Kl(n) g^{-1} \\cap K, so
+    R_g lies in that reduction \\cap GSp(4, q).  For a Diagonal
+    representative the reduction is the valuation envelope E, the matrices
+    supported where e_r - e_c + a_rc <= 0 (a_rc = n on Kl(n)'s five level
+    positions, else 0): entry (r, c) of g h g^{-1} is p^(e_r - e_c) h_rc
+    with val(h_rc) >= a_rc.  |E \\cap GSp(4, q)| has a closed form
+    (``_envelope_order``).  For any other representative S mixes entries,
+    but the conditions stay linear congruences with rational-integer
+    coefficients: one elimination over Z/p^m gives an F_p-basis of the
+    reduction (``_lattice_basis``), and its similitudes are counted point by
+    point (``_lattice_order``; no bound past ``groupfq.CLOSURE_BOUND``
+    points).  When the bound is not reached, convergence is declared after
+    three consecutive batches that add no new subgroup elements.
 
 The working precision for conjugating Kl(n) elements by a representative
 is  d = n + spread + 2  (estimate_Rg always adds two guard digits to
@@ -59,18 +67,21 @@ under any change by a multiple of p^d, since d > s.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .cosets import CosetRep, Diagonal, Skew, X, Y, Z
 from .errors import NonConvergence, PrecisionTooLow
-from .ffield import FieldSpec, base_p_digits, field_for_q, tables
+from .ffield import FieldOps, FieldSpec, base_p_digits, field_for_q, kernel, row_reduce, tables
 from .groupfq import (
+    CLOSURE_BOUND,
     NEG_ROOT_POSITIONS,
     POS_ROOT_POSITIONS,
     Mat4,
     Subgroup,
+    _similitude_enc,
     adjoin,
     gsp_elem,
     make_subgroup,
@@ -478,6 +489,80 @@ def _envelope_order(rep: CosetRep, n: int, q: int) -> Optional[int]:
     return (q - 1)**3 * q**(sum(pos) + sum(neg) - 2 * pairs) * (q * (q + 1))**pairs
 
 
+def _reduced_kernel(rows, p: int, m: int) -> list:
+    """An F_p-basis of the reductions mod p of the solutions x in Z_p^k of
+    rows x = 0 mod p^m, for rows of ints in [0, p^m).
+
+    ``row_reduce`` over Z/p^m puts the rows in echelon form.  A row with
+    pivot p^v is p^v times a row w with pivot 1, and v < m, so every
+    solution satisfies w mod p; conversely, entries off the pivot columns
+    chosen at will extend, from the last row up, to an exact solution.  So
+    the reductions are the kernel over F_p of the rows w mod p."""
+    mod = p**m
+    # p^v = gcd(a, p^m) for 0 < a < p^m
+    exponent = {p**v: v for v in range(m)}
+    ring = FieldOps(lambda a: pow(a // math.gcd(a, mod), -1, mod), lambda a: a % mod,
+                    lambda a: exponent[math.gcd(a, mod)])
+    echelon, pivots = row_reduce([row for row in rows if any(row)], ring)
+    return kernel([[a // row[c] % p for a in row] for row, c in zip(echelon, pivots)]
+                  or [[0] * len(rows[0])], tables(field_for_q(p)))
+
+
+def _lattice_basis(rep: CosetRep, n: int, p: int) -> list:
+    """An F_p-basis of the reduction mod p of Lambda = {g h g^{-1} : h in the
+    Kl(n) lattice, g h g^{-1} integral}, as flat row-major vectors of 16
+    ints below p.  Over F_q the reduction is their F_q-span.
+
+    N = g h g^{-1} is integral with h = S^{-1} t^{-1} N t S.  Entry (r, c)
+    of p^s t^{-1} N t is p^(s + e_c - e_r) N_rc, s the exponent spread, so
+    entry (r, c) of p^s h is a linear form in N with rational-integer
+    coefficients, and h lies in the lattice iff it is divisible by
+    p^(a_rc + s) (a_rc = n on the level positions, else 0).  Times
+    p^(m - a_rc - s), m = n + s, each condition is one congruence mod p^m
+    for ``_reduced_kernel``.
+    """
+    exps = _torus_exponents(rep)
+    spread = _exponent_spread(rep)
+    x, y, z = _s_params(rep, p) or (0, 0, 0)
+    m = n + spread
+    # the image of N = E_rc in the 16 entries of p^s h, one column per (r, c)
+    columns = []
+    for r in range(4):
+        for c in range(4):
+            e = [0] * 16
+            e[4 * r + c] = p**(spread + exps[c] - exps[r])
+            columns.append(_conjugate(e, -x, -y, -z))
+    return _reduced_kernel(
+        [[col[4 * r + c] * p**(n - (n if (r, c) in _LEVEL_POSITIONS else 0)) % p**m
+          for col in columns] for r in range(4) for c in range(4)], p, m)
+
+
+def _lattice_order(rep: CosetRep, n: int, q: int) -> Optional[int]:
+    """|Lambda-bar \\cap GSp(4, q)| for the reduction Lambda-bar of
+    ``_lattice_basis``, by the similitude test on its points; None when it
+    has more than ``groupfq.CLOSURE_BOUND``.  Lambda-bar is an F_q-space
+    and a scalar multiple of a similitude is one, so only the points whose
+    first nonzero coefficient is 1 are tested, and each counts q - 1 times.
+    """
+    spec = field_for_q(q)
+    basis = _lattice_basis(rep, n, spec.p)
+    if q**len(basis) > CLOSURE_BOUND:
+        return None
+    add, mul = tables(spec)[:2]
+    multiples = [[tuple(mul[c][x] for x in b) for c in range(q)] for b in basis]
+
+    def points(k: int, e: tuple):
+        """Every e + c_k b_k + ... + c_(D-1) b_(D-1)."""
+        if k == len(basis):
+            yield e
+        else:
+            for mb in multiples[k]:
+                yield from points(k + 1, tuple(add[u][v] for u, v in zip(e, mb)))
+
+    return (q - 1) * sum(1 for k in range(len(basis)) for e in points(k + 1, multiples[k][1])
+                         if _similitude_enc(Mat4(spec, e)))
+
+
 def _reduce_fast(spec: FieldSpec, plan: tuple, h: Planes) -> Optional[Mat4]:
     """Reduction mod p of g h g^{-1} for g = t * S (t diagonal), or None
     when it is not integral.
@@ -517,12 +602,18 @@ def estimate_Rg(rep: CosetRep, n: int, q: int, budget: int = 500,
     returns the subgroup the reductions generate; its generators are the
     reductions that enlarged it, in order, each adjoined to the group so far
     by ``groupfq.adjoin`` as it is found.  The result is always
-    contained in the true R_g.  For a Diagonal representative R_g lies in
-    the valuation envelope E (``_envelope_order``), so the draws stop at the
-    sample whose adjoin makes the closure's order |E|: no later sample can
-    enlarge it.  Otherwise convergence is declared after three consecutive
-    batches that add no new subgroup elements, and spending the whole
-    budget without that (or without reaching E) raises NonConvergence.
+    contained in the true R_g.  R_g lies in Lambda-bar \\cap GSp(4, q), for
+    Lambda-bar the reduction mod p of Lambda = {g h g^{-1} : h in the Kl(n)
+    lattice, g h g^{-1} integral}, because every g h g^{-1} in K is such an
+    element.  So the draws stop at the sample whose adjoin makes the
+    closure's order |Lambda-bar \\cap GSp(4, q)|: the closure is then R_g,
+    and no later sample can enlarge it.  That order is ``_envelope_order``
+    for a Diagonal representative, whose Lambda-bar is the valuation
+    envelope E, and ``_lattice_order`` for any other (none when Lambda-bar
+    has more than ``groupfq.CLOSURE_BOUND`` points).  Short of the bound,
+    convergence is declared after three consecutive batches that add no new
+    subgroup elements, and spending the whole budget without that raises
+    NonConvergence.
 
     The sampler is pointed at the valuation layers given by the positive
     differences of the representative's torus exponents: those are exactly
@@ -544,7 +635,9 @@ def estimate_Rg(rep: CosetRep, n: int, q: int, budget: int = 500,
         {ea - eb for ea in exps for eb in exps if ea > eb}
     )
     sampler = KlingenSampler(q, n, m, seed, depths=depths)
-    envelope = _envelope_order(rep, n, q)
+    bound = _envelope_order(rep, n, q)
+    if bound is None:
+        bound = _lattice_order(rep, n, q)
     current = make_subgroup([gsp_elem(Mat4.identity(spec))])
     # the current group's matrices, for membership by one set lookup
     members = {Mat4.identity(spec).e}
@@ -559,7 +652,7 @@ def estimate_Rg(rep: CosetRep, n: int, q: int, budget: int = 500,
             mat = _reduce_fast(spec, plan, h)
             if mat is not None and mat.e not in members:
                 current = adjoin(current, gsp_elem(mat))
-                if current.order == envelope:
+                if current.order == bound:
                     return current
                 members = set(map(tuple, current.rows.tolist()))
                 fresh = True

@@ -262,6 +262,38 @@ class TestRowReduce:
         assert [[v[c] for c in free] for v in basis] == [
             [1 if a == b else 0 for b in free] for a in free]
 
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_echelon_over_a_prime_power_ring(self, data):
+        """Over Z/p^m each pivot is p^v for the least valuation v left in
+        its block: it divides its whole row, the entries below it are 0,
+        and the rows after it have no entry of smaller valuation."""
+        p = data.draw(st.sampled_from([2, 3, 5]), label="p")
+        m = data.draw(st.integers(1, 4), label="m")
+        width = data.draw(st.integers(1, 5), label="columns")
+        rows = data.draw(st.lists(st.lists(st.integers(0, p**m - 1), min_size=width,
+                                           max_size=width), min_size=1, max_size=5), label="rows")
+        mod = p**m
+
+        def valuation(a):
+            return next(v for v in range(m) if a % p**(v + 1))
+
+        ring = ff.FieldOps(lambda a: pow(a // p**valuation(a), -1, mod), lambda a: a % mod,
+                           valuation)
+        echelon, pivots = ff.row_reduce(rows, ring)
+        assert len(echelon) == len(pivots) <= min(len(rows), width)
+        for i, (row, c) in enumerate(zip(echelon, pivots)):
+            v = valuation(row[c])
+            assert row[c] == p**v
+            assert all(x % p**v == 0 for x in row)
+            assert all(later[c] == 0 for later in echelon[i + 1:])
+            assert all(x % p**v == 0 for later in echelon[i + 1:] for x in later)
+        # the row operations stay invertible mod p, where the rows of pivot
+        # p^v, v > 0, vanish: the rank mod p counts the unit pivots
+        field = ff.FieldOps(lambda x: pow(x, p - 2, p), lambda x: x % p)
+        assert (len(ff.row_reduce([[x % p for x in r] for r in rows], field)[1])
+                == sum(valuation(row[c]) == 0 for row, c in zip(echelon, pivots)))
+
     @given(encoded_matrix(qs=[2, 3, 5, 7]))
     @settings(max_examples=300, deadline=None)
     def test_tables_and_mod_prime_adapter_agree(self, case):

@@ -170,6 +170,26 @@ class TestEncodingValidator:
             g = gq.gsp_elem(m)
             assert (g.mat, g.mu) == (m, mu)
 
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_every_form_entry_decides(self, q):
+        """I + a E_rc moves only entries (c, 4 - r) and (4 - r, c) of
+        t(m) J m (1-based), and diag(1, 1, 1, a) only (1, 4): between them
+        each of the six entries above the diagonal alone decides a verdict
+        here, so the validator must read all six."""
+        spec = field_for_q(q)
+        one = spec.one
+        cases = [[[spec(a if r == 3 == c else int(r == c)) for c in range(4)] for r in range(4)]
+                 for a in range(1, q)]
+        for r, c in itertools.permutations(range(4), 2):
+            for a in range(1, q):
+                rows = [[one if i == j else spec.zero for j in range(4)] for i in range(4)]
+                rows[r][c] = spec(a)
+                cases.append(rows)
+        for rows in cases:
+            mu = _ref_similitude(rows)
+            assert gq._similitude_enc(gq.Mat4.from_rows(spec, rows)) == (
+                0 if mu is None else mu.encoding()), rows
+
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())

@@ -7,6 +7,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,7 @@ from klingen.cosets import (
     enumerate_small_reps,
 )
 from klingen.errors import NonConvergence, PrecisionTooLow
-from klingen.ffield import field_for_q
+from klingen.ffield import base_p_digits, field_for_q, kernel, tables
 from klingen.groupfq import (
     Mat4,
     _similitude_enc,
@@ -35,8 +36,11 @@ from klingen.padic import (
     _conjugation_plan,
     _envelope_order,
     _kl_product,
+    _lattice_basis,
+    _lattice_order,
     _packing,
     _reduce_fast,
+    _reduced_kernel,
     _torus_exponents,
     estimate_Rg,
     ring_for_q,
@@ -410,6 +414,13 @@ class TestEstimateRg:
         assert est.order == _envelope_order(rep, n, q) == 6
         assert not est.rows[:, _forbidden(rep, n)].any()
 
+    def test_small_budget_stops_on_the_lattice_bound(self):
+        # the third sample's adjoin fills |Lambda-bar \cap GSp(4, 2)| = 4,
+        # two samples before three quiet batches of one could end the draws
+        rep, n, q = Z(2, 1, 4), 5, 2
+        est = estimate_Rg(rep, n, q, budget=5, seed=0)
+        assert est.order == _lattice_order(rep, n, q) == 4
+
     @pytest.mark.parametrize("q,n_max", [(2, 4), (4, 3)])
     def test_generators_each_enlarge(self, q, n_max):
         """The generators are the samples that enlarged the group: each lies
@@ -518,15 +529,99 @@ class TestEnvelope:
         assert early == {(2, 6, Diagonal(-3, 8)), (2, 7, Diagonal(-3, 7))}
 
     @pytest.mark.parametrize("rep,n,count", [
-        (X(2, 1, 1), 5, 200),
+        (X(2, 1, 1), 5, 28),
         (Diagonal(-3, 8), 6, 200),
     ], ids=["X", "early-stop"])
     def test_draw_counts_without_the_envelope_stop(self, drawn, rep, n, count):
-        # an X representative has no envelope and Diagonal(-3, 8) stops
-        # early at order 2 of 4: both draw until three quiet batches of 50
+        # an X representative has no envelope: its draws end at the 28th
+        # sample, whose adjoin fills the lattice bound (order 4); Diagonal(-3,
+        # 8) stops early at order 2 of 4, after three quiet batches of 50
         est = estimate_Rg(rep, n, 2, budget=500, seed=0)
         assert len(drawn) == count
         assert est.order != _envelope_order(rep, n, 2)
+        assert (est.order == _lattice_order(rep, n, 2)) == (count < 200)
+
+
+# ---------------------------------------------------------------------------
+# the lattice bound: R_g lies in the reduction of Lambda, meets GSp(4, q)
+# ---------------------------------------------------------------------------
+
+def _annihilator(rep, n, p):
+    """Rows over F_p whose common kernel is the reduction of Lambda."""
+    return kernel(_lattice_basis(rep, n, p), tables(field_for_q(p)))
+
+
+def _inside(annihilator, spec, rows):
+    """Which of the (N, 16) encoding rows lie in the F_q-span of the F_p
+    basis annihilated by ``annihilator``: every base-p digit plane does."""
+    ann = np.array(annihilator, dtype=np.int64).T
+    planes = base_p_digits(np.asarray(rows, dtype=np.int64), spec.p, spec.f)
+    return np.all([~((plane @ ann) % spec.p).any(axis=1) for plane in planes], axis=0)
+
+
+class TestLatticeBound:
+    @pytest.mark.parametrize("q,n_max,diagonal", [(2, 8, True), (3, 6, False)])
+    def test_order_is_a_filter_of_the_whole_group(self, q, n_max, diagonal):
+        group = enumerate_gsp4(q)
+        for n in range(1, n_max + 1):
+            for rep in enumerate_small_reps(n):
+                if diagonal or not isinstance(rep, Diagonal):
+                    inside = _inside(_annihilator(rep, n, q), group.spec, group.rows)
+                    assert _lattice_order(rep, n, q) == int(inside.sum()), (rep, n)
+
+    @pytest.mark.parametrize("q,n_max", [(2, 8), (3, 6)])
+    def test_diagonal_bound_is_the_envelope(self, q, n_max):
+        """A Diagonal representative's reduction is spanned by the unit
+        matrices at its allowed positions, and the count is |E|."""
+        for n in range(1, n_max + 1):
+            for rep in enumerate_diagonal_reps(n):
+                basis = _lattice_basis(rep, n, q)
+                assert sorted(b.index(1) for b in basis) == _allowed(rep, n), (rep, n)
+                assert all(sum(b) == 1 for b in basis), (rep, n)
+                assert _lattice_order(rep, n, q) == _envelope_order(rep, n, q), (rep, n)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_other_representatives_have_dimension_five(self, p):
+        reps = [(rep, n) for n in range(1, 9) for rep in enumerate_small_reps(n)
+                if not isinstance(rep, Diagonal)]
+        assert len(reps) == 56
+        assert {len(_lattice_basis(rep, n, p)) for rep, n in reps} == {5}
+
+    def test_samples_reduce_into_the_lattice(self, drawn):
+        """Over the rg window at seed 0, every integral reduction of a
+        sample lies in the reduction of Lambda, and an X, Y or Z result fills
+        the bound at the sample that adjoins its last generator."""
+        for q, n_max in ((2, 7), (3, 4), (4, 3)):
+            spec = field_for_q(q)
+            for n in range(2, n_max + 1):
+                for rep in enumerate_small_reps(n):
+                    drawn.clear()
+                    est = estimate_Rg(rep, n, q, budget=500, seed=0)
+                    plan = _conjugation_plan(rep, spec.p)
+                    mats = [m.e for m in (_reduce_fast(spec, plan, h) for h in drawn) if m]
+                    assert _inside(_annihilator(rep, n, spec.p), spec, mats).all(), (q, n, rep)
+                    if not isinstance(rep, Diagonal):
+                        assert est.order == _lattice_order(rep, n, q), (q, n, rep)
+                        assert mats[-1] == est.generators[-1].mat.e, (q, n, rep)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_reduced_kernel_matches_brute_force(self, data):
+        """The reductions mod p of all solutions mod p^m, enumerated, span
+        the space ``_reduced_kernel`` returns a basis of."""
+        p = data.draw(st.sampled_from([2, 3]), label="p")
+        m = data.draw(st.integers(1, 3), label="m")
+        width = data.draw(st.integers(1, 3), label="columns")
+        rows = data.draw(st.lists(st.lists(st.integers(0, p**m - 1), min_size=width,
+                                           max_size=width), min_size=1, max_size=4), label="rows")
+        solutions = {tuple(x % p for x in xs)
+                     for xs in itertools.product(range(p**m), repeat=width)
+                     if all(sum(a * x for a, x in zip(row, xs)) % p**m == 0 for row in rows)}
+        basis = _reduced_kernel(rows, p, m)
+        span = {tuple(sum(c * b[i] for c, b in zip(cs, basis)) % p for i in range(width))
+                for cs in itertools.product(range(p), repeat=len(basis))}
+        assert len(span) == p**len(basis)
+        assert span == solutions
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,6 @@ from __future__ import annotations
 import weakref
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from . import ffield
@@ -511,9 +510,9 @@ def _aggregate_total(leftover: Counter, family_kind: str, q: int) -> int:
             raise ValueNotPinned("nonuniform G block")
 
     # B block: value is beta * u with u = n0 - n12/(q-1) + 2*n31/(q-1)^2;
-    # all supported shapes have u = 0, killing the undetermined beta.
-    u = Fraction(n0) - Fraction(n12, q - 1) + Fraction(2 * n31, (q - 1) ** 2)
-    if u == 0:
+    # all supported shapes have u = 0, killing the undetermined beta.  The
+    # test is on u * (q-1)^2, which is zero exactly when u is.
+    if n0 * (q - 1) ** 2 - n12 * (q - 1) + 2 * n31 == 0:
         return 0
     raise ValueNotPinned("odd-q B block does not cancel")
 

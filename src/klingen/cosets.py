@@ -34,17 +34,16 @@ and, on the boundary, by whether 1 + u is a unit:
   zEQxy_unit     val(z) = val(xy), val(1+u) = 0
   zEQxy_nonunit  val(z) = val(xy), val(1+u) > 0
 
-All closed forms are evaluated in exact rational arithmetic with floors
-exactly where the displayed expressions put them; each final value is
-asserted to be a nonnegative integer (NonIntegralResult otherwise).  The
-skew counts combine non-integral rational terms whose sum is integral,
-so any transcription slip is caught immediately rather than rounded away.
+All closed forms are evaluated in exact integers: one integer numerator
+over one common denominator, floors as Python's ``//`` (toward -infinity),
+a negative power of q moved into the denominator, and the quotient asserted
+by ``divmod`` to be a nonnegative integer (NonIntegralResult otherwise).
+The skew terms are not integral one by one, so a slip leaves a remainder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from .errors import NonIntegralResult, ResourceBound
@@ -253,65 +252,57 @@ def skew_equal(a: Skew, b: Skew, n: int) -> bool:
 # closed-form counts
 # ---------------------------------------------------------------------------
 
-def _floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
+def _exact_count(num: int, den: int, what: str, *args) -> int:
+    """num / den (den > 0), asserted to be a nonnegative integer; the error
+    names ``what.format(*args)``."""
+    count, rem = divmod(num, den)
+    if rem or count < 0:
+        from fractions import Fraction  # only to print the failing value
 
-
-def _as_count(x: Fraction, what: str) -> int:
-    if x.denominator != 1 or x < 0:
-        raise NonIntegralResult(f"{what} evaluated to {x}, not a nonnegative integer")
-    return int(x)
+        raise NonIntegralResult(f"{what.format(*args)} evaluated to "
+                                f"{Fraction(num, den)}, not a nonnegative integer")
+    return count
 
 
 def table1_count(row: int, n: int) -> int:
-    """Closed count of level-n support cosets in the given polynomial row."""
+    """Closed count of level-n support cosets in the given polynomial row.
+
+    Floors are Python's ``//``; row 7's (n-3)/6 is asserted exact by ``divmod``."""
     if n < 1:
         raise ValueError(f"counts are defined for n >= 1, got n={n}")
     if row == 1:
-        return _as_count(Fraction(n * (n - 1), 2), "row 1 count")
+        return n * (n - 1) // 2
     if row == 2:
-        return _floor(Fraction((n - 1) ** 2, 4))
+        return (n - 1) ** 2 // 4
     if row == 3:
-        return _floor(Fraction(n - 1, 2))
+        return (n - 1) // 2
     if row == 4:
-        return _floor(Fraction((n - 2) ** 2, 4))
+        return (n - 2) ** 2 // 4
     if row in (5, 6):
-        return _floor(Fraction((n - 1) * (n - 3) * (2 * n - 7), 24))
+        return (n - 1) * (n - 3) * (2 * n - 7) // 24
     if row == 7:
-        val = Fraction(n - 3, 6) * _floor(Fraction((n - 2) * (n - 4), 4))
-        return _as_count(val, f"row 7 count at n={n}")
+        num = (n - 3) * ((n - 2) * (n - 4) // 4)
+        return _exact_count(num, 6, "row 7 count at n={}", n)
     raise ValueError(f"row must be 1..7, got {row}")
 
 
-def _a_q(n: int, q: int) -> Fraction:
-    return (
-        _floor(Fraction((n - 1) * (n - 3) * (2 * n - 7), 24))
-        + Fraction(n * n - n + 1, q - 1)
-        + Fraction(8 * n + 12, (q - 1) ** 2)
-        + Fraction(32, (q - 1) ** 3)
-    )
+def _a_q(n: int, r: int) -> int:
+    return (table1_count(5, n) * r ** 3 + (n * n - n + 1) * r * r
+            + (8 * n + 12) * r + 32)
 
 
-def _b_q(n: int, q: int) -> Fraction:
-    return (
-        _floor(Fraction((n - 2) ** 2, 4))
-        - Fraction(_floor(Fraction(n * n - 12 * n + 4, 4)), q - 1)
-        + Fraction(8 - 2 * n, (q - 1) ** 2)
-        - Fraction(8, (q - 1) ** 3)
-    )
+def _b_q(n: int, r: int) -> int:
+    return (table1_count(4, n) * r ** 3 - (n * n - 12 * n + 4) // 4 * r * r
+            + (8 - 2 * n) * r - 8)
 
 
-def _c_q(n: int, q: int) -> Fraction:
-    return (
-        Fraction(n - 3, 6) * _floor(Fraction((n - 2) * (n - 4), 4))
-        + Fraction(_floor(Fraction(n * n - 2 * n + 2, 2)), q - 1)
-        + Fraction(4 * n + 4, (q - 1) ** 2)
-        + Fraction(16, (q - 1) ** 3)
-    )
+def _c_q(n: int, r: int) -> int:
+    return (table1_count(7, n) * r ** 3 + (n * n - 2 * n + 2) // 2 * r * r
+            + (4 * n + 4) * r + 16)
 
 
 _SKEW_CLOSED = {
-    # case -> (shift in the q-power floor, seed function)
+    # case -> (shift in the q-power floor, seed numerator over r^3, r = q - 1)
     "zLTxy": (5, _a_q),
     "zGTxy": (5, _a_q),
     "zEQxy_unit": (4, _b_q),
@@ -322,18 +313,21 @@ _SKEW_CLOSED = {
 def skew_closed_count(case: str, n: int, q: int) -> int:
     """Closed count of level-n skew-family cosets in the given valuation case.
 
-    Evaluates q^floor((n-s)/4) * f_q(n - 4 floor((n-s)/4)) - f_q(n) exactly,
-    where (s, f_q) depend on the case; the rational pieces cancel to a
-    nonnegative integer, which is asserted before returning.
+    Evaluates q^m f_q(n - 4m) - f_q(n), m = floor((n-s)/4), with (s, f_q) by
+    case, as (q^M N(n - 4m) - q^S N(n)) / ((q-1)^3 q^S): N is f_q's integer
+    numerator, M = max(m, 0), S = max(-m, 0), and ``divmod`` asserts a
+    nonnegative integer quotient.
     """
     if case not in _SKEW_CLOSED:
         raise ValueError(f"unknown skew case {case!r}; expected one of {SKEW_CASES}")
     if n < 1 or q < 2:
         raise ValueError(f"need n >= 1 and q >= 2, got n={n}, q={q}")
     shift, seed = _SKEW_CLOSED[case]
+    r = q - 1
     m = (n - shift) // 4
-    val = Fraction(q) ** m * seed(n - 4 * m, q) - seed(n, q)
-    return _as_count(val, f"skew {case} count at n={n}, q={q}")
+    up, down = q ** max(m, 0), q ** max(-m, 0)
+    num = up * seed(n - 4 * m, r) - down * seed(n, r)
+    return _exact_count(num, r ** 3 * down, "skew {} count at n={}, q={}", case, n, q)
 
 
 # ---------------------------------------------------------------------------

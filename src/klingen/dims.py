@@ -16,10 +16,10 @@ no Klingen-fixed vectors at any level, nongeneric families vanish at every
 level, and levels n in {0, 1} admit no fixed vectors for either generic
 family.  These return canned zero reports without consulting either route.
 
-All rational arithmetic is exact (fractions.Fraction); floors of negative
-arguments are mathematical floors (toward -infinity), and negative powers
-of q are kept as exact rationals until the final integrality assertion.
-That reading is what makes the n=1 evaluation collapse to 0 identically.
+Both closed forms are evaluated in exact integers, as one numerator over
+one common denominator divided by ``divmod`` and asserted integral: floors
+are Python's ``//`` (toward -infinity), and a negative power of q moves into
+the denominator.  That reading makes the n=1 evaluation collapse to 0.
 
 ``degree_in_q`` checks the paper's dependence on p.  At a fixed level
 n >= 2 the formula's shape bounds its degree in q by b = floor((n-2)/4) + 1,
@@ -33,7 +33,6 @@ closed formula, not of the fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Tuple
 
 from .chartab import (
@@ -104,25 +103,32 @@ class DimReport:
     agree: bool
 
 
-def _as_int(x: Fraction, what: str) -> int:
-    if x.denominator != 1:
-        raise NonIntegralResult(f"{what} evaluated to non-integer {x}")
-    return int(x)
+def _exact_int(num: int, den: int, what: str, *args) -> int:
+    """num / den (den > 0), asserted integral; the error names
+    ``what.format(*args)``."""
+    value, rem = divmod(num, den)
+    if rem:
+        from fractions import Fraction  # only to print the failing value
+
+        raise NonIntegralResult(
+            f"{what.format(*args)} evaluated to non-integer {Fraction(num, den)}"
+        )
+    return value
 
 
 def _formula_value(q: int, n: int, kind: str) -> int:
-    """Closed-form dimension for a generic family at level n >= 1."""
-    c = Fraction(_C_POLYS[n % 4](q))
+    """Closed-form dimension for a generic family at level n >= 1, as one
+    integer numerator over (q-1)^2 q^S, S = max(-floor((n-2)/4), 0)."""
+    r = q - 1
     m = (n - 2) // 4
-    qm = Fraction(q) ** m
-    value = (
-        (((q - 1) * c + 72) * qm - 72) / Fraction((q - 1) ** 2)
-        - Fraction(18 * (n + 2), q - 1)
-        - n * (n + 3)
-    )
+    up, down = q ** max(m, 0), q ** max(-m, 0)
+    den = r * r * down
+    num = (r * _C_POLYS[n % 4](q) + 72) * up - (
+        72 + 18 * (n + 2) * r + n * (n + 3) * r * r
+    ) * down
     if kind == FAMILY_TYPE_II:
-        value += 2 * ((n - 1) // 2)
-    total = _as_int(value, f"closed formula at q={q}, n={n}, {kind}")
+        num += 2 * ((n - 1) // 2) * den
+    total = _exact_int(num, den, "closed formula at q={}, n={}, {}", q, n, kind)
     if total < 0:
         raise NonIntegralResult(
             f"closed formula at q={q}, n={n}, {kind} gave negative {total}"
@@ -184,20 +190,19 @@ def corollary_value(q: int, n: int) -> int:
 
     q=2: -(n+9)(n+12) + 2^{floor((n-2)/4)} * {219, 260, 155, 184};
     q=3: -(n+6)^2     + 3^{floor((n-2)/4)} * {112, 147,  65,  85},
-    constants keyed by n mod 4.  Exact rational evaluation with the
-    negative-floor reading, asserted integral.
+    constants keyed by n mod 4, as one integer numerator over q^S,
+    S = max(-floor((n-2)/4), 0), asserted integral.
     """
     if q not in _COROLLARY_CONSTANTS:
         raise ValueError(f"corollary constants are tabulated for q in (2, 3), got {q}")
     if n < 1:
         raise ValueError(f"corollary is stated for n >= 1, got {n}")
     const = _COROLLARY_CONSTANTS[q][n % 4]
-    qm = Fraction(q) ** ((n - 2) // 4)
-    if q == 2:
-        value = -(n + 9) * (n + 12) + qm * const
-    else:
-        value = -((n + 6) ** 2) + qm * const
-    return _as_int(value, f"corollary at q={q}, n={n}")
+    m = (n - 2) // 4
+    up, down = q ** max(m, 0), q ** max(-m, 0)
+    quadratic = (n + 9) * (n + 12) if q == 2 else (n + 6) ** 2
+    num = const * up - quadratic * down
+    return _exact_int(num, down, "corollary at q={}, n={}", q, n)
 
 
 def degree_in_q(n: int, sigma_kind: str) -> int:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from klingen import cosets
 from klingen.cosets import (
     BRUTE_N_MAX,
     SKEW_CASES,
@@ -29,7 +30,7 @@ from klingen.cosets import (
     table1_brute_count,
     table1_count,
 )
-from klingen.errors import NotPrime, ResourceBound
+from klingen.errors import NonIntegralResult, NotPrime, ResourceBound
 
 
 class TestMembership:
@@ -165,6 +166,21 @@ class TestSkewCounts:
                 for case in SKEW_CASES:
                     c = skew_closed_count(case, n, q)
                     assert isinstance(c, int) and c >= 0
+
+    def test_assembly_with_a_stub_seed(self, monkeypatch):
+        # seed f(n) = n^2, a numerator n^2 (q-1)^3 over (q-1)^3: the count is
+        # q^m (n - 4m)^2 - n^2 with m = floor((n - 4)/4), so a negative m
+        # divides by q^-m
+        monkeypatch.setitem(cosets._SKEW_CLOSED, "zEQxy_unit",
+                            (4, lambda n, r: n * n * r ** 3))
+        assert skew_closed_count("zEQxy_unit", 1, 5) == 4  # 25/5 - 1
+        assert skew_closed_count("zEQxy_unit", 9, 5) == 44  # 5 * 25 - 81
+        with pytest.raises(NonIntegralResult) as info:
+            skew_closed_count("zEQxy_unit", 1, 2)  # 25/2 - 1
+        assert str(info.value) == (
+            "skew zEQxy_unit count at n=1, q=2 evaluated to 23/2, "
+            "not a nonnegative integer"
+        )
 
     def test_brute_guard(self):
         with pytest.raises(ResourceBound):

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from klingen import dims
+from klingen import cosets, dims
 from klingen.chartab import family_from_name
 from klingen.dims import (
     ORIGIN_PARAMODULAR,
@@ -15,7 +20,12 @@ from klingen.dims import (
     degree_in_q,
     dim_klingen,
 )
-from klingen.errors import DisagreementError, NotPolynomial, NotPrime
+from klingen.errors import (
+    DisagreementError,
+    NonIntegralResult,
+    NotPolynomial,
+    NotPrime,
+)
 
 TYPE_I = family_from_name("typeI")
 TYPE_II = family_from_name("typeII")
@@ -169,3 +179,68 @@ class TestValidation:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             dim_klingen(DimRequest(2, 4, TYPE_I), "fast")
+
+
+# ---------------------------------------------------------------------------
+# the closed forms against a frozen census of their values
+# ---------------------------------------------------------------------------
+
+CLOSED_FORMS = json.loads(
+    (Path(__file__).parent / "data" / "closed_forms_census.json").read_text()
+)
+
+_CLOSED_FORM_FUNCTIONS = {
+    "table1_count": cosets.table1_count,
+    "skew_closed_count": cosets.skew_closed_count,
+    "_formula_value": dims._formula_value,
+    "corollary_value": dims.corollary_value,
+}
+
+
+def _closed_form_digest(name: str, axes) -> str:
+    """sha256 of one line per argument tuple of the grid: the value, or the
+    exception's type and message."""
+    fn = _CLOSED_FORM_FUNCTIONS[name]
+    lines = []
+    for args in itertools.product(*axes):
+        try:
+            lines.append(f"{args!r} {fn(*args)!r}")
+        except Exception as exc:  # the census records every outcome
+            lines.append(f"{args!r} !{type(exc).__name__}: {exc}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+class TestClosedFormCensus:
+    """``data/closed_forms_census.json`` holds, per closed form, its argument
+    grid and a sha256 over its values and exceptions there.  It was captured
+    from the rational (Fraction) evaluation that the integer numerators
+    replaced, so any value or message that moves shows up here."""
+
+    @pytest.mark.parametrize("name", sorted(_CLOSED_FORM_FUNCTIONS))
+    def test_census(self, name):
+        entry = CLOSED_FORMS[name]
+        assert _closed_form_digest(name, entry["axes"]) == entry["sha256"]
+
+    def test_level_one_formula_is_zero(self):
+        # m = -1: the q-power sits in the denominator and cancels exactly
+        for q in (2, 3, 4, 5, 7, 8, 9, 25, 27, 49, 121, 512, 729):
+            for kind in ("typeI", "typeII"):
+                assert dims._formula_value(q, 1, kind) == 0, (q, kind)
+
+    def test_skew_below_the_shift_is_empty(self):
+        # n < shift gives a negative q-power exponent in every case
+        for q in (2, 3, 4, 5, 7, 8, 9):
+            for case, shift in (("zLTxy", 5), ("zGTxy", 5),
+                                ("zEQxy_unit", 4), ("zEQxy_nonunit", 6)):
+                for n in range(1, shift):
+                    assert cosets.skew_closed_count(case, n, q) == 0, (case, n, q)
+
+    def test_non_integral_formula_is_refused(self, monkeypatch):
+        # c_0(q) raised by 1; the message is the one the rational
+        # evaluation gave
+        monkeypatch.setitem(dims._C_POLYS, 0, lambda q: q * q + 36 * q + 72)
+        with pytest.raises(NonIntegralResult) as info:
+            dims._formula_value(3, 8, "typeI")
+        assert str(info.value) == (
+            "closed formula at q=3, n=8, typeI evaluated to non-integer 283/2"
+        )

@@ -10,10 +10,11 @@ set as a table of eight families and provides, for each family,
     `skew_closed_count` for the four valuation cases of the skew family),
   * an independent brute-force counter (`table1_brute_count` enumerates
     the parameter boxes directly; `skew_brute_count` scans a box of
-    parameter tuples read off `in_supp`, decides each stratum of unit
-    residues with one `in_supp` probe, and counts the classes of the
-    canonical equivalence `skew_equal` by walking the orbits of 1 + p^t;
-    no closed expression is consulted).
+    parameter tuples read off `in_supp`, decides each stratum of units
+    with one `in_supp` probe, and counts the classes of `skew_equal` by
+    walking the orbits of 1 + p^t once per distinct accepted (v, t), which
+    is exact since the walk reads only (p, v, t); no closed expression is
+    consulted).
 
 The family table (row = family index used throughout the package):
 
@@ -43,6 +44,7 @@ The skew terms are not integral one by one, so a slip leaves a remainder.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
@@ -417,32 +419,29 @@ def skew_brute_count(case: str, n: int, q: int) -> int:
     """Count a skew valuation case by enumerating representatives.
 
     For every parameter tuple (i, k_x, k_y, k_z) in the box `_skew_tuples`
-    the counter splits the units u into strata of equal val(1 + u), on
+    the counter splits the units u into strata of equal v = val(1 + u), on
     which the valuation data and so membership are constant; one `in_supp`
-    probe decides each stratum.  An accepted stratum is enumerated at just
-    enough precision to decide the canonical equivalence, and its orbits
-    under multiplication by 1 + p^{j - val(y/x)} are counted by walking
-    them.  No closed expression is consulted anywhere.
+    probe decides each stratum.  The classes of an accepted stratum are the
+    orbits of 1 + p^t, t = j - val(y/x), on its units at precision t + 1;
+    that walk reads only (p, v, t), so each distinct (v, t) is walked once
+    per call and weighted by the number of strata sharing it.  No closed
+    expression is consulted anywhere.  NotPrime if q is not a prime power.
     """
+    prime_power(q)
     if case not in SKEW_CASES:
         raise ValueError(f"unknown skew case {case!r}; expected one of {SKEW_CASES}")
     if n > BRUTE_N_MAX:
         raise ResourceBound(f"skew_brute_count is guarded to n <= {BRUTE_N_MAX}")
     p = q
+    tally = Counter()
+    for i, k_x, k_y, k_z in _skew_tuples(case, n):
+        for probe, v in _strata(case, n, p, i, k_x, k_y, k_z):
+            if in_supp(probe, n):
+                tally[v, probe.j - (k_y - k_x)] += 1
     return sum(
-        _count_tuple(case, n, p, i, k_x, k_y, k_z)
-        for i, k_x, k_y, k_z in _skew_tuples(case, n)
+        mult * _orbit_count(_stratum_units(p, v, t + 1), p, t)
+        for (v, t), mult in tally.items()
     )
-
-
-def _count_tuple(case: str, n: int, p: int, i: int, k_x: int, k_y: int, k_z: int) -> int:
-    """Distinct support cosets above one (i, k_x, k_y, k_z) tuple."""
-    total = 0
-    for probe, v in _strata(case, n, p, i, k_x, k_y, k_z):
-        if in_supp(probe, n):
-            t = probe.j - (k_y - k_x)
-            total += _orbit_count(_stratum_units(p, v, t + 1), p, t)
-    return total
 
 
 def _strata(

@@ -186,6 +186,13 @@ class TestSkewCounts:
         with pytest.raises(ResourceBound):
             skew_brute_count("zLTxy", BRUTE_N_MAX + 1, 2)
 
+    @pytest.mark.parametrize("q", [0, 1, 6, 12])
+    def test_q_not_a_prime_power_refused(self, q):
+        # no residue field has q elements, so there are no units to count
+        for case in SKEW_CASES:
+            with pytest.raises(NotPrime):
+                skew_brute_count(case, 12, q)
+
 
 class TestSkewOracle:
     """The pruning inside skew_brute_count: the tuple box, the one membership
@@ -234,8 +241,8 @@ class TestSkewOracle:
                                 assert in_supp(s, n) == verdict, (s, n)
 
     def test_orbit_walk_matches_skew_equal(self):
-        for p in (2, 3):
-            for n in range(1, 12):
+        for p in (2, 3, 5, 7):
+            for n in range(1, 13):
                 for case in SKEW_CASES:
                     classes = []
                     for tup, units in self._accepted_strata(case, n, p):
@@ -247,6 +254,29 @@ class TestSkewOracle:
                             else:
                                 classes.append(s)
                     assert len(classes) == skew_brute_count(case, n, p), (case, n, p)
+
+    def test_probe_rejects_what_a_wider_box_adds(self, monkeypatch):
+        # the box is exactly the support, so no probe rejects a stratum of
+        # it; the counter relies only on the box holding the support, so a
+        # box that drops every inequality but the case's own must give the
+        # same counts, the probes rejecting what it adds
+        want = {(case, n, p): skew_brute_count(case, n, p)
+                for case in SKEW_CASES for n in range(1, 15) for p in (2, 3)}
+
+        def wide(case, n):
+            for i in range(2, n):
+                for k_x in range(1, i):
+                    for k_y in range(k_x + 1, n):
+                        k_zs = {"zLTxy": range(k_y + 1, k_x + k_y),
+                                "zGTxy": range(k_x + k_y + 1, 2 * n)}
+                        for k_z in k_zs.get(case, (k_x + k_y,)):
+                            yield i, k_x, k_y, k_z
+
+        for case in SKEW_CASES:
+            assert set(wide(case, 14)) > set(_skew_tuples(case, 14)), case
+        monkeypatch.setattr(cosets, "_skew_tuples", wide)
+        for (case, n, p), count in want.items():
+            assert skew_brute_count(case, n, p) == count, (case, n, p)
 
 
 class TestSupportScan:

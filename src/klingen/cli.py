@@ -423,9 +423,13 @@ def _suite_rg(qs: List[int], n_max: int, budget: int,
               seed: int) -> Tuple[int, List[Dict]]:
     check = _Checks()
     for q in qs:
+        predicted = {}  # Row k over F_q, built once for all its representatives
         for n in range(_SUITE_LEVELS["rg"][0], n_max + 1):
             for rep in enumerate_small_reps(n):
-                pred = named_subgroup(f"Row{row_of(rep, n)}", q)
+                row = row_of(rep, n)
+                if row not in predicted:
+                    predicted[row] = named_subgroup(f"Row{row}", q)
+                pred = predicted[row]
                 est = estimate_Rg(rep, n, q, budget=budget, seed=seed)
                 name = f"q={q} n={n} {rep!r}"
                 if est.is_subset_of(pred):

@@ -200,17 +200,20 @@ def in_supp(rep: CosetRep, n: int) -> bool:
         i, j, k = rep.i, rep.j, rep.k
         return i >= 1 and j >= 1 and i + j + 1 <= k <= min(2 * i + j, n) - 1
     if isinstance(rep, Skew):
-        if not (1 <= rep.k_x < rep.i and rep.k_x < rep.k_y < rep.k_z):
-            return False
-        v = rep._val_sum()
-        j = rep.i + v - (rep.k_x + rep.k_z - rep.k_y)
-        return (
-            rep.k_y - rep.k_x < j
-            and j < v
-            and rep.i + v < n
-            and j < 2 * (rep.k_y - rep.k_x)
-        )
+        return _skew_supp_j(rep, n) is not None
     raise TypeError(f"not a coset representative: {rep!r}")
+
+
+def _skew_supp_j(rep: Skew, n: int) -> Optional[int]:
+    """The derived j of a Skew representative in the level-n support, else
+    None: the Skew test of ``in_supp``, forming val(y + z/x) once."""
+    if not (1 <= rep.k_x < rep.i and rep.k_x < rep.k_y < rep.k_z):
+        return None
+    v = rep._val_sum()
+    j = rep.i + v - (rep.k_x + rep.k_z - rep.k_y)
+    if rep.k_y - rep.k_x < j < v and rep.i + v < n and j < 2 * (rep.k_y - rep.k_x):
+        return j
+    return None
 
 
 def row_of(rep: CosetRep, n: int) -> int:
@@ -420,8 +423,9 @@ def skew_brute_count(case: str, n: int, q: int) -> int:
 
     For every parameter tuple (i, k_x, k_y, k_z) in the box `_skew_tuples`
     the counter splits the units u into strata of equal v = val(1 + u), on
-    which the valuation data and so membership are constant; one `in_supp`
-    probe decides each stratum.  The classes of an accepted stratum are the
+    which the valuation data and so membership are constant; one probe of
+    `in_supp`'s Skew test, `_skew_supp_j`, decides each stratum and gives
+    its j.  The classes of an accepted stratum are the
     orbits of 1 + p^t, t = j - val(y/x), on its units at precision t + 1;
     that walk reads only (p, v, t), so each distinct (v, t) is walked once
     per call and weighted by the number of strata sharing it.  No closed
@@ -436,8 +440,9 @@ def skew_brute_count(case: str, n: int, q: int) -> int:
     tally = Counter()
     for i, k_x, k_y, k_z in _skew_tuples(case, n):
         for probe, v in _strata(case, n, p, i, k_x, k_y, k_z):
-            if in_supp(probe, n):
-                tally[v, probe.j - (k_y - k_x)] += 1
+            j = _skew_supp_j(probe, n)
+            if j is not None:
+                tally[v, j - (k_y - k_x)] += 1
     return sum(
         mult * _orbit_count(_stratum_units(p, v, t + 1), p, t)
         for (v, t), mult in tally.items()

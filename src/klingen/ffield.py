@@ -471,29 +471,35 @@ def row_reduce(rows, field) -> tuple:
     a = [list(r) for r in rows]
     pivots = []
     valuation = field.valuation
-    width, start = (len(a[0]) if a else 0), 0
-    while len(pivots) < len(a):
+    height, width = len(a), (len(a[0]) if a else 0)
+    col = 0
+    while len(pivots) < height:
         row = len(pivots)
         if valuation is None:
-            # no column before the last pivot's has a nonzero entry left
-            found = next(((r, c) for c in range(start, width)
-                          for r in range(row, len(a)) if a[r][c]), None)
+            # down column col from row, then on to the next column: no
+            # column before the last pivot's has a nonzero entry left
+            piv = row
+            while col < width and not a[piv][col]:
+                piv += 1
+                if piv == height:
+                    piv, col = row, col + 1
+            if col == width:
+                break
         else:
-            least = min(((valuation(x), c, r) for r in range(row, len(a))
+            least = min(((valuation(x), c, r) for r in range(row, height)
                          for c, x in enumerate(a[r]) if x), default=None)
-            found = least and least[:0:-1]
-        if found is None:
-            break
-        piv, col = found
+            if least is None:
+                break
+            _, col, piv = least
         a[row], a[piv] = a[piv], a[row]
         prow = a[row] = field.scale(a[row], field.inverse(a[row][col]))
         lead = prow[col]  # 1, or p^v over Z/p^M
-        for r in range(len(a)):
+        for r in range(height):
             f = a[r][col]
-            if r != row and f and not f % lead:
+            if f and r != row and (valuation is None or not f % lead):
                 a[r] = field.sub_multiple(a[r], f // lead, prow)
         pivots.append(col)
-        start = col + 1
+        col += 1
     return a[:len(pivots)], pivots
 
 

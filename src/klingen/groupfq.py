@@ -15,18 +15,23 @@ arithmetic through the per-field lookup tables of ``ffield.tables``, which
 keeps large closures cheap and exact.  Element construction, validation and
 the group law run on those encodings too: the named-subgroup
 parameterizations are built entry by entry with the add, mul, neg and inv
-tables, ``GSpElem`` products take mu from the mul table, and the inverse is
-the closed form mu^{-1} times the signed anti-transpose of g.  ``FqElem``
-appears only at the API boundary: ``GSpElem.mu``, ``Mat4.entry``, the
-entries ``Mat4.from_rows`` and ``Mat4.diag`` accept, and the parameter of
-``pos_root_elem`` and ``neg_root_elem``.
+tables and reach ``Subgroup`` as entry tuples with their mu, with no
+``Mat4`` or ``GSpElem`` per element; ``GSpElem`` products take mu from the
+mul table, and the inverse is the closed form mu^{-1} times the signed
+anti-transpose of g.  ``FqElem`` appears only at the API boundary:
+``GSpElem.mu``, ``Mat4.entry``, the entries ``Mat4.from_rows`` and
+``Mat4.diag`` accept, and the parameter of ``pos_root_elem`` and
+``neg_root_elem``.
 
-What is validated: ``gsp_elem`` checks all 16 entries of t(m) J m = mu J;
-it is the one validator.  ``named_subgroup`` runs it on every element of
-its hand-written parameterizations, and ``subgroup_closure`` and
-``adjoin`` run it once on each generator.  Closure products are trusted,
-since a product of similitudes is a similitude: each gets its mu from the
-(1,4) entry of t(g) J g,
+What is validated: ``_similitude_enc`` reads the six entries above the
+diagonal of t(m) J m = mu J (the rest follow, as that matrix is
+alternating) from a tuple of entry encodings; it is the one validator.
+``named_subgroup`` runs it on every entry tuple of its hand-written
+parameterizations, ``gsp_elem`` on the matrix it wraps (so
+``subgroup_closure`` and ``adjoin`` run it once on each generator), and
+``padic._lattice_order`` on every point it counts.  Closure products are
+trusted, since a product of similitudes is a similitude: each gets its mu
+from the (1,4) entry of t(g) J g,
 
     mu = g11 g44 + g21 g34 - g31 g24 - g41 g14,
 
@@ -157,25 +162,33 @@ def j_matrix(spec: FieldSpec) -> Mat4:
     )
 
 
-def _similitude_enc(m: Mat4) -> int:
-    """Encoding of mu with t(m) J m = mu J, or 0 if m is not a similitude.
+def _similitude_enc(e: tuple, t) -> int:
+    """Encoding of mu with t(m) J m = mu J for the matrix m with entries e
+    (16 encodings, row-major) over the field of the ``ffield.tables`` t, or
+    0 if m is not a similitude.
 
     J m is m's rows (4, 3, -2, -1), so entry (i, j) of t(m) J m is
     m1i m4j + m2i m3j - m3i m2j - m4i m1j.  That matrix is alternating for
     every m (x^t J x = 0 for an alternating J, in every characteristic), so
     its six entries above the diagonal decide: (1,2), (1,3), (2,4) and (3,4)
-    are 0, and (1,4) = (2,3) = mu is not.
+    are 0, and (1,4) = (2,3) = mu is not.  This is the one similitude test:
+    ``gsp_elem``, ``named_subgroup`` and ``padic._lattice_order`` call it.
     """
-    add, mul, neg, _, _ = ffield.tables(m.spec)
-    e = m.e
-    r0, r1, r2, r3 = e[0:4], e[4:8], e[8:12], e[12:16]
-
-    def form(i: int, j: int) -> int:
-        return add[add[mul[r0[i]][r3[j]]][mul[r1[i]][r2[j]]]][
-            neg[add[mul[r2[i]][r1[j]]][mul[r3[i]][r0[j]]]]]
-
-    mu = form(0, 3)
-    if not mu or form(1, 2) != mu or form(0, 1) or form(0, 2) or form(1, 3) or form(2, 3):
+    add, mul, neg = t.add, t.mul, t.neg
+    a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3 = e
+    # entry (i, j) is (a_i d_j + b_i c_j) - (c_i b_j + d_i a_j)
+    ma, mb, mc, md = mul[a0], mul[b0], mul[c0], mul[d0]
+    mu = add[add[ma[d3]][mb[c3]]][neg[add[mc[b3]][md[a3]]]]
+    if (not mu
+            or add[add[ma[d1]][mb[c1]]][neg[add[mc[b1]][md[a1]]]]
+            or add[add[ma[d2]][mb[c2]]][neg[add[mc[b2]][md[a2]]]]):
+        return 0
+    ma, mb, mc, md = mul[a1], mul[b1], mul[c1], mul[d1]
+    if (add[add[ma[d2]][mb[c2]]][neg[add[mc[b2]][md[a2]]]] != mu
+            or add[add[ma[d3]][mb[c3]]][neg[add[mc[b3]][md[a3]]]]):
+        return 0
+    ma, mb, mc, md = mul[a2], mul[b2], mul[c2], mul[d2]
+    if add[add[ma[d3]][mb[c3]]][neg[add[mc[b3]][md[a3]]]]:
         return 0
     return mu
 
@@ -228,7 +241,7 @@ def gsp_elem(m: Mat4) -> GSpElem:
     The similitude check is the whole check.  Pfaffians of t(m) J m = mu J
     give det m Pf(J) = mu^2 Pf(J), and Pf(J) = 1, so det m = mu^2 follows
     over any commutative ring."""
-    mu = _similitude_enc(m)
+    mu = _similitude_enc(m.e, ffield.tables(m.spec))
     if not mu:
         raise NotSimilitude(f"not a similitude matrix: {m}")
     return GSpElem(m, m.spec.from_encoding(mu))
@@ -246,9 +259,10 @@ class Subgroup:
     """A concrete subgroup: its matrices in key order (the tuple order of
     ``Mat4.e``) as the (N, 16) encoding array ``rows``, with the similitude
     encodings ``mus`` and the ``row_keys`` ``keys``, plus optional
-    generators.  ``make_subgroup`` hands rows and mus over as sorted lists,
-    which become arrays on first use, so that building a named subgroup
-    needs no numpy; ``elements`` are built from the rows on first use."""
+    generators.  ``make_subgroup`` and ``named_subgroup`` hand rows and mus
+    over as sorted lists, which become arrays on first use, so that building
+    a named subgroup needs no numpy; ``elements`` are built from the rows on
+    first use."""
 
     def __init__(self, spec: FieldSpec, rows, mus, generators=(), name=None):
         self.spec = spec
@@ -279,8 +293,9 @@ class Subgroup:
         return _elements(self.spec, self.rows, self.mus)
 
     def row_lists(self) -> tuple:
-        """(rows, mus) as Python sequences: the lists ``make_subgroup`` handed
-        over, or the arrays' ``tolist()`` for a group built as arrays."""
+        """(rows, mus) as Python sequences: the lists ``make_subgroup`` or
+        ``named_subgroup`` handed over, or the arrays' ``tolist()`` for a
+        group built as arrays."""
         rows, mus = self._sorted
         if isinstance(mus, list):
             return rows, mus
@@ -653,28 +668,28 @@ def _gl2_iter(spec: FieldSpec):
 
 
 def _named_elements(name: str, spec: FieldSpec):
-    """Yield the matrices for each supported subgroup name, built on
-    element encodings (1 is encoding 1, 0 is 0)."""
+    """Yield the entry tuples (16 encodings, row-major) of the matrices of
+    each supported subgroup name, built on element encodings (1 is
+    encoding 1, 0 is 0)."""
     add, mul, neg, inv, _ = ffield.tables(spec)
     E = range(spec.q)
     U = range(1, spec.q)
-    mk = lambda *e: Mat4(spec, e)
 
     if name == "U_S":
         for x in E:
             for y in E:
                 for z in E:
-                    yield mk(1, 0, 0, 0, 0, 1, 0, 0, x, y, 1, 0, z, x, 0, 1)
+                    yield (1, 0, 0, 0, 0, 1, 0, 0, x, y, 1, 0, z, x, 0, 1)
     elif name == "U_K":
         for x in E:
             for y in E:
                 for z in E:
-                    yield mk(1, 0, 0, 0, x, 1, 0, 0, y, 0, 1, 0, z, y, neg[x], 1)
+                    yield (1, 0, 0, 0, x, 1, 0, 0, y, 0, 1, 0, z, y, neg[x], 1)
     elif name == "M":
         for z in U:
             mz = mul[z]
             for a, b, c, d, det in _gl2_iter(spec):
-                yield mk(
+                yield (
                     z, 0, 0, 0, 0, mz[a], mz[b], 0, 0, mz[c], mz[d], 0, 0, 0, 0, mz[det]
                 )
     elif name in ("M1", "R_klingen"):
@@ -682,7 +697,7 @@ def _named_elements(name: str, spec: FieldSpec):
         sl2 = [(a, b, c, d) for a, b, c, d, det in _gl2_iter(spec) if det == 1]
         for x in E if name == "R_klingen" else (0,):
             for a, b, c, d in sl2:
-                yield mk(1, 0, 0, 0, 0, a, b, 0, 0, c, d, 0, x, 0, 0, 1)
+                yield (1, 0, 0, 0, 0, a, b, 0, 0, c, d, 0, x, 0, 0, 1)
     elif name == "S":
         for a in U:
             for b in U:
@@ -690,7 +705,7 @@ def _named_elements(name: str, spec: FieldSpec):
                 for x in E:
                     bx_a = mul[b_a][x]
                     for z in E:
-                        yield mk(a, 0, 0, 0, 0, b, 0, 0, x, 0, a, 0, z, bx_a, 0, b)
+                        yield (a, 0, 0, 0, 0, b, 0, 0, x, 0, a, 0, z, bx_a, 0, b)
     elif name == "A":
         for a in U:
             for d in U:
@@ -698,7 +713,7 @@ def _named_elements(name: str, spec: FieldSpec):
                 for x in E:
                     nx_d = mul[n_d][x]
                     for z in E:
-                        yield mk(a, 0, 0, 0, x, ad, 0, 0, 0, 0, a_d, 0, z, 0, nx_d, a)
+                        yield (a, 0, 0, 0, x, ad, 0, 0, 0, 0, a_d, 0, z, 0, nx_d, a)
     elif name in ("B", "C"):
         # B is the y = 0 part of C
         for a in U:
@@ -707,7 +722,7 @@ def _named_elements(name: str, spec: FieldSpec):
                     c_b, c_a = mul[c][inv[b]], mul[c][inv[a]]
                     for x in E:
                         for y in E if name == "C" else (0,):
-                            yield mk(a, 0, 0, 0, 0, b, 0, 0, 0, x, c_b, 0, y, 0, 0, c_a)
+                            yield (a, 0, 0, 0, 0, b, 0, 0, 0, x, c_b, 0, y, 0, 0, c_a)
     elif name == "D":
         for a in U:
             for b in U:
@@ -716,7 +731,7 @@ def _named_elements(name: str, spec: FieldSpec):
                     nc_b = neg[c_b]
                     for x in E:
                         for y in E:
-                            yield mk(
+                            yield (
                                 a, mul[a][y], 0, 0,
                                 0, b, 0, 0,
                                 0, x, c_b, mul[nc_b][y],
@@ -728,21 +743,21 @@ def _named_elements(name: str, spec: FieldSpec):
                 ad, a_d = mul[a][d], mul[a][inv[d]]
                 for y in E:
                     for z in E:
-                        yield mk(a, 0, 0, 0, 0, ad, 0, 0, 0, y, a_d, 0, z, 0, 0, a)
+                        yield (a, 0, 0, 0, 0, ad, 0, 0, 0, y, a_d, 0, z, 0, 0, a)
     elif name == "Row6":
         for a in U:
             for d in U:
                 nd_a = neg[mul[d][inv[a]]]
                 for x in E:
                     for y in E:
-                        yield mk(a, 0, 0, 0, x, a, 0, 0, 0, 0, d, 0, y, 0, mul[nd_a][x], d)
+                        yield (a, 0, 0, 0, x, a, 0, 0, 0, 0, d, 0, y, 0, mul[nd_a][x], d)
     elif name == "Row7":
         for a in U:
             for d in U:
                 d_a = mul[d][inv[a]]
                 for x in E:
                     for y in E:
-                        yield mk(a, 0, 0, 0, 0, d, 0, 0, x, y, a, 0, 0, mul[d_a][x], 0, d)
+                        yield (a, 0, 0, 0, 0, d, 0, 0, x, y, a, 0, 0, mul[d_a][x], 0, d)
     elif name in ("R_last", "Row8"):
         # Row8 is R_last times the scalars a
         for a in U if name == "Row8" else (1,):
@@ -751,12 +766,12 @@ def _named_elements(name: str, spec: FieldSpec):
                 nvv_a, nv = neg[mul[mul[v][v]][inv_a]], neg[v]
                 for b in E:
                     for c in E:
-                        yield mk(a, 0, 0, 0, v, a, 0, 0, b, v, a, 0, c, add[b][nvv_a], nv, a)
+                        yield (a, 0, 0, 0, v, a, 0, 0, b, v, a, 0, c, add[b][nvv_a], nv, a)
     elif name == "Z_ray":
         # the long-root center: every support coset group contains a
         # conjugate of this line
         for z in E:
-            yield mk(1, 0, 0, z, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1)
+            yield (1, 0, 0, z, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1)
     else:
         raise UnknownName(name)
 
@@ -775,16 +790,21 @@ def named_subgroup(name: str, q: int) -> Subgroup:
 
     Rows 1/2/3/4 coincide with D/C/M/B and are served as aliases (D's
     (1,2) entry a y is Row 1's u, so its (3,4) entry -(c/b) y is -(d/b) u
-    with d = c/a).  Every element
-    is validated as a similitude; element counts are tested against the
-    closed orders.
+    with d = c/a).  Every entry tuple is validated by the similitude test
+    ``_similitude_enc`` (NotSimilitude otherwise) and goes to the Subgroup
+    with its mu, no matrix object built; element counts are tested against
+    the closed orders.
     """
     if name not in NAMED_SUBGROUP_NAMES:
         raise UnknownName(f"{name!r}; known: {', '.join(NAMED_SUBGROUP_NAMES)}")
     spec = field_for_q(q)
-    base = _ALIASES.get(name, name)
-    elems = [gsp_elem(m) for m in _named_elements(base, spec)]
-    return make_subgroup(elems, name=name)
+    t = ffield.tables(spec)
+    pairs = sorted((e, _similitude_enc(e, t))
+                   for e in _named_elements(_ALIASES.get(name, name), spec))
+    rows, mus = [e for e, _ in pairs], [mu for _, mu in pairs]
+    if 0 in mus:
+        raise NotSimilitude(f"not a similitude matrix: {Mat4(spec, rows[mus.index(0)])}")
+    return Subgroup(spec, rows, mus, name=name)
 
 
 def upper_unipotent(spec: FieldSpec) -> Subgroup:

@@ -548,7 +548,8 @@ def _lattice_order(rep: CosetRep, n: int, q: int) -> Optional[int]:
     basis = _lattice_basis(rep, n, spec.p)
     if q**len(basis) > CLOSURE_BOUND:
         return None
-    add, mul = tables(spec)[:2]
+    t = tables(spec)
+    add, mul = t.add, t.mul
     multiples = [[tuple(mul[c][x] for x in b) for c in range(q)] for b in basis]
 
     def points(k: int, e: tuple):
@@ -560,7 +561,7 @@ def _lattice_order(rep: CosetRep, n: int, q: int) -> Optional[int]:
                 yield from points(k + 1, tuple(add[u][v] for u, v in zip(e, mb)))
 
     return (q - 1) * sum(1 for k in range(len(basis)) for e in points(k + 1, multiples[k][1])
-                         if _similitude_enc(Mat4(spec, e)))
+                         if _similitude_enc(e, t))
 
 
 def _reduce_fast(spec: FieldSpec, plan: tuple, h: Planes) -> Optional[Mat4]:

@@ -296,6 +296,17 @@ class TestRowReduce:
 
     @given(encoded_matrix(qs=[2, 3, 5, 7]))
     @settings(max_examples=300, deadline=None)
+    def test_field_scan_matches_the_ring_path_at_m_1(self, case):
+        """Over Z/p^1 every nonzero entry has valuation 0, so the ring path's
+        least-valuation search takes the first nonzero column and row: it
+        must give what the column scan over tables(p) gives."""
+        spec, rows = case
+        p = spec.p
+        ring = ff.FieldOps(lambda x: pow(x, -1, p), lambda x: x % p, lambda x: 0)
+        assert ff.row_reduce(rows, ff.tables(spec)) == ff.row_reduce(rows, ring)
+
+    @given(encoded_matrix(qs=[2, 3, 5, 7]))
+    @settings(max_examples=300, deadline=None)
     def test_tables_and_mod_prime_adapter_agree(self, case):
         spec, rows = case
         p = spec.p

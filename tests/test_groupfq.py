@@ -17,32 +17,37 @@ from klingen.errors import GroupTooLarge, MixedFields, NotSimilitude, UnknownNam
 from klingen.ffield import field_for_q
 
 
+def _similitude(m):
+    """The similitude test on the entry tuple of the Mat4 m."""
+    return gq._similitude_enc(m.e, ffield.tables(m.spec))
+
+
 class TestSimilitude:
     def test_j_is_symplectic(self):
         """J itself lies in Sp(4): t(J) J J = J."""
         for q in (2, 3, 4, 5):
             j = gq.j_matrix(field_for_q(q))
-            assert gq._similitude_enc(j) == field_for_q(q).one.encoding()
+            assert _similitude(j) == field_for_q(q).one.encoding()
 
     def test_root_elements_are_symplectic(self):
         for q in (2, 3, 4, 5):
             spec = field_for_q(q)
             for t in ffield.enumerate_field(spec):
                 for i in range(4):
-                    assert gq._similitude_enc(gq.pos_root_elem(spec, i, t)) == spec.one.encoding()
-                    assert gq._similitude_enc(gq.neg_root_elem(spec, i, t)) == spec.one.encoding()
+                    assert _similitude(gq.pos_root_elem(spec, i, t)) == spec.one.encoding()
+                    assert _similitude(gq.neg_root_elem(spec, i, t)) == spec.one.encoding()
 
     def test_similitude_diag(self):
         spec = field_for_q(5)
         m = gq.Mat4.diag(spec, 2, 2, 1, 1)
-        assert gq._similitude_enc(m) == spec(2).encoding()
+        assert _similitude(m) == spec(2).encoding()
 
     def test_not_similitude(self):
         spec = field_for_q(3)
         bad = gq.Mat4.from_rows(
             spec, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
         )
-        assert gq._similitude_enc(bad) == 0
+        assert _similitude(bad) == 0
         with pytest.raises(NotSimilitude):
             gq.gsp_elem(bad)
 
@@ -145,24 +150,30 @@ def _draw_word(data, q, label):
 
 
 class TestEncodingValidator:
-    """_similitude_enc, gsp_elem and the group law on encodings against the FqElem
-    reference above, on random words in the generators of GSp(4, q) and on
-    copies with one entry changed."""
+    """_similitude_enc on entry tuples, gsp_elem and the group law on
+    encodings against the FqElem reference above, on random words in the
+    generators of GSp(4, q), on copies with one entry changed and on
+    arbitrary matrices."""
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_validator(self, q, data):
         spec = field_for_q(q)
-        rows = _draw_word(data, q, "word")
-        if data.draw(st.booleans(), label="change an entry"):
+        kind = data.draw(st.sampled_from(["word", "changed", "arbitrary"]), label="kind")
+        if kind == "arbitrary":  # nearly never a similitude
+            rows = [[spec.from_encoding(data.draw(st.integers(0, q - 1), label="entry"))
+                     for _ in range(4)] for _ in range(4)]
+        else:
+            rows = _draw_word(data, q, "word")
+        if kind == "changed":
             r = data.draw(st.integers(0, 3), label="row")
             c = data.draw(st.integers(0, 3), label="column")
             rows[r][c] = spec.from_encoding(data.draw(st.integers(0, q - 1), label="value"))
         m = gq.Mat4.from_rows(spec, rows)
         mu = _ref_similitude(rows)
         det = _ref_det(rows)
-        assert gq._similitude_enc(m) == (0 if mu is None else mu.encoding())
+        assert _similitude(m) == (0 if mu is None else mu.encoding())
         if mu is None or det != mu * mu:
             with pytest.raises(NotSimilitude):
                 gq.gsp_elem(m)
@@ -187,7 +198,7 @@ class TestEncodingValidator:
                 cases.append(rows)
         for rows in cases:
             mu = _ref_similitude(rows)
-            assert gq._similitude_enc(gq.Mat4.from_rows(spec, rows)) == (
+            assert _similitude(gq.Mat4.from_rows(spec, rows)) == (
                 0 if mu is None else mu.encoding()), rows
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
@@ -222,6 +233,14 @@ class TestNamedSubgroups:
     def test_unknown_name(self):
         with pytest.raises(UnknownName):
             gq.named_subgroup("Q", 3)
+
+    def test_tuple_that_is_not_a_similitude_is_refused(self, monkeypatch):
+        """named_subgroup validates every entry tuple it is handed: one that
+        is not a similitude raises NotSimilitude naming the matrix."""
+        bad = (1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1)
+        monkeypatch.setattr(gq, "_named_elements", lambda name, spec: iter([bad]))
+        with pytest.raises(NotSimilitude, match=r"not a similitude matrix: Mat4\(F3; 1 1 0 0 \|"):
+            gq.named_subgroup("Row5", 3)
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_all_named_sets_are_groups(self, q):
@@ -438,7 +457,7 @@ class TestTrustedClosure:
     @staticmethod
     def _assert_similitudes(elems):
         for g in elems:
-            assert gq._similitude_enc(g.mat) == g.mu.encoding()
+            assert _similitude(g.mat) == g.mu.encoding()
             assert _ref_det(_ref_rows(g.mat)) == g.mu * g.mu
 
     def test_gsp4_3_sampled(self):

@@ -489,7 +489,7 @@ class TestEnvelope:
                 assert _envelope_order(rep, n, q) == int(inside.sum()), (rep, n)
 
     def test_order_counts_the_similitudes_on_the_pattern_q4(self):
-        spec = field_for_q(4)
+        t = tables(field_for_q(4))
         for n in range(1, 4):
             for rep in enumerate_diagonal_reps(n):
                 allowed = _allowed(rep, n)
@@ -499,7 +499,7 @@ class TestEnvelope:
                     e = [0] * 16
                     for i, v in zip(allowed, values):
                         e[i] = v
-                    count += _similitude_enc(Mat4(spec, tuple(e))) != 0
+                    count += _similitude_enc(tuple(e), t) != 0
                 assert _envelope_order(rep, n, 4) == count, (rep, n)
 
     def test_other_representatives_have_no_envelope(self):

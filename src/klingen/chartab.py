@@ -619,14 +619,7 @@ _NAME_DIMS = {
     "M": _ROW_DIMS[3],
     "M1": (lambda q: 0, lambda q: 2 * (q - 1)),
     "R_klingen": (lambda q: 0, lambda q: 0),
-    "Row1": _ONE,
-    "Row2": _ONE,
-    "Row3": _ROW_DIMS[3],
-    "Row4": _ROW_DIMS[4],
-    "Row5": _Q_MINUS_1,
-    "Row6": _Q_MINUS_1,
-    "Row7": _Q_MINUS_1,
-    "Row8": _Q_MINUS_1,
+    **{f"Row{k}": dims for k, dims in _ROW_DIMS.items()},
 }
 
 

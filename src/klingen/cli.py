@@ -23,6 +23,11 @@ than 2 (exit 1; ``verify all`` runs its chartab suite at q = 2 whatever
 it would check nothing, or above its last (exit 1, ``_SUITE_LEVELS``), and
 dim, enumerate or table at a level too large to print (exit 3,
 ``DIGITS_BOUND``).
+Every verify suite records its checks in one ``verify_lemmas.Checks``; a
+failed check is listed under the suite's failures and the remaining suites
+still run (exit 2 once all have).  Only a chartab run that cannot build the
+character table or its virtual typeII carrier raises MismatchReport (exit
+2, nothing on stdout).
 Identical flags (and seed) produce byte-identical output.  Only the rg
 suite of verify samples, so only verify takes --seed, and the KLINGEN_SEED
 environment variable is read only when the rg suite runs.
@@ -81,7 +86,7 @@ from .errors import (
 from .ffield import prime_power
 from .groupfq import named_subgroup
 from .padic import estimate_Rg
-from .verify_lemmas import verify_char_lemmas
+from .verify_lemmas import Checks, verify_char_lemmas
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -382,29 +387,15 @@ def cmd_enumerate(args: argparse.Namespace, out) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-class _Checks:
-    """Records checks: calling it with (name, expected, actual) counts one
-    check and keeps it as a failure if the two values differ."""
-
-    def __init__(self):
-        self.count = 0
-        self.failures: List[Dict] = []
-
-    def __call__(self, name, expected, actual):
-        self.count += 1
-        if expected != actual:
-            self.failures.append({"name": name, "expected": str(expected),
-                                  "actual": str(actual)})
-
-
 # the lowest level each suite taking --n-max checks, its default --n-max and
 # its highest level (None: no limit); the rg suite enumerates representatives
 # of the polynomial rows only, which end at level 7
 _SUITE_LEVELS = {"counts": (1, 14, None), "rg": (2, 5, 7), "theorem": (0, 40, None)}
 
 
-def _suite_counts(qs: List[int], n_max: int) -> Tuple[int, List[Dict]]:
-    check = _Checks()
+def _suite_counts(qs: List[int], n_max: int) -> Checks:
+    checks = Checks()
+    check = checks.check
     for q in qs:
         for n in range(_SUITE_LEVELS["counts"][0], n_max + 1):
             for row in range(1, 8):
@@ -416,12 +407,12 @@ def _suite_counts(qs: List[int], n_max: int) -> Tuple[int, List[Dict]]:
         if n_max >= 8:
             check(f"q={q} zEQxy_unit witness n=8",
                   q - 2, skew_closed_count("zEQxy_unit", 8, q))
-    return check.count, check.failures
+    return checks
 
 
-def _suite_rg(qs: List[int], n_max: int, budget: int,
-              seed: int) -> Tuple[int, List[Dict]]:
-    check = _Checks()
+def _suite_rg(qs: List[int], n_max: int, budget: int, seed: int) -> Checks:
+    checks = Checks()
+    check = checks.check
     for q in qs:
         predicted = {}  # Row k over F_q, built once for all its representatives
         for n in range(_SUITE_LEVELS["rg"][0], n_max + 1):
@@ -436,20 +427,16 @@ def _suite_rg(qs: List[int], n_max: int, budget: int,
                     check(name, f"order {pred.order}", f"order {est.order}")
                 else:
                     check(name, "contained in prediction", "not contained")
-    return check.count, check.failures
+    return checks
 
 
-def _suite_chartab() -> Tuple[int, List[Dict]]:
-    report = verify_char_lemmas(2)
-    failures = [
-        {"name": name, "expected": str(exp), "actual": str(act)}
-        for name, exp, act in report.failures()
-    ]
-    return len(report.checks), failures
+def _suite_chartab() -> Checks:
+    return verify_char_lemmas(2).checks
 
 
-def _suite_theorem(qs: List[int], n_max: int) -> Tuple[int, List[Dict]]:
-    check = _Checks()
+def _suite_theorem(qs: List[int], n_max: int) -> Checks:
+    checks = Checks()
+    check = checks.check
     type_i = family_from_name("typeI")
     type_ii = family_from_name("typeII")
     nongen = family_from_name("nongeneric")
@@ -474,7 +461,7 @@ def _suite_theorem(qs: List[int], n_max: int) -> Tuple[int, List[Dict]]:
                   ).total)
             if q in (2, 3) and n >= 1:
                 check(f"q={q} n={n} corollary", r1.total, corollary_value(q, n))
-    return check.count, check.failures
+    return checks
 
 
 def cmd_verify(args: argparse.Namespace, out) -> int:
@@ -516,18 +503,19 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
     suites: List[Dict] = []
     for name in sorted(chosen):
         if name == "counts":
-            checks, failures = _suite_counts(given or [2, 3], n_maxes[name])
+            checks = _suite_counts(given or [2, 3], n_maxes[name])
         elif name == "rg":
-            checks, failures = _suite_rg(given or [2], n_maxes[name],
-                                         args.budget, seed)
+            checks = _suite_rg(given or [2], n_maxes[name], args.budget, seed)
         elif name == "chartab":
-            checks, failures = _suite_chartab()
+            checks = _suite_chartab()
         else:
-            checks, failures = _suite_theorem(given or [2, 3, 4, 5, 7], n_maxes[name])
+            checks = _suite_theorem(given or [2, 3, 4, 5, 7], n_maxes[name])
+        failures = [{"name": c.name, "expected": str(c.expected),
+                     "actual": str(c.actual)} for c in checks.failures()]
         suites.append({
             "suite": name,
             "passed": not failures,
-            "checks": checks,
+            "checks": len(checks),
             "failures": failures,
         })
     all_pass = all(s["passed"] for s in suites)

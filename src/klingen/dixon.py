@@ -389,8 +389,10 @@ class CharacterTable:
 # ---------------------------------------------------------------------------
 
 def _class_products(group: Subgroup, classes: list) -> tuple:
-    """(labels, kstar, mats): the class of each row of ``group``, the
-    inverse class of each class, and a generator of the class matrices
+    """(labels, power_classes, kstar, mats): the class of each row of
+    ``group``, the classes of the powers of each rep (``_power_classes``),
+    the inverse class of each class, which is the class of its rep's last
+    power rep^(e-1) = rep^-1, and a generator of the class matrices
     (M_i)_{j,k} = a_{ij}^k, the number of w in C_{i*} with w z_k in C_j
     (z_k the rep), built one class i at a time as it is consumed."""
     import numpy as np
@@ -400,8 +402,8 @@ def _class_products(group: Subgroup, classes: list) -> tuple:
     labels = np.empty(group.order, dtype=np.intp)
     for k, cls in enumerate(classes):
         labels[cls.index] = k
-    inverses = _rows([cls.rep.inverse().mat.e for cls in classes], spec)
-    kstar = labels[_positions(keys, inverses)].tolist()
+    power_classes = [_power_classes(group, labels, cls.rep) for cls in classes]
+    kstar = [pows[-1] for pows in power_classes]
     z = rows[[cls.index[0] for cls in classes]].reshape(1, r, 4, 4)
 
     def mats():
@@ -411,7 +413,7 @@ def _class_products(group: Subgroup, classes: list) -> tuple:
             counts = np.bincount((j * r + np.arange(r)).ravel(), minlength=r * r)
             yield counts.reshape(r, r).tolist()
 
-    return labels, kstar, mats()
+    return labels, power_classes, kstar, mats()
 
 
 def _power_classes(group: Subgroup, labels, g: GSpElem) -> list:
@@ -438,9 +440,8 @@ def dixon_table(group: Subgroup) -> CharacterTable:
     if r > CLASS_BOUND:
         raise DixonBoundExceeded(f"{r} classes exceed bound {CLASS_BOUND}")
 
-    labels, kstar, mats = _class_products(group, classes)
+    labels, power_classes, kstar, mats = _class_products(group, classes)
     sizes = [cls.size for cls in classes]
-    power_classes = [_power_classes(group, labels, cls.rep) for cls in classes]
     id_class = power_classes[0][0]
     orders = [len(pows) for pows in power_classes]
     exponent = math.lcm(*orders)

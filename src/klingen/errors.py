@@ -64,9 +64,11 @@ class DixonBoundExceeded(KlingenError):
 
 
 class MismatchReport(KlingenError):
-    """verify_char_lemmas found disagreements.
+    """A character table, or the virtual typeII carrier verify_char_lemmas
+    checks against, could not be built consistently.  A failed comparison
+    of a verify suite is not raised: its ``Checks`` lists it.
 
-    The ``failures`` attribute lists every failed check as
+    The ``failures`` attribute lists what failed as
     ``(check_name, expected, actual)`` triples.
     """
 

@@ -793,14 +793,20 @@ def named_subgroup(name: str, q: int) -> Subgroup:
     with d = c/a).  Every entry tuple is validated by the similitude test
     ``_similitude_enc`` (NotSimilitude otherwise) and goes to the Subgroup
     with its mu, no matrix object built; element counts are tested against
-    the closed orders.
+    the closed orders.  GroupTooLarge once the parameterization yields more
+    than ``CLOSURE_BOUND`` tuples, before any is tested.
     """
     if name not in NAMED_SUBGROUP_NAMES:
         raise UnknownName(f"{name!r}; known: {', '.join(NAMED_SUBGROUP_NAMES)}")
     spec = field_for_q(q)
     t = ffield.tables(spec)
-    pairs = sorted((e, _similitude_enc(e, t))
-                   for e in _named_elements(_ALIASES.get(name, name), spec))
+    elems = list(itertools.islice(_named_elements(_ALIASES.get(name, name), spec),
+                                  CLOSURE_BOUND + 1))
+    if len(elems) > CLOSURE_BOUND:
+        raise GroupTooLarge(
+            f"named subgroup {name} over F_{q} has more than {CLOSURE_BOUND} elements"
+        )
+    pairs = sorted((e, _similitude_enc(e, t)) for e in elems)
     rows, mus = [e for e, _ in pairs], [mu for _, mu in pairs]
     if 0 in mus:
         raise NotSimilitude(f"not a similitude matrix: {Mat4(spec, rows[mus.index(0)])}")

@@ -284,6 +284,10 @@ class TestDimensionRoutes:
             assert dim_fixed_family("R_klingen", TYPE_II, q) == 0
             for row, want in ((1, 1), (2, 1), (4, q + 1), (5, q - 1), (8, q - 1)):
                 assert dim_fixed_family(row, TYPE_I, q) == want
+            for row in range(1, 9):
+                for fam in (TYPE_I, TYPE_II):
+                    assert (dim_fixed_family(f"Row{row}", fam, q)
+                            == dim_fixed_family(row, fam, q))
 
 
 class TestIntersectionCounts:
@@ -443,11 +447,13 @@ class TestDixonOracle:
             x_inv = x.inverse()
             for k, cls in enumerate(classes):
                 want[class_of[x.key()]][class_of[(x_inv * cls.rep).key()]][k] += 1
-        labels, kstar, mats = _class_products(table_q2.group, classes)
+        labels, power_classes, kstar, mats = _class_products(table_q2.group, classes)
         assert list(mats) == want
         assert labels.tolist() == [class_of[g.key()] for g in table_q2.group.elements]
         assert (table_q2.labels == labels).all()
+        # kstar is read off the power classes; hold it to GSpElem.inverse
         assert kstar == [class_of[c.rep.inverse().key()] for c in classes]
+        assert kstar == [pows[-1] for pows in power_classes]
 
     def test_class_counts(self, table_q2):
         """class_counts against a per-element count through class_index and
@@ -497,3 +503,19 @@ class TestVerifySuite:
     def test_rejects_other_q(self):
         with pytest.raises(DixonBoundExceeded):
             verify_char_lemmas(3)
+
+    def test_failed_checks_are_recorded(self, monkeypatch):
+        """Two wrong closed values give a report, not an exception: ok is
+        False and failures() lists the checks of both, each once per route."""
+        monkeypatch.setitem(chartab._NAME_DIMS, "S", (lambda q: 7, lambda q: q - 1))
+        monkeypatch.setitem(chartab._NAME_DIMS, "A", (lambda q: q - 1, lambda q: 9))
+        report = verify_char_lemmas(2)
+        assert not report.ok
+        assert report.failures() == report.checks.failures()
+        assert [c.name for c in report.failures()] == [
+            f"dim typeI^S (oracle, char {report.type_i[0]})",
+            "dim typeI^S (pinned classes)",
+            "dim typeII^A (virtual)",
+            "dim typeII^A (pinned classes)",
+        ]
+        assert {(c.expected, c.actual) for c in report.failures()} == {(7, 1), (9, 1)}

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from klingen import cli, dims, errors, groupfq, verify_lemmas
+from klingen import chartab, cli, dims, errors, groupfq, verify_lemmas
 
 
 def run_cli(*argv):
@@ -191,6 +191,25 @@ class TestVerify:
         assert err.startswith("verification mismatch: ")
         assert "virtual typeII carrier" in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_chartab_failed_check_is_listed(self, monkeypatch):
+        # a wrong closed typeI value for S fails two lemma checks: they are
+        # listed under the suite's failures, and verify all still runs the
+        # other three suites
+        monkeypatch.setitem(chartab._NAME_DIMS, "S", (lambda q: 5, lambda q: q - 1))
+        code, out, err = run_cli("verify", "chartab", "-o", "json")
+        assert (code, err) == (2, "")
+        (suite,) = json.loads(out)["suites"]
+        assert suite["passed"] is False
+        assert {"name": "dim typeI^S (pinned classes)", "expected": "5",
+                "actual": "1"} in suite["failures"]
+        assert len(suite["failures"]) == 2
+        code, out, err = run_cli("verify", "all", "--n-max", "2", "-o", "json")
+        assert (code, err) == (2, "")
+        doc = json.loads(out)
+        assert [(s["suite"], s["passed"]) for s in doc["suites"]] == [
+            ("chartab", False), ("counts", True), ("rg", True), ("theorem", True)]
+        assert doc["suites"][0] == suite
 
     def test_rg_depth_limit_usage(self):
         code, _, err = run_cli("verify", "rg", "--n-max", "9")

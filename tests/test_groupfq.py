@@ -242,6 +242,18 @@ class TestNamedSubgroups:
         with pytest.raises(NotSimilitude, match=r"not a similitude matrix: Mat4\(F3; 1 1 0 0 \|"):
             gq.named_subgroup("Row5", 3)
 
+    def test_size_bound(self, monkeypatch):
+        """A parameterization that yields more than CLOSURE_BOUND tuples is
+        refused with GroupTooLarge naming the group, q and the bound, before
+        any tuple is tested; at the bound the group is built."""
+        monkeypatch.setattr(gq, "CLOSURE_BOUND", 63)
+        with pytest.raises(GroupTooLarge, match=r"U_S over F_4 has more than 63 elements"):
+            gq.named_subgroup("U_S", 4)
+        with pytest.raises(GroupTooLarge, match=r"Row1 over F_3 has more than 63 elements"):
+            gq.named_subgroup("Row1", 3)  # D: (q - 1)^3 q^2 = 72
+        monkeypatch.setattr(gq, "CLOSURE_BOUND", 64)
+        assert gq.named_subgroup("U_S", 4).order == 64
+
     @pytest.mark.parametrize("q", [2, 3])
     def test_all_named_sets_are_groups(self, q):
         """Scan parameterizations are closed under multiplication and inverse."""
@@ -340,8 +352,9 @@ def _same_closure(a, b):
 
 
 class TestClosure:
-    def test_numpy_and_generic_paths_agree(self):
-        """The numpy closure against the FqElem reference BFS."""
+    def test_closure_matches_reference_bfs(self):
+        """The closure of the GSp(4, 2) generators against the FqElem
+        reference BFS."""
         gens = gq.gsp4_generators(field_for_q(2))
         sub = gq.subgroup_closure(gens)
         ref = _ref_closure(gens)

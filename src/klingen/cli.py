@@ -78,6 +78,7 @@ from .errors import (
     NotPrime,
     NotScopedClass,
     NotSimilitude,
+    OrderMismatch,
     PrecisionTooLow,
     ResourceBound,
     UnknownName,
@@ -109,7 +110,7 @@ _ERROR_EXITS = {
         UnknownName, ValueNotPinned, NotScopedClass,
     ),
     (EXIT_DISAGREE, "disagreement"): (
-        DisagreementError, NonIntegralResult, NotPolynomial,
+        DisagreementError, OrderMismatch, NonIntegralResult, NotPolynomial,
     ),
     (EXIT_DISAGREE, "verification mismatch"): (MismatchReport,),
     (EXIT_RESOURCE, "resource bound"): (

@@ -120,5 +120,14 @@ class DisagreementError(KlingenError):
         )
 
 
+class OrderMismatch(DisagreementError):
+    """A group built from its parameterization does not have as many
+    distinct elements as its order formula says: the construction and the
+    formula disagree.  The message names the group, q and both counts."""
+
+    def __init__(self, message):
+        KlingenError.__init__(self, message)
+
+
 class ResourceBound(KlingenError):
     """A verification suite hit an explicit resource bound (size, budget)."""

@@ -28,36 +28,46 @@ diagonal of t(m) J m = mu J (the rest follow, as that matrix is
 alternating) from a tuple of entry encodings; it is the one validator.
 ``named_subgroup`` runs it on every entry tuple of its hand-written
 parameterizations, ``gsp_elem`` on the matrix it wraps (so
-``subgroup_closure`` and ``adjoin`` run it once on each generator), and
-``padic._lattice_order`` on every point it counts.  Closure products are
-trusted, since a product of similitudes is a similitude: each gets its mu
-from the (1,4) entry of t(g) J g,
+``subgroup_closure`` and ``adjoin`` run it once on each generator, and
+``enumerate_gsp4`` and ``upper_unipotent`` once on each factor of their
+products), and ``padic._lattice_order`` on every point it counts.
+Products are trusted, since a product of similitudes is a similitude: a
+closure product gets its mu from the (1,4) entry of t(g) J g,
 
     mu = g11 g44 + g21 g34 - g31 g24 - g41 g14,
 
-without the full check.  Nothing compares det m with mu^2, which the
-similitude check already forces (see ``gsp_elem``).
+without the full check, and a Bruhat product the product of its factors'
+mus.  Nothing compares det m with mu^2, which the similitude check already
+forces (see ``gsp_elem``).
 
 A ``Subgroup`` is one sorted (N, 16) array of encodings; whole-group work
 (closure, membership, conjugacy classes, Dixon's class products,
 ``dim_fixed``) reads it with one kernel and one index, and ``GSpElem``
-objects are built only when ``Subgroup.elements`` is asked for.  Closure
-is Dimino's: each group is a union of right cosets of the one before, found
+objects are built only when ``Subgroup.elements`` is asked for.  The whole
+group GSp(4, q) and its upper unipotent subgroup U are not closed but
+built: ``enumerate_gsp4`` multiplies out the Bruhat cells U_w w T U and
+``upper_unipotent`` the products of the positive root groups, each in a
+few batched kernel calls, and both require the count of distinct rows
+that the group's order gives.  Closure, which backs ``adjoin`` (the R_g
+sampler and ``conjugacy_classes`` of a group without generators) and
+``subgroup_closure`` (the tests' oracle for the Bruhat build), is
+Dimino's: each group is a union of right cosets of the one before, found
 by their representatives alone.  The kernel, ``_fq_matmul``, splits entries
 into base-p digit planes, multiplies plane by plane and folds back by the
 modulus; its arrays are int16 while a plane entry stays below 2^15 (every
-extension field up to ``ffield.FIELD_BOUND``, primes up to 89), which also
-keeps the GSp(4, 3) closure's peak memory a fifth below int32.  The index,
+extension field up to ``ffield.FIELD_BOUND``, primes up to 89).  The index,
 ``row_keys``, packs a row into 16 big-endian uint16s, so keys sort as the
-entry tuples do (a closure is put in that order by one lexsort of its
-columns, ``_key_order``) and ``_positions`` finds rows by ``searchsorted``.
+entry tuples do (a closure or a built group is put in that order by one
+lexsort of its columns, ``_key_order``) and ``_positions`` finds rows by
+``searchsorted``.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Iterable
 
 from . import ffield
@@ -66,6 +76,7 @@ from .errors import (
     GroupTooLarge,
     MixedFields,
     NotSimilitude,
+    OrderMismatch,
     UnknownName,
 )
 from .ffield import FieldSpec, FqElem, field_for_q
@@ -635,18 +646,111 @@ def gsp4_generators(spec: FieldSpec) -> list:
     return [gsp_elem(m) for m in mats]
 
 
+# The simple reflections as signed permutation matrices: s1 swaps e1, e2 and
+# e3, e4 (mu = 1); s2 swaps e2, e3 and negates e4, a similitude with mu = -1
+# (the plain transposition is none).  The 8 Weyl representatives are the
+# reduced words in them.
+_SIMPLE_REFLECTIONS = {
+    "1": (0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0),
+    "2": (1, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, -1),
+}
+_WEYL_WORDS = ("", "1", "2", "12", "21", "121", "212", "1212")
+_ABOVE_DIAGONAL = [4 * r + c for r in range(4) for c in range(r + 1, 4)]
+
+
+def _unipotent_rows(spec: FieldSpec):
+    """The rows of U as a (q, q, q, q, 16) array: entry [t1, t2, t3, t4] is
+    the product x1(t1) x2(t2) x3(t3) x4(t4) of one element from each
+    positive root group, in the order of ``POS_ROOT_POSITIONS``, so fixing
+    t_i = 0 leaves root i out of the product.  Three ``_fq_matmul`` calls;
+    each root element is validated once with ``gsp_elem``."""
+    field = ffield.enumerate_field(spec)
+    u = None
+    for i in range(4):
+        root = _rows([gsp_elem(pos_root_elem(spec, i, t)).mat.e for t in field], spec)
+        u = root if u is None else _fq_matmul(
+            u.reshape(-1, 1, 4, 4), root.reshape(1, -1, 4, 4), spec)
+    return u.reshape((spec.q,) * 4 + (16,))
+
+
+def _weyl_reps(spec: FieldSpec) -> tuple:
+    """(reps, inverted): the Weyl representatives as GSpElem products of
+    the simple reflections, each validated once with ``gsp_elem``, and an
+    (8, 4) bool array marking for each the positive roots a whose conjugate
+    w^{-1} U_a w is lower triangular, the roots of U_w."""
+    simple = {s: gsp_elem(Mat4(spec, tuple(_enc(spec, x) for x in e)))
+              for s, e in _SIMPLE_REFLECTIONS.items()}
+    one = gsp_elem(Mat4.identity(spec))
+    reps = [reduce(operator.mul, (simple[s] for s in word), one)
+            for word in _WEYL_WORDS]
+    w, w_inv = (_rows([g.mat.e for g in gs], spec).reshape(-1, 1, 4, 4)
+                for gs in (reps, [g.inverse() for g in reps]))
+    roots = _rows([pos_root_elem(spec, i, spec.one).e for i in range(4)], spec)
+    conj = _fq_matmul(_fq_matmul(w_inv, roots.reshape(4, 4, 4), spec), w, spec)
+    return reps, ~conj.reshape(-1, 4, 16)[:, :, _ABOVE_DIAGONAL].any(axis=2)
+
+
+def _distinct_subgroup(spec: FieldSpec, rows, mus, order: int, name: str,
+                       generators=()) -> Subgroup:
+    """The Subgroup of the (N, 16) encoding array ``rows`` with similitude
+    encodings ``mus``, put in key order by one ``_key_order`` sort.
+    OrderMismatch unless the rows are distinct and N = order: that many
+    distinct products of elements of a group of that order are the group."""
+    import numpy as np
+
+    perm = _key_order(rows)
+    rows, mus = rows[perm], mus[perm]
+    distinct = 1 + int(np.count_nonzero((rows[1:] != rows[:-1]).any(axis=1)))
+    if distinct != len(rows) or len(rows) != order:
+        raise OrderMismatch(
+            f"{name} over F_{spec.q}: {distinct} distinct of {len(rows)} products, "
+            f"expected {order} elements"
+        )
+    return Subgroup(spec, rows, mus, generators, name)
+
+
 def enumerate_gsp4(q: int) -> Subgroup:
-    """The full group GSp(4, F_q) as a Subgroup, by closure of its
-    generators; q > 3 is refused with GroupTooLarge."""
+    """The full group GSp(4, F_q) as a Subgroup, with ``gsp4_generators``
+    as its generators; q > 3 is refused with GroupTooLarge.
+
+    No closure: the group is the disjoint union of the 8 Bruhat cells
+    U_w w T U (Carter, Finite Groups of Lie Type, 1985, 2.5), where T is
+    the similitude torus diag(a, b, mu/b, mu/a), U the upper unipotent
+    group of ``_unipotent_rows``, w a Weyl representative of
+    ``_weyl_reps`` and U_w the product of the root groups w inverts, read
+    off U with the other roots' parameters at 0.  T U is one
+    ``_fq_matmul``, the U_w w of all cells one more and the cells
+    themselves one more; a product's mu is mu(w) mu(t), since unipotent
+    factors have mu 1.  Each factor is validated once with ``gsp_elem``
+    and the products are trusted; ``_distinct_subgroup`` requires
+    |GSp(4, q)| distinct rows (OrderMismatch otherwise), which makes them
+    the whole group.
+    """
+    import numpy as np
+
     spec = field_for_q(q)
     if q > 3:
         raise GroupTooLarge(f"|GSp(4,{q})| = {gsp4_order(q)} cannot be materialized")
-    group = subgroup_closure(gsp4_generators(spec), name=f"GSp(4,{q})")
-    if group.order != gsp4_order(q):
-        raise RuntimeError(
-            f"closure produced {group.order} elements, expected {gsp4_order(q)}"
-        )
-    return group
+    _, mul, _, inv, _ = ffield.tables(spec)
+    units = range(1, q)
+    torus = [(mu, a, b) for mu in units for a in units for b in units]
+    t = _rows([gsp_elem(Mat4(spec, (a, 0, 0, 0, 0, b, 0, 0, 0, 0, mul[mu][inv[b]], 0,
+                                    0, 0, 0, mul[mu][inv[a]]))).mat.e
+               for mu, a, b in torus], spec)
+    u = _unipotent_rows(spec)
+    borel = _fq_matmul(t.reshape(-1, 1, 4, 4), u.reshape(1, -1, 4, 4), spec)
+    reps, inverted = _weyl_reps(spec)
+    u_w = [u[tuple(slice(None) if i else 0 for i in marks)].reshape(-1, 4, 4)
+           for marks in inverted]
+    sizes = [len(x) for x in u_w]
+    w = np.repeat(_rows([g.mat.e for g in reps], spec).reshape(-1, 4, 4), sizes, axis=0)
+    u_w_w = _fq_matmul(np.concatenate(u_w), w, spec)
+    rows = _fq_matmul(u_w_w[:, None], borel.reshape(1, -1, 4, 4), spec).reshape(-1, 16)
+    mu_w = np.repeat([g.mu.encoding() for g in reps], sizes)
+    mu_t = np.repeat([mu for mu, _, _ in torus], q**4)
+    mus = np.asarray(mul, dtype=rows.dtype)[mu_w[:, None], mu_t].ravel()
+    return _distinct_subgroup(spec, rows, mus, gsp4_order(q), f"GSp(4,{q})",
+                              gsp4_generators(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -665,6 +769,26 @@ def _gl2_iter(spec: FieldSpec):
                     det = add[mul[a][d]][nbc]
                     if det:
                         yield a, b, c, d, det
+
+
+# The ranges each parameterization of ``_named_elements`` loops over, outer
+# to inner: E the q field elements, U the q - 1 units, G the invertible and
+# S the determinant-1 2x2 matrices.  Their sizes multiply to the number of
+# tuples it yields, so ``named_subgroup`` can refuse a group before building it.
+_NAMED_LOOPS = {
+    "U_S": "EEE", "U_K": "EEE", "M": "UG", "M1": "S", "R_klingen": "ES",
+    "S": "UUEE", "A": "UUEE", "B": "UUUE", "C": "UUUEE", "D": "UUUEE",
+    "Row5": "UUEE", "Row6": "UUEE", "Row7": "UUEE", "R_last": "EEE",
+    "Row8": "UEEE", "Z_ray": "E",
+}
+
+
+def _named_size(name: str, q: int) -> int:
+    """The number of entry tuples ``_named_elements`` yields for ``name``
+    (no alias) over F_q."""
+    sl2 = q * (q * q - 1)
+    sizes = {"E": q, "U": q - 1, "G": (q - 1) * sl2, "S": sl2}
+    return math.prod(map(sizes.get, _NAMED_LOOPS[name]))
 
 
 def _named_elements(name: str, spec: FieldSpec):
@@ -793,19 +917,20 @@ def named_subgroup(name: str, q: int) -> Subgroup:
     with d = c/a).  Every entry tuple is validated by the similitude test
     ``_similitude_enc`` (NotSimilitude otherwise) and goes to the Subgroup
     with its mu, no matrix object built; element counts are tested against
-    the closed orders.  GroupTooLarge once the parameterization yields more
-    than ``CLOSURE_BOUND`` tuples, before any is tested.
+    the closed orders.  GroupTooLarge, before any tuple is built, when the
+    parameterization would yield more than ``CLOSURE_BOUND`` of them
+    (``_named_size``).
     """
     if name not in NAMED_SUBGROUP_NAMES:
         raise UnknownName(f"{name!r}; known: {', '.join(NAMED_SUBGROUP_NAMES)}")
     spec = field_for_q(q)
-    t = ffield.tables(spec)
-    elems = list(itertools.islice(_named_elements(_ALIASES.get(name, name), spec),
-                                  CLOSURE_BOUND + 1))
-    if len(elems) > CLOSURE_BOUND:
+    base = _ALIASES.get(name, name)
+    if _named_size(base, q) > CLOSURE_BOUND:
         raise GroupTooLarge(
             f"named subgroup {name} over F_{q} has more than {CLOSURE_BOUND} elements"
         )
+    t = ffield.tables(spec)
+    elems = list(_named_elements(base, spec))
     pairs = sorted((e, _similitude_enc(e, t)) for e in elems)
     rows, mus = [e for e, _ in pairs], [mu for _, mu in pairs]
     if 0 in mus:
@@ -815,10 +940,10 @@ def named_subgroup(name: str, q: int) -> Subgroup:
 
 def upper_unipotent(spec: FieldSpec) -> Subgroup:
     """The full upper unipotent subgroup U (order q^4): the products of one
-    element from each positive root group."""
-    field_elems = ffield.enumerate_field(spec)
-    roots = [[pos_root_elem(spec, i, t) for t in field_elems] for i in range(4)]
-    elems = [gsp_elem(a * b * c * d) for a, b, c, d in itertools.product(*roots)]
-    if len(set(elems)) != spec.q**4:
-        raise RuntimeError("unipotent parameterization not injective")
-    return make_subgroup(elems, name="U")
+    element from each positive root group, ``_unipotent_rows``;
+    OrderMismatch if two of them coincide."""
+    import numpy as np
+
+    rows = _unipotent_rows(spec).reshape(-1, 16)
+    return _distinct_subgroup(spec, rows, np.ones(len(rows), dtype=rows.dtype),
+                              spec.q**4, "U")

@@ -211,6 +211,16 @@ class TestVerify:
             ("chartab", False), ("counts", True), ("rg", True), ("theorem", True)]
         assert doc["suites"][0] == suite
 
+    def test_broken_bruhat_cell_is_a_disagreement(self, monkeypatch):
+        # GSp(4, 2) built without its longest Weyl cell has too few
+        # elements: exit 2 with one line naming q and both counts, no
+        # traceback
+        monkeypatch.setattr(groupfq, "_WEYL_WORDS", groupfq._WEYL_WORDS[:-1])
+        code, out, err = run_cli("verify", "chartab", "-o", "json")
+        assert (code, out) == (2, "")
+        assert err == ("disagreement: GSp(4,2) over F_2: 464 distinct of 464 "
+                       "products, expected 720 elements\n")
+
     def test_rg_depth_limit_usage(self):
         code, _, err = run_cli("verify", "rg", "--n-max", "9")
         assert code == 1

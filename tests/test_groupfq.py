@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 
 from closed_orders import named_subgroup_order
 from klingen import ffield, groupfq as gq
-from klingen.errors import GroupTooLarge, MixedFields, NotSimilitude, UnknownName
+from klingen.errors import (
+    GroupTooLarge,
+    MixedFields,
+    NotSimilitude,
+    OrderMismatch,
+    UnknownName,
+)
 from klingen.ffield import field_for_q
 
 
@@ -245,14 +251,27 @@ class TestNamedSubgroups:
     def test_size_bound(self, monkeypatch):
         """A parameterization that yields more than CLOSURE_BOUND tuples is
         refused with GroupTooLarge naming the group, q and the bound, before
-        any tuple is tested; at the bound the group is built."""
+        any tuple is built; at the bound the group is built."""
         monkeypatch.setattr(gq, "CLOSURE_BOUND", 63)
+        with monkeypatch.context() as m:
+            m.setattr(gq, "_named_elements", None)  # building would raise TypeError
+            with pytest.raises(GroupTooLarge):
+                gq.named_subgroup("C", 3)
         with pytest.raises(GroupTooLarge, match=r"U_S over F_4 has more than 63 elements"):
             gq.named_subgroup("U_S", 4)
         with pytest.raises(GroupTooLarge, match=r"Row1 over F_3 has more than 63 elements"):
             gq.named_subgroup("Row1", 3)  # D: (q - 1)^3 q^2 = 72
         monkeypatch.setattr(gq, "CLOSURE_BOUND", 64)
         assert gq.named_subgroup("U_S", 4).order == 64
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_named_size_counts_the_tuples(self, q):
+        """The size named_subgroup refuses by is the number of tuples the
+        parameterization yields."""
+        spec = field_for_q(q)
+        for name in gq._NAMED_LOOPS:
+            count = sum(1 for _ in gq._named_elements(name, spec))
+            assert gq._named_size(name, q) == count, name
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_all_named_sets_are_groups(self, q):
@@ -299,9 +318,24 @@ class TestNamedSubgroups:
             assert gq.named_subgroup("U_K", q).order == q**3
 
     def test_upper_unipotent(self):
+        """U is the closure of the positive root groups, with mu 1."""
         for q in (2, 3, 4):
-            u = gq.upper_unipotent(field_for_q(q))
+            spec = field_for_q(q)
+            u = gq.upper_unipotent(spec)
             assert u.order == q**4
+            roots = [gq.gsp_elem(gq.pos_root_elem(spec, i, t))
+                     for i in range(4) for t in ffield.enumerate_field(spec)]
+            assert u.same_elements(gq.subgroup_closure(roots))
+            assert (u.mus == spec.one.encoding()).all()
+
+    def test_upper_unipotent_not_injective(self, monkeypatch):
+        """Root groups whose products repeat an element are refused with
+        OrderMismatch naming q and both counts."""
+        positions = gq.POS_ROOT_POSITIONS
+        monkeypatch.setattr(gq, "POS_ROOT_POSITIONS", positions[:3] + positions[2:3])
+        with pytest.raises(OrderMismatch, match=r"^U over F_3: 27 distinct of 81 "
+                                                 r"products, expected 81 elements$"):
+            gq.upper_unipotent(field_for_q(3))
 
 
 def _ref_closure(gens):
@@ -526,6 +560,24 @@ class TestFullGroup:
     def test_gsp4_3(self):
         g = gq.enumerate_gsp4(3)
         assert g.order == 103680 == gq.gsp4_order(3)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_bruhat_cells_match_closure(self, q):
+        """The Bruhat build has the rows, mus and generators of the closure
+        of its generators, the independent oracle."""
+        group = gq.enumerate_gsp4(q)
+        oracle = gq.subgroup_closure(gq.gsp4_generators(field_for_q(q)))
+        assert np.array_equal(group.rows, oracle.rows)
+        assert np.array_equal(group.mus, oracle.mus)
+        assert group.generators == oracle.generators
+
+    def test_missing_cell_is_refused(self, monkeypatch):
+        """Without one Weyl representative the cells fall short of the
+        order: OrderMismatch naming q and both counts."""
+        monkeypatch.setattr(gq, "_WEYL_WORDS", gq._WEYL_WORDS[:-1])
+        with pytest.raises(OrderMismatch, match=r"^GSp\(4,3\) over F_3: 51192 distinct of "
+                                                 r"51192 products, expected 103680 elements$"):
+            gq.enumerate_gsp4(3)
 
     def test_materialize_refused_above_3(self):
         for q in (4, 5):

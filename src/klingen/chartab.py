@@ -32,18 +32,25 @@ them; everything else is kept as validated *aggregate* rules (whole-pattern
 totals), never invented per element.  A Dixon-Schneider solver provides a
 fully independent oracle at q = 2.
 
-Classification computes on element encodings through ``ffield.tables``:
-the one elimination ``ffield.row_reduce`` (ranks, the pivot columns that
-give the rank-2 complement, the B-block kernel), one h - lam*I helper,
-the characteristic polynomial from principal minors and roots by
-deflation.  It runs in two parts: ``_poly_label`` gives the labels that
-the characteristic polynomial decides (NotScoped, Mixed), and
-``_element_label`` does the rank and form work of the rest.  ``classify``
-runs both on one element.  ``dim_fixed`` classifies a subgroup once per
-subgroup object (``_class_counts``, held weakly and shared by both
-families): it finds roots once per distinct characteristic polynomial,
-counts the polynomial-decided labels without per-element work, and sends
-only the other elements to ``_element_label``.
+Classification is batched: ``_label_codes`` labels an (N, 16) array of
+element encodings (``Subgroup.rows``) with their mus in a fixed number of
+numpy operations that does not grow with N, and ``classify`` is the same
+function on one row.  The matrices are held as planes (entry i of every matrix in one
+row), and every polynomial expression in the entries is a stage: one
+gather of the factor planes, products (integer products at f = 1, the mul
+table of ``ffield.tables`` otherwise) and one digit sum mod p over the
+terms (XOR at p = 2).  Two stages give the characteristic polynomials,
+which are packed into one integer each and grouped by ``np.unique``;
+``_roots`` and ``_poly_label`` run once per distinct polynomial, and the
+labels it decides (NotScoped, Mixed) need nothing more.  The other rows
+get the ranks of h - lam*I from their 2 x 2 and 3 x 3 minors and det (two
+stages), the A-family rank-2 form from S = N^t J (a comparison of entries
+at even q, one stage of principal minors at odd q) and their mu; these
+index a per-category table of label codes.  Only B-family rows whose two
+blocks are both nontrivial go on to ``_block_form_coeff``, one element at
+a time.  ``dim_fixed`` labels a subgroup once per subgroup object
+(``_class_counts``, a ``bincount`` of the codes, held weakly and shared by
+both families).
 """
 
 from __future__ import annotations
@@ -51,7 +58,8 @@ from __future__ import annotations
 import weakref
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from functools import lru_cache
+from typing import NamedTuple, Optional
 
 from . import ffield
 from .errors import NonIntegralResult, NotScopedClass, ValueNotPinned
@@ -124,16 +132,11 @@ def family_from_name(name: str, q: Optional[int] = None) -> SigmaFamily:
 
 
 # ---------------------------------------------------------------------------
-# linear algebra over F_q on element encodings (ffield.tables)
+# scalar linear algebra over F_q on element encodings (ffield.tables)
 # ---------------------------------------------------------------------------
 
 def _rows(e) -> list:
     return [e[0:4], e[4:8], e[8:12], e[12:16]]
-
-
-def _rank(e, t) -> int:
-    """Rank of the matrix with entries e; 4 - rank is its kernel's dimension."""
-    return len(ffield.row_reduce(_rows(e), t)[1])
 
 
 def _minus_scalar(e, lam: int, t) -> list:
@@ -143,11 +146,6 @@ def _minus_scalar(e, lam: int, t) -> list:
     for i in (0, 5, 10, 15):
         out[i] = add[out[i]][nl]
     return out
-
-
-def _scale(e, s: int, t) -> list:
-    row = t.mul[s]
-    return [row[x] for x in e]
 
 
 def _mat_vec(e, v, t) -> list:
@@ -167,76 +165,237 @@ def _bilinear(u, v, t) -> int:
     return add[plus][t.neg[minus]]
 
 
-_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-# every 2 x 2 minor _char_poly needs, once, as (rows, columns): rows (0, 1)
-# and (2, 3) at every column pair for the Laplace expansion of det h, which
-# hold two of the six principal minors; the other four principal minors;
-# and the rows-(j, k) minors of E3's expansions along row i
-_MINORS = tuple(((0, 1), c) for c in _PAIRS) + tuple(((2, 3), c) for c in _PAIRS) + (
-    ((0, 2), (0, 2)), ((0, 3), (0, 3)), ((1, 2), (1, 2)), ((1, 3), (1, 3)),
-    ((1, 2), (0, 1)), ((1, 2), (0, 2)), ((1, 3), (0, 1)), ((1, 3), (0, 3)))
-_MINOR_AT = {minor: k for k, minor in enumerate(_MINORS)}
-# a minor's four entry indices: it is e[a] e[b] - e[c] e[d]
-_MINOR_ENTRIES = tuple((4 * r1 + c1, 4 * r2 + c2, 4 * r1 + c2, 4 * r2 + c1)
-                       for (r1, r2), (c1, c2) in _MINORS)
-_PRINCIPAL = tuple(_MINOR_AT[pair, pair] for pair in _PAIRS)
-# the principal 3 x 3 minor on rows (i, j, k), expanded along row i:
-# e[ii] M(jk|jk) - e[ij] M(jk|ik) + e[ik] M(jk|ij)
-_E3 = tuple(
-    (5 * i, _MINOR_AT[(j, k), (j, k)], 4 * i + j, _MINOR_AT[(j, k), (i, k)],
-     4 * i + k, _MINOR_AT[(j, k), (i, j)])
-    for i, j, k in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)))
-# Laplace expansion of det h along rows 0 and 1: (M(01|c), M(23|d), sign)
-_E4 = tuple((_MINOR_AT[(0, 1), c], _MINOR_AT[(2, 3), d], sign) for c, d, sign in (
-    ((0, 1), (2, 3), 1), ((0, 2), (1, 3), -1), ((0, 3), (1, 2), 1),
-    ((1, 2), (0, 3), 1), ((1, 3), (0, 2), -1), ((2, 3), (0, 1), 1)))
-
-
-def _char_poly(e, t) -> tuple:
-    """(c0, ..., c4) of det(tI - h) = t^4 - E1 t^3 + E2 t^2 - E3 t + E4,
-    E_k the sum of the principal k x k minors of h; each 2 x 2 minor is
-    formed once (``_MINORS``)."""
-    add, mul, neg = t.add, t.mul, t.neg
-    m = [add[mul[e[a]][e[b]]][neg[mul[e[c]][e[d]]]] for a, b, c, d in _MINOR_ENTRIES]
-    e1 = add[add[e[0]][e[5]]][add[e[10]][e[15]]]
-    e2 = 0
-    for k in _PRINCIPAL:
-        e2 = add[e2][m[k]]
-    e3 = 0
-    for ii, mjj, ij, mik, ik, mij in _E3:
-        d = add[mul[e[ii]][m[mjj]]][neg[mul[e[ij]][m[mik]]]]
-        e3 = add[e3][add[d][mul[e[ik]][m[mij]]]]
-    e4 = 0
-    for top, bottom, sign in _E4:
-        term = mul[m[top]][m[bottom]]
-        e4 = add[e4][term if sign > 0 else neg[term]]
-    return e4, neg[e3], e2, neg[e1], 1
-
-
-def _deflate(coeffs, root: int, t) -> tuple:
-    """Synthetic division by (t - root): (quotient, remainder)."""
-    add, mul = t.add, t.mul
-    acc = 0
-    cur = []
-    for c in reversed(coeffs):
-        acc = add[mul[acc][root]][c]
-        cur.append(acc)
-    return cur[-2::-1], cur[-1]
-
-
 def _roots(coeffs, t) -> tuple:
     """Roots in F_q with multiplicity, in encoding order, by repeated
-    deflation; also the quotient left once every root is divided out."""
+    synthetic division by (t - x); also the quotient left once every root
+    is divided out."""
+    add, mul = t.add, t.mul
     roots = {}
     work = list(coeffs)
     for x in range(t.q):
+        by_x = mul[x]
         while len(work) > 1:
-            quo, rem = _deflate(work, x, t)
-            if rem:
+            acc, quotient = 0, []
+            for c in reversed(work):
+                acc = add[by_x[acc]][c]
+                quotient.append(acc)
+            if acc:  # the remainder p(x)
                 break
-            work = quo
+            work = quotient[-2::-1]
             roots[x] = roots.get(x, 0) + 1
     return roots, work
+
+
+# ---------------------------------------------------------------------------
+# batched linear algebra over F_q on element encodings
+# ---------------------------------------------------------------------------
+
+# The batched labeller holds N matrices as planes: an (18, N) array x whose
+# row i is entry i (row-major) of every matrix, then a row of 1s and a row
+# of 0s.  A stage is a tuple of segments, one per output plane; a segment is
+# a tuple of terms (left, right, coef), and its value is the F_q sum of
+# coef * x[left] * x[right] over its terms, so (i, _ONE_ROW, c) is the term
+# c * x[i].  Stage outputs are stacked under x from row _FIRST on.
+_ONE_ROW, _ZERO_ROW, _FIRST = 16, 17, 18
+_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_TRIPLES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+_DIAG = (0, 5, 10, 15)
+
+
+def _minor_stage(minors) -> tuple:
+    """The 2 x 2 minors (rows, columns): M = e[a] e[b] - e[c] e[d]."""
+    return tuple(((4 * r1 + c1, 4 * r2 + c2, 1), (4 * r1 + c2, 4 * r2 + c1, -1))
+                 for (r1, r2), (c1, c2) in minors)
+
+
+def _minor3(rows, cols, at, sign: int = 1) -> tuple:
+    """sign times the 3 x 3 minor on rows (i, j, k) and columns (a, b, c),
+    expanded along row i: e[ia] M(jk|bc) - e[ib] M(jk|ac) + e[ic] M(jk|ab),
+    ``at`` giving each 2 x 2 minor's plane."""
+    (i, j, k), (a, b, c) = rows, cols
+    return ((4 * i + a, at[(j, k), (b, c)], sign), (4 * i + b, at[(j, k), (a, c)], -sign),
+            (4 * i + c, at[(j, k), (a, b)], sign))
+
+
+def _determinant(at) -> tuple:
+    """det by Laplace expansion along rows 0 and 1: +-M(01|c) M(23|c')."""
+    return tuple((at[(0, 1), c], at[(2, 3), tuple(j for j in range(4) if j not in c)],
+                  (-1) ** (1 + sum(c))) for c in _PAIRS)
+
+
+def _minor_planes(minors) -> dict:
+    return {minor: _FIRST + k for k, minor in enumerate(minors)}
+
+
+# the characteristic polynomial det(tI - h) = t^4 + c3 t^3 + c2 t^2 + c1 t + c0
+# = t^4 - E1 t^3 + E2 t^2 - E3 t + E4, E_k the sum of the principal k x k
+# minors: every 2 x 2 minor it needs (rows (0, 1) and (2, 3) at every column
+# pair for det h, the other principal ones, and those E3's expansions read)
+# once, then (c0, c1, c2, c3)
+_POLY_MINORS = tuple(((0, 1), c) for c in _PAIRS) + tuple(((2, 3), c) for c in _PAIRS) + (
+    ((0, 2), (0, 2)), ((0, 3), (0, 3)), ((1, 2), (1, 2)), ((1, 3), (1, 3)),
+    ((1, 2), (0, 1)), ((1, 2), (0, 2)), ((1, 3), (0, 1)), ((1, 3), (0, 3)))
+_POLY_AT = _minor_planes(_POLY_MINORS)
+_POLY_STAGES = (_minor_stage(_POLY_MINORS), (
+    _determinant(_POLY_AT),
+    sum((_minor3(r, r, _POLY_AT, -1) for r in _TRIPLES), ()),
+    tuple((_POLY_AT[pair, pair], _ONE_ROW, 1) for pair in _PAIRS),
+    tuple((i, _ONE_ROW, -1) for i in _DIAG)))
+
+# ranks: all 36 2 x 2 minors, then the 16 3 x 3 minors and the two halves
+# of det's expansion; rank >= k exactly when a k x k minor is nonzero
+_RANK_MINORS = tuple((r, c) for r in _PAIRS for c in _PAIRS)
+_RANK_AT = _minor_planes(_RANK_MINORS)
+_RANK_STAGES = (_minor_stage(_RANK_MINORS),
+                tuple(_minor3(r, c, _RANK_AT) for r in _TRIPLES for c in _TRIPLES)
+                + (_determinant(_RANK_AT)[:3], _determinant(_RANK_AT)[3:]))
+
+# the rank-2 form Q(v) = B(Nv, v) = v^t S v with S = N^t J: J's column j is
+# -e_3, -e_2, e_1, e_0, so S[i][j] = +-N[3 - j][i], and _S[4i + j] is that
+# entry's index in N and its sign
+_S = tuple((4 * (3 - j) + i, 1 if j > 1 else -1) for i in range(4) for j in range(4))
+# even q: Q = 0 exactly when diag S = 0 and S + S^t = 0, i.e. S[i][j] = S[j][i]:
+# the planes to compare, the left ones then the right ones
+_EVEN_FORM = (tuple(_S[5 * i][0] for i in range(4)) + tuple(_S[4 * i + j][0] for i, j in _PAIRS)
+              + (_ZERO_ROW,) * 4 + tuple(_S[4 * j + i][0] for i, j in _PAIRS))
+
+
+def _form_minor(i: int, j: int) -> tuple:
+    """The principal minor P[i][i] P[j][j] - P[i][j]^2 of P = S + S^t, with
+    P[i][i] = 2 S[i][i] and P[i][j] = S[i][j] + S[j][i]."""
+    (a, sa), (b, sb) = _S[5 * i], _S[5 * j]
+    (c, sc), (d, sd) = _S[4 * i + j], _S[4 * j + i]
+    return (a, b, 4 * sa * sb), (c, c, -1), (c, d, -2 * sc * sd), (d, d, -1)
+
+
+_FORM_STAGE = tuple(_form_minor(i, j) for i, j in _PAIRS)
+
+
+@lru_cache(maxsize=None)
+def _stage_arrays() -> dict:
+    """Each stage as arrays, its S segments padded to one length L with the
+    term 0 = 1 * 0: the planes of the left, then of the right factors of
+    its terms, term l of segment s at l * S + s, and the (L, S, 1) array of
+    their coefficients."""
+    import numpy as np
+
+    def arrays(stage):
+        length = max(len(segment) for segment in stage)
+        pad = (_ONE_ROW, _ZERO_ROW, 0)
+        terms = [segment[k] if k < len(segment) else pad
+                 for k in range(length) for segment in stage]
+        left, right, coef = zip(*terms)
+        return np.array(left + right, np.intp), np.array(coef, np.intp).reshape(length, -1, 1)
+
+    return {"poly": [arrays(s) for s in _POLY_STAGES],
+            "rank": [arrays(s) for s in _RANK_STAGES],
+            "form": arrays(_FORM_STAGE)}
+
+
+class _FieldArrays(NamedTuple):
+    """numpy copies of ``ffield.tables`` for the batched labeller: ``mul``
+    (flat: a * b at a * q + b), ``sub`` (a - b), ``neg`` and ``square``;
+    each encoding's base-p ``digits`` and the ``powers`` p^k that
+    recombine them; ``qpow`` = (1, q, q^2, q^3), which packs a polynomial
+    into one integer; and the label ``templates`` of ``_label_codes``."""
+
+    p: int
+    f: int
+    q: int
+    mul: object
+    sub: object
+    neg: object
+    square: object
+    digits: object
+    powers: object
+    qpow: object
+    templates: object
+
+
+@lru_cache(maxsize=None)
+def _field_arrays(spec: FieldSpec) -> _FieldArrays:
+    import numpy as np
+
+    t = ffield.tables(spec)
+    p, f, q = spec.p, spec.f, spec.q
+    neg = np.array(t.neg, np.intp)
+    return _FieldArrays(
+        p, f, q, np.array(t.mul, np.intp).ravel(), np.array(t.add, np.intp)[:, neg], neg,
+        np.array(t.square), np.array([ffield.base_p_digits(k, p, f) for k in range(q)], np.intp),
+        p ** np.arange(f), q ** np.arange(4), np.array(_templates(q, p == 2), np.intp))
+
+
+def _sums(x, stage, fa):
+    """The (S, N) planes of the F_q values of the stage's segments, from one
+    gather of its terms' planes; the sums run over the leading axis, so
+    each step adds whole (S, N) blocks.  Sums are digit sums mod p: at
+    f = 1 the integer sum of the integer products; at p = 2 the XOR of the
+    encodings of the products, read off the mul table (every coefficient a
+    stage runs with at p = 2 is +-1); otherwise the sum of their digits."""
+    import numpy as np
+
+    planes, coef = stage
+    y = x[planes].reshape(2, *coef.shape[:2], -1)
+    if fa.f == 1:
+        return (y[0] * y[1] * coef).sum(axis=0) % fa.p
+    terms = np.take(fa.mul, y[0] * fa.q + y[1])
+    if fa.p == 2:
+        return np.bitwise_xor.reduce(terms, axis=0)
+    digits = np.take(fa.digits, terms, axis=0) * coef[..., None]
+    return digits.sum(axis=0) % fa.p @ fa.powers
+
+
+def _with_constants(rows):
+    """The planes of the (N, 16) encoding array ``rows``, as intp, with the
+    planes _ONE_ROW of 1s and _ZERO_ROW of 0s."""
+    import numpy as np
+
+    x = np.zeros((_FIRST, len(rows)), np.intp)
+    x[:16] = rows.T
+    x[_ONE_ROW] = 1
+    return x
+
+
+def _char_polys(x, fa):
+    """The planes (c0, c1, c2, c3), a (4, N) array, of det(tI - h) for each
+    matrix h of the planes x (``_with_constants``)."""
+    import numpy as np
+
+    minors, coeffs = _stage_arrays()["poly"]
+    return _sums(np.concatenate((x, _sums(x, minors, fa))), coeffs, fa)
+
+
+def _ranks(x, fa):
+    """The rank of each matrix of the planes x (``_with_constants``): the
+    number of minor orders, 1 x 1 up to det, with a nonzero minor."""
+    import numpy as np
+
+    minors2, minors3 = _stage_arrays()["rank"]
+    m2 = _sums(x, minors2, fa)
+    m3 = _sums(np.concatenate((x, m2)), minors3, fa)
+    full = m3[16] != fa.neg[m3[17]]  # the halves of det do not cancel
+    return x[:16].any(axis=0) * 1 + m2.any(axis=0) + m3[:16].any(axis=0) + full
+
+
+def _form_nonsplit(x, fa):
+    """For each rank-2 N among the matrices of the planes x
+    (``_with_constants``; N = h - lam*I) whether Q(v) = B(Nv, v) labels A32
+    (even q: Q != 0) or A22 (odd q: -disc of Q on a complement of ker N is
+    not a square); meaningless at other ranks.
+
+    Q's polar form P = S + S^t has ker N in its radical; at odd q the
+    square class of -disc is that of the first nonzero principal 2 x 2
+    minor of P, since all nonzero principal minors of maximal rank of a
+    symmetric matrix share one square class (a zero disc, with every minor
+    zero, is a square).  Scaling N by lam^-1 scales each minor by lam^-2."""
+    import numpy as np
+
+    if fa.p == 2:
+        y = x[list(_EVEN_FORM)]
+        return (y[:10] != y[10:]).any(axis=0)
+    minors = _sums(x, _stage_arrays()["form"], fa)
+    first = minors[(minors != 0).argmax(axis=0), np.arange(minors.shape[1])]
+    return ~fa.square[fa.neg[first]]
 
 
 # ---------------------------------------------------------------------------
@@ -256,57 +415,123 @@ class ClassLabel:
         return self.kind if self.token is None else f"{self.kind}({self.token})"
 
 
-_EVEN_RANK_LABELS = {0: "A1", 1: "A2", 3: "A41"}
-_ODD_RANK_LABELS = {0: "A0", 1: "A1", 3: "A3"}
+# a label's code over F_q is kind * (q + 1) + token + 1, token + 1 = 0 for
+# none; each elliptic kind with a nontrivial unipotent part follows its
+# trivial one
+_KINDS = ("NotScoped", "Mixed", "A0", "A1", "A2", "A21", "A22", "A3", "A31", "A32",
+          "A41", "B0", "B1", "B2", "B31", "B32", "C3", "D3", "G0", "G1")
 
 
-def _rank2_form(n, pivots, t) -> tuple:
-    """The binary quadratic form Q(v) = B(Nv, v) on a complement of ker N,
-    N given by its entries and the pivot columns of its echelon form:
-    returns (alpha, beta, gamma) with Q = alpha s^2 + beta st + gamma t^2.
-
-    The standard vectors at the pivot columns span a complement: a kernel
-    vector supported on them is 0.  Q(v + k) = Q(v) for k in ker N, since
-    uk = k for the unipotent symplectic u = 1 + N gives B(Nv, k) =
-    B(uv, uk) - B(v, k) = 0; so any complement gives the same form up to
-    change of basis."""
-    w1, w2 = ([1 if j == pc else 0 for j in range(4)] for pc in pivots)
-    nw1, nw2 = (n[pc::4] for pc in pivots)  # the columns N w1, N w2
-    alpha = _bilinear(nw1, w1, t)
-    gamma = _bilinear(nw2, w2, t)
-    beta = t.add[_bilinear(nw1, w2, t)][_bilinear(nw2, w1, t)]
-    return alpha, beta, gamma
+def _code(kind: str, q: int, token: Optional[int] = None) -> int:
+    return _KINDS.index(kind) * (q + 1) + (0 if token is None else token + 1)
 
 
-def _unipotent_label(h, even: bool, t) -> ClassLabel:
-    """Label of a unipotent h (all eigenvalues 1) by rank and form data."""
-    n = _minus_scalar(h, 1, t)
-    pivots = ffield.row_reduce(_rows(n), t)[1]
-    if len(pivots) != 2:
-        table = _EVEN_RANK_LABELS if even else _ODD_RANK_LABELS
-        return ClassLabel(table[len(pivots)])
-    alpha, beta, gamma = _rank2_form(n, pivots, t)
-    if even:
-        if alpha == 0 and beta == 0 and gamma == 0:
-            return ClassLabel("A31")
-        return ClassLabel("A32")
-    add, mul = t.add, t.mul
-    two = add[1][1]
-    four_ac = mul[add[two][two]][mul[alpha][gamma]]
-    disc = add[mul[beta][beta]][t.neg[four_ac]]
-    return ClassLabel("A21" if t.square[disc] else "A22")
+def _code_label(code: int, q: int) -> ClassLabel:
+    kind, token = divmod(code, q + 1)
+    return ClassLabel(_KINDS[kind], token - 1 if token else None)
+
+
+# what the characteristic polynomial leaves open: nothing, rank and form
+# work (A-family), rank work (elliptic-Levi), rank work at both roots and
+# the similitude (B-family)
+_DECIDED, _A, _ELLIPTIC, _B = range(4)
+# A-family kind by the rank of N, then, at rank 2, the kind of a nonzero
+# (even q) or nonsquare (odd q) form
+_A_KINDS = {True: ("A1", "A2", "A31", "A41", "A32"), False: ("A0", "A1", "A21", "A3", "A22")}
+# B-family kind by 2 * (l1-block nontrivial) + (l2-block nontrivial)
+_B_KINDS = ("B0", "B2", "B1", "B31")
+
+
+def _templates(q: int, even: bool) -> list:
+    """The code each category adds to its polynomial's code, by the detail
+    d = rank1 + 4 * nonsplit + 8 * (rank2 == 3) + 16 * (mu != l1^2) of
+    ``_label_codes``; B31 stands for both B31 and B32."""
+    out = [[0] * 32 for _ in range(4)]
+    for d in range(32):
+        rank, nonsplit, rank2, foreign = d % 4, d >> 2 & 1, d >> 3 & 1, d >> 4
+        out[_A][d] = _code(_A_KINDS[even][4 if rank == 2 and nonsplit else rank], q)
+        out[_ELLIPTIC][d] = (q + 1) * (rank == 3)
+        out[_B][d] = _code("Mixed" if foreign else _B_KINDS[2 * (rank == 3) + rank2], q)
+    return out
+
+
+def _poly_data(coeffs, even: bool, t) -> tuple:
+    """(category, code, l1, l2, l1^2) of a characteristic polynomial: the
+    code of its label when the polynomial decides it, else of the
+    elliptic-Levi label with a trivial unipotent part, or 0; and the roots
+    that the element work shifts by."""
+    q = t.q
+    roots, rest = _roots(coeffs, t)
+    label = _poly_label(roots, rest, even, t)
+    if label is not None:
+        return _DECIDED, _code(label.kind, q), 0, 0, 0
+    if len(roots) == 2:
+        # {l, l, -l, -l}: B-family when the similitude is l^2 (odd q only)
+        l1, l2 = roots  # encoding order, so l1 < l2
+        return _B, 0, l1, l2, t.mul[l1][l1]
+    (lam, mult), = roots.items()
+    if mult == 4:
+        return _A, 0, lam, 0, 0
+    token = t.mul[rest[1]][t.inv[lam]]
+    return _ELLIPTIC, _code("C3" if even else "G0", q, token), lam, 0, 0
+
+
+def _label_codes(rows, mus, spec: FieldSpec):
+    """The label code of every element of the (N, 16) encoding array
+    ``rows`` with similitude encodings ``mus`` (``_code_label`` decodes
+    one), in a fixed number of array operations.
+
+    Characteristic polynomials are packed into one integer each and
+    grouped; ``_roots`` and ``_poly_label`` run once per distinct one.  For
+    every row the polynomial leaves open, the ranks of h - l1*I (and of
+    h - l2*I for the B-family), the form of h - l1*I and mu give a detail
+    index into its category's ``_templates``; ``_block_form_coeff`` runs
+    only on B-family rows whose blocks are both nontrivial."""
+    import numpy as np
+
+    fa = _field_arrays(spec)
+    t = ffield.tables(spec)
+    q, even = spec.q, spec.p == 2
+    x = _with_constants(rows)
+    polys, inverse = np.unique(fa.qpow @ _char_polys(x, fa), return_inverse=True)
+    data = [_poly_data([key // q**k % q for k in range(4)] + [1], even, t)
+            for key in polys.tolist()]
+    category, codes, lam1, lam2, l1_squared = np.array(data, np.intp)[inverse].T
+    open_kinds = {d[0] for d in data} - {_DECIDED}
+    if not open_kinds:
+        return codes
+    # h - l1*I for every open row, then h - l2*I for the B-family ones
+    open_rows = np.flatnonzero(category)
+    cat = category[open_rows]
+    b = open_rows[cat == _B]
+    shifted = x[:, np.concatenate((open_rows, b))]
+    lam = np.concatenate((lam1[open_rows], lam2[b]))
+    shifted[_DIAG, :] = fa.sub[shifted[_DIAG, :], lam]
+    rank = _ranks(shifted, fa)
+    n = len(open_rows)
+    detail = rank[:n]
+    if _A in open_kinds:
+        detail = detail + 4 * _form_nonsplit(shifted[:, :n], fa)
+    if _B in open_kinds:
+        detail[cat == _B] += 8 * (rank[n:] == 3) + 16 * (mus[b] != l1_squared[b])
+    codes[open_rows] += fa.templates[cat, detail]
+    if _B in open_kinds:
+        b31 = _code("B31", q)
+        for i in np.flatnonzero((category == _B) & (codes == b31)).tolist():
+            e, l1, l2 = rows[i].tolist(), int(lam1[i]), int(lam2[i])
+            c = t.mul[_block_form_coeff(e, l1, t)][_block_form_coeff(e, l2, t)]
+            codes[i] = b31 if t.square[c] else _code("B32", q)
+    return codes
 
 
 def classify(g: GSpElem) -> ClassLabel:
-    """Conjugacy-class label of g (scheme in the module docstring)."""
-    t = ffield.tables(g.spec)
-    even = g.spec.p == 2
-    e = g.mat.e
-    roots, rest = _roots(_char_poly(e, t), t)
-    label = _poly_label(roots, rest, even, t)
-    if label is None:
-        label = _element_label(e, g.mu.encoding(), roots, rest, even, t)
-    return label
+    """Conjugacy-class label of g (scheme in the module docstring): the
+    batched labeller ``_label_codes`` run on g's one row."""
+    import numpy as np
+
+    spec = g.spec
+    code = _label_codes(np.array([g.mat.e]), np.array([g.mu.encoding()]), spec)[0]
+    return _code_label(int(code), spec.q)
 
 
 _NOT_SCOPED = ClassLabel("NotScoped")
@@ -317,7 +542,7 @@ def _poly_label(roots, rest, even: bool, t) -> Optional[ClassLabel]:
     """The label that the characteristic polynomial alone decides, from its
     rational roots and the quotient ``rest`` left by ``_roots``: NotScoped
     or Mixed, else None when the element's own rank and form data (and mu)
-    decide it, in ``_element_label``."""
+    decide it."""
     if not roots:
         return _NOT_SCOPED
     if len(roots) == 1:
@@ -334,55 +559,16 @@ def _poly_label(roots, rest, even: bool, t) -> Optional[ClassLabel]:
     return _MIXED
 
 
-def _element_label(e, mu: int, roots, rest, even: bool, t) -> ClassLabel:
-    """The label of an element whose polynomial leaves it open
-    (``_poly_label`` gave None), by rank and form data of its entries e."""
-    if len(roots) == 2:
-        # {l, l, -l, -l}: B-family when the similitude is l^2 (odd q only)
-        l1 = next(iter(roots))  # encoding order, so l1 < l2
-        if mu == t.mul[l1][l1]:
-            return _b_family_label(e, l1, t)
-        return _MIXED
-    (lam, mult), = roots.items()
-    if mult == 4:
-        return _unipotent_label(_scale(e, t.inv[lam], t), even, t)
-    # elliptic-Levi
-    token = t.mul[rest[1]][t.inv[lam]]
-    # a fixed space of dimension 2 = 4 - rank: trivial unipotent part
-    trivial = _rank(_minus_scalar(e, lam, t), t) == 2
-    if even:
-        kind = "C3" if trivial else "D3"
-    else:
-        kind = "G0" if trivial else "G1"
-    return ClassLabel(kind, token)
-
-
-def _b_family_label(e, lam: int, t) -> ClassLabel:
-    h = _scale(e, t.inv[lam], t)
-    minus_one = t.neg[1]
-    # each eigenspace has dimension 4 - rank; 2 means a trivial block
-    plus_trivial = _rank(_minus_scalar(h, 1, t), t) == 2
-    minus_trivial = _rank(_minus_scalar(h, minus_one, t), t) == 2
-    if plus_trivial and minus_trivial:
-        return ClassLabel("B0")
-    if plus_trivial:
-        return ClassLabel("B2")
-    if minus_trivial:
-        return ClassLabel("B1")
-    # both blocks nontrivial: square class of the product of the rank-1
-    # form coefficients on the two generalized eigenspaces
-    cplus = _block_form_coeff(h, 1, t)
-    cminus = _block_form_coeff(h, minus_one, t)
-    return ClassLabel("B31" if t.square[t.mul[cplus][cminus]] else "B32")
-
-
-def _block_form_coeff(h, lam: int, t) -> int:
-    """Nonzero value of Q(v) = B((h-lam)v, v) on ker((h-lam)^2).
+def _block_form_coeff(e, lam: int, t) -> int:
+    """Nonzero value of Q(v) = B((h-lam)v, v) on ker((h-lam)^2), h given by
+    its entries e.
 
     Q is a rank-1 form c*L^2 on that plane, so it is nonzero at one of the
     two kernel basis vectors s0, s1 unless it vanishes; Q(s1) is tried
-    first."""
-    shifted = _minus_scalar(h, lam, t)
+    first.  For h = l1 * h' (l1 the root the B-family normalizes by) and
+    lam = +-l1, Q is l1 times the form of h' at +-1, so the product of the
+    two blocks' coefficients keeps its square class."""
+    shifted = _minus_scalar(e, lam, t)
     cols = [_mat_vec(shifted, shifted[c::4], t) for c in range(4)]
     square = [cols[c][r] for r in range(4) for c in range(4)]
     s0, s1 = ffield.kernel(_rows(square), t)
@@ -522,28 +708,22 @@ def _aggregate_total(leftover: Counter, family_kind: str, q: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _class_counts(subgroup: Subgroup) -> Counter:
-    """The Counter of ``classify`` labels over the elements of subgroup.
+    """The Counter of ``classify`` labels over the elements of subgroup: a
+    ``bincount`` of the batched labeller's codes."""
+    import numpy as np
 
-    Rows are grouped by characteristic polynomial; roots and the
-    polynomial's label are found once per group, a label the polynomial
-    decides counts the whole group, and only the rows of the other groups
-    reach ``_element_label``."""
-    spec = subgroup.spec
-    t = ffield.tables(spec)
-    even = spec.p == 2
-    by_poly = {}
-    for e, mu in zip(*subgroup.row_lists()):
-        by_poly.setdefault(_char_poly(e, t), []).append((e, mu))
-    counts = Counter()
-    for poly, members in by_poly.items():
-        roots, rest = _roots(poly, t)
-        label = _poly_label(roots, rest, even, t)
-        if label is not None:
-            counts[label] += len(members)
-        else:
-            counts.update(_element_label(e, mu, roots, rest, even, t)
-                          for e, mu in members)
-    return counts
+    q = subgroup.spec.q
+    counts = np.bincount(_label_codes(subgroup.rows, subgroup.mus, subgroup.spec))
+    return Counter({_code_label(code, q): n
+                    for code, n in enumerate(counts.tolist()) if n})
+
+
+def _row_labels(subgroup: Subgroup) -> list:
+    """The ``classify`` label of each row of subgroup, from one run of the
+    batched labeller."""
+    q = subgroup.spec.q
+    codes = _label_codes(subgroup.rows, subgroup.mus, subgroup.spec)
+    return [_code_label(code, q) for code in codes.tolist()]
 
 
 # Subgroup -> its _class_counts, shared by the families and dropped with it
@@ -555,9 +735,7 @@ def dim_fixed(subgroup: Subgroup, family: SigmaFamily, q: Optional[int] = None) 
 
     The labels of R are counted once per subgroup object (``_class_counts``,
     held weakly, so every family asked about the same object reads one
-    count): roots are found once per distinct characteristic polynomial,
-    NotScoped and Mixed elements are counted from their polynomial alone,
-    and only the others get per-element rank and form work.  Per-element
+    count), by one run of the batched labeller over its rows.  Per-element
     pins cover the A-family and Mixed classes; B-family and elliptic-Levi
     contributions enter through validated aggregate patterns.  The result
     must be a nonnegative integer or NonIntegralResult is raised.  ``q``

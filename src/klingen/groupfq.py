@@ -303,15 +303,6 @@ class Subgroup:
     def elements(self) -> tuple:
         return _elements(self.spec, self.rows, self.mus)
 
-    def row_lists(self) -> tuple:
-        """(rows, mus) as Python sequences: the lists ``make_subgroup`` or
-        ``named_subgroup`` handed over, or the arrays' ``tolist()`` for a
-        group built as arrays."""
-        rows, mus = self._sorted
-        if isinstance(mus, list):
-            return rows, mus
-        return self.rows.tolist(), self.mus.tolist()
-
     def element(self, i: int) -> GSpElem:
         """The GSpElem of row i, built from that row alone."""
         return _elements(self.spec, self.rows[i:i + 1], self.mus[i:i + 1])[0]

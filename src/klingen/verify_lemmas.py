@@ -49,6 +49,7 @@ from .chartab import (
     dim_fixed,
     dim_fixed_family,
     _pinned_value,
+    _row_labels,
 )
 from .dixon import CharacterTable, Cyclotomic, dixon_table
 from .errors import DixonBoundExceeded, MismatchReport
@@ -272,17 +273,17 @@ def verify_char_lemmas(q: int = 2) -> LemmaReport:
             else:
                 check(f"pinned {fam_kind} on {label} (virtual)", pin, virtual_vals[k])
 
-    # token-wise elliptic cancellation inside the Klingen Levi
-    kl_kinds = Counter()
+    # token-wise elliptic cancellation inside the Klingen Levi: the class of
+    # each C3/D3 row, counted per token
+    klingen = subgroups["R_klingen"]
+    kl_labels = _row_labels(klingen)
+    kl_kinds = Counter(lab.kind for lab in kl_labels)
     by_token = {}
-    for g in subgroups["R_klingen"].elements:
-        lab = classify(g)
-        kl_kinds[lab.kind] += 1
+    for lab, k in zip(kl_labels, table.classes_of(klingen).tolist()):
         if lab.kind in ("C3", "D3"):
-            by_token.setdefault(lab.token, []).append(g)
+            by_token.setdefault(lab.token, Counter())[k] += 1
     check("elliptic tokens in Klingen Levi", True, len(by_token) >= 1)
-    for token, elems in sorted(by_token.items()):
-        counts = Counter(table.class_index(g) for g in elems)
+    for token, counts in sorted(by_token.items()):
         for i in type_i:
             total = Cyclotomic.combination(
                 table.exponent, ((n, table.values[i][k]) for k, n in counts.items())
@@ -301,7 +302,7 @@ def verify_char_lemmas(q: int = 2) -> LemmaReport:
     # class-intersection counts consumed by the closed counting forms
     check("|R_klingen ^ A2|", q * q + q - 2, kl_kinds["A2"])
     check("|R_klingen ^ A32|", (q - 1) * (q * q - 1), kl_kinds["A32"])
-    m1_counts = Counter(classify(g).kind for g in subgroups["M1"].elements)
+    m1_counts = Counter(lab.kind for lab in _row_labels(subgroups["M1"]))
     check("|M1 ^ A2|", q * q - 1, m1_counts["A2"])
 
     return LemmaReport(q=q, table=table, type_i=type_i, type_ii=type_ii,

@@ -8,7 +8,9 @@ import gc
 import weakref
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,6 @@ from klingen.chartab import (
     FAMILY_TYPE_I,
     FAMILY_TYPE_II,
     SigmaFamily,
-    _char_poly,
     _pinned_value,
     _roots,
     classify,
@@ -86,31 +87,59 @@ def _elem(q, rows):
     return gq.gsp_elem(gq.Mat4.from_rows(field_for_q(q), rows))
 
 
+def _polys(rows, spec):
+    """The batched characteristic polynomials (c0, c1, c2, c3) of rows, one
+    row each."""
+    fa = chartab._field_arrays(spec)
+    return chartab._char_polys(chartab._with_constants(np.asarray(rows)), fa).T
+
+
 class TestCharPoly:
-    """The characteristic polynomial and its roots, on encodings."""
+    """The batched characteristic polynomial and its roots, on encodings."""
 
     def test_diagonal(self):
         """char poly of a diagonal similitude is the product of (t - d_i)."""
         spec = field_for_q(5)
         t = ffield.tables(spec)
         m = gq.Mat4.diag(spec, 2, 3, 4, 1)  # mu = 2*1 = 3*4 = 2
-        cp = _char_poly(m.e, t)
+        cp = _polys([m.e], spec)[0].tolist() + [1]
         roots, _ = _roots(cp, t)
         assert roots == {spec(x).encoding(): 1 for x in (2, 3, 4, 1)}
 
     def test_constant_term_is_determinant(self):
         """c0 = det = mu^2 for similitude matrices."""
-        for q in (2, 3, 4):
-            t = ffield.tables(field_for_q(q))
-            for g in gq.named_subgroup("M1", q).elements:
-                cp = _char_poly(g.mat.e, t)
-                assert cp[0] == (g.mu * g.mu).encoding()
+        for q in (2, 3, 4, 5, 8, 9):
+            mul = np.array(ffield.tables(field_for_q(q)).mul)
+            for name in ("M1", "R_klingen", "Row8"):
+                sub = gq.named_subgroup(name, q)
+                c0 = _polys(sub.rows, sub.spec)[:, 0]
+                assert (c0 == mul[sub.mus, sub.mus]).all(), (q, name)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+    def test_cayley_hamilton(self, q):
+        """h^4 + c3 h^3 + c2 h^2 + c1 h + c0 I = 0, the powers of h from
+        groupfq's matrix product, on named subgroups with many polynomials."""
+        spec = field_for_q(q)
+        t = ffield.tables(spec)
+        add, mul = np.array(t.add), np.array(t.mul)
+        for name in ("M", "R_klingen", "Row8"):
+            sub = gq.named_subgroup(name, q)
+            h = sub.rows.astype(np.intp).reshape(-1, 4, 4)
+            powers = [np.broadcast_to(np.eye(4, dtype=np.intp), h.shape), h]
+            for _ in range(3):
+                powers.append(gq._fq_matmul(powers[-1], h, spec))
+            c = _polys(sub.rows, spec)
+            acc = powers[4]
+            for k in range(4):
+                acc = add[acc, mul[c[:, k, None, None], powers[k]]]
+            assert not acc.any(), name
 
     def test_unipotent(self):
         g = _elem(3, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 2], [0, 0, 0, 1]])
         spec = field_for_q(3)
         t = ffield.tables(spec)
-        assert _roots(_char_poly(g.mat.e, t), t)[0] == {spec.one.encoding(): 4}
+        cp = _polys([g.mat.e], spec)[0].tolist() + [1]
+        assert _roots(cp, t)[0] == {spec.one.encoding(): 4}
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
@@ -119,8 +148,59 @@ class TestCharPoly:
         conj = gq.named_subgroup("Row8", 3).elements
         g = pool[a % len(pool)]
         h = conj[b % len(conj)]
-        t = ffield.tables(g.spec)
-        assert _char_poly((h * g * h.inverse()).mat.e, t) == _char_poly(g.mat.e, t)
+        rows = [(h * g * h.inverse()).mat.e, g.mat.e]
+        cp = _polys(rows, g.spec)
+        assert (cp[0] == cp[1]).all()
+
+
+@st.composite
+def _encoded_matrices(draw):
+    """A q and a few 4 x 4 matrices over F_q as encoding rows: sparse ones
+    supported on a block of rows and columns, and products C V of a 4 x r
+    and an r x 4 matrix, of rank at most r."""
+    q = draw(st.sampled_from((2, 3, 4, 5, 8, 9)))
+    spec = field_for_q(q)
+    entry = st.integers(0, q - 1)
+    sparse = st.one_of(st.just(0), entry)
+    mats = []
+    for _ in range(draw(st.integers(1, 6))):
+        rows, cols = (draw(st.sets(st.integers(0, 3))) for _ in "rc")
+        mats.append([draw(sparse) if i // 4 in rows and i % 4 in cols else 0
+                     for i in range(16)])
+    for r in draw(st.lists(st.integers(1, 3), max_size=3)):
+        c = np.array(draw(st.lists(sparse, min_size=4 * r, max_size=4 * r))).reshape(4, r)
+        v = np.array(draw(st.lists(entry, min_size=4 * r, max_size=4 * r))).reshape(r, 4)
+        mats.append(gq._fq_matmul(c, v, spec).ravel().tolist())
+    return spec, mats
+
+
+class TestBatchedRanks:
+    @pytest.mark.parametrize("q", [2, 3, 4, 9])
+    def test_every_minor_counts(self, q):
+        """For each k x k minor (R|C), the matrix with ones at (r_i, c_i)
+        has rank k and no other nonzero k x k minor."""
+        spec = field_for_q(q)
+        mats, want = [], []
+        for k in (1, 2, 3, 4):
+            for rows in combinations(range(4), k):
+                for cols in combinations(range(4), k):
+                    e = [0] * 16
+                    for r, c in zip(rows, cols):
+                        e[4 * r + c] = 1
+                    mats.append(e)
+                    want.append(k)
+        x = chartab._with_constants(np.array(mats))
+        assert chartab._ranks(x, chartab._field_arrays(spec)).tolist() == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(_encoded_matrices())
+    def test_ranks_match_elimination(self, drawn):
+        spec, mats = drawn
+        t = ffield.tables(spec)
+        x = chartab._with_constants(np.array(mats))
+        got = chartab._ranks(x, chartab._field_arrays(spec)).tolist()
+        assert got == [len(ffield.row_reduce([m[0:4], m[4:8], m[8:12], m[12:16]], t)[1])
+                       for m in mats]
 
 
 class TestClassify:
@@ -251,17 +331,18 @@ class TestDimensionRoutes:
     @pytest.mark.parametrize("q, name", [(2, "B"), (3, "Row3"), (4, "M")])
     def test_both_families_share_one_classification(self, q, name, monkeypatch):
         sub = gq.named_subgroup(name, q)
-        polys = []
-        real = chartab._char_poly
-        monkeypatch.setattr(chartab, "_char_poly",
-                            lambda e, t: polys.append(e) or real(e, t))
+        calls = []
+        real = chartab._label_codes
+        monkeypatch.setattr(chartab, "_label_codes",
+                            lambda rows, mus, spec: calls.append(len(rows))
+                            or real(rows, mus, spec))
         for fam in (TYPE_I, TYPE_II):
             assert dim_fixed(sub, fam) == dim_fixed_family(name, fam, q)
-        assert len(polys) == sub.order
+        assert calls == [sub.order]
         # a new object of the same group is classified afresh
         again = gq.named_subgroup(name, q)
         assert dim_fixed(again, TYPE_I) == dim_fixed_family(name, TYPE_I, q)
-        assert len(polys) == 2 * sub.order
+        assert calls == [sub.order, sub.order]
 
     def test_memo_dies_with_the_subgroup(self):
         sub = gq.named_subgroup("B", 3)

@@ -2,11 +2,14 @@
 
 ``data/classify_census.json`` holds, for each q and group, the Counter of
 ``repr(classify(g))`` over every element: all named subgroups at q = 2, 3, 4,
-seven named subgroups at q = 5, and GSp(4, 2) (key "GSp4").  Both the
-per-element ``classify`` and the per-subgroup ``_class_counts`` that
-``dim_fixed`` reads are held to it.  It was captured
-from the polynomial-arithmetic classify that preceded the encoding-table
-port, so any label or elliptic token that moves shows up here.
+seven named subgroups at q = 5, and GSp(4, 2) and GSp(4, 3) (key "GSp4").
+Both the per-element ``classify`` and the per-subgroup ``_class_counts``
+that ``dim_fixed`` reads are held to it, except that GSp(4, 3), whose
+103,680 elements hold every odd-q label, is held only by ``_class_counts``.
+It was captured from the polynomial-arithmetic classify that preceded the
+encoding-table port, and GSp(4, 3) from the per-element encoding-table
+classifier that preceded the batched one, so any label or elliptic token
+that moves shows up here.
 """
 
 from __future__ import annotations
@@ -27,6 +30,10 @@ from klingen.ffield import field_for_q
 CENSUS = json.loads((Path(__file__).parent / "data" / "classify_census.json").read_text())
 
 
+# too many elements to classify one at a time
+_COUNTS_ONLY = {("3", "GSp4")}
+
+
 def _group(q: int, name: str):
     return gq.enumerate_gsp4(q) if name == "GSp4" else gq.named_subgroup(name, q)
 
@@ -34,6 +41,8 @@ def _group(q: int, name: str):
 @pytest.mark.parametrize("q", sorted(CENSUS, key=int))
 def test_label_census(q):
     for name, want in CENSUS[q].items():
+        if (q, name) in _COUNTS_ONLY:
+            continue
         got = Counter(repr(classify(g)) for g in _group(int(q), name).elements)
         assert dict(got) == want, (q, name)
 
@@ -49,7 +58,7 @@ def test_class_counts_census(q):
 def test_census_covers_every_named_subgroup():
     for q in ("2", "3", "4"):
         assert set(CENSUS[q]) >= set(gq.NAMED_SUBGROUP_NAMES)
-    assert "GSp4" in CENSUS["2"]
+    assert "GSp4" in CENSUS["2"] and "GSp4" in CENSUS["3"]
 
 
 # elements with many different labels, conjugated by random words in the

@@ -36,8 +36,7 @@ from typing import List
 
 from .errors import DixonBoundExceeded, MismatchReport, NonIntegralResult
 from .ffield import FieldOps, _is_prime, kernel, row_reduce
-from .groupfq import (GSpElem, Mat4, Subgroup, _fq_matmul, _positions, _rows,
-                      conjugacy_classes)
+from .groupfq import GSpElem, Mat4, Subgroup, _fq_matmul, _rows, conjugacy_classes
 
 ORDER_BOUND = 2 * 10**4
 CLASS_BOUND = 64
@@ -349,11 +348,11 @@ class CharacterTable:
 
     def class_index(self, g: GSpElem) -> int:
         """The class of the group element g."""
-        return int(self.labels[_positions(self.group.keys, _rows([g.mat.e], g.spec))[0]])
+        return int(self.labels[self.group.positions(_rows([g.mat.e], g.spec))[0]])
 
     def classes_of(self, sub: Subgroup) -> "np.ndarray":
         """The class of each row of sub, a subgroup of the group."""
-        return self.labels[_positions(self.group.keys, sub.rows)]
+        return self.labels[self.group.positions(sub.rows)]
 
     def class_counts(self, sub: Subgroup) -> list:
         """|sub ∩ C_k| for every class k of the group containing sub."""
@@ -397,7 +396,7 @@ def _class_products(group: Subgroup, classes: list) -> tuple:
     (z_k the rep), built one class i at a time as it is consumed."""
     import numpy as np
 
-    spec, rows, keys = group.spec, group.rows, group.keys
+    spec, rows = group.spec, group.rows
     r = len(classes)
     labels = np.empty(group.order, dtype=np.intp)
     for k, cls in enumerate(classes):
@@ -409,7 +408,7 @@ def _class_products(group: Subgroup, classes: list) -> tuple:
     def mats():
         for i in range(r):
             w = rows[classes[kstar[i]].index].reshape(-1, 1, 4, 4)
-            j = labels[_positions(keys, _fq_matmul(w, z, spec))].reshape(-1, r)
+            j = labels[group.positions(_fq_matmul(w, z, spec))].reshape(-1, r)
             counts = np.bincount((j * r + np.arange(r)).ravel(), minlength=r * r)
             yield counts.reshape(r, r).tolist()
 
@@ -424,7 +423,7 @@ def _power_classes(group: Subgroup, labels, g: GSpElem) -> list:
         powers.append(powers[-1] * g)
     # powers holds g^1 .. g^e, and g^e is the identity
     rows = _rows([x.mat.e for x in powers], group.spec)
-    found = labels[_positions(group.keys, rows)].tolist()
+    found = labels[group.positions(rows)].tolist()
     return found[-1:] + found[:-1]
 
 

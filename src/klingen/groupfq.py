@@ -56,10 +56,13 @@ by their representatives alone.  The kernel, ``_fq_matmul``, splits entries
 into base-p digit planes, multiplies plane by plane and folds back by the
 modulus; its arrays are int16 while a plane entry stays below 2^15 (every
 extension field up to ``ffield.FIELD_BOUND``, primes up to 89).  The index,
-``row_keys``, packs a row into 16 big-endian uint16s, so keys sort as the
-entry tuples do (a closure or a built group is put in that order by one
-lexsort of its columns, ``_key_order``) and ``_positions`` finds rows by
-``searchsorted``.
+``row_keys``, is one search key per row whose order is the tuple order of
+the entries: for q <= 13, where q^16 <= 2^63, the row read as a 16-digit
+base-q integer, one int64; from q = 16 on, the entries as 16 big-endian
+uint16s, one 32-byte void.  A closure or a built group is put in key order
+by ``_key_order`` (an argsort of int64 keys, a lexsort of the columns for
+void keys) and keeps its sorted keys, which ``Subgroup.positions`` and
+``Subgroup.lookup`` search by ``searchsorted``.
 """
 
 from __future__ import annotations
@@ -269,17 +272,21 @@ def gsp4_order(q: int) -> int:
 class Subgroup:
     """A concrete subgroup: its matrices in key order (the tuple order of
     ``Mat4.e``) as the (N, 16) encoding array ``rows``, with the similitude
-    encodings ``mus`` and the ``row_keys`` ``keys``, plus optional
-    generators.  ``make_subgroup`` and ``named_subgroup`` hand rows and mus
-    over as sorted lists, which become arrays on first use, so that building
-    a named subgroup needs no numpy; ``elements`` are built from the rows on
-    first use."""
+    encodings ``mus`` and the sorted ``row_keys`` ``keys`` (int64 for
+    q <= 13, 32-byte voids above), plus optional generators.  Rows are found
+    by ``positions`` and ``lookup``, which search ``keys``.
+    ``make_subgroup`` and ``named_subgroup`` hand rows and mus over as
+    sorted lists, which become arrays on first use, so that building a named
+    subgroup needs no numpy; a closure or a built group hands over the keys
+    it sorted by.  ``elements`` are built from the rows on first use."""
 
-    def __init__(self, spec: FieldSpec, rows, mus, generators=(), name=None):
+    def __init__(self, spec: FieldSpec, rows, mus, generators=(), name=None, keys=None):
         self.spec = spec
         self._sorted = rows, mus
         self.generators = tuple(generators)
         self.name = name
+        if keys is not None:
+            self.keys = keys  # fills the cached property
 
     @property
     def order(self) -> int:
@@ -297,7 +304,7 @@ class Subgroup:
 
     @cached_property
     def keys(self):
-        return row_keys(self.rows)
+        return row_keys(self.rows, self.spec.q)
 
     @cached_property
     def elements(self) -> tuple:
@@ -313,7 +320,7 @@ class Subgroup:
         mat = g.mat if isinstance(g, GSpElem) else g
         if mat.spec != self.spec:
             return False
-        return bool(_lookup(self.keys, _rows(mat.e, self.spec))[1][0])
+        return bool(self.lookup(_rows(mat.e, self.spec))[1][0])
 
     def __iter__(self):
         return iter(self.elements)
@@ -322,7 +329,25 @@ class Subgroup:
         """MixedFields if other is a subgroup over another field."""
         if other.spec != self.spec:
             raise MixedFields(f"{self.spec} vs {other.spec}")
-        return bool(_lookup(other.keys, self.rows)[1].all())
+        return bool(other.lookup(self.rows)[1].all())
+
+    def lookup(self, rows) -> tuple:
+        """(positions, found) for each matrix of the encoding array ``rows``,
+        flattened as ``row_keys`` flattens: its index in ``self.rows`` if it
+        is there, and whether it is."""
+        import numpy as np
+
+        wanted = row_keys(rows, self.spec.q)
+        pos = np.minimum(np.searchsorted(self.keys, wanted), self.order - 1)
+        return pos, self.keys[pos] == wanted
+
+    def positions(self, rows):
+        """Index in ``self.rows`` of each matrix of the encoding array
+        ``rows``; ValueError if one is not among them."""
+        pos, found = self.lookup(rows)
+        if not found.all():
+            raise ValueError("row not in the group")
+        return pos
 
     def same_elements(self, other: "Subgroup") -> bool:
         return self.is_subset_of(other) and self.order == other.order
@@ -365,32 +390,39 @@ def _rows(mats, spec: FieldSpec):
     return np.asarray(mats, dtype=np.int16 if small else np.int32).reshape(-1, 16)
 
 
-def row_keys(rows):
-    """One 32-byte key per matrix in an array of encodings whose trailing
-    axes hold 16 entries: the entries as big-endian uint16s (every
-    q <= FIELD_BOUND fits), so that keys compare bytewise in the tuple order
-    of ``Mat4.e``, the order of ``Subgroup.elements``."""
-    return rows.reshape(-1, 16).astype(">u2").view("V32").ravel()
+# below this many rows ``@`` builds a key faster; from it on ``einsum``, which
+# casts the int16 rows in buffers instead of copying them whole to int64
+_EINSUM_ROWS = 4096
 
 
-def _lookup(keys, rows) -> tuple:
-    """(positions, found) for each matrix of ``rows``, flattened as
-    ``row_keys`` flattens: its index in the sorted ``keys`` if it is there,
-    and whether it is."""
+@lru_cache(maxsize=None)
+def _radix(q: int):
+    """The place values q^15, ..., q^1, q^0 of a row's 16 base-q digits."""
     import numpy as np
 
-    wanted = row_keys(rows)
-    pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
-    return pos, keys[pos] == wanted
+    radix = np.array([q**(15 - c) for c in range(16)], dtype=np.int64)
+    radix.flags.writeable = False  # shared by every caller
+    return radix
 
 
-def _positions(keys, rows):
-    """Index in the sorted ``keys`` of each matrix of ``rows``; ValueError
-    if one is not among them."""
-    pos, found = _lookup(keys, rows)
-    if not found.all():
-        raise ValueError("row not in the group")
-    return pos
+def row_keys(rows, q: int):
+    """One key per matrix in an array of F_q encodings whose trailing axes
+    hold 16 entries, flattened to one axis, so that keys compare in the tuple
+    order of ``Mat4.e``, the order of ``Subgroup.elements``.
+
+    For q <= 13 (the prime powers with q^16 <= 2^63) the key is the int64
+    sum of e_c q^(15 - c) over the entries e_c, the row as a base-q
+    integer.  From q = 16 on no 64-bit integer holds every row, and the key
+    is the 32-byte void of the entries as big-endian uint16s (every
+    q <= FIELD_BOUND fits), which compares bytewise."""
+    import numpy as np
+
+    flat = rows.reshape(-1, 16)
+    if q**16 > 2**63:
+        return flat.astype(">u2").view("V32").ravel()
+    if len(flat) < _EINSUM_ROWS:
+        return flat @ _radix(q)
+    return np.einsum("ij,j->i", flat, _radix(q))
 
 
 def subgroup_closure(gens, *, name=None) -> Subgroup:
@@ -399,7 +431,9 @@ def subgroup_closure(gens, *, name=None) -> Subgroup:
     before it.  <H, s> is a union of right cosets H c; as (H r) t = H (r t),
     a BFS over coset representatives r, with candidates r t for t among the
     generators up to s, tests membership for candidates only and forms each
-    element once (left cosets c H would not close this way).
+    element once (left cosets c H would not close this way).  Membership is
+    a set of ``row_keys``, Python ints for q <= 13 and bytes above, and the
+    closure is sorted by the keys of its rows and keeps them.
 
     Each generator is validated once with ``gsp_elem`` (NotSimilitude if it
     is not a similitude or has a wrong mu); products are trusted and get mu
@@ -409,64 +443,76 @@ def subgroup_closure(gens, *, name=None) -> Subgroup:
     if not gens:
         raise ValueError("need at least one generator")
     spec = gens[0].spec
-    return _close(_rows(Mat4.identity(spec).e, spec), gens, 0, name)
+    h = _rows(Mat4.identity(spec).e, spec)
+    return _close(h, row_keys(h, spec.q), gens, 0, name)
 
 
 def adjoin(group: Subgroup, g: GSpElem) -> Subgroup:
     """<group, g> with generators ``group.generators + (g,)``, which must
     generate group (none for the trivial group): one subgroup_closure step."""
-    return _close(group.rows, group.generators + (g,), len(group.generators), None)
+    return _close(group.rows, group.keys, group.generators + (g,),
+                  len(group.generators), None)
 
 
-def _close(h, gens, start: int, name) -> Subgroup:
-    """<gens> from the rows ``h`` of <gens[:start]>, by the steps of
-    ``subgroup_closure``: each BFS layer makes one ``_fq_matmul`` for its
-    candidates and one for the cosets of the new ones, none while H is trivial."""
+def _close(h, h_keys, gens, start: int, name) -> Subgroup:
+    """<gens> from the rows ``h`` of <gens[:start]>, with their ``row_keys``
+    ``h_keys``, by the steps of ``subgroup_closure``: each BFS layer makes
+    one ``_fq_matmul`` for its candidates and one for the cosets of the new
+    ones, none while H is trivial, and keys each once.  The keys of the new
+    cosets are kept, so the closure is sorted by them and hands them on."""
     import numpy as np
 
     spec = gens[0].spec
+    q = spec.q
     for g in gens[start:]:
         if gsp_elem(g.mat).mu != g.mu:
             raise NotSimilitude(f"similitude factor {g.mu} does not match {g.mat}")
     gen_arr = _rows([g.mat.e for g in gens], spec).reshape(-1, 4, 4)
-    known = set(row_keys(h).tolist())
+    known = set(h_keys.tolist())
     for i in range(start, len(gens)):
-        blocks, cands = [h], gen_arr[i].reshape(1, 16)  # nothing new if gens[i] is in H
+        # nothing new if gens[i] is in H
+        blocks, key_blocks, cands = [h], [h_keys], gen_arr[i].reshape(1, 16)
         while True:
-            keys = row_keys(cands).tolist()
+            keys = row_keys(cands, q).tolist()
             fresh = {key: c for c, key in enumerate(keys) if key not in known}
             if not fresh:
                 break
             reps = cands[list(fresh.values())].reshape(-1, 1, 4, 4)
             cosets = reps.reshape(-1, 1, 16) if len(h) == 1 else _fq_matmul(
                 h.reshape(1, -1, 4, 4), reps, spec)
+            coset_keys = row_keys(cosets, q).reshape(len(fresh), -1)
+            coset_key_lists = coset_keys.tolist()
             new = []
             for c, key in enumerate(fresh):
                 if key not in known:  # else a coset found earlier in the layer
-                    known.update(row_keys(cosets[c]).tolist())
+                    known.update(coset_key_lists[c])
                     new.append(c)
             if len(known) > CLOSURE_BOUND:
                 raise ClosureTooLarge(f"closure exceeded {CLOSURE_BOUND}")
             blocks.append(cosets[new].reshape(-1, 16))
+            key_blocks.append(coset_keys[new].ravel())
             cands = _fq_matmul(reps[new], gen_arr[:i + 1], spec).reshape(-1, 16)
-        h = np.concatenate(blocks)
-    del known, blocks
+        h, h_keys = np.concatenate(blocks), np.concatenate(key_blocks)
+    del known, blocks, key_blocks
     # mu is column 1 of g dotted with column 4 of J g
     j = np.array(j_matrix(spec).e, dtype=h.dtype).reshape(4, 4)
     jg4 = _fq_matmul(j, h[:, 3::4, None], spec)
     mus = _fq_matmul(h[:, None, 0::4], jg4, spec).ravel()
-    order = _key_order(h)
-    return Subgroup(spec, h[order], mus[order], gens, name)
+    order = _key_order(h_keys, h)
+    return Subgroup(spec, h[order], mus[order], gens, name, h_keys[order])
 
 
-def _key_order(rows):
-    """The permutation that sorts the (N, 16) encoding array ``rows`` into
-    ``row_keys`` order, the tuple order of the rows: one lexsort on the
+def _key_order(keys, rows):
+    """The permutation that sorts the (N, 16) encoding array ``rows``, whose
+    ``row_keys`` are ``keys``, into key order, the tuple order of the rows:
+    an argsort of int64 keys, and for 32-byte void keys one lexsort on the
     integer columns, column 0 first, which sorts far faster than numpy's
-    bytewise comparison of the 32-byte keys."""
+    bytewise comparison of the voids."""
     import numpy as np
 
-    return np.lexsort(rows.T[::-1])
+    if keys.dtype.kind == "V":
+        return np.lexsort(rows.T[::-1])
+    return np.argsort(keys)
 
 
 def _fq_matmul(a, b, spec: FieldSpec):
@@ -540,7 +586,7 @@ def _generating_set(group: Subgroup) -> list:
     inside = group.keys == closure.keys
     while not inside.all():
         closure = adjoin(closure, group.element(int(np.argmin(inside))))
-        inside = _lookup(closure.keys, group.rows)[1]
+        inside = closure.lookup(group.rows)[1]
     return list(closure.generators)
 
 
@@ -566,8 +612,8 @@ def conjugacy_classes(group: Subgroup) -> list:
     perms = []
     for h in group.generators or _generating_set(group):
         hm = _rows([h.mat.e], spec).reshape(4, 4)
-        left = _positions(group.keys, _fq_matmul(hm, mats, spec))
-        right = _positions(group.keys, _fq_matmul(mats, hm, spec))
+        left = group.positions(_fq_matmul(hm, mats, spec))
+        right = group.positions(_fq_matmul(mats, hm, spec))
         perms.append(np.argsort(right)[left])
     labels, old = np.arange(len(mats)), None
     while not np.array_equal(labels, old):
@@ -684,20 +730,23 @@ def _weyl_reps(spec: FieldSpec) -> tuple:
 def _distinct_subgroup(spec: FieldSpec, rows, mus, order: int, name: str,
                        generators=()) -> Subgroup:
     """The Subgroup of the (N, 16) encoding array ``rows`` with similitude
-    encodings ``mus``, put in key order by one ``_key_order`` sort.
-    OrderMismatch unless the rows are distinct and N = order: that many
-    distinct products of elements of a group of that order are the group."""
+    encodings ``mus``, put in key order by one ``_key_order`` sort; the
+    distinct rows are counted as the distinct neighbours among the sorted
+    keys.  OrderMismatch unless the rows are distinct and N = order: that
+    many distinct products of elements of a group of that order are the
+    group."""
     import numpy as np
 
-    perm = _key_order(rows)
-    rows, mus = rows[perm], mus[perm]
-    distinct = 1 + int(np.count_nonzero((rows[1:] != rows[:-1]).any(axis=1)))
+    keys = row_keys(rows, spec.q)
+    perm = _key_order(keys, rows)
+    rows, mus, keys = rows[perm], mus[perm], keys[perm]
+    distinct = 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
     if distinct != len(rows) or len(rows) != order:
         raise OrderMismatch(
             f"{name} over F_{spec.q}: {distinct} distinct of {len(rows)} products, "
             f"expected {order} elements"
         )
-    return Subgroup(spec, rows, mus, generators, name)
+    return Subgroup(spec, rows, mus, generators, name, keys)
 
 
 def enumerate_gsp4(q: int) -> Subgroup:

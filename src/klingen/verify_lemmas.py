@@ -45,9 +45,10 @@ from .chartab import (
     FAMILY_TYPE_I,
     FAMILY_TYPE_II,
     SigmaFamily,
-    classify,
     dim_fixed,
     dim_fixed_family,
+    _code_label,
+    _label_codes,
     _pinned_value,
     _row_labels,
 )
@@ -223,7 +224,9 @@ def verify_char_lemmas(q: int = 2) -> LemmaReport:
     type_ii = sorted(i for i in generic & cuspidal if table.degrees[i] == deg_ii)
     check("typeI candidates found", True, len(type_i) >= 1)
 
-    labels = [classify(cls.rep) for cls in table.classes]
+    reps = [cls.index[0] for cls in table.classes]
+    labels = [_code_label(code, q)
+              for code in _label_codes(group.rows[reps], group.mus[reps], spec).tolist()]
 
     # The second family's parameter set is empty at q = 2: certify that no
     # degree-5 irreducible is cuspidal, then build the virtual carrier, which

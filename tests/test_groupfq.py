@@ -649,25 +649,52 @@ def _ref_classes(group):
     return classes
 
 
+def _key_dtype(q):
+    """int64 keys where q^16 <= 2^63 (q <= 13), 32-byte voids above."""
+    return np.dtype(np.int64) if q <= 13 else np.dtype("V32")
+
+
 class TestRowKeys:
-    @pytest.mark.parametrize("q", [3, 509])
+    @pytest.mark.parametrize("q", [2, 3, 4, 9, 13, 16, 509])
     def test_key_order_is_element_order(self, q):
-        """Keys of rows in the entry-tuple order that Subgroup.elements is
-        sorted by come out sorted, also where an entry reaches the high byte
-        of its uint16 (255 against 256 at q = 509)."""
+        """Keys of distinct rows in the entry-tuple order that
+        Subgroup.elements is sorted by come out sorted and distinct, at both
+        key dtypes, also where an entry reaches the high byte of its uint16
+        (255 against 256 at q = 509).  An int64 key is the row read as a
+        base-q integer, exactly: at q = 13 the all-12 row keys to 13^16 - 1
+        with no overflow."""
         rng = random.Random(q)
         entries = [x for x in (0, 1, 2, 255, 256, q - 1) if x < q]
         entries += [rng.randrange(q) for _ in range(6)]
         tuples = {tuple(rng.choice(entries) for _ in range(16)) for _ in range(300)}
-        tuples |= {(x,) + (0,) * 15 for x in entries}
-        keys = gq.row_keys(np.array(sorted(tuples)))
+        tuples |= {(x,) + (0,) * 15 for x in entries} | {(q - 1,) * 16}
+        tuples = sorted(tuples)
+        keys = gq.row_keys(gq._rows(tuples, field_for_q(q)), q)
+        assert keys.dtype == _key_dtype(q)
         assert (np.sort(keys) == keys).all()
+        assert len(set(keys.tolist())) == len(tuples)
+        if q <= 13:
+            assert keys.tolist() == [sum(x * q**(15 - c) for c, x in enumerate(e))
+                                     for e in tuples]
+            assert keys[-1] == q**16 - 1
 
-    @pytest.mark.parametrize("q", [2, 3, 4, 9, 509])
+    @pytest.mark.parametrize("q", [3, 13])
+    def test_long_and_short_arrays_get_the_same_keys(self, q):
+        """An array of at least _EINSUM_ROWS rows, keyed by einsum, gets the
+        keys its rows get one at a time, keyed by ``@``."""
+        rows = np.random.default_rng(q).integers(
+            0, q, size=(gq._EINSUM_ROWS + 5, 16)).astype(np.int16)
+        keys = gq.row_keys(rows, q)
+        assert keys.dtype == np.int64
+        rows_alone = [gq.row_keys(row, q)[0] for row in rows[::97]]
+        assert keys[::97].tolist() == rows_alone
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 9, 13, 16, 509])
     def test_lexsort_order_is_key_order(self, q):
-        """The column lexsort that orders a closure gives the permutation of
-        a sort by row_keys, on shuffled distinct rows in the closure's dtype
-        (int32 at q = 509, with entries on both sides of 255/256)."""
+        """The key sort that orders a closure gives the permutation of the
+        column lexsort, on shuffled distinct rows in the closure's dtype
+        (int32 at q = 509, with entries on both sides of 255/256), at both
+        key dtypes, and the sorted keys are in order."""
         rng = random.Random(q)
         spec = field_for_q(q)
         entries = [x for x in (0, 1, 2, 255, 256, q - 1) if x < q]
@@ -678,20 +705,26 @@ class TestRowKeys:
         tuples = sorted(tuples)
         rng.shuffle(tuples)
         rows = gq._rows(tuples, spec)
-        assert (gq._key_order(rows) == np.argsort(gq.row_keys(rows))).all()
+        keys = gq.row_keys(rows, q)
+        order = gq._key_order(keys, rows)
+        assert (order == np.lexsort(rows.T[::-1])).all()
+        assert (np.sort(keys) == keys[order]).all()
 
     def test_positions(self):
-        """Rows found where Subgroup.elements has them; a row outside the
-        group raises."""
+        """Subgroup.positions finds rows where Subgroup.elements has them; a
+        row outside the group raises."""
         group = gq.named_subgroup("U_S", 3)
         spec = group.spec
         mats = [g.mat.e for g in group.elements]
-        found = gq._positions(group.keys, gq._rows(mats[::-1], spec))
+        found = group.positions(gq._rows(mats[::-1], spec))
         assert found.tolist() == list(range(group.order))[::-1]
         outside = gq.gsp_elem(gq.Mat4.diag(spec, 2, 2, 1, 1))
         assert outside not in group
+        pos, inside = group.lookup(gq._rows(mats[:3] + [outside.mat.e], spec))
+        assert inside.tolist() == [True, True, True, False]
+        assert pos[:3].tolist() == [0, 1, 2]
         with pytest.raises(ValueError, match="not in the group"):
-            gq._positions(group.keys, gq._rows(mats[:3] + [outside.mat.e], spec))
+            group.positions(gq._rows(mats[:3] + [outside.mat.e], spec))
 
 
 def _array_groups(q):
@@ -710,12 +743,14 @@ def _array_groups(q):
 
 
 class TestSubgroupArrays:
-    @pytest.mark.parametrize("q", [2, 4, 509])
+    @pytest.mark.parametrize("q", [2, 4, 13, 16, 509])
     def test_rows_sorted_and_match_elements(self, q):
-        """rows, keys and mus are in row_keys order, and .elements holds the
-        same matrices and similitude factors, each a validated similitude."""
+        """rows, keys and mus are in row_keys order, the keys int64 for
+        q <= 13 and void above, and .elements holds the same matrices and
+        similitude factors, each a validated similitude."""
         for group in _array_groups(q):
-            keys = gq.row_keys(group.rows)
+            keys = gq.row_keys(group.rows, q)
+            assert group.keys.dtype == _key_dtype(q), group
             assert (group.keys == keys).all()
             assert (np.sort(keys) == keys).all(), group
             assert len(set(keys.tolist())) == group.order, group

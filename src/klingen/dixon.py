@@ -16,14 +16,21 @@ Dixon and Schneider:
   3. recover each degree d from d^2 = |G| / sum_k omega_k omega_{k*} / h_k
      (mod ell) together with 0 < d <= sqrt(|G|);
   4. lift the modular values to exact cyclotomic integers through the
-     root-of-unity multiplicities m_j = (1/e) sum_t chi(g^t) z^{-jt}: the
-     value is sum_j m_j zeta_e^j with integer m_j, so it has integer
-     coefficients in the power basis of Z[zeta_e];
-  5. verify sum d^2 = |G| and first orthogonality exactly.
+     root-of-unity multiplicities m_j = (1/o) sum_t chi(g^t) z^{-jt}, o the
+     order of g and z of order o mod ell: the value is sum_j m_j zeta_o^j
+     with integer m_j, one product per class for every character at once.
+     The table stores the values as one int64 array of shape (n_chars,
+     n_classes, phi(e)), their coefficients in the power basis of Z[zeta_e];
+  5. verify sum d^2 = |G| and first orthogonality exactly (past 32
+     characters, the column relations instead), as int64 products over that
+     array whose outer products fold back by x^a x^b = x^(a+b) mod Phi_e.
 
 Everything is exact: modular arithmetic with proven-unique lifts, then
-cyclotomic integers in Z[zeta_e] with int coefficients.  Averages over a
-group sum ints and divide once, at the end.
+cyclotomic integers in Z[zeta_e] with int64 coefficients.  No int64
+arithmetic wraps: before each product the inner length times the largest
+absolute entries of both factors (max(r, e) (ell - 1)^2 for the residues
+mod ell) must stay within ``INT_BOUND``, else ``DixonBoundExceeded``.
+Averages over a group sum ints and divide once, at the end.
 """
 
 from __future__ import annotations
@@ -40,6 +47,8 @@ from .groupfq import GSpElem, Mat4, Subgroup, _fq_matmul, _rows, conjugacy_class
 
 ORDER_BOUND = 2 * 10**4
 CLASS_BOUND = 64
+# the largest int64: every int64 product first bounds its partial sums by it
+INT_BOUND = 2**63 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -118,16 +127,18 @@ def _degree(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _power_table(n: int) -> tuple:
-    """x^m reduced mod Phi_n for m = 0 .. max(n, 2 deg - 1), as int tuples:
-    Phi_n is monic, so reducing by it never divides."""
+def _power_table(n: int):
+    """x^m reduced mod Phi_n for m = 0 .. max(n, 2 deg - 1), as the rows of a
+    read-only int64 array: Phi_n is monic, so reducing by it never divides."""
+    import numpy as np
+
     phi = cyclotomic_polynomial(n)
     d = len(phi) - 1
     top = max(n, 2 * d - 1)
     table = []
     cur = [1] + [0] * (d - 1)
     for m in range(top + 1):
-        table.append(tuple(cur))
+        table.append(cur)
         # multiply by x
         carry = cur[d - 1]
         nxt = [0] + cur[: d - 1]
@@ -135,16 +146,28 @@ def _power_table(n: int) -> tuple:
             for i in range(d):
                 nxt[i] -= carry * phi[i]
         cur = nxt
-    return tuple(table)
+    out = np.array(table, dtype=np.int64)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _conj_table(n: int):
+    """Row k is x^-k mod Phi_n, read-only: a coefficient vector times this
+    table is its complex conjugate."""
+    import numpy as np
+
+    out = _power_table(n)[-np.arange(_degree(n)) % n]
+    out.setflags(write=False)
+    return out
 
 
 class Cyclotomic:
-    """An element of Z[zeta_n] in the power basis of Z[x]/Phi_n(x).
+    """An element of Z[zeta_n] in the power basis of Z[x]/Phi_n(x): one value
+    of a character table, whose arithmetic runs on coefficient arrays.
 
     Character values are algebraic integers, so every coefficient is an int;
-    the constructor refuses anything else.  Exact averages divide once, at
-    the end of a sum (``as_int`` of the total, then a ``Fraction`` or
-    ``divmod`` by the group order)."""
+    the constructor refuses anything else."""
 
     __slots__ = ("order", "coeffs")
 
@@ -161,83 +184,6 @@ class Cyclotomic:
             )
         self.order = order
         self.coeffs = cs
-
-    @classmethod
-    def _of(cls, order: int, coeffs: tuple) -> "Cyclotomic":
-        """The element with the int tuple ``coeffs``, unchecked: for results
-        of int arithmetic on checked elements."""
-        out = object.__new__(cls)
-        out.order = order
-        out.coeffs = coeffs
-        return out
-
-    # constructors -----------------------------------------------------
-    @staticmethod
-    def zero(order: int) -> "Cyclotomic":
-        return Cyclotomic._of(order, (0,) * _degree(order))
-
-    @staticmethod
-    def root_power(order: int, k: int) -> "Cyclotomic":
-        """zeta_order^k."""
-        return Cyclotomic._of(order, _power_table(order)[k % order])
-
-    @staticmethod
-    def combination(order: int, terms) -> "Cyclotomic":
-        """sum n * c over the pairs (int n, Cyclotomic c) of ``terms``."""
-        out = [0] * _degree(order)
-        for n, c in terms:
-            if n:
-                for i, a in enumerate(c.coeffs):
-                    if a:
-                        out[i] += n * a
-        return Cyclotomic(order, out)
-
-    # arithmetic -------------------------------------------------------
-    def _check(self, other: "Cyclotomic"):
-        assert self.order == other.order
-
-    def __add__(self, other):
-        self._check(other)
-        return Cyclotomic._of(
-            self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return Cyclotomic._of(self.order, tuple(a * other for a in self.coeffs))
-        if not isinstance(other, Cyclotomic):
-            return NotImplemented
-        self._check(other)
-        d = len(self.coeffs)
-        conv = [0] * (2 * d - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        conv[i + j] += a * b
-        # x^m for m < d is a basis vector; fold the higher powers
-        out = conv[:d]
-        table = _power_table(self.order)
-        for m in range(d, 2 * d - 1):
-            c = conv[m]
-            if c:
-                for i, t in enumerate(table[m]):
-                    if t:
-                        out[i] += c * t
-        return Cyclotomic._of(self.order, tuple(out))
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "Cyclotomic":
-        """Complex conjugation zeta -> zeta^{-1}."""
-        table = _power_table(self.order)
-        out = [0] * len(self.coeffs)
-        for k, c in enumerate(self.coeffs):
-            if c:
-                for i, t in enumerate(table[(self.order - k) % self.order]):
-                    if t:
-                        out[i] += c * t
-        return Cyclotomic._of(self.order, tuple(out))
 
     # predicates -------------------------------------------------------
     def __eq__(self, other):
@@ -272,49 +218,116 @@ class Cyclotomic:
 
 
 # ---------------------------------------------------------------------------
-# modular linear algebra; the elimination is ffield.row_reduce and
-# ffield.kernel over a FieldOps mod ell
+# int64 products, each refused unless no partial sum can pass INT_BOUND
 # ---------------------------------------------------------------------------
 
-def _mat_apply(mat: List[List[int]], vec: List[int], m: int) -> List[int]:
-    return [sum(row[k] * vec[k] for k in range(len(vec)) if vec[k]) % m for row in mat]
+def _require(bound: int, what: str) -> None:
+    """Refuse an int64 computation whose partial sums can reach ``bound``."""
+    if bound > INT_BOUND:
+        raise DixonBoundExceeded(
+            f"{what} can reach {bound}, past the int64 bound {INT_BOUND}"
+        )
 
 
-def _charpoly_mod(t: List[List[int]], m: int) -> List[int]:
-    """Monic characteristic polynomial mod m (constant first) by the
-    Faddeev-LeVerrier recursion; needs m prime and m > dim."""
+def _dot(a, b):
+    """a @ b over int64: every partial sum is at most the inner length times
+    the largest absolute entries of a and b, and that bound is checked first."""
+    _require(a.shape[-1] * int(abs(a).max(initial=0)) * int(abs(b).max(initial=0)),
+             "an exact product")
+    return a @ b
+
+
+def _product(outer, n: int):
+    """Coefficient vectors in Z[zeta_n] from outer products: outer[..., a, b]
+    is the coefficient of x^a x^b.  The antidiagonals a + b = m sum to the
+    coefficients of the polynomial product, which the rows x^m mod Phi_n of
+    ``_power_table`` fold back into the power basis."""
+    import numpy as np
+
+    da, db = outer.shape[-2:]
+    _require(min(da, db) * int(abs(outer).max(initial=0)), "a polynomial product")
+    conv = np.zeros(outer.shape[:-2] + (da + db - 1,), dtype=np.int64)
+    for a in range(da):
+        conv[..., a:a + db] += outer[..., a, :]
+    return _dot(conv, _power_table(n)[:da + db - 1])
+
+
+def _conjugate(v, n: int):
+    """The complex conjugates of the coefficient vectors v[..., :], which may
+    stop short of deg Phi_n."""
+    return _dot(v, _conj_table(n)[:v.shape[-1]])
+
+
+def _trim(v):
+    """v without the coefficients past the last one nonzero anywhere in it,
+    which no product needs; at least the constant term stays."""
+    used = v.reshape(-1, v.shape[-1]).any(axis=0).nonzero()[0]
+    return v[..., :used[-1] + 1 if used.size else 1]
+
+
+def _pairings(a, b, weights, n: int):
+    """sum_k weights_k a_ik conj(b_jk) in Z[zeta_n] for every i and j: a and b
+    are (rows, classes, deg) coefficient arrays, weights one int per class,
+    and the result is (rows of a, rows of b, deg)."""
+    a, bbar = _trim(a), _trim(_conjugate(_trim(b), n))
+    rows, r, da = a.shape
+    db = bbar.shape[-1]
+    _require(int(abs(weights).max(initial=0)) * int(abs(bbar).max(initial=0)),
+             "a weighted value")
+    right = (bbar * weights[:, None]).transpose(1, 0, 2).reshape(r, -1)
+    outer = _dot(a.transpose(0, 2, 1).reshape(rows * da, r), right)
+    return _product(outer.reshape(rows, da, -1, db).transpose(0, 2, 1, 3), n)
+
+
+def _rational(coeffs, n: int):
+    """The ints that the coefficient vectors coeffs[..., :] stand for, as
+    ``tolist`` gives them; each must be rational."""
+    flat = coeffs.reshape(-1, coeffs.shape[-1])
+    irrational = flat[:, 1:].any(axis=1)
+    if irrational.any():
+        first = Cyclotomic(n, flat[irrational.argmax()].tolist())
+        raise NonIntegralResult(f"{first!r} is not rational")
+    return coeffs[..., 0].tolist()
+
+
+# ---------------------------------------------------------------------------
+# modular linear algebra on int64 arrays with entries in [0, m); the
+# elimination is ffield.row_reduce and ffield.kernel over a FieldOps mod ell
+# ---------------------------------------------------------------------------
+
+def _charpoly_mod(t, m: int) -> List[int]:
+    """Monic characteristic polynomial mod m (constant first) of the square
+    int64 array t by the Faddeev-LeVerrier recursion; needs m prime and
+    m > dim."""
+    import numpy as np
+
     d = len(t)
+    _require(d * (m - 1) ** 2, f"arithmetic mod {m}")
     coeffs = [0] * (d + 1)
     coeffs[d] = 1
-    work = [[0] * d for _ in range(d)]  # M_0 = 0
+    work = np.zeros((d, d), dtype=np.int64)  # M_0 = 0
+    diag = np.arange(d)
     c_prev = 1
     for k in range(1, d + 1):
-        for i in range(d):
-            work[i][i] = (work[i][i] + c_prev) % m
-        nxt = [
-            [
-                sum(t[i][a] * work[a][j] for a in range(d)) % m
-                for j in range(d)
-            ]
-            for i in range(d)
-        ]
-        work = nxt
-        tr = sum(work[i][i] for i in range(d)) % m
-        ck = (-tr * pow(k, m - 2, m)) % m
+        work[diag, diag] = (work[diag, diag] + c_prev) % m
+        work = t @ work % m
+        ck = -int(work.trace()) * pow(k, m - 2, m) % m
         coeffs[d - k] = ck
         c_prev = ck
     return coeffs
 
 
 def _poly_roots_mod(coeffs: List[int], m: int) -> List[int]:
-    roots = []
-    for x in range(m):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * x + c) % m
-        if acc == 0:
-            roots.append(x)
-    return roots
+    """The roots in [0, m) of the polynomial with coefficients in [0, m)
+    (constant first): one Horner pass over every residue at once."""
+    import numpy as np
+
+    _require(m * (m - 1), f"arithmetic mod {m}")
+    x = np.arange(m, dtype=np.int64)
+    acc = np.zeros(m, dtype=np.int64)
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % m
+    return np.flatnonzero(acc == 0).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +336,10 @@ def _poly_roots_mod(coeffs: List[int], m: int) -> List[int]:
 
 @dataclass(eq=False)
 class CharacterTable:
-    """Exact character table: values[i][k] is chi_i on class k, and
-    labels[n] is the class of row n of the group."""
+    """Exact character table.  values[i, k] holds chi_i on class k as its
+    power-basis coefficients in Z[zeta_e], e = exponent: one read-only int64
+    array of shape (n_chars, n_classes, phi(e)).  labels[n] is the class of
+    row n of the group."""
 
     group: Subgroup
     classes: list
@@ -332,7 +347,7 @@ class CharacterTable:
     exponent: int
     ell: int
     degrees: List[int]
-    values: list  # List[List[Cyclotomic]]
+    values: "np.ndarray"
     identity_class: int
 
     @property
@@ -344,7 +359,7 @@ class CharacterTable:
         return len(self.classes)
 
     def value(self, i: int, k: int) -> Cyclotomic:
-        return self.values[i][k]
+        return Cyclotomic(self.exponent, self.values[i, k].tolist())
 
     def class_index(self, g: GSpElem) -> int:
         """The class of the group element g."""
@@ -360,27 +375,38 @@ class CharacterTable:
 
         return np.bincount(self.classes_of(sub), minlength=self.n_classes).tolist()
 
+    def fixed_dims(self, subgroup: Subgroup) -> List[int]:
+        """dim chi_i^R = (1/|R|) sum_k |R ∩ C_k| chi_i(C_k) of every character
+        chi_i, exact."""
+        import numpy as np
+
+        counts = np.array(self.class_counts(subgroup), dtype=np.int64)
+        dims = []
+        for total in _rational(_dot(counts, self.values), self.exponent):
+            dim, rem = divmod(total, subgroup.order)
+            if rem or dim < 0:
+                raise NonIntegralResult(
+                    f"character sum {Fraction(total, subgroup.order)} is not a "
+                    f"nonnegative integer"
+                )
+            dims.append(dim)
+        return dims
+
     def fixed_dim(self, i: int, subgroup: Subgroup) -> int:
-        """dim chi_i^R = (1/|R|) sum_k |R ∩ C_k| chi_i(C_k), exact."""
-        total = Cyclotomic.combination(
-            self.exponent, zip(self.class_counts(subgroup), self.values[i])
-        ).as_int()
-        dim, rem = divmod(total, subgroup.order)
-        if rem or dim < 0:
-            raise NonIntegralResult(
-                f"character sum {Fraction(total, subgroup.order)} is not a "
-                f"nonnegative integer"
-            )
-        return dim
+        """dim chi_i^R, exact."""
+        return self.fixed_dims(subgroup)[i]
+
+    def class_sizes(self) -> "np.ndarray":
+        """|C_k| for every class k, as int64."""
+        import numpy as np
+
+        return np.array([cls.size for cls in self.classes], dtype=np.int64)
 
     def inner(self, i: int, j: int) -> Fraction:
         """First-orthogonality inner product <chi_i, chi_j>, exact."""
-        total = Cyclotomic.combination(
-            self.exponent,
-            ((cls.size, vi * vj.conjugate())
-             for cls, vi, vj in zip(self.classes, self.values[i], self.values[j])),
-        )
-        return Fraction(total.as_int(), self.group.order)
+        total = _pairings(self.values[i:i + 1], self.values[j:j + 1],
+                          self.class_sizes(), self.exponent)[0, 0]
+        return Fraction(_rational(total, self.exponent), self.group.order)
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +456,8 @@ def _power_classes(group: Subgroup, labels, g: GSpElem) -> list:
 def dixon_table(group: Subgroup) -> CharacterTable:
     """Compute the exact character table of a group of order at most
     ORDER_BOUND with at most CLASS_BOUND classes."""
+    import numpy as np
+
     if group.order > ORDER_BOUND:
         raise DixonBoundExceeded(
             f"group order {group.order} exceeds bound {ORDER_BOUND}"
@@ -440,46 +468,37 @@ def dixon_table(group: Subgroup) -> CharacterTable:
         raise DixonBoundExceeded(f"{r} classes exceed bound {CLASS_BOUND}")
 
     labels, power_classes, kstar, mats = _class_products(group, classes)
-    sizes = [cls.size for cls in classes]
     id_class = power_classes[0][0]
     orders = [len(pows) for pows in power_classes]
     exponent = math.lcm(*orders)
     ell = _choose_prime(exponent, group.order, r)
+    # every residue below lies in [0, ell), and no sum of products of two
+    # has more than max(r, exponent) terms
+    _require(max(r, exponent) * (ell - 1) ** 2, f"arithmetic mod {ell}")
 
     # simultaneous eigenvector descent mod ell
     field = FieldOps(lambda x: pow(x, ell - 2, ell), lambda x: x % ell)
-    full = [[1 if a == b else 0 for b in range(r)] for a in range(r)]
-    spaces = [(full, list(range(r)))]  # (rref rows, pivot columns)
+    spaces = [(np.eye(r, dtype=np.int64), list(range(r)))]  # (rref rows, pivots)
     # the next class matrix is built only while some eigenspace is not a line
     for i, mat in enumerate(mats):
         if i == id_class:
             continue
-        mat_i = [[x % ell for x in row] for row in mat]
-        refined = []  # (rref rows, pivot columns) of each eigenspace
+        mat_t = np.array(mat, dtype=np.int64).T % ell
+        refined = []
         for rows, pivots in spaces:
             d = len(rows)
             if d == 1:
                 refined.append((rows, pivots))
                 continue
-            images = [_mat_apply(mat_i, v, ell) for v in rows]
-            # T[a][b]: coefficient of basis vector a in image of vector b
-            t = [[images[b][pivots[a]] % ell for b in range(d)] for a in range(d)]
-            cp = _charpoly_mod(t, ell)
-            for lam in _poly_roots_mod(cp, ell):
-                shifted = [
-                    [(t[a][b] - (lam if a == b else 0)) % ell for b in range(d)]
-                    for a in range(d)
-                ]
-                eigen_vecs = []
-                for combo in kernel(shifted, field):
-                    vec = [0] * r
-                    for a, ca in enumerate(combo):
-                        if ca:
-                            for pos in range(r):
-                                vec[pos] = (vec[pos] + ca * rows[a][pos]) % ell
-                    eigen_vecs.append(vec)
-                if eigen_vecs:
-                    refined.append(row_reduce(eigen_vecs, field))
+            # t[a, b]: coefficient of basis vector a in the image of vector b
+            t = (rows @ mat_t % ell)[:, pivots].T
+            for lam in _poly_roots_mod(_charpoly_mod(t, ell), ell):
+                shifted = (t - lam * np.eye(d, dtype=np.int64)) % ell
+                combos = kernel(shifted.tolist(), field)
+                if combos:
+                    eigen = np.array(combos, dtype=np.int64) @ rows % ell
+                    reduced, reduced_pivots = row_reduce(eigen.tolist(), field)
+                    refined.append((np.array(reduced, dtype=np.int64), reduced_pivots))
         spaces = refined
         if all(len(rows) == 1 for rows, _ in spaces):
             break
@@ -490,25 +509,23 @@ def dixon_table(group: Subgroup) -> CharacterTable:
         )
 
     # omega vectors, normalized at the identity class
-    omegas = []
-    for rows, _ in spaces:
-        v = rows[0]
-        if v[id_class] % ell == 0:
-            raise MismatchReport([("omega identity coordinate", "nonzero", 0)])
-        inv = pow(v[id_class], ell - 2, ell)
-        omegas.append([(x * inv) % ell for x in v])
+    basis = np.concatenate([rows for rows, _ in spaces])
+    if not basis[:, id_class].all():
+        raise MismatchReport([("omega identity coordinate", "nonzero", 0)])
+    inv = [pow(x, ell - 2, ell) for x in basis[:, id_class].tolist()]
+    omegas = basis * np.array(inv)[:, None] % ell
 
-    # degrees
-    inv_sizes = [pow(s % ell, ell - 2, ell) for s in sizes]
-    degrees = []
-    max_d = math.isqrt(group.order)
-    for om in omegas:
-        s = sum(om[k] * om[kstar[k]] % ell * inv_sizes[k] for k in range(r)) % ell
-        d2 = (group.order % ell) * pow(s, ell - 2, ell) % ell
-        d = next((x for x in range(1, max_d + 1) if x * x % ell == d2), None)
-        if d is None:
-            raise MismatchReport([("degree recovery", f"square root of {d2}", None)])
-        degrees.append(d)
+    # degrees: d^2 = |G| / sum_k omega_k omega_{k*} / h_k, with 0 < d <= sqrt|G|
+    inv_sizes = np.array([pow(cls.size % ell, ell - 2, ell) for cls in classes])
+    sums = (omegas * omegas[:, kstar] % ell) @ inv_sizes % ell
+    d2 = [(group.order % ell) * pow(s, ell - 2, ell) % ell for s in sums.tolist()]
+    squares = np.arange(1, math.isqrt(group.order) + 1) ** 2 % ell
+    roots = squares == np.array(d2)[:, None]
+    missing = ~roots.any(axis=1)
+    if missing.any():
+        found = d2[int(missing.argmax())]
+        raise MismatchReport([("degree recovery", f"square root of {found}", None)])
+    degrees = (roots.argmax(axis=1) + 1).tolist()
 
     if sum(d * d for d in degrees) != group.order:
         raise MismatchReport(
@@ -516,42 +533,35 @@ def dixon_table(group: Subgroup) -> CharacterTable:
         )
 
     # modular character values chi(g_k) = d * omega_k / h_k
-    cvals = [
-        [(degrees[i] * om[k] % ell) * inv_sizes[k] % ell for k in range(r)]
-        for i, om in enumerate(omegas)
-    ]
+    deg = np.array(degrees)
+    cvals = deg[:, None] * omegas % ell * inv_sizes % ell
 
+    # exact lift through root-of-unity multiplicities: the class of g^t is
+    # power_classes[k][t] for the rep g of order o, z = w^(e/o) has order o,
+    # and chi(g) = sum_j m_j zeta_e^(j e/o) with
+    # m_j = (1/o) sum_t chi(g^t) z^(-jt) mod ell
     w = _primitive_root_of_unity(ell, exponent)
-
-    # exact lift through root-of-unity multiplicities
-    values = []
-    for i in range(len(omegas)):
-        row = []
-        for k in range(r):
-            e = orders[k]
-            z = pow(w, exponent // e, ell)
-            zinv = pow(z, ell - 2, ell)
-            inv_e = pow(e % ell, ell - 2, ell)
-            zpow = [pow(zinv, t, ell) for t in range(e)]
-            terms = []
-            for j in range(e):
-                s = 0
-                for t in range(e):
-                    s += cvals[i][power_classes[k][t]] * zpow[(j * t) % e]
-                m_j = (s % ell) * inv_e % ell
-                if m_j > degrees[i]:
-                    raise MismatchReport(
-                        [("root-of-unity multiplicity", f"<= {degrees[i]}", m_j)]
-                    )
-                if m_j:
-                    terms.append((m_j, Cyclotomic.root_power(exponent, j * (exponent // e))))
-            total_mult = sum(m for m, _ in terms)
-            if total_mult != degrees[i]:
-                raise MismatchReport(
-                    [("total multiplicity", degrees[i], total_mult)]
-                )
-            row.append(Cyclotomic.combination(exponent, terms))
-        values.append(row)
+    powers = _power_table(exponent)
+    values = np.empty((r, r, _degree(exponent)), dtype=np.int64)
+    for k, pows in enumerate(power_classes):
+        o = len(pows)
+        zinv = pow(w, exponent - exponent // o, ell)
+        t = np.arange(o)
+        zpow = np.array([pow(zinv, j, ell) for j in range(o)])
+        mults = (cvals[:, pows] @ zpow[np.outer(t, t) % o] % ell
+                 * pow(o, ell - 2, ell) % ell)
+        over = mults > deg[:, None]
+        if over.any():
+            i, j = np.argwhere(over)[0]
+            raise MismatchReport(
+                [("root-of-unity multiplicity", f"<= {degrees[i]}", int(mults[i, j]))]
+            )
+        totals = mults.sum(axis=1)
+        if (totals != deg).any():
+            i = int((totals != deg).argmax())
+            raise MismatchReport([("total multiplicity", degrees[i], int(totals[i]))])
+        values[:, k] = _dot(mults, powers[t * (exponent // o)])
+    values.setflags(write=False)
 
     table = CharacterTable(
         group=group,
@@ -568,41 +578,54 @@ def dixon_table(group: Subgroup) -> CharacterTable:
     return table
 
 
+def _column_sums(values, identity_class: int, n: int) -> tuple:
+    """sum_i chi_i(g_k) chi_i(1) and sum_i chi_i(g_k) conj(chi_i(g_k)) for every
+    class k, as (classes, deg) coefficient arrays in Z[zeta_n]."""
+    values = _trim(values)
+    by_class = values.transpose(1, 2, 0)
+    against_identity = _product(_dot(by_class, values[:, identity_class]), n)
+    conj = _trim(_conjugate(values, n))
+    norms = _product(_dot(by_class, conj.transpose(1, 0, 2)), n)
+    return against_identity, norms
+
+
 def _verify_table(table: CharacterTable) -> None:
+    """Degrees on the identity class, then first orthogonality (up to 32
+    characters) or both column relations: each an int64 product over the
+    value array, folded into Z[zeta_e]."""
+    import numpy as np
+
+    e, values, order = table.exponent, table.values, table.group.order
+    identity = values[:, table.identity_class]
     failures = []
     for i, d in enumerate(table.degrees):
-        v = table.values[i][table.identity_class]
-        if not (v.is_rational() and v.as_fraction() == d):
-            failures.append((f"degree of character {i}", d, v))
+        if identity[i, 1:].any() or identity[i, 0] != d:
+            failures.append((f"degree of character {i}", d,
+                             table.value(i, table.identity_class)))
     if table.n_chars <= 32:
-        for i in range(table.n_chars):
-            for j in range(i, table.n_chars):
-                got = table.inner(i, j)
-                want = Fraction(1 if i == j else 0)
-                if got != want:
-                    failures.append((f"orthogonality <{i},{j}>", want, got))
+        # |G| <chi_i, chi_j> for every pair, against |G| delta_ij
+        grams = _pairings(values, values, table.class_sizes(), e)
+        want = np.zeros_like(grams)
+        want[..., 0] = order * np.eye(table.n_chars, dtype=np.int64)
+        for i, j in np.argwhere((grams != want).any(axis=-1)).tolist():
+            if i <= j:
+                failures.append((f"orthogonality <{i},{j}>", Fraction(int(i == j)),
+                                 table.inner(i, j)))
     else:
         # larger tables: exact column orthogonality, which is O(r^2) products
         # instead of O(r^3): sum_i chi_i(g_k) conj(chi_i(g_l)) = delta_kl |C(g_k)|
-        for k in range(table.n_classes):
-            total = Cyclotomic.zero(table.exponent)
-            for i in range(table.n_chars):
-                total = total + table.values[i][k] * table.values[i][
-                    table.identity_class
-                ]
-            want = Fraction(
-                0 if k != table.identity_class
-                else table.group.order // table.classes[k].size
-            )
-            if not (total.is_rational() and total.as_fraction() == want):
-                failures.append((f"column orthogonality vs identity, class {k}", want, total))
-            norm = Cyclotomic.zero(table.exponent)
-            for i in range(table.n_chars):
-                v = table.values[i][k]
-                norm = norm + v * v.conjugate()
-            centralizer = Fraction(table.group.order, table.classes[k].size)
-            if not (norm.is_rational() and norm.as_fraction() == centralizer):
-                failures.append((f"column norm, class {k}", centralizer, norm))
+        against_identity, norms = _column_sums(values, table.identity_class, e)
+        for k, cls in enumerate(table.classes):
+            want = Fraction(0 if k != table.identity_class else order // cls.size)
+            total = against_identity[k]
+            if total[1:].any() or int(total[0]) != want:
+                failures.append((f"column orthogonality vs identity, class {k}", want,
+                                 Cyclotomic(e, total.tolist())))
+            centralizer = Fraction(order, cls.size)
+            norm = norms[k]
+            if norm[1:].any() or int(norm[0]) != centralizer:
+                failures.append((f"column norm, class {k}", centralizer,
+                                 Cyclotomic(e, norm.tolist())))
     if failures:
         raise MismatchReport(failures)
 

@@ -38,7 +38,6 @@ from __future__ import annotations
 from fractions import Fraction
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 from typing import List
 
 from .chartab import (
@@ -52,7 +51,7 @@ from .chartab import (
     _pinned_value,
     _row_labels,
 )
-from .dixon import CharacterTable, Cyclotomic, dixon_table
+from .dixon import CharacterTable, _dot, _rational, dixon_table
 from .errors import DixonBoundExceeded, MismatchReport
 from .ffield import field_for_q
 from .groupfq import (
@@ -128,16 +127,23 @@ class LemmaReport:
         return self.checks.failures()
 
 
-def _whittaker_pairing(table: CharacterTable, i: int, unipotent) -> Fraction:
-    """<chi_i|_U, psi> against psi(u) = (-1)^(u_12 + u_23); q = 2 only."""
-    weights = [0] * table.n_classes
-    for u, k in zip(unipotent.elements, table.classes_of(unipotent).tolist()):
-        weights[k] += (-1) ** (u.mat.entry(0, 1).encoding() + u.mat.entry(1, 2).encoding())
-    total = Cyclotomic.combination(table.exponent, zip(weights, table.values[i]))
-    return Fraction(total.as_int(), unipotent.order)
+def _whittaker_pairings(table: CharacterTable, unipotent) -> List[Fraction]:
+    """<chi_i|_U, psi> for every character chi_i, against the character
+    psi(u) = (-1)^(u_12 + u_23) of the upper unipotent group U.  q = 2 only:
+    there the entries u_12 and u_23 are encoded as 0 and 1, and psi is
+    additive on them."""
+    import numpy as np
+
+    rows = unipotent.rows
+    parity = (rows[:, 1] + rows[:, 6]) % 2
+    counts = np.bincount(table.classes_of(unipotent) * 2 + parity,
+                         minlength=2 * table.n_classes).reshape(-1, 2)
+    weights = counts[:, 0] - counts[:, 1]
+    totals = _rational(_dot(weights, table.values), table.exponent)
+    return [Fraction(total, unipotent.order) for total in totals]
 
 
-def _virtual_type_ii(table: CharacterTable, labels, q: int):
+def _virtual_type_ii(table: CharacterTable, labels, q: int, subgroups):
     """The class function carrying the second cuspidal family when no
     irreducible of its degree (q^2+1)(q-1)^2 is cuspidal.
 
@@ -145,44 +151,48 @@ def _virtual_type_ii(table: CharacterTable, labels, q: int):
     and every +-chi_i +- chi_j, which are all the integral class functions
     of norm <= 2.  A candidate survives if it takes the typeII pin on every
     pinned class and has the Klingen-Levi dimensions dim^M = 2 and
-    dim^{R_klingen} = 0.  Exactly one candidate must survive, and it must
-    have two terms, the norm 2 that Deligne-Lusztig predicts for
+    dim^{R_klingen} = 0, read off ``subgroups["M"]`` and
+    ``subgroups["R_klingen"]``.  Exactly one candidate must survive, and it
+    must have two terms, the norm 2 that Deligne-Lusztig predicts for
     <R_T^theta, R_T^theta>; otherwise MismatchReport lists the survivors
     as (character, sign) pairs.
 
     Returns (values per class as Fractions, coefficient per character).
     """
-    pins = []
+    import numpy as np
+
+    pinned, pins = [], []
     for k, label in enumerate(labels):
         pin = _pinned_value(label.kind, FAMILY_TYPE_II, q)
         if pin is not None:
-            pins.append((k, pin))
-    levi = [named_subgroup(name, q) for name in ("M", "R_klingen")]
-    levi_dims = [[table.fixed_dim(i, sub) for sub in levi] for i in range(table.n_chars)]
+            pinned.append(k)
+            pins.append(pin)
+    levi = np.array([table.fixed_dims(subgroups[name]) for name in ("M", "R_klingen")])
 
-    def value(terms, k) -> Cyclotomic:
-        return Cyclotomic.combination(
-            table.exponent, ((s, table.values[i][k]) for i, s in terms)
-        )
-
-    signed = [(i, s) for i in range(table.n_chars) for s in (1, -1)]
-    candidates = [[t] for t in signed]
-    candidates += [[a, b] for a, b in combinations(signed, 2) if a[0] != b[0]]
-    survivors = [
-        terms
-        for terms in candidates
-        if [sum(s * levi_dims[i][n] for i, s in terms) for n in (0, 1)] == [2, 0]
-        and all(value(terms, k) == pin for k, pin in pins)
-    ]
+    # the coefficient rows of +-chi_i, in the order (chi_0, -chi_0, chi_1, ...),
+    # then of every sum of two of them on different characters
+    n = table.n_chars
+    signed = np.repeat(np.eye(n, dtype=np.int64), 2, axis=0)
+    signed[1::2] *= -1
+    a, b = np.triu_indices(2 * n, 1)
+    apart = a // 2 != b // 2
+    candidates = np.concatenate([signed, signed[a[apart]] + signed[b[apart]]])
+    values = _dot(candidates, table.values.reshape(n, -1)).reshape(
+        len(candidates), table.n_classes, -1)
+    survives = (
+        (_dot(candidates, levi.T) == [2, 0]).all(axis=1)
+        & (values[:, pinned, 0] == pins).all(axis=1)
+        & ~values[:, pinned, 1:].any(axis=(1, 2))
+    )
+    survivors = [[(i, int(row[i])) for i in np.flatnonzero(row).tolist()]
+                 for row in candidates[survives]]
     if len(survivors) != 1 or len(survivors[0]) != 2:
         raise MismatchReport(
             [("virtual typeII carrier", "one two-term difference", survivors)]
         )
-    terms = survivors[0]
-    coeffs = [0] * table.n_chars
-    for i, s in terms:
-        coeffs[i] = s
-    return [value(terms, k).as_fraction() for k in range(table.n_classes)], coeffs
+    found = int(survives.argmax())
+    return ([Fraction(v) for v in _rational(values[found], table.exponent)],
+            candidates[found].tolist())
 
 
 def verify_char_lemmas(q: int = 2) -> LemmaReport:
@@ -195,6 +205,8 @@ def verify_char_lemmas(q: int = 2) -> LemmaReport:
         raise DixonBoundExceeded(
             f"full-group character table verification is only run at q=2, got q={q}"
         )
+    import numpy as np
+
     spec = field_for_q(q)
     group = enumerate_gsp4(q)
     table = dixon_table(group)
@@ -207,16 +219,14 @@ def verify_char_lemmas(q: int = 2) -> LemmaReport:
     check("sum of squared degrees", group.order, sum(d * d for d in table.degrees))
 
     # identify generic cuspidal characters from the table alone
-    u_up = upper_unipotent(spec)
-    u_s = named_subgroup("U_S", q)
-    u_k = named_subgroup("U_K", q)
-    generic = set()
-    cuspidal = set()
-    for i in range(table.n_chars):
-        if _whittaker_pairing(table, i, u_up) != 0:
-            generic.add(i)
-        if table.fixed_dim(i, u_s) == 0 and table.fixed_dim(i, u_k) == 0:
-            cuspidal.add(i)
+    subgroups = {name: named_subgroup(name, q) for name in _LEMMA_SUBGROUPS}
+    oracle_dims = {name: table.fixed_dims(sub) for name, sub in subgroups.items()}
+    generic = {i for i, pairing in
+               enumerate(_whittaker_pairings(table, upper_unipotent(spec)))
+               if pairing != 0}
+    cuspidal = {i for i, (ds, dk) in
+                enumerate(zip(oracle_dims["U_S"], oracle_dims["U_K"]))
+                if ds == 0 and dk == 0}
 
     deg_i = SigmaFamily(FAMILY_TYPE_I).degree(q)
     deg_ii = SigmaFamily(FAMILY_TYPE_II).degree(q)
@@ -233,22 +243,22 @@ def verify_char_lemmas(q: int = 2) -> LemmaReport:
     # every typeII check below runs against.
     check("no cuspidal irreducible of typeII degree", [],
           sorted(i for i in cuspidal if table.degrees[i] == deg_ii))
-    virtual_vals, virtual_coeffs = _virtual_type_ii(table, labels, q)
+    virtual_vals, virtual_coeffs = _virtual_type_ii(table, labels, q, subgroups)
 
-    def virtual_dim(sub) -> Fraction:
-        counts = table.class_counts(sub)
-        return sum(n * virtual_vals[k] for k, n in enumerate(counts) if n) / sub.order
+    def virtual_dim(name) -> Fraction:
+        # the carrier is sum_i c_i chi_i, so its fixed dimension is
+        # sum_i c_i dim chi_i^R
+        return Fraction(sum(c * d for c, d in zip(virtual_coeffs, oracle_dims[name])))
 
     check("virtual typeII formal degree", deg_ii, virtual_vals[table.identity_class])
     check("virtual typeII is a two-term difference", [-1, 1],
           sorted(c for c in virtual_coeffs if c != 0))
     # vanishing sums over both unipotent radicals (cuspidal-like)
-    for uname, usub in (("U_S", u_s), ("U_K", u_k)):
-        check(f"virtual typeII kills {uname}", 0, virtual_dim(usub))
+    for uname in ("U_S", "U_K"):
+        check(f"virtual typeII kills {uname}", 0, virtual_dim(uname))
 
     # lemma dimensions, three routes: Dixon table (the typeI characters or
     # the virtual carrier) / classify+average / closed
-    subgroups = {name: named_subgroup(name, q) for name in _LEMMA_SUBGROUPS}
     for fam_kind in (FAMILY_TYPE_I, FAMILY_TYPE_II):
         family = SigmaFamily(fam_kind)
         for name, sub in subgroups.items():
@@ -256,9 +266,9 @@ def verify_char_lemmas(q: int = 2) -> LemmaReport:
             if fam_kind == FAMILY_TYPE_I:
                 for i in type_i:
                     check(f"dim {fam_kind}^{name} (oracle, char {i})", want,
-                          table.fixed_dim(i, sub))
+                          oracle_dims[name][i])
             else:
-                check(f"dim {fam_kind}^{name} (virtual)", want, virtual_dim(sub))
+                check(f"dim {fam_kind}^{name} (virtual)", want, virtual_dim(name))
             check(f"dim {fam_kind}^{name} (pinned classes)", want,
                   dim_fixed(sub, family, q))
 
@@ -287,20 +297,20 @@ def verify_char_lemmas(q: int = 2) -> LemmaReport:
             by_token.setdefault(lab.token, Counter())[k] += 1
     check("elliptic tokens in Klingen Levi", True, len(by_token) >= 1)
     for token, counts in sorted(by_token.items()):
+        weights = np.zeros(table.n_classes, dtype=np.int64)
+        weights[list(counts)] = list(counts.values())
+        totals = _dot(weights, table.values)
         for i in type_i:
-            total = Cyclotomic.combination(
-                table.exponent, ((n, table.values[i][k]) for k, n in counts.items())
-            )
             check(f"elliptic cancellation token {token} (typeI, char {i})", True,
-                  total.is_zero())
+                  not totals[i].any())
         total = sum(n * virtual_vals[k] for k, n in counts.items())
         check(f"elliptic cancellation token {token} (typeII, virtual)", 0, total)
 
     # cuspidal nongeneric characters die on the long-root center
-    z_ray = named_subgroup("Z_ray", q)
+    z_ray_dims = table.fixed_dims(named_subgroup("Z_ray", q))
     for i in sorted(cuspidal - generic):
         check(f"long-center vanishing (cuspidal nongeneric char {i})", 0,
-              table.fixed_dim(i, z_ray))
+              z_ray_dims[i])
 
     # class-intersection counts consumed by the closed counting forms
     check("|R_klingen ^ A2|", q * q + q - 2, kl_kinds["A2"])

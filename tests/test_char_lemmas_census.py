@@ -36,8 +36,10 @@ def test_checks(report):
 
 
 def test_table(report):
-    assert report.table.degrees == CENSUS["degrees"]
-    assert [[v.as_int() for v in row] for row in report.table.values] == CENSUS["values"]
+    table = report.table
+    assert table.degrees == CENSUS["degrees"]
+    assert [[table.value(i, k).as_int() for k in range(table.n_classes)]
+            for i in range(table.n_chars)] == CENSUS["values"]
 
 
 def test_virtual_type_ii(report):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from klingen import chartab, ffield, groupfq as gq
+from klingen import chartab, dixon, ffield, groupfq as gq
 from klingen.chartab import (
     FAMILY_NONGENERIC,
     FAMILY_TYPE_I,
@@ -30,7 +30,13 @@ from klingen.chartab import (
 )
 from klingen.dixon import (
     Cyclotomic,
+    _charpoly_mod,
     _class_products,
+    _column_sums,
+    _conjugate,
+    _poly_roots_mod,
+    _power_table,
+    _product,
     _verify_table,
     cyclotomic_polynomial,
     dixon_table,
@@ -437,23 +443,23 @@ class TestCyclotomic:
         for i, ai in enumerate(a):
             for j, bj in enumerate(b):
                 conv[i + j] += ai * bj
-        got = Cyclotomic(n, a) * Cyclotomic(n, b)
-        assert got.coeffs == tuple(_reduce_mod(conv, cyclotomic_polynomial(n)))
-        assert all(type(c) is int for c in got.coeffs)
+        got = _product(np.outer(a, b), n)
+        assert got.dtype == np.int64
+        assert got.tolist() == _reduce_mod(conv, cyclotomic_polynomial(n))
 
     @settings(max_examples=60, deadline=None)
     @given(cyclotomic_pairs())
     def test_conjugate_is_complex_conjugation_and_an_involution(self, pair):
         n, a, _ = pair
         x = Cyclotomic(n, a)
-        bar = x.conjugate()
-        assert _close(_evaluate(bar), _evaluate(x).conjugate(), x)
-        assert bar.conjugate() == x
+        bar = _conjugate(np.array(a), n)
+        assert _close(_evaluate(Cyclotomic(n, bar.tolist())), _evaluate(x).conjugate(), x)
+        assert _conjugate(bar, n).tolist() == a
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(CYCLOTOMIC_ORDERS), st.integers(-1000, 1000))
     def test_root_power(self, n, k):
-        x = Cyclotomic.root_power(n, k)
+        x = Cyclotomic(n, _power_table(n)[k % n].tolist())
         assert _close(_evaluate(x), cmath.exp(2j * cmath.pi * k / n), x)
 
     @pytest.mark.parametrize("n", CYCLOTOMIC_ORDERS)
@@ -463,10 +469,104 @@ class TestCyclotomic:
             Cyclotomic(n, (Fraction(1, 2),) + (0,) * (d - 1))
         with pytest.raises(TypeError, match="must be ints"):
             Cyclotomic(n, (0,) * (d - 1) + (1.0,))
-        with pytest.raises(TypeError):
-            Cyclotomic.root_power(n, 1) * Fraction(1, 2)
+        with pytest.raises(TypeError, match="must be ints"):
+            Cyclotomic(n, np.ones(d, dtype=np.int64))
         with pytest.raises(ValueError):
             Cyclotomic(n, (0,) * (d + 1))
+
+
+def _poly_product(a, b, n):
+    """a b in Z[zeta_n] by polynomial product and long division by Phi_n."""
+    conv = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            conv[i + j] += ai * bj
+    return _reduce_mod(conv, cyclotomic_polynomial(n))
+
+
+def _poly_conjugate(a, n):
+    """The complex conjugate of a in Z[zeta_n]: x^k -> x^(n-k), reduced."""
+    out = [0] * n
+    for k, c in enumerate(a):
+        out[(n - k) % n] += c
+    return _reduce_mod(out, cyclotomic_polynomial(n))
+
+
+def _negate_one_value(table):
+    """The table with its first nonzero value off the identity class negated."""
+    i, k = next((i, k) for i in range(table.n_chars) for k in range(table.n_classes)
+                if k != table.identity_class and not table.value(i, k).is_zero())
+    values = table.values.copy()
+    values[i, k] *= -1
+    return dataclasses.replace(table, values=values)
+
+
+def _det_mod(rows, p):
+    """det of a square int matrix mod the prime p, by Gaussian elimination."""
+    a = [[x % p for x in row] for row in rows]
+    det = 1
+    for c in range(len(a)):
+        piv = next((r for r in range(c, len(a)) if a[r][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det = det * a[c][c] % p
+        inv = pow(a[c][c], p - 2, p)
+        for r in range(c + 1, len(a)):
+            f = a[r][c] * inv % p
+            if f:
+                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[c])]
+    return det % p
+
+
+class TestDixonKernels:
+    """The int64 kernels of the descent mod ell against independent
+    recomputations, and the bound that every int64 product checks first."""
+
+    # Faddeev-LeVerrier divides by every k <= d, so d < ell; the solver's
+    # ell exceeds the class count
+    @pytest.mark.parametrize("ell,d", [(ell, d) for ell in (61, 1801)
+                                       for d in (1, 5, 11, 38, 64) if d < ell])
+    def test_charpoly_cayley_hamilton(self, ell, d):
+        t = np.random.default_rng(1000 * ell + d).integers(0, ell, (d, d))
+        coeffs = _charpoly_mod(t, ell)
+        assert len(coeffs) == d + 1 and coeffs[d] == 1
+        assert all(type(c) is int and 0 <= c < ell for c in coeffs)
+        acc = np.zeros((d, d), dtype=np.int64)
+        for c in reversed(coeffs):  # p(T) by Horner's rule
+            acc = (acc @ t + c * np.eye(d, dtype=np.int64)) % ell
+        assert not acc.any()
+        assert coeffs[0] == (-1) ** d * _det_mod(t.tolist(), ell) % ell
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from((61, 1801)), st.lists(st.integers(0, 10**4), max_size=6),
+           st.lists(st.integers(0, 10**4), min_size=1, max_size=6))
+    def test_poly_roots_against_brute_force(self, ell, roots, cofactor):
+        coeffs = [c % ell for c in cofactor]
+        for root in roots:  # p(x) (x - root) = x p(x) - root p(x)
+            coeffs = [(xp - root * p) % ell for xp, p in zip([0] + coeffs, coeffs + [0])]
+        want = [x for x in range(ell)
+                if sum(c * pow(x, i, ell) for i, c in enumerate(coeffs)) % ell == 0]
+        assert _poly_roots_mod(coeffs, ell) == want
+        assert {r % ell for r in roots} <= set(want)
+
+    def test_bound_guard(self, table_q2, monkeypatch):
+        """GSp(4, 2) has ell = 61 and exponent 60, so its residue products
+        can reach 60 * 60^2; <chi_0, chi_0> sums 720 = |G| in one product."""
+        monkeypatch.setattr(dixon, "INT_BOUND", 10**4)
+        with pytest.raises(DixonBoundExceeded, match="arithmetic mod 61"):
+            dixon_table(table_q2.group)
+        with pytest.raises(DixonBoundExceeded, match="arithmetic mod 1801"):
+            _charpoly_mod(np.eye(5, dtype=np.int64), 1801)
+        with pytest.raises(DixonBoundExceeded, match="arithmetic mod 1801"):
+            _poly_roots_mod([1, 1], 1801)
+        monkeypatch.setattr(dixon, "INT_BOUND", 700)
+        with pytest.raises(DixonBoundExceeded, match="past the int64 bound 700"):
+            table_q2.inner(0, 0)
+        with pytest.raises(DixonBoundExceeded, match="past the int64 bound 700"):
+            table_q2.fixed_dim(0, table_q2.group)
 
 
 class TestDixonOracle:
@@ -506,12 +606,48 @@ class TestDixonOracle:
         table = dixon_table(gq.named_subgroup("B", 4))
         assert table.n_chars == table.n_classes == 36
         _verify_table(table)
-        i, k = next((i, k) for i in range(table.n_chars) for k in range(table.n_classes)
-                    if k != table.identity_class and not table.value(i, k).is_zero())
-        values = [list(row) for row in table.values]
-        values[i][k] = -1 * values[i][k]
         with pytest.raises(MismatchReport):
-            _verify_table(dataclasses.replace(table, values=values))
+            _verify_table(_negate_one_value(table))
+
+    def test_row_checks_of_a_small_table(self, table_q2):
+        """Up to 32 characters _verify_table checks first orthogonality; the
+        same mutant as above fails it on GSp(4, 2)'s 11 classes."""
+        _verify_table(table_q2)
+        with pytest.raises(MismatchReport, match="orthogonality"):
+            _verify_table(_negate_one_value(table_q2))
+
+    def test_inner_products_against_polynomial_products(self, table_q2):
+        """Every <chi_i, chi_j> of GSp(4, 2) against a sum of polynomial
+        products reduced mod Phi_e, one class at a time."""
+        e, sizes = table_q2.exponent, [cls.size for cls in table_q2.classes]
+        values = table_q2.values.tolist()
+        for i in range(table_q2.n_chars):
+            for j in range(table_q2.n_chars):
+                total = [0] * len(values[i][0])
+                for k, h in enumerate(sizes):
+                    prod = _poly_product(values[i][k], _poly_conjugate(values[j][k], e), e)
+                    total = [t + h * c for t, c in zip(total, prod)]
+                assert not any(total[1:])
+                assert table_q2.inner(i, j) == Fraction(total[0], table_q2.group.order)
+
+    def test_column_sums_against_polynomial_products(self):
+        """The column sums of B at q = 4 (36 classes), against the identity
+        column and each column's norm, against sums of polynomial products
+        reduced mod Phi_e."""
+        table = dixon_table(gq.named_subgroup("B", 4))
+        e, ident = table.exponent, table.identity_class
+        against_identity, norms = _column_sums(table.values, ident, e)
+        values = table.values.tolist()
+        for k in range(table.n_classes):
+            want_identity = [0] * len(values[0][0])
+            want_norm = list(want_identity)
+            for row in values:
+                by_identity = _poly_product(row[k], row[ident], e)
+                norm = _poly_product(row[k], _poly_conjugate(row[k], e), e)
+                want_identity = [a + b for a, b in zip(want_identity, by_identity)]
+                want_norm = [a + b for a, b in zip(want_norm, norm)]
+            assert against_identity[k].tolist() == want_identity, k
+            assert norms[k].tolist() == want_norm, k
 
     def test_bound_guard(self):
         with pytest.raises(DixonBoundExceeded):
@@ -572,7 +708,8 @@ class TestVerifySuite:
     def test_virtual_type_ii_is_chi10_minus_chi5(self, table_q2):
         # the one carrier the table search admits, class by class
         labels = [classify(cls.rep) for cls in table_q2.classes]
-        values, coeffs = _virtual_type_ii(table_q2, labels, 2)
+        levi = {name: gq.named_subgroup(name, 2) for name in ("M", "R_klingen")}
+        values, coeffs = _virtual_type_ii(table_q2, labels, 2, levi)
         assert (table_q2.degrees[5], table_q2.degrees[10]) == (5, 10)
         assert coeffs == [0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 1]
         assert values == [

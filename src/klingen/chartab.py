@@ -46,11 +46,12 @@ labels it decides (NotScoped, Mixed) need nothing more.  The other rows
 get the ranks of h - lam*I from their 2 x 2 and 3 x 3 minors and det (two
 stages), the A-family rank-2 form from S = N^t J (a comparison of entries
 at even q, one stage of principal minors at odd q) and their mu; these
-index a per-category table of label codes.  Only B-family rows whose two
-blocks are both nontrivial go on to ``_block_form_coeff``, one element at
-a time.  ``dim_fixed`` labels a subgroup once per subgroup object
-(``_class_counts``, a ``bincount`` of the codes, held weakly and shared by
-both families).
+index a per-category table of label codes.  B-family rows whose two
+blocks are both nontrivial are split into B31 and B32 by the square class
+of a product of two block form values, read off a few batched
+``_fq_matmul`` products (``_block_form``).  ``dim_fixed`` labels a
+subgroup once per subgroup object (``_class_counts``, a ``bincount`` of
+the codes, held weakly and shared by both families).
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from typing import NamedTuple, Optional
 from . import ffield
 from .errors import NonIntegralResult, NotScopedClass, ValueNotPinned
 from .ffield import FieldSpec, field_for_q
-from .groupfq import GSpElem, Subgroup
+from .groupfq import GSpElem, Subgroup, _fq_matmul, j_matrix
 
 # ---------------------------------------------------------------------------
 # representation families
@@ -132,38 +133,8 @@ def family_from_name(name: str, q: Optional[int] = None) -> SigmaFamily:
 
 
 # ---------------------------------------------------------------------------
-# scalar linear algebra over F_q on element encodings (ffield.tables)
+# polynomial roots over F_q on element encodings (ffield.tables)
 # ---------------------------------------------------------------------------
-
-def _rows(e) -> list:
-    return [e[0:4], e[4:8], e[8:12], e[12:16]]
-
-
-def _minus_scalar(e, lam: int, t) -> list:
-    """Entries of h - lam*I, row-major, for h given by its entries e."""
-    out = list(e)
-    add, nl = t.add, t.neg[lam]
-    for i in (0, 5, 10, 15):
-        out[i] = add[out[i]][nl]
-    return out
-
-
-def _mat_vec(e, v, t) -> list:
-    add, mul = t.add, t.mul
-    return [
-        add[add[mul[e[r]][v[0]]][mul[e[r + 1]][v[1]]]][
-            add[mul[e[r + 2]][v[2]]][mul[e[r + 3]][v[3]]]
-        ]
-        for r in (0, 4, 8, 12)
-    ]
-
-
-def _bilinear(u, v, t) -> int:
-    add, mul = t.add, t.mul
-    plus = add[mul[u[0]][v[3]]][mul[u[1]][v[2]]]
-    minus = add[mul[u[2]][v[1]]][mul[u[3]][v[0]]]
-    return add[plus][t.neg[minus]]
-
 
 def _roots(coeffs, t) -> tuple:
     """Roots in F_q with multiplicity, in encoding order, by repeated
@@ -331,18 +302,19 @@ def _sums(x, stage, fa):
     each step adds whole (S, N) blocks.  Sums are digit sums mod p: at
     f = 1 the integer sum of the integer products; at p = 2 the XOR of the
     encodings of the products, read off the mul table (every coefficient a
-    stage runs with at p = 2 is +-1); otherwise the sum of their digits."""
+    stage runs with at p = 2 is +-1); otherwise the sum of their digits.
+    The signed sums are reduced mod p by ``ffield.residue``."""
     import numpy as np
 
     planes, coef = stage
     y = x[planes].reshape(2, *coef.shape[:2], -1)
     if fa.f == 1:
-        return (y[0] * y[1] * coef).sum(axis=0) % fa.p
+        return ffield.residue((y[0] * y[1] * coef).sum(axis=0), fa.p)
     terms = np.take(fa.mul, y[0] * fa.q + y[1])
     if fa.p == 2:
         return np.bitwise_xor.reduce(terms, axis=0)
     digits = np.take(fa.digits, terms, axis=0) * coef[..., None]
-    return digits.sum(axis=0) % fa.p @ fa.powers
+    return ffield.residue(digits.sum(axis=0), fa.p) @ fa.powers
 
 
 def _with_constants(rows):
@@ -485,8 +457,8 @@ def _label_codes(rows, mus, spec: FieldSpec):
     grouped; ``_roots`` and ``_poly_label`` run once per distinct one.  For
     every row the polynomial leaves open, the ranks of h - l1*I (and of
     h - l2*I for the B-family), the form of h - l1*I and mu give a detail
-    index into its category's ``_templates``; ``_block_form_coeff`` runs
-    only on B-family rows whose blocks are both nontrivial."""
+    index into its category's ``_templates``; ``_block_form`` splits the
+    B-family rows whose blocks are both nontrivial into B31 and B32."""
     import numpy as np
 
     fa = _field_arrays(spec)
@@ -517,10 +489,13 @@ def _label_codes(rows, mus, spec: FieldSpec):
     codes[open_rows] += fa.templates[cat, detail]
     if _B in open_kinds:
         b31 = _code("B31", q)
-        for i in np.flatnonzero((category == _B) & (codes == b31)).tolist():
-            e, l1, l2 = rows[i].tolist(), int(lam1[i]), int(lam2[i])
-            c = t.mul[_block_form_coeff(e, l1, t)][_block_form_coeff(e, l2, t)]
-            codes[i] = b31 if t.square[c] else _code("B32", q)
+        both = codes[b] == b31
+        if both.any():
+            # h - l1 and h - l2 of each such row, from shifted's two parts
+            n1, n2 = (shifted[:16, at].T.reshape(-1, 4, 4) for at in
+                      (np.flatnonzero(cat == _B)[both], n + np.flatnonzero(both)))
+            c = fa.mul[_block_form(n1, n2, spec) * q + _block_form(n2, n1, spec)]
+            codes[b[both]] = np.where(fa.square[c], b31, _code("B32", q))
     return codes
 
 
@@ -559,24 +534,28 @@ def _poly_label(roots, rest, even: bool, t) -> Optional[ClassLabel]:
     return _MIXED
 
 
-def _block_form_coeff(e, lam: int, t) -> int:
-    """Nonzero value of Q(v) = B((h-lam)v, v) on ker((h-lam)^2), h given by
-    its entries e.
+def _block_form(n_lam, n_other, spec: FieldSpec):
+    """For each B-family h, given as the (M, 4, 4) encoding arrays
+    ``n_lam`` = h - lam and ``n_other`` = h - lam' of its two roots, a
+    nonzero value of Q(v) = B((h - lam)v, v) on ker((h - lam)^2).
 
-    Q is a rank-1 form c*L^2 on that plane, so it is nonzero at one of the
-    two kernel basis vectors s0, s1 unless it vanishes; Q(s1) is tried
-    first.  For h = l1 * h' (l1 the root the B-family normalizes by) and
-    lam = +-l1, Q is l1 times the form of h' at +-1, so the product of the
-    two blocks' coefficients keeps its square class."""
-    shifted = _minus_scalar(e, lam, t)
-    cols = [_mat_vec(shifted, shifted[c::4], t) for c in range(4)]
-    square = [cols[c][r] for r in range(4) for c in range(4)]
-    s0, s1 = ffield.kernel(_rows(square), t)
-    for v in (s1, s0):
-        q = _bilinear(_mat_vec(shifted, v, t), v, t)
-        if q:
-            return q
-    raise NotScopedClass("vanishing block form on a B31/B32 candidate")
+    That kernel is spanned by the columns of P = (h - lam')^2, and Q is a
+    rank-1 form c*L^2 on it, so its nonzero values share c's square class;
+    the value taken is Q(P e_j) at the first column j where it is nonzero,
+    the diagonal of (N P)^t J P with N = h - lam.  For h = l1 * h' (l1 the
+    root the B-family normalizes by) and lam = +-l1, Q is l1 times the form
+    of h' at +-1, so the product of the two blocks' values keeps its square
+    class."""
+    import numpy as np
+
+    p = _fq_matmul(n_other, n_other, spec)
+    j = np.array(j_matrix(spec).e, p.dtype).reshape(4, 4)
+    np_t = _fq_matmul(n_lam, p, spec).transpose(0, 2, 1)
+    forms = _fq_matmul(np_t, _fq_matmul(j, p, spec), spec)[:, range(4), range(4)]
+    value = forms[np.arange(len(forms)), (forms != 0).argmax(axis=1)]
+    if not value.all():
+        raise NotScopedClass("vanishing block form on a B31/B32 candidate")
+    return value
 
 
 # ---------------------------------------------------------------------------

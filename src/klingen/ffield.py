@@ -47,10 +47,35 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+# below this many entries ``%`` reduces an array faster than floor division
+RESIDUE_FLOOR_ENTRIES = 1024
+
+
+def residue(x, m: int):
+    """x mod m in the floor convention of ``%`` (0 <= result < m) for a
+    Python int or an integer numpy array x, negative entries included, and
+    an int m >= 1 that x's dtype can hold; an array keeps its shape and
+    dtype, and entries of any size the dtype holds are exact.
+
+    Ints and arrays of fewer than ``RESIDUE_FLOOR_ENTRIES`` entries take
+    ``x % m``.  Larger arrays take x - (x // m) * m, in one new array: numpy
+    divides an array by a scalar with a multiply and a shift per entry
+    (libdivide), but ``%`` with a hardware divide per entry.  The product
+    may wrap at the dtype's ends, and the difference wraps back, since the
+    true difference lies in 0..m - 1."""
+    if isinstance(x, int) or x.size < RESIDUE_FLOOR_ENTRIES:
+        return x % m
+    import numpy as np
+
+    q = x // m
+    q *= m
+    return np.subtract(x, q, out=q)
+
+
 def base_p_digits(k, p: int, f: int) -> tuple:
     """The f base-p digits of k, constant term first (k = sum d_i p^i); works
     unchanged on integer arrays, digit by digit."""
-    return tuple(k // p**i % p for i in range(f))
+    return tuple(residue(k // p**i if i else k, p) for i in range(f))
 
 
 # ---------------------------------------------------------------------------

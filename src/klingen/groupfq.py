@@ -54,8 +54,10 @@ sampler and ``conjugacy_classes`` of a group without generators) and
 Dimino's: each group is a union of right cosets of the one before, found
 by their representatives alone.  The kernel, ``_fq_matmul``, splits entries
 into base-p digit planes, multiplies plane by plane and folds back by the
-modulus; its arrays are int16 while a plane entry stays below 2^15 (every
-extension field up to ``ffield.FIELD_BOUND``, primes up to 89).  The index,
+modulus, reducing mod p by ``ffield.residue`` (floor division, not numpy's
+slower ``%``, from ``ffield.RESIDUE_FLOOR_ENTRIES`` entries on); its arrays
+are int16 while a plane entry stays below 2^15 (every extension field up
+to ``ffield.FIELD_BOUND``, primes up to 89).  The index,
 ``row_keys``, is one search key per row whose order is the tuple order of
 the entries: for q <= 13, where q^16 <= 2^63, the row read as a 16-digit
 base-q integer, one int64; from q = 16 on, the entries as 16 big-endian
@@ -522,7 +524,8 @@ def _fq_matmul(a, b, spec: FieldSpec):
     Both operands are split into their f base-p digit planes, the plane
     products are summed unreduced into 2f - 1 planes, each top plane is
     reduced mod p and folded down by the modulus, and the low f planes are
-    reduced mod p and recombined: at f = 1 a single ``@`` and ``% p``.
+    reduced mod p and recombined: at f = 1 a single ``@`` and one reduction.
+    Every reduction mod p is ``ffield.residue``'s.
     """
     p, f = spec.p, spec.f
     a, b = (ffield.base_p_digits(x, p, f) if f > 1 else [x] for x in (a, b))
@@ -533,14 +536,14 @@ def _fq_matmul(a, b, spec: FieldSpec):
             acc[i + j] = xy if acc[i + j] is None else acc[i + j] + xy
     # x^top = x^(top - f) (-c_0 - c_1 x - ... - c_{f-1} x^(f-1)), -c_k mod p
     for top in range(2 * f - 2, f - 1, -1):
-        t = acc[top] % p
+        t = ffield.residue(acc[top], p)
         for k in range(f):
             c = -spec.modulus[k] % p
             if c:
                 acc[top - f + k] += c * t
-    enc = acc[0] % p
+    enc = ffield.residue(acc[0], p)
     for k in range(1, f):
-        enc = enc + acc[k] % p * p**k
+        enc += ffield.residue(acc[k], p) * p**k
     return enc
 
 

@@ -290,6 +290,12 @@ class TestPinnedValues:
         with pytest.raises(NotScopedClass):
             dim_fixed(gq.subgroup_closure([g]), TYPE_I)
 
+    def test_vanishing_block_form_raises(self):
+        # at h = 0 both shifts are 0, so Q vanishes on every column of P
+        zero = np.zeros((3, 4, 4), np.intp)
+        with pytest.raises(NotScopedClass):
+            chartab._block_form(zero, zero, field_for_q(3))
+
     def test_aggregate_only_raises(self):
         rows = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1]]
         label = classify(_elem(2, rows))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -192,6 +193,54 @@ class TestTables:
         for q in (0, 1, 6, 12, 100, 2 * (10**9 + 7)):
             with pytest.raises(NotPrime):
                 ff.prime_power(q)
+
+
+# array sizes on both sides of the size where residue leaves ``%``
+RESIDUE_SIZES = [1, ff.RESIDUE_FLOOR_ENTRIES - 1, ff.RESIDUE_FLOOR_ENTRIES,
+                 4 * ff.RESIDUE_FLOOR_ENTRIES + 3]
+
+
+class TestResidue:
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
+    @pytest.mark.parametrize("m", [2, 3, 89, 509])
+    @pytest.mark.parametrize("size", RESIDUE_SIZES)
+    def test_arrays_match_percent(self, dtype, m, size):
+        """Negative entries and both ends of the dtype included."""
+        info = np.iinfo(dtype)
+        rng = np.random.default_rng(size * m)
+        x = rng.integers(info.min, info.max, size, dtype=dtype, endpoint=True)
+        x[:2] = (info.min, info.max)[:size]
+        before = x.copy()
+        got = ff.residue(x, m)
+        assert got.dtype == x.dtype and got.shape == x.shape
+        assert np.array_equal(got, x % m)
+        assert np.array_equal(x, before)
+
+    @pytest.mark.parametrize("m", [2, 3, 89, 509])
+    def test_int16_plane_bound(self, m):
+        """Every int16 value, as one (2, N) array: ``groupfq._rows`` keeps a
+        digit plane int16 while its entries stay below 2^15."""
+        x = np.arange(-(2**15), 2**15, dtype=np.int16).reshape(2, -1)
+        got = ff.residue(x, m)
+        assert got.dtype == np.int16 and got.shape == x.shape
+        assert np.array_equal(got, x % m)
+
+    def test_python_ints(self):
+        for m in (1, 2, 3, 89, 509):
+            for x in (0, 1, -1, m - 1, -m, 2**15 - 1, -(2**15), 3**50, -(3**50) - 7):
+                got = ff.residue(x, m)
+                assert type(got) is int and got == x % m
+
+    @pytest.mark.parametrize("q", [4, 8, 9, 25])
+    @pytest.mark.parametrize("size", RESIDUE_SIZES)
+    def test_digit_splits(self, q, size):
+        """base_p_digits of an array gives every entry's digits, as on ints."""
+        p, f = ff.prime_power(q)
+        x = np.random.default_rng(q * size).integers(0, q, size).astype(np.int16)
+        digits = ff.base_p_digits(x, p, f)
+        assert len(digits) == f and all(d.dtype == np.int16 for d in digits)
+        assert np.array_equal(np.stack(digits, axis=1),
+                              [ff.base_p_digits(k, p, f) for k in x.tolist()])
 
 
 PIVOT_QS = [2, 3, 4, 5, 8, 9]

@@ -12,7 +12,9 @@ Dixon and Schneider:
   2. the vectors omega = (omega_k) of central-character values are the
      common eigenvectors of the matrices (M_i)_{j,k} = a_{ij}^k; find them
      modulo a prime ell = 1 (mod exp G) with ell > 2 sqrt(|G|), where all
-     eigenvalues are rational;
+     eigenvalues are rational, by splitting each common eigenspace found
+     so far into the eigenspaces of the next M_i: one kernel mod ell per
+     eigenvalue, whose basis also gives the new space's coordinates;
   3. recover each degree d from d^2 = |G| / sum_k omega_k omega_{k*} / h_k
      (mod ell) together with 0 < d <= sqrt(|G|);
   4. lift the modular values to exact cyclotomic integers through the
@@ -42,7 +44,7 @@ from functools import lru_cache
 from typing import List
 
 from .errors import DixonBoundExceeded, MismatchReport, NonIntegralResult
-from .ffield import FieldOps, _is_prime, kernel, row_reduce
+from .ffield import _is_prime, kernel
 from .groupfq import GSpElem, Mat4, Subgroup, _fq_matmul, _rows, conjugacy_classes
 
 ORDER_BOUND = 2 * 10**4
@@ -292,7 +294,7 @@ def _rational(coeffs, n: int):
 
 # ---------------------------------------------------------------------------
 # modular linear algebra on int64 arrays with entries in [0, m); the
-# elimination is ffield.row_reduce and ffield.kernel over a FieldOps mod ell
+# elimination is ffield.kernel mod ell on the arrays' int lists
 # ---------------------------------------------------------------------------
 
 def _charpoly_mod(t, m: int) -> List[int]:
@@ -477,8 +479,8 @@ def dixon_table(group: Subgroup) -> CharacterTable:
     _require(max(r, exponent) * (ell - 1) ** 2, f"arithmetic mod {ell}")
 
     # simultaneous eigenvector descent mod ell
-    field = FieldOps(lambda x: pow(x, ell - 2, ell), lambda x: x % ell)
-    spaces = [(np.eye(r, dtype=np.int64), list(range(r)))]  # (rref rows, pivots)
+    # (rows, pivots): the rows span the space and are the identity on pivots
+    spaces = [(np.eye(r, dtype=np.int64), list(range(r)))]
     # the next class matrix is built only while some eigenspace is not a line
     for i, mat in enumerate(mats):
         if i == id_class:
@@ -494,11 +496,13 @@ def dixon_table(group: Subgroup) -> CharacterTable:
             t = (rows @ mat_t % ell)[:, pivots].T
             for lam in _poly_roots_mod(_charpoly_mod(t, ell), ell):
                 shifted = (t - lam * np.eye(d, dtype=np.int64)) % ell
-                combos = kernel(shifted.tolist(), field)
+                combos, free = kernel(shifted.tolist(), ell)
                 if combos:
-                    eigen = np.array(combos, dtype=np.int64) @ rows % ell
-                    reduced, reduced_pivots = row_reduce(eigen.tolist(), field)
-                    refined.append((np.array(reduced, dtype=np.int64), reduced_pivots))
+                    # rows is the identity on pivots, so column pivots[c] of
+                    # combos @ rows is column c of combos, and combos is the
+                    # identity on its free columns
+                    refined.append((np.array(combos, dtype=np.int64) @ rows % ell,
+                                    [pivots[c] for c in free]))
         spaces = refined
         if all(len(rows) == 1 for rows, _ in spaces):
             break

@@ -15,11 +15,10 @@ engine that the matrix, closure and classification layers compute with.
 return it, and its operators stay polynomial arithmetic.
 
 The one Gaussian elimination of the package, ``row_reduce`` and its
-``kernel``, lives here too.  It takes its field as an argument: ``Tables``
-for F_q on encodings, or ``FieldOps`` built from an inverse and a normal
-form, which the character-table oracle uses mod a prime.  A ``FieldOps``
-with a valuation is the ring Z/p^M instead, where the R_g oracle solves
-its lattice congruences.
+``kernel``, lives here too.  It works on plain ints in [0, p^m): at m = 1
+over the prime field F_p, which the character-table oracle uses mod a
+prime ell and the R_g oracle mod p, and at m > 1 over the ring Z/p^m,
+where the R_g oracle solves its lattice congruences.
 
 Everything here is exact; there is no floating point anywhere.
 """
@@ -29,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple
 
 from .errors import DivisionByZero, FieldTooLarge, MixedFields, NotPrime
 
@@ -378,23 +377,6 @@ class Tables(NamedTuple):
     def q(self) -> int:
         return len(self.neg)
 
-    # the row operations of ``row_reduce``, over a field
-    valuation = None
-
-    def inverse(self, a: int) -> int:
-        return self.inv[a]
-
-    def scale(self, row, s: int) -> list:
-        m = self.mul[s]
-        return [m[x] for x in row]
-
-    def sub_multiple(self, row, f: int, pivot_row) -> list:
-        add, m = self.add, self.mul[self.neg[f]]
-        return [add[x][m[y]] for x, y in zip(row, pivot_row)]
-
-    def negate(self, a: int) -> int:
-        return self.neg[a]
-
 
 def _powers(x: FqElem) -> list:
     """The encodings of x^0, x^1, ..., x^(k-1), k the order of the unit x."""
@@ -449,58 +431,31 @@ def units(spec: FieldSpec) -> list[FqElem]:
 
 
 # ---------------------------------------------------------------------------
-# Gaussian elimination over a field given by its row operations
+# Gaussian elimination over Z/p^m on ints
 # ---------------------------------------------------------------------------
 
-class FieldOps(NamedTuple):
-    """The row operations of ``row_reduce`` from ``inverse``, which inverts
-    a nonzero element, and ``red``, which returns an element's normal form.
-    Mod a prime ell these are ``pow(x, ell - 2, ell)`` and ``x % ell``.
+def row_reduce(rows, p: int, m: int = 1) -> tuple:
+    """Row echelon form over Z/p^m, p prime, by row operations: (the nonzero
+    reduced rows, their pivot columns in order).  Entries are ints in
+    [0, p^m), and so are those of the result.
 
-    With a ``valuation`` the ring is Z/p^M on ints instead of a field:
-    ``red`` is ``x % p^M``, ``valuation`` the exponent of p in a nonzero x,
-    and ``inverse`` inverts the unit part x / p^valuation(x)."""
+    At m = 1 (the field F_p) the form is reduced: each pivot is 1 and the
+    only nonzero entry of its column, and pivots come in column order.
 
-    inverse: Callable
-    red: Callable
-    valuation: Optional[Callable] = None
-
-    def scale(self, row, s) -> list:
-        red = self.red
-        return [red(x * s) for x in row]
-
-    def sub_multiple(self, row, f, pivot_row) -> list:
-        red = self.red
-        return [red(x - f * y) for x, y in zip(row, pivot_row)]
-
-    def negate(self, a):
-        return self.red(-a)
-
-
-def row_reduce(rows, field) -> tuple:
-    """Row echelon form by row operations: (the nonzero reduced rows, their
-    pivot columns in order).
-
-    ``field`` is a ``Tables`` or a ``FieldOps``: it supplies ``inverse``,
-    ``scale``, ``sub_multiple`` and ``negate``.  Entries are ints in normal
-    form, and zero must be exactly the falsy value, since pivots are found
-    by truth tests.  Over a field the form is reduced: each pivot is 1 and
-    the only nonzero entry of its column, and pivots come in column order.
-
-    Over Z/p^M (a ``FieldOps`` with a ``valuation``) each pivot is the first
-    entry, in column order, of least valuation v in the whole remaining
-    block, scaled to p^v.  p^v divides every entry of the rows below, so
-    they are cleared; a row above is cleared where p^v divides its entry.
-    Every entry of a pivot's row stays a multiple of its p^v.  Over a field
-    every nonzero entry has valuation 0, and the two searches agree."""
+    At m > 1 each pivot is the first entry, in column order, of least
+    valuation v in the whole remaining block, scaled to p^v.  p^v divides
+    every entry of the rows below, so they are cleared; a row above is
+    cleared where p^v divides its entry.  Every entry of a pivot's row stays
+    a multiple of its p^v.  At m = 1 every nonzero entry has valuation 0,
+    and the two searches agree."""
+    mod = p**m
     a = [list(r) for r in rows]
     pivots = []
-    valuation = field.valuation
     height, width = len(a), (len(a[0]) if a else 0)
-    col = 0
+    col, lead = 0, 1  # lead: the pivot p^v, 1 at m = 1
     while len(pivots) < height:
         row = len(pivots)
-        if valuation is None:
+        if m == 1:
             # down column col from row, then on to the next column: no
             # column before the last pivot's has a nonzero entry left
             piv = row
@@ -511,35 +466,37 @@ def row_reduce(rows, field) -> tuple:
             if col == width:
                 break
         else:
-            least = min(((valuation(x), c, r) for r in range(row, height)
+            # gcd(x, p^m) = p^v orders the entries by valuation v < m
+            least = min(((math.gcd(x, mod), c, r) for r in range(row, height)
                          for c, x in enumerate(a[r]) if x), default=None)
             if least is None:
                 break
-            _, col, piv = least
+            lead, col, piv = least
         a[row], a[piv] = a[piv], a[row]
-        prow = a[row] = field.scale(a[row], field.inverse(a[row][col]))
-        lead = prow[col]  # 1, or p^v over Z/p^M
+        s = pow(a[row][col] // lead, -1, mod)
+        prow = a[row] = [x * s % mod for x in a[row]]
         for r in range(height):
             f = a[r][col]
-            if f and r != row and (valuation is None or not f % lead):
-                a[r] = field.sub_multiple(a[r], f // lead, prow)
+            if f and r != row and not f % lead:
+                f //= lead
+                a[r] = [(x - f * y) % mod for x, y in zip(a[r], prow)]
         pivots.append(col)
         col += 1
     return a[:len(pivots)], pivots
 
 
-def kernel(rows, field) -> list:
-    """Basis of {v : rows v = 0}, one vector per non-pivot column of the
-    reduced form, with 1 at that column."""
-    reduced, pivots = row_reduce(rows, field)
+def kernel(rows, p: int) -> tuple:
+    """(basis, free) for {v : rows v = 0} over F_p: ``free`` lists the
+    non-pivot columns of the reduced form in order, and basis vector i is 1
+    at free[i] and 0 at the other free columns."""
+    reduced, pivots = row_reduce(rows, p)
     n = len(rows[0])
+    free = [c for c in range(n) if c not in pivots]
     basis = []
-    for fc in range(n):
-        if fc in pivots:
-            continue
+    for fc in free:
         v = [0] * n
         v[fc] = 1
         for r, pc in zip(reduced, pivots):
-            v[pc] = field.negate(r[fc])
+            v[pc] = -r[fc] % p
         basis.append(v)
-    return basis
+    return basis, free

@@ -67,14 +67,13 @@ under any change by a multiple of p^d, since d > s.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .cosets import CosetRep, Diagonal, Skew, X, Y, Z
 from .errors import NonConvergence, PrecisionTooLow
-from .ffield import FieldOps, FieldSpec, base_p_digits, field_for_q, kernel, row_reduce, tables
+from .ffield import FieldSpec, base_p_digits, field_for_q, kernel, row_reduce, tables
 from .groupfq import (
     CLOSURE_BOUND,
     NEG_ROOT_POSITIONS,
@@ -493,19 +492,15 @@ def _reduced_kernel(rows, p: int, m: int) -> list:
     """An F_p-basis of the reductions mod p of the solutions x in Z_p^k of
     rows x = 0 mod p^m, for rows of ints in [0, p^m).
 
-    ``row_reduce`` over Z/p^m puts the rows in echelon form.  A row with
-    pivot p^v is p^v times a row w with pivot 1, and v < m, so every
-    solution satisfies w mod p; conversely, entries off the pivot columns
-    chosen at will extend, from the last row up, to an exact solution.  So
-    the reductions are the kernel over F_p of the rows w mod p."""
-    mod = p**m
-    # p^v = gcd(a, p^m) for 0 < a < p^m
-    exponent = {p**v: v for v in range(m)}
-    ring = FieldOps(lambda a: pow(a // math.gcd(a, mod), -1, mod), lambda a: a % mod,
-                    lambda a: exponent[math.gcd(a, mod)])
-    echelon, pivots = row_reduce([row for row in rows if any(row)], ring)
+    ``row_reduce(rows, p, m)`` puts the rows in echelon form over Z/p^m.  A
+    row with pivot p^v is p^v times a row w with pivot 1, and v < m, so
+    every solution satisfies w mod p; conversely, entries off the pivot
+    columns chosen at will extend, from the last row up, to an exact
+    solution.  So the reductions are the kernel over F_p of the rows w mod
+    p."""
+    echelon, pivots = row_reduce([row for row in rows if any(row)], p, m)
     return kernel([[a // row[c] % p for a in row] for row, c in zip(echelon, pivots)]
-                  or [[0] * len(rows[0])], tables(field_for_q(p)))
+                  or [[0] * len(rows[0])], p)[0]
 
 
 def _lattice_basis(rep: CosetRep, n: int, p: int) -> list:

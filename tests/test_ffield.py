@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gauss_jordan import reference_rref
 from klingen import ffield as ff
 from klingen.errors import DivisionByZero, FieldTooLarge, MixedFields, NotPrime
 
@@ -243,71 +244,54 @@ class TestResidue:
                               [ff.base_p_digits(k, p, f) for k in x.tolist()])
 
 
-PIVOT_QS = [2, 3, 4, 5, 8, 9]
-
-
 @st.composite
-def encoded_matrix(draw, qs=PIVOT_QS):
-    """(spec, rows of encodings): zeros are drawn often and one row may be a
-    combination of two others, so that ranks below full come up."""
-    spec = ff.field_for_q(draw(st.sampled_from(qs)))
-    q = spec.q
+def matrix_mod_p(draw, ps=(2, 3, 5, 7)):
+    """(p, rows of ints in [0, p)): zeros are drawn often and one row may be
+    a combination of two others, so that ranks below full come up."""
+    p = draw(st.sampled_from(ps))
     n_rows = draw(st.integers(min_value=1, max_value=5))
     n_cols = draw(st.integers(min_value=1, max_value=6))
-    entry = st.one_of(st.just(0), st.integers(min_value=0, max_value=q - 1))
+    entry = st.one_of(st.just(0), st.integers(min_value=0, max_value=p - 1))
     rows = [[draw(entry) for _ in range(n_cols)] for _ in range(n_rows)]
     if n_rows >= 2 and draw(st.booleans()):
-        a, b = (draw(st.integers(min_value=0, max_value=q - 1)) for _ in range(2))
-        x, y = rows[0], rows[1]
-        rows.append([(a * spec.from_encoding(u) + b * spec.from_encoding(v)).encoding()
-                     for u, v in zip(x, y)])
-    return spec, rows
+        a, b = (draw(st.integers(min_value=0, max_value=p - 1)) for _ in range(2))
+        rows.append([(a * x + b * y) % p for x, y in zip(rows[0], rows[1])])
+    return p, rows
 
 
-def _reference_rref(rows, spec):
-    """Gauss-Jordan on FqElem values: (reduced nonzero rows, pivots)."""
-    a = [[spec.from_encoding(x) for x in row] for row in rows]
-    pivots = []
-    for c in range(len(a[0])):
-        top = len(pivots)
-        piv = next((r for r in range(top, len(a)) if a[r][c]), None)
-        if piv is None:
-            continue
-        a[top], a[piv] = a[piv], a[top]
-        lead = a[top][c]
-        a[top] = [x / lead for x in a[top]]
-        for r in range(len(a)):
-            f = a[r][c]
-            if r != top and f:
-                a[r] = [x - f * y for x, y in zip(a[r], a[top])]
-        pivots.append(c)
-    return [[x.encoding() for x in row] for row in a[:len(pivots)]], pivots
+# the primes ell of the character-table descent on GSp(4, 2), GSp(4, 3) and Sp(4, 4)
+DIXON_PRIMES = (61, 1801, 3061)
 
 
 class TestRowReduce:
-    @given(encoded_matrix())
+    @given(matrix_mod_p())
     @settings(max_examples=300, deadline=None)
     def test_matches_fqelem_reference(self, case):
-        spec, rows = case
-        assert ff.row_reduce(rows, ff.tables(spec)) == _reference_rref(rows, spec)
+        p, rows = case
+        assert ff.row_reduce(rows, p) == reference_rref(rows, ff.field_for_q(p))
 
-    @given(encoded_matrix())
+    @given(matrix_mod_p(ps=(2, 3, 5, 7) + DIXON_PRIMES))
+    @example((7, [[1, 2, 3], [2, 4, 6], [0, 1, 1]]))
     @settings(max_examples=300, deadline=None)
     def test_kernel_annihilates_and_has_full_dimension(self, case):
-        spec, rows = case
-        t = ff.tables(spec)
-        basis = ff.kernel(rows, t)
-        n_cols = len(rows[0])
-        pivots = ff.row_reduce(rows, t)[1]
-        assert len(basis) == n_cols - len(pivots)
-        zero = spec.zero
+        p, rows = case
+        basis, _ = ff.kernel(rows, p)
+        assert len(basis) == len(rows[0]) - len(ff.row_reduce(rows, p)[1])
         for v in basis:
+            assert all(0 <= x < p for x in v)
             for row in rows:
-                dot = sum((spec.from_encoding(a) * spec.from_encoding(b)
-                           for a, b in zip(row, v)), zero)
-                assert dot.is_zero()
-        # independent: each vector is 1 at its own free column, 0 at the others
-        free = [c for c in range(n_cols) if c not in pivots]
+                assert sum(a * b for a, b in zip(row, v)) % p == 0
+
+    @given(matrix_mod_p(ps=(2, 3, 5, 7) + DIXON_PRIMES))
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_is_the_identity_on_its_free_columns(self, case):
+        """The free columns are the non-pivot columns, and basis vector i is
+        1 at free[i] and 0 at the other free columns: the coordinates the
+        character-table descent reads its eigenspaces in."""
+        p, rows = case
+        basis, free = ff.kernel(rows, p)
+        pivots = ff.row_reduce(rows, p)[1]
+        assert free == [c for c in range(len(rows[0])) if c not in pivots]
         assert [[v[c] for c in free] for v in basis] == [
             [1 if a == b else 0 for b in free] for a in free]
 
@@ -322,43 +306,19 @@ class TestRowReduce:
         width = data.draw(st.integers(1, 5), label="columns")
         rows = data.draw(st.lists(st.lists(st.integers(0, p**m - 1), min_size=width,
                                            max_size=width), min_size=1, max_size=5), label="rows")
-        mod = p**m
 
         def valuation(a):
             return next(v for v in range(m) if a % p**(v + 1))
 
-        ring = ff.FieldOps(lambda a: pow(a // p**valuation(a), -1, mod), lambda a: a % mod,
-                           valuation)
-        echelon, pivots = ff.row_reduce(rows, ring)
+        echelon, pivots = ff.row_reduce(rows, p, m)
         assert len(echelon) == len(pivots) <= min(len(rows), width)
         for i, (row, c) in enumerate(zip(echelon, pivots)):
             v = valuation(row[c])
             assert row[c] == p**v
-            assert all(x % p**v == 0 for x in row)
+            assert all(0 <= x < p**m and x % p**v == 0 for x in row)
             assert all(later[c] == 0 for later in echelon[i + 1:])
             assert all(x % p**v == 0 for later in echelon[i + 1:] for x in later)
         # the row operations stay invertible mod p, where the rows of pivot
         # p^v, v > 0, vanish: the rank mod p counts the unit pivots
-        field = ff.FieldOps(lambda x: pow(x, p - 2, p), lambda x: x % p)
-        assert (len(ff.row_reduce([[x % p for x in r] for r in rows], field)[1])
+        assert (len(ff.row_reduce([[x % p for x in r] for r in rows], p)[1])
                 == sum(valuation(row[c]) == 0 for row, c in zip(echelon, pivots)))
-
-    @given(encoded_matrix(qs=[2, 3, 5, 7]))
-    @settings(max_examples=300, deadline=None)
-    def test_field_scan_matches_the_ring_path_at_m_1(self, case):
-        """Over Z/p^1 every nonzero entry has valuation 0, so the ring path's
-        least-valuation search takes the first nonzero column and row: it
-        must give what the column scan over tables(p) gives."""
-        spec, rows = case
-        p = spec.p
-        ring = ff.FieldOps(lambda x: pow(x, -1, p), lambda x: x % p, lambda x: 0)
-        assert ff.row_reduce(rows, ff.tables(spec)) == ff.row_reduce(rows, ring)
-
-    @given(encoded_matrix(qs=[2, 3, 5, 7]))
-    @settings(max_examples=300, deadline=None)
-    def test_tables_and_mod_prime_adapter_agree(self, case):
-        spec, rows = case
-        p = spec.p
-        t, mod_p = ff.tables(spec), ff.FieldOps(lambda x: pow(x, p - 2, p), lambda x: x % p)
-        assert ff.row_reduce(rows, t) == ff.row_reduce(rows, mod_p)
-        assert ff.kernel(rows, t) == ff.kernel(rows, mod_p)

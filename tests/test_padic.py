@@ -548,7 +548,7 @@ class TestEnvelope:
 
 def _annihilator(rep, n, p):
     """Rows over F_p whose common kernel is the reduction of Lambda."""
-    return kernel(_lattice_basis(rep, n, p), tables(field_for_q(p)))
+    return kernel(_lattice_basis(rep, n, p), p)[0]
 
 
 def _inside(annihilator, spec, rows):

@@ -57,14 +57,23 @@ into base-p digit planes, multiplies plane by plane and folds back by the
 modulus, reducing mod p by ``ffield.residue`` (floor division, not numpy's
 slower ``%``, from ``ffield.RESIDUE_FLOOR_ENTRIES`` entries on); its arrays
 are int16 while a plane entry stays below 2^15 (every extension field up
-to ``ffield.FIELD_BOUND``, primes up to 89).  The index,
+to ``ffield.FIELD_BOUND``, primes up to 89).  A product by a few fixed
+right factors (the Bruhat cells times U, a whole group times a generator
+in ``conjugacy_classes``, a large closure's cosets H r, a large class
+times Dixon's class representatives) is instead gathered from a table of
+every row vector of F_q^4 times those factors, once the output has
+``TABLE_FLOOR_ROWS`` rows and no fewer than the table: numpy's integer
+``@`` has no BLAS path, and one gather per row costs far less than f^2
+plane products.  The index,
 ``row_keys``, is one search key per row whose order is the tuple order of
 the entries: for q <= 13, where q^16 <= 2^63, the row read as a 16-digit
 base-q integer, one int64; from q = 16 on, the entries as 16 big-endian
 uint16s, one 32-byte void.  A closure or a built group is put in key order
 by ``_key_order`` (an argsort of int64 keys, a lexsort of the columns for
-void keys) and keeps its sorted keys, which ``Subgroup.positions`` and
-``Subgroup.lookup`` search by ``searchsorted``.
+void keys), its rows gathered whole by ``np.take`` along the rows (on
+103,680 int16 rows 0.5 ms against 3.4 ms for ``rows[perm]``), and keeps
+its sorted keys, which ``Subgroup.positions`` and ``Subgroup.lookup``
+search by ``searchsorted``.
 """
 
 from __future__ import annotations
@@ -501,7 +510,8 @@ def _close(h, h_keys, gens, start: int, name) -> Subgroup:
     jg4 = _fq_matmul(j, h[:, 3::4, None], spec)
     mus = _fq_matmul(h[:, None, 0::4], jg4, spec).ravel()
     order = _key_order(h_keys, h)
-    return Subgroup(spec, h[order], mus[order], gens, name, h_keys[order])
+    return Subgroup(spec, np.take(h, order, axis=0), mus[order], gens, name,
+                    h_keys[order])
 
 
 def _key_order(keys, rows):
@@ -517,9 +527,77 @@ def _key_order(keys, rows):
     return np.argsort(keys)
 
 
+# From this many output rows on, a product by a few fixed right factors is
+# gathered from a table.  One fixed matrix times a stack, planes against
+# table (2-core Xeon, numpy 2.4.6, min of 40 runs of 5, two runs): at 4,096
+# rows 115-131 against 58-66 us at q = 2, 119-128 against 64-68 at q = 3,
+# 477-554 against 84-139 at q = 4 and 121-131 against 85-92 at q = 5; at
+# 1,024 rows the planes win at f = 1 (38 against 40-45 us at q = 2, 35
+# against 66-69 at q = 5).  Where the table has as many rows as the output,
+# the most the rule allows, it costs up to 1.6 times the planes at f = 1
+# and 1.04-1.12 times at q = 4, 8 and 9; the table products of
+# enumerate_gsp4(3) have 8 and 63 times more output rows than table rows,
+# those of dixon_table on GSp(4, 2) 30 to 36 times.
+TABLE_FLOOR_ROWS = 4096
+
+
 def _fq_matmul(a, b, spec: FieldSpec):
     """a @ b over F_q for arrays of element encodings (stacks of matrices,
     broadcast as ``@`` broadcasts).
+
+    When b is a stack of n 4 x 4 matrices and the output has at least
+    ``TABLE_FLOOR_ROWS`` rows, and no fewer than n q^4, the rows of the
+    table ``_table_matmul`` builds, the product is gathered from that
+    table: the Bruhat cells times U in ``enumerate_gsp4``, a whole group
+    times a generator in ``conjugacy_classes``, the cosets H r of a large
+    closure, a large class times Dixon's class representatives.  Each
+    output row is then one gather, where the planes pay f^2 ``@`` on int16
+    stacks (numpy's integer ``@`` has no BLAS path) and f reductions.
+    Every other product takes the planes, ``_plane_matmul``: a generator
+    times a whole group, the elementwise batches of chartab's
+    ``_block_form``, the mu dot products of ``_close`` and the small
+    products of a closure.
+    """
+    if a.ndim >= 2 and b.shape[-2:] == (4, 4):
+        n = b.size // 16
+        # the output has at most n times a's rows: checked first, this keeps
+        # the rest of the rule off the many small products of a closure
+        if a.size // 4 * n >= TABLE_FLOOR_ROWS:
+            import numpy as np
+
+            rows = math.prod(np.broadcast_shapes(a.shape[:-2], b.shape[:-2])) * a.shape[-2]
+            if rows >= max(TABLE_FLOOR_ROWS, n * spec.q**4):
+                return _table_matmul(a, b, spec)
+    return _plane_matmul(a, b, spec)
+
+
+def _table_matmul(a, b, spec: FieldSpec):
+    """a @ b over F_q, for b of shape (..., 4, 4), as gathers from a table.
+
+    The table holds v m for every row vector v of F_q^4 and every matrix m
+    of b, built by ``_plane_matmul`` and so already reduced, with v at the
+    index of its entries read as a base-q number, most significant first,
+    and the n-th matrix of b at offset n q^4.  Each row of a is read as its
+    index, plus the offset of the matrix it meets, and every product row is
+    copied out of the table by one ``np.take`` along its rows, which moves
+    each row as one chunk of 4 itemsize bytes."""
+    import numpy as np
+
+    q = spec.q
+    size = q**4
+    vectors = np.indices((q,) * 4, dtype=a.dtype).reshape(4, size).T
+    table = _plane_matmul(vectors, b.reshape(-1, 4, 4), spec).reshape(-1, 4)
+    index = a[..., 0].astype(np.intp)
+    for c in range(1, 4):
+        index *= q
+        index += a[..., c]
+    if b.ndim > 2:
+        index = index + np.arange(0, len(table), size).reshape(b.shape[:-2] + (1,))
+    return np.take(table, index, axis=0)
+
+
+def _plane_matmul(a, b, spec: FieldSpec):
+    """a @ b over F_q on base-p digit planes, for any shapes ``@`` takes.
 
     Both operands are split into their f base-p digit planes, the plane
     products are summed unreduced into 2f - 1 planes, each top plane is
@@ -742,7 +820,7 @@ def _distinct_subgroup(spec: FieldSpec, rows, mus, order: int, name: str,
 
     keys = row_keys(rows, spec.q)
     perm = _key_order(keys, rows)
-    rows, mus, keys = rows[perm], mus[perm], keys[perm]
+    rows, mus, keys = np.take(rows, perm, axis=0), mus[perm], keys[perm]
     distinct = 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
     if distinct != len(rows) or len(rows) != order:
         raise OrderMismatch(
@@ -761,13 +839,15 @@ def enumerate_gsp4(q: int) -> Subgroup:
     the similitude torus diag(a, b, mu/b, mu/a), U the upper unipotent
     group of ``_unipotent_rows``, w a Weyl representative of
     ``_weyl_reps`` and U_w the product of the root groups w inverts, read
-    off U with the other roots' parameters at 0.  T U is one
-    ``_fq_matmul``, the U_w w of all cells one more and the cells
-    themselves one more; a product's mu is mu(w) mu(t), since unipotent
-    factors have mu 1.  Each factor is validated once with ``gsp_elem``
-    and the products are trusted; ``_distinct_subgroup`` requires
-    |GSp(4, q)| distinct rows (OrderMismatch otherwise), which makes them
-    the whole group.
+    off U with the other roots' parameters at 0.  The U_w w of all cells
+    are one ``_fq_matmul``, times T one more and (U_w w T) U one more, so
+    the last and largest product has only U's q^4 matrices as fixed right
+    factors (not the (q - 1)^3 q^4 of T U) and takes the table path of
+    ``_fq_matmul``; a product's mu is mu(w) mu(t), since unipotent factors
+    have mu 1.  Each factor is validated once with ``gsp_elem`` and the
+    products are trusted; ``_distinct_subgroup`` requires |GSp(4, q)|
+    distinct rows (OrderMismatch otherwise), which makes them the whole
+    group.
     """
     import numpy as np
 
@@ -781,17 +861,18 @@ def enumerate_gsp4(q: int) -> Subgroup:
                                     0, 0, 0, mul[mu][inv[a]]))).mat.e
                for mu, a, b in torus], spec)
     u = _unipotent_rows(spec)
-    borel = _fq_matmul(t.reshape(-1, 1, 4, 4), u.reshape(1, -1, 4, 4), spec)
     reps, inverted = _weyl_reps(spec)
     u_w = [u[tuple(slice(None) if i else 0 for i in marks)].reshape(-1, 4, 4)
            for marks in inverted]
     sizes = [len(x) for x in u_w]
     w = np.repeat(_rows([g.mat.e for g in reps], spec).reshape(-1, 4, 4), sizes, axis=0)
     u_w_w = _fq_matmul(np.concatenate(u_w), w, spec)
-    rows = _fq_matmul(u_w_w[:, None], borel.reshape(1, -1, 4, 4), spec).reshape(-1, 16)
+    u_w_w_t = _fq_matmul(u_w_w[:, None], t.reshape(1, -1, 4, 4), spec)
+    rows = _fq_matmul(u_w_w_t.reshape(-1, 1, 4, 4), u.reshape(1, -1, 4, 4),
+                      spec).reshape(-1, 16)
     mu_w = np.repeat([g.mu.encoding() for g in reps], sizes)
-    mu_t = np.repeat([mu for mu, _, _ in torus], q**4)
-    mus = np.asarray(mul, dtype=rows.dtype)[mu_w[:, None], mu_t].ravel()
+    mu_t = [mu for mu, _, _ in torus]
+    mus = np.repeat(np.asarray(mul, dtype=rows.dtype)[mu_w[:, None], mu_t], q**4)
     return _distinct_subgroup(spec, rows, mus, gsp4_order(q), f"GSp(4,{q})",
                               gsp4_generators(spec))
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from functools import lru_cache
 
@@ -649,6 +650,139 @@ def _ref_classes(group):
     return classes
 
 
+def _mat4(x, spec):
+    """The Mat4 of an (M, K) encoding array, M, K <= 4, padded with zeros."""
+    e = [0] * 16
+    for r, row in enumerate(x.tolist()):
+        e[4 * r:4 * r + len(row)] = row
+    return gq.Mat4(spec, tuple(e))
+
+
+def _check_product(a, b, got, spec, rng, samples=48):
+    """``got`` has the broadcast shape of a @ b, and at the first, the last
+    and ``samples`` random broadcast positions it is the Mat4 product of
+    a's and b's matrices there, zero-padded to 4 x 4 and cropped back."""
+    batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    m, k = a.shape[-2], b.shape[-1]
+    assert got.shape == batch + (m, k)
+    a, b = np.broadcast_to(a, batch + a.shape[-2:]), np.broadcast_to(b, batch + b.shape[-2:])
+    total = math.prod(batch)
+    for i in {0, total - 1} | set(rng.sample(range(total), min(samples, total))):
+        at = np.unravel_index(i, batch)
+        e = (_mat4(a[at], spec) * _mat4(b[at], spec)).e
+        assert got[at].tolist() == [list(e[4 * r:4 * r + k]) for r in range(m)], (i, at)
+
+
+# q = 2 .. 25 have int16 rows, 89 is the last int16 prime and 97 the first
+# int32 one
+MATMUL_QS = [2, 3, 4, 5, 8, 9, 13, 16, 25, 89, 97]
+
+
+class TestFqMatmul:
+    """``_fq_matmul`` against the Mat4 product, on every operand shape a
+    caller passes, with the table path taken exactly where its rule says:
+    right factors a stack of n 4 x 4 matrices, at least TABLE_FLOOR_ROWS
+    output rows and n q^4 at most that many."""
+
+    @staticmethod
+    def _run(a, b, spec):
+        """(product, whether the table path ran)."""
+        used = []
+        table = gq._table_matmul
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gq, "_table_matmul", lambda *args: used.append(1) or table(*args))
+            got = gq._fq_matmul(a, b, spec)
+        return got, bool(used)
+
+    @staticmethod
+    def _cases(q):
+        """(a's shape, b's shape) for every shape a caller passes: those
+        that fix a few right factors one step below and at the rule,
+        whichever of the floor and the size q^4 binds (at the floor alone
+        where q^4 rows are more than a test holds), and those that never
+        fix them."""
+        floor = gq.TABLE_FLOOR_ROWS
+        fits = q**4 <= 4 * 10**5
+        # matrices (4 rows each) and row vectors at which both bounds hold
+        mats = max(-(-q**4 // 4), floor // 4) if fits else floor // 4
+        vecs = max(q**4, floor) if fits else floor
+        outer = floor // 12  # times 3 right factors, one matrix below the floor
+        return [((mats - 1, 4, 4), (4, 4)), ((mats, 4, 4), (4, 4)),
+                ((vecs - 1, 1, 4), (4, 4)), ((vecs, 1, 4), (4, 4)),
+                ((outer, 1, 4, 4), (1, 3, 4, 4)), ((outer + 1, 1, 4, 4), (1, 3, 4, 4)),
+                ((mats - 1, 1, 4, 4), (1, 3, 4, 4)), ((mats, 1, 4, 4), (1, 3, 4, 4)),
+                ((1, mats - 1, 4, 4), (3, 1, 4, 4)), ((1, mats, 4, 4), (3, 1, 4, 4)),
+                ((mats, 4, 4), (2, 1, 4, 4)), ((3, 4), (4, 4)),
+                ((4, 4), (50, 4, 4)), ((50, 4, 4), (50, 4, 4)),
+                ((4, 4), (50, 4, 1)), ((50, 1, 4), (50, 4, 1))]
+
+    @staticmethod
+    def _rule(a_shape, b_shape, q):
+        """Whether the table path should run: b a stack of n 4 x 4 matrices,
+        at least TABLE_FLOOR_ROWS output rows and n q^4 at most that many."""
+        if b_shape[-2:] != (4, 4):
+            return False
+        rows = math.prod(np.broadcast_shapes(a_shape[:-2], b_shape[:-2])) * a_shape[-2]
+        return rows >= gq.TABLE_FLOOR_ROWS and math.prod(b_shape[:-2]) * q**4 <= rows
+
+    @pytest.mark.parametrize("q", MATMUL_QS)
+    def test_matches_mat4_product(self, q):
+        """Both paths against the Mat4 product, in the dtype ``_rows`` gives
+        at q (int32 from 97 on), with rows of q - 1 at both ends, where the
+        plane sums peak; a table product also equals the plane product on
+        every entry."""
+        spec = field_for_q(q)
+        dtype = gq._rows((0,) * 16, spec).dtype
+        assert dtype == (np.int32 if q == 97 else np.int16)
+        rng = random.Random(q)
+        gen = np.random.default_rng(q)
+        tables = []
+        for a_shape, b_shape in self._cases(q):
+            table = self._rule(a_shape, b_shape, q)
+            tables.append(table)
+            a = gen.integers(0, q, size=a_shape).astype(dtype)
+            b = gen.integers(0, q, size=b_shape).astype(dtype)
+            a.reshape(-1, a_shape[-1])[0] = b.reshape(-1, b_shape[-1])[-1] = q - 1
+            got, used = self._run(a, b, spec)
+            assert used == table, (a_shape, b_shape)
+            assert got.dtype == dtype
+            _check_product(a, b, got, spec, rng)
+            if table:
+                assert np.array_equal(got, gq._plane_matmul(a, b, spec))
+        # both sides of the rule were reached wherever the table fits
+        assert set(tables) == ({False, True} if q**4 <= 4 * 10**5 else {False})
+
+    @pytest.mark.parametrize("q", [3, 4])
+    def test_int32_table(self, q):
+        """The table path on int32 operands, which ``_rows`` gives only from
+        q = 97 on, where q^4 rows never fit the rule: int32 out, and the
+        products of the int16 run."""
+        spec = field_for_q(q)
+        gen = np.random.default_rng(q)
+        a = gen.integers(0, q, size=(gq.TABLE_FLOOR_ROWS // 4, 1, 4, 4)).astype(np.int16)
+        b = gen.integers(0, q, size=(1, 5, 4, 4)).astype(np.int16)
+        got16, _ = self._run(a, b, spec)
+        got32, used = self._run(a.astype(np.int32), b.astype(np.int32), spec)
+        assert used and got32.dtype == np.int32
+        assert np.array_equal(got32, got16)
+        _check_product(a, b, got32, spec, random.Random(q))
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_reversed_radix_fails(self, q):
+        """The check above catches a table read with the radix reversed (the
+        last entry of a row as its most significant digit): the product
+        that reading gives, the table path on the rows of a reversed."""
+        spec = field_for_q(q)
+        gen = np.random.default_rng(q)
+        a = gen.integers(0, q, size=(gq.TABLE_FLOOR_ROWS // 4, 1, 4, 4)).astype(np.int16)
+        b = gen.integers(0, q, size=(1, 3, 4, 4)).astype(np.int16)
+        assert self._run(a, b, spec)[1]
+        _check_product(a, b, gq._table_matmul(a, b, spec), spec, random.Random(q))
+        with pytest.raises(AssertionError):
+            _check_product(a, b, gq._table_matmul(a[..., ::-1], b, spec), spec,
+                           random.Random(q))
+
+
 def _key_dtype(q):
     """int64 keys where q^16 <= 2^63 (q <= 13), 32-byte voids above."""
     return np.dtype(np.int64) if q <= 13 else np.dtype("V32")
@@ -709,6 +843,24 @@ class TestRowKeys:
         order = gq._key_order(keys, rows)
         assert (order == np.lexsort(rows.T[::-1])).all()
         assert (np.sort(keys) == keys[order]).all()
+
+    @pytest.mark.parametrize("q", [3, 16, 97])
+    def test_distinct_subgroup_permutes_as_indexing(self, q):
+        """``_distinct_subgroup`` gathers the rows into key order with
+        ``np.take``: the rows, mus and keys of ``rows[perm]``, in the dtype
+        they came in (int16, and int32 at q = 97), for int64 and void keys."""
+        spec = field_for_q(q)
+        gen = np.random.default_rng(q)
+        rows = np.unique(gen.integers(0, q, size=(5000, 16)), axis=0)
+        rows = gq._rows(gen.permutation(rows).tolist(), spec)
+        assert rows.dtype == (np.int32 if q == 97 else np.int16)
+        mus = gen.integers(1, q, size=len(rows)).astype(rows.dtype)
+        group = gq._distinct_subgroup(spec, rows, mus, len(rows), "X")
+        perm = np.lexsort(rows.T[::-1])
+        assert group.rows.dtype == rows.dtype
+        assert np.array_equal(group.rows, rows[perm])
+        assert np.array_equal(group.mus, mus[perm])
+        assert np.array_equal(group.keys, gq.row_keys(rows[perm], q))
 
     def test_positions(self):
         """Subgroup.positions finds rows where Subgroup.elements has them; a

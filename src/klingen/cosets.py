@@ -11,10 +11,10 @@ set as a table of eight families and provides, for each family,
   * an independent brute-force counter (`table1_brute_count` enumerates
     the parameter boxes directly; `skew_brute_count` scans a box of
     parameter tuples read off `in_supp`, decides each stratum of units
-    with one `in_supp` probe, and counts the classes of `skew_equal` by
-    walking the orbits of 1 + p^t once per distinct accepted (v, t), which
-    is exact since the walk reads only (p, v, t); no closed expression is
-    consulted).
+    on plain ints with one call of `_skew_j`, the Skew test that `in_supp`
+    runs, and counts the classes of `skew_equal` by walking the orbits of
+    1 + p^t once per distinct accepted (v, t), which is exact since the
+    walk reads only (p, v, t); no closed expression is consulted).
 
 The family table (row = family index used throughout the package):
 
@@ -139,14 +139,7 @@ class Skew:
     def _val_sum(self) -> int:
         """val(p^{k_y} + u p^{k_z - k_x}), exact for any lift of u that is
         faithful modulo p^n with n above every threshold tested."""
-        s = self.p ** self.k_y + self.u * self.p ** (self.k_z - self.k_x)
-        if s == 0:
-            raise ValueError("degenerate representative: y + z/x = 0")
-        v = 0
-        while s % self.p == 0:
-            s //= self.p
-            v += 1
-        return v
+        return _val_sum(self.p, self.k_y, self.k_z - self.k_x, self.u)
 
     @property
     def j(self) -> int:
@@ -200,20 +193,40 @@ def in_supp(rep: CosetRep, n: int) -> bool:
         i, j, k = rep.i, rep.j, rep.k
         return i >= 1 and j >= 1 and i + j + 1 <= k <= min(2 * i + j, n) - 1
     if isinstance(rep, Skew):
-        return _skew_supp_j(rep, n) is not None
+        return _skew_j(rep.i, rep.k_x, rep.k_y, rep.k_z, rep.u, rep.p, n) is not None
     raise TypeError(f"not a coset representative: {rep!r}")
 
 
-def _skew_supp_j(rep: Skew, n: int) -> Optional[int]:
-    """The derived j of a Skew representative in the level-n support, else
-    None: the Skew test of ``in_supp``, forming val(y + z/x) once."""
-    if not (1 <= rep.k_x < rep.i and rep.k_x < rep.k_y < rep.k_z):
+def _skew_j(
+    i: int, k_x: int, k_y: int, k_z: int, u: int, p: int, n: int
+) -> Optional[int]:
+    """The Skew test of ``in_supp`` on plain ints: the derived j of
+    S(i, k_x, k_y, k_z, u) at residue characteristic p if it lies in the
+    level-n support, else None; val(y + z/x) is formed once.  ValueError
+    if y + z/x = 0."""
+    if not (1 <= k_x < i and k_x < k_y < k_z):
         return None
-    v = rep._val_sum()
-    j = rep.i + v - (rep.k_x + rep.k_z - rep.k_y)
-    if rep.k_y - rep.k_x < j < v and rep.i + v < n and j < 2 * (rep.k_y - rep.k_x):
+    v = _val_sum(p, k_y, k_z - k_x, u)
+    j = i + v - (k_x + k_z - k_y)
+    if k_y - k_x < j < v and i + v < n and j < 2 * (k_y - k_x):
         return j
     return None
+
+
+def _val_sum(p: int, a: int, b: int, u: int) -> int:
+    """val(p^a + u p^b) for a unit u.  With p^min(a, b) factored out, one
+    term of the cofactor is a unit and the other a multiple of p unless
+    a = b, where the cofactor is 1 + u and its factors of p are counted.
+    ValueError if the sum is 0."""
+    if a != b:
+        return a if a < b else b
+    s = 1 + u
+    if s == 0:
+        raise ValueError("degenerate representative: y + z/x = 0")
+    while s % p == 0:
+        s //= p
+        a += 1
+    return a
 
 
 def row_of(rep: CosetRep, n: int) -> int:
@@ -423,13 +436,14 @@ def skew_brute_count(case: str, n: int, q: int) -> int:
 
     For every parameter tuple (i, k_x, k_y, k_z) in the box `_skew_tuples`
     the counter splits the units u into strata of equal v = val(1 + u), on
-    which the valuation data and so membership are constant; one probe of
-    `in_supp`'s Skew test, `_skew_supp_j`, decides each stratum and gives
-    its j.  The classes of an accepted stratum are the
-    orbits of 1 + p^t, t = j - val(y/x), on its units at precision t + 1;
-    that walk reads only (p, v, t), so each distinct (v, t) is walked once
-    per call and weighted by the number of strata sharing it.  No closed
-    expression is consulted anywhere.  NotPrime if q is not a prime power.
+    which the valuation data and so membership are constant; one call of
+    `_skew_j`, the integer Skew test that `in_supp` runs, on the stratum's
+    probe unit decides each stratum and gives its j, with no `Skew` built.
+    The classes of an accepted stratum are the orbits of 1 + p^t,
+    t = j - val(y/x), on its units at precision t + 1; that walk reads only
+    (p, v, t), so each distinct (v, t) is walked once per call and weighted
+    by the number of strata sharing it.  No closed expression is consulted
+    anywhere.  NotPrime if q is not a prime power.
     """
     prime_power(q)
     if case not in SKEW_CASES:
@@ -439,8 +453,8 @@ def skew_brute_count(case: str, n: int, q: int) -> int:
     p = q
     tally = Counter()
     for i, k_x, k_y, k_z in _skew_tuples(case, n):
-        for probe, v in _strata(case, n, p, i, k_x, k_y, k_z):
-            j = _skew_supp_j(probe, n)
+        for u, v in _strata(case, n, p, i, k_x, k_y, k_z):
+            j = _skew_j(i, k_x, k_y, k_z, u, p, n)
             if j is not None:
                 tally[v, j - (k_y - k_x)] += 1
     return sum(
@@ -451,8 +465,8 @@ def skew_brute_count(case: str, n: int, q: int) -> int:
 
 def _strata(
     case: str, n: int, p: int, i: int, k_x: int, k_y: int, k_z: int
-) -> Iterator[Tuple[Skew, Optional[int]]]:
-    """One (probe, v) per stratum of units above a tuple.
+) -> Iterator[Tuple[int, Optional[int]]]:
+    """One (probe unit u, v) per stratum of units above a tuple.
 
     Units with equal val(1 + u) = v share the valuation data, hence
     membership and j, so the probe decides the whole stratum.  In zLTxy and
@@ -461,13 +475,13 @@ def _strata(
     v < n - i - k_y and, from j < 2 val(y/x), v < k_y - i.
     """
     if case in ("zLTxy", "zGTxy"):
-        yield Skew(i, k_x, k_y, k_z, 1, p), None
+        yield 1, None
         return
     levels = (0,) if case == "zEQxy_unit" else range(1, min(n - i - k_y, k_y - i))
     for v in levels:
         if v == 0 and p == 2:
             continue  # 1 + u is even for every unit u
-        yield Skew(i, k_x, k_y, k_z, 1 if v == 0 else p ** v - 1, p), v
+        yield (1 if v == 0 else p ** v - 1), v
 
 
 def _stratum_units(p: int, v: Optional[int], prec: int) -> Set[int]:
@@ -475,21 +489,13 @@ def _stratum_units(p: int, v: Optional[int], prec: int) -> Set[int]:
     mod = p ** prec
     if v is None:
         return {u for u in range(1, mod) if u % p != 0}
-    # val(1 + u) = v puts u in the coset -1 + p^v
+    # val(1 + u) = v puts u in the coset -1 + p^v, with (1 + u)/p^v a unit
+    step = p ** v
     return {
         u
-        for u in range(p ** v - 1, mod, p ** v)
-        if u % p != 0 and _val_exact(1 + u, p, prec) == v
+        for u in range(step - 1, mod, step)
+        if u % p != 0 and (1 + u) // step % p != 0
     }
-
-
-def _val_exact(m: int, p: int, cap: int) -> int:
-    """p-adic valuation of m, capped (valuations >= cap all report cap)."""
-    v = 0
-    while v < cap and m % p == 0:
-        m //= p
-        v += 1
-    return v
 
 
 # ---------------------------------------------------------------------------

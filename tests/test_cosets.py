@@ -21,9 +21,11 @@ from klingen.cosets import (
     enumerate_supp,
     in_supp,
     row_of,
+    _skew_j,
     _skew_tuples,
     _strata,
     _stratum_units,
+    _val_sum,
     skew_brute_count,
     skew_closed_count,
     skew_equal,
@@ -201,7 +203,8 @@ class TestSkewOracle:
     @staticmethod
     def _accepted_strata(case, n, p):
         for tup in _skew_tuples(case, n):
-            for probe, v in _strata(case, n, p, *tup):
+            for u, v in _strata(case, n, p, *tup):
+                probe = Skew(*tup, u, p)
                 if in_supp(probe, n):
                     t = probe.j - (probe.k_y - probe.k_x)
                     yield tup, _stratum_units(p, v, t + 1)
@@ -230,7 +233,8 @@ class TestSkewOracle:
             for n in range(1, 13):
                 for case in SKEW_CASES:
                     for tup in _skew_tuples(case, n):
-                        for probe, v in _strata(case, n, p, *tup):
+                        for u, v in _strata(case, n, p, *tup):
+                            probe = Skew(*tup, u, p)
                             verdict = in_supp(probe, n)
                             t = probe.j - (probe.k_y - probe.k_x)
                             units = _stratum_units(p, v, t + 1)
@@ -239,6 +243,70 @@ class TestSkewOracle:
                                 s = Skew(*tup, u, p)
                                 assert s.case == case
                                 assert in_supp(s, n) == verdict, (s, n)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_integer_test_agrees_with_in_supp(self, p):
+        # a box around the support: tuples the order test rejects (k_x = 0,
+        # k_x = i, k_y = k_x, k_z = k_y), tuples a window rejects at some n,
+        # accepted ones, and with u = -1 degenerate ones (y + z/x = 0)
+        units = sorted({1, p - 1, p + 1, p ** 2 - 1, p ** 3 - 1, -1})
+        seen = Counter()
+        for i in range(1, 10):
+            for kx in range(0, i + 1):
+                for ky in range(kx, 10):
+                    for kz in range(ky, 20):
+                        for u in units:
+                            rep = Skew(i, kx, ky, kz, u, p)
+                            for n in (4, 8, 10, 12):
+                                try:
+                                    want = in_supp(rep, n)
+                                except ValueError:
+                                    with pytest.raises(ValueError):
+                                        _skew_j(i, kx, ky, kz, u, p, n)
+                                    seen["degenerate"] += 1
+                                    continue
+                                j = _skew_j(i, kx, ky, kz, u, p, n)
+                                assert (j is not None) == want, (rep, n)
+                                if want:
+                                    assert j == rep.j, (rep, n)
+                                seen[want] += 1
+        assert seen[True] and seen[False] and seen["degenerate"], seen
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_val_sum_matches_repeated_division(self, p):
+        units = [u for u in range(1, p ** 5) if u % p != 0]
+        assert all(u in units for u in (p ** k - 1 for k in range(1, 6)))
+        for a in range(13):
+            for b in range(13):
+                for u in units:
+                    s, want = p ** a + u * p ** b, 0
+                    while s % p == 0:
+                        s //= p
+                        want += 1
+                    assert _val_sum(p, a, b, u) == want, (a, b, u)
+        with pytest.raises(ValueError):
+            _val_sum(p, 4, 4, -1)
+
+    def test_one_support_test_per_stratum(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _skew_j(*args)
+
+        monkeypatch.setattr(cosets, "_skew_j", counted)
+        total = 0
+        for p in (2, 3, 5):
+            for n in range(1, 17):
+                for case in SKEW_CASES:
+                    strata = sum(1 for tup in _skew_tuples(case, n)
+                                 for _ in _strata(case, n, p, *tup))
+                    calls.clear()
+                    skew_brute_count(case, n, p)
+                    assert len(calls) == strata, (case, n, p)
+                    assert len(set(calls)) == strata, (case, n, p)
+                    total += strata
+        assert total > 0
 
     def test_orbit_walk_matches_skew_equal(self):
         for p in (2, 3, 5, 7):
